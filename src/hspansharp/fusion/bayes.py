@@ -252,6 +252,9 @@ def bayes_naive_solve(
     The quadratic posterior is solved with conjugate gradients; the prior
     covariance is refit `sigma_rounds` times as the empirical second moment
     of U - mu plus a 1e-6 ridge, ending with a final coefficient solve.
+    Sigma^-1 is formed once per round from its Cholesky factor and folded
+    with the PAN term into one p x p matrix, so a CG step applies the
+    per-pixel part of the system as a single p x p product.
     """
     ratio = model.ratio
     if (pan.height, pan.width) != (y_h.height * ratio, y_h.width * ratio):
@@ -294,12 +297,13 @@ def bayes_naive_solve(
         if round_idx > 0:
             delta = U - mu
             sigma = (delta @ delta.T) / n + 1e-6 * np.eye(p)
-        factor = cho_factor(sigma)
+        sigma_inv = cho_solve(cho_factor(sigma), np.eye(p))
+        m_pix = m_pan + sigma_inv
 
         def apply_a(V):
-            return m_hs @ k_op(V) + m_pan @ V + cho_solve(factor, V)
+            return m_hs @ k_op(V) + m_pix @ V
 
-        b = hs_term + pan_term + cho_solve(factor, mu)
+        b = hs_term + pan_term + sigma_inv @ mu
         if grad0 is None:
             grad0 = float(np.linalg.norm(b - apply_a(U)))
         U, resid, iters = _cg_solve(apply_a, b, U, cg_tol, cg_max_iters)
@@ -332,10 +336,14 @@ def fuse_bayes_naive(
 # Vector total variation and the HySure ADMM solver (cyclic boundary model).
 
 
+def _tv_of_diffs(dh: np.ndarray, dv: np.ndarray) -> float:
+    return float(np.sqrt((dh**2 + dv**2).sum(axis=0)).sum())
+
+
 def _vtv_array(cube: np.ndarray) -> float:
     dh = np.roll(cube, -1, axis=2) - cube
     dv = np.roll(cube, -1, axis=1) - cube
-    return float(np.sqrt((dh**2 + dv**2).sum(axis=0)).sum())
+    return _tv_of_diffs(dh, dv)
 
 
 def vtv(img: SpectralImage) -> float:
@@ -398,14 +406,15 @@ class HysureResult:
     converged: bool
 
 
-def _cyclic_kernel_fft(taps: np.ndarray, height: int, width: int) -> np.ndarray:
+def _cyclic_kernel_rfft(taps: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Half spectrum (rfft2, height x (width // 2 + 1)) of the cyclic blur."""
     radius = taps.size // 2
     kern2 = np.outer(taps, taps)
     grid = np.zeros((height, width))
     rows = np.arange(-radius, radius + 1) % height
     cols = np.arange(-radius, radius + 1) % width
     np.add.at(grid, (rows[:, np.newaxis], cols[np.newaxis, :]), kern2)
-    return np.fft.fft2(grid)
+    return np.fft.rfft2(grid)
 
 
 def hysure_solve(
@@ -423,6 +432,13 @@ def hysure_solve(
     with cyclic convolution B diagonalized in the frequency domain and the
     decimation handled by a site mask. Three splittings: the blurred image,
     and the two periodic difference fields.
+
+    U is real, so the frequency domain is the real half spectrum
+    (rfft2/irfft2). Each iteration takes four transforms: two forward ones
+    for the right-hand side (the blurred splitting is transformed alone so
+    that B^T is a multiply), and two inverse ones giving U and B U from the
+    one solved spectrum. The objective reuses B U and the difference
+    fields the iteration computed instead of transforming again.
     """
     ratio = model.ratio
     h, w = pan.height, pan.width
@@ -434,18 +450,15 @@ def hysure_solve(
     mu = params.admm_mu
     lam_m, lam_phi = params.lambda_m, params.lambda_phi
 
-    fb = _cyclic_kernel_fft(model.blur.taps, h, w)
-    mh = np.exp(2j * np.pi * np.fft.fftfreq(w))[np.newaxis, :] - 1.0
+    fb = _cyclic_kernel_rfft(model.blur.taps, h, w)
+    fb_conj = np.conj(fb)
+    mh = np.exp(2j * np.pi * np.fft.rfftfreq(w))[np.newaxis, :] - 1.0
     mv = np.exp(2j * np.pi * np.fft.fftfreq(h))[:, np.newaxis] - 1.0
     psi = (np.abs(fb) ** 2 + np.abs(mh) ** 2 + np.abs(mv) ** 2).ravel()
 
     rh = model.spectral_response @ H
     evals, evecs = np.linalg.eigh(lam_m * (rh.T @ rh))
     evals = np.maximum(evals, 0.0)
-
-    def blur_b(cube, conj=False):
-        mult = np.conj(fb) if conj else fb
-        return np.real(np.fft.ifft2(np.fft.fft2(cube, axes=(1, 2)) * mult, axes=(1, 2)))
 
     def diff_h(cube):
         return np.roll(cube, -1, axis=2) - cube
@@ -459,50 +472,44 @@ def hysure_solve(
     def diff_v_adj(cube):
         return np.roll(cube, 1, axis=1) - cube
 
-    hty = H.T @ y_h.data
-    pan_term = lam_m * (rh.T @ pan.data)
+    sites = (slice(None), slice(phase, None, ratio), slice(phase, None, ratio))
+    hty = (H.T @ y_h.data).reshape(p, y_h.height, y_h.width)
+    pan_term = lam_m * (rh.T @ pan.data).reshape(p, h, w)
 
-    def objective(u_cube):
-        x_low = blur_b(u_cube)[:, phase::ratio, phase::ratio].reshape(p, -1)
-        resid_h = y_h.data - H @ x_low
-        resid_m = pan.data - rh @ u_cube.reshape(p, -1)
+    def objective(u, ub, uh, uv):
+        resid_h = y_h.data - H @ ub[sites].reshape(p, -1)
+        resid_m = pan.data - rh @ u.reshape(p, -1)
         return (
             0.5 * float((resid_h**2).sum())
             + 0.5 * lam_m * float((resid_m**2).sum())
-            + lam_phi * _vtv_array(u_cube)
+            + lam_phi * _tv_of_diffs(uh, uv)
         )
 
     u = (H.T @ upsample(y_h, ratio, "bicubic").data).reshape(p, h, w)
-    v1 = blur_b(u)
+    v1 = np.fft.irfft2(np.fft.rfft2(u) * fb, s=(h, w))
     v2 = diff_h(u)
     v3 = diff_v(u)
     d1 = np.zeros_like(v1)
     d2 = np.zeros_like(v2)
     d3 = np.zeros_like(v3)
-    sites = (slice(None), slice(phase, None, ratio), slice(phase, None, ratio))
-    trace = [objective(u)]
+    trace = [objective(u, v1, v2, v3)]
     converged = False
     iterations = 0
     escalations = 0
 
-    def iterate(u, v1, v2, v3, d1, d2, d3, mu):
-        rhs = (
-            pan_term.reshape(p, h, w)
-            + mu * blur_b(v1 + d1, conj=True)
-            + mu * diff_h_adj(v2 + d2)
-            + mu * diff_v_adj(v3 + d3)
-        )
-        rhs_hat = np.fft.fft2(rhs, axes=(1, 2)).reshape(p, -1)
-        z = evecs.T @ rhs_hat
+    def iterate(v1, v2, v3, d1, d2, d3, mu):
+        rhs_hat = np.fft.rfft2(
+            pan_term + mu * diff_h_adj(v2 + d2) + mu * diff_v_adj(v3 + d3)
+        ) + mu * fb_conj * np.fft.rfft2(v1 + d1)
+        z = evecs.T @ rhs_hat.reshape(p, -1)
         z /= evals[:, np.newaxis] + mu * psi[np.newaxis, :]
-        u = np.real(np.fft.ifft2((evecs @ z).reshape(p, h, w), axes=(1, 2)))
+        u_hat = (evecs @ z).reshape((p,) + fb.shape)
+        u = np.fft.irfft2(u_hat, s=(h, w))
+        ub = np.fft.irfft2(u_hat * fb, s=(h, w))
 
-        ub = blur_b(u)
         nu1 = ub - d1
         v1 = nu1.copy()
-        v1[sites] = (
-            hty.reshape(p, y_h.height, y_h.width) + mu * nu1[sites]
-        ) / (1.0 + mu)
+        v1[sites] = (hty + mu * nu1[sites]) / (1.0 + mu)
 
         uh, uv = diff_h(u), diff_v(u)
         nu2 = uh - d2
@@ -513,7 +520,9 @@ def hysure_solve(
         v2 = shrink * nu2
         v3 = shrink * nu3
 
-        return u, v1, v2, v3, d1 - (ub - v1), d2 - (uh - v2), d3 - (uv - v3)
+        value = objective(u, ub, uh, uv)
+        state = (u, v1, v2, v3, d1 - (ub - v1), d2 - (uh - v2), d3 - (uv - v3))
+        return state, value
 
     for iterations in range(1, params.max_iters + 1):
         # A rising objective means the penalty is too weak for this problem:
@@ -521,8 +530,7 @@ def hysure_solve(
         # multipliers are unchanged), and retry. Keeps the recorded trace
         # non-increasing without altering the fixed points.
         while True:
-            state = iterate(u, v1, v2, v3, d1, d2, d3, mu)
-            value = objective(state[0])
+            state, value = iterate(v1, v2, v3, d1, d2, d3, mu)
             if value <= trace[-1] * (1.0 + 1e-9) or escalations >= 30:
                 break
             mu *= 2.0

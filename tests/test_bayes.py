@@ -269,9 +269,9 @@ class TestBayesNaivePriors:
 
 
 class TestBayesNaiveSolve:
-    def make_generic(self, seed=17):
+    def make_generic(self, seed=17, p=2):
         rng = np.random.default_rng(seed)
-        ratio, h, w, bands, p = 2, 12, 12, 5, 2
+        ratio, h, w, bands = 2, 12, 12, 5
         basis = random_basis(bands, p, seed + 1)
         x = SpectralImage(h, w, rng.uniform(0.0, 1.0, (bands, h * w)))
         kernel = kernel_from_mtf(ratio, 0.4)
@@ -335,6 +335,40 @@ class TestBayesNaiveSolve:
                 y_h, pan, model, basis, sigma_rounds=0, cg_max_iters=1
             )
         assert info.value.residual > 0
+
+    def test_dense_prior_covariance_is_stationary(self):
+        # A non-diagonal prior covariance: a wrong or transposed Sigma^-1
+        # moves the solution off the posterior's stationary point.
+        y_h, pan, model, basis = self.make_generic(seed=32, p=3)
+        rng = np.random.default_rng(34)
+        a = rng.normal(size=(3, 3))
+        sigma = 0.05 * (a @ a.T + 0.5 * np.eye(3))
+        priors = BayesNaivePriors(rng.normal(size=(3, pan.pixels)), sigma)
+        result = bayes_naive_solve(
+            y_h, pan, model, basis, priors=priors, sigma_rounds=0
+        )
+        sigma_inv = np.linalg.inv(sigma)
+
+        def objective(u):
+            data = negative_log_posterior(u, y_h, pan, model, basis)
+            d = u - priors.mu
+            return data + 0.5 * float(np.einsum("ij,ij->", sigma_inv @ d, d))
+
+        coords = [(0, 5), (1, 40), (2, 77), (0, 100), (1, 131), (2, 143)]
+        eps = 1e-5
+
+        def spot_gradient(u):
+            out = []
+            for i, j in coords:
+                up = u.copy()
+                down = u.copy()
+                up[i, j] += eps
+                down[i, j] -= eps
+                out.append((objective(up) - objective(down)) / (2 * eps))
+            return np.abs(np.array(out))
+
+        ratio_fd = spot_gradient(result.U).max() / spot_gradient(priors.mu).max()
+        assert ratio_fd <= 1e-6
 
     def test_fuse_wrapper_carries_geometry(self):
         y_h, pan, model, basis = self.make_generic()
@@ -418,11 +452,10 @@ class TestHySureParams:
         assert np.isfinite(params.lambda_phi)
 
 
-def ratio_one_instance(noise=0.01, seed=42):
-    """Square observation grid (no decimation) whose quadratic objective has
-    a closed-form minimizer, reachable by a dense Sylvester solve."""
+def ratio_one_instance(noise=0.01, seed=42, h=16, w=16):
+    """Observation grid without decimation whose quadratic objective has a
+    closed-form minimizer, reachable by a dense Sylvester solve."""
     rng = np.random.default_rng(seed)
-    h = w = 16
     n = h * w
     bands, p = 6, 2
     q, _ = np.linalg.qr(rng.normal(size=(bands, p)))
@@ -459,8 +492,11 @@ def sylvester_optimum(y_h, pan, basis, model, blur_mat, lambda_m):
 
 
 class TestHysureSolve:
-    def test_matches_dense_least_squares(self):
-        y_h, pan, basis, model, blur_mat = ratio_one_instance()
+    # Odd widths leave the real half spectrum without a Nyquist column, so
+    # the inverse transforms must be told the grid shape.
+    @pytest.mark.parametrize("h,w", [(16, 16), (12, 15), (9, 13)])
+    def test_matches_dense_least_squares(self, h, w):
+        y_h, pan, basis, model, blur_mat = ratio_one_instance(h=h, w=w)
         u_opt = sylvester_optimum(y_h, pan, basis, model, blur_mat, 1.0)
         params = HySureParams(
             lambda_m=1.0, lambda_phi=0.0, admm_mu=0.01, tol=0.0, max_iters=5000

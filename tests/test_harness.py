@@ -3,6 +3,8 @@ artifacts, and the command line."""
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -432,6 +434,16 @@ class TestCli:
         ]) == 0
         assert not np.array_equal(load_raster(a).data, load_raster(b).data)
         assert not np.array_equal(load_raster(a).data, load_raster(c).data)
+
+    def test_module_entry_point_runs(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hspansharp", "--help"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "bench" in proc.stdout
 
     def test_bad_usage_exits_one(self):
         with pytest.raises(SystemExit) as info:
