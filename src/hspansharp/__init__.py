@@ -1,14 +1,7 @@
 """Hyperspectral pansharpening toolkit: fusion methods, a Wald-protocol
 evaluation harness, and supporting raster utilities."""
 
-from .imgcore import (
-    DynamicRange,
-    SpectralImage,
-    as_matrix,
-    band_stats,
-    clip_to_range,
-    from_matrix,
-)
+from .imgcore import DynamicRange, SpectralImage
 from .sensorsim import (
     NOISE_ALGORITHM,
     BlurKernel,
@@ -17,7 +10,6 @@ from .sensorsim import (
     blur_downsample,
     default_pan_response,
     default_phase,
-    drop_bands,
     kernel_from_mtf,
     synth_pan,
 )
@@ -38,10 +30,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DynamicRange",
     "SpectralImage",
-    "as_matrix",
-    "band_stats",
-    "clip_to_range",
-    "from_matrix",
     "NOISE_ALGORITHM",
     "BlurKernel",
     "SensorModel",
@@ -49,7 +37,6 @@ __all__ = [
     "blur_downsample",
     "default_pan_response",
     "default_phase",
-    "drop_bands",
     "kernel_from_mtf",
     "synth_pan",
     "upsample",

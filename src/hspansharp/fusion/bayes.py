@@ -17,8 +17,14 @@ from scipy.ndimage import convolve1d
 
 from ..imgcore import DynamicRange, SpectralImage
 from ..resample import upsample
-from ..sensorsim import BlurKernel, SensorModel, blur_downsample, default_phase
-from .. import sensorsim
+from ..sensorsim import (
+    BlurKernel,
+    SensorModel,
+    blur_downsample,
+    default_phase,
+    degrade,
+    degrade_adjoint,
+)
 
 __all__ = [
     "SubspaceBasis",
@@ -90,41 +96,8 @@ def default_subspace_dim(y_h: SpectralImage, energy: float = 0.999, cap: int = 1
 
 
 # ---------------------------------------------------------------------------
-# Wald degradation operator (symmetric-boundary blur + decimation) with an
-# exact adjoint, used by the naive Gaussian solver.
-
-
-def _conv_axis_adjoint(arr: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
-    """Adjoint of symmetric-pad separable convolution along one axis."""
-    radius = taps.size // 2
-    if radius == 0:
-        return arr * taps[0]
-    arr = np.moveaxis(arr, axis, -1)
-    n = arr.shape[-1]
-    if radius > n:
-        raise ValueError("kernel radius exceeds the image extent")
-    z = np.zeros(arr.shape[:-1] + (n + 2 * radius,))
-    z[..., radius : n + radius] = arr
-    zc = convolve1d(z, taps, axis=-1, mode="constant", cval=0.0)
-    out = zc[..., radius : n + radius].copy()
-    out[..., :radius] += zc[..., :radius][..., ::-1]
-    out[..., n - radius :] += zc[..., n + radius :][..., ::-1]
-    return np.moveaxis(out, -1, axis)
-
-
-def _wald_forward(cube: np.ndarray, taps: np.ndarray, ratio: int, phase: int) -> np.ndarray:
-    blurred = sensorsim._blur_cube(cube, taps)
-    return blurred[..., phase::ratio, phase::ratio]
-
-
-def _wald_adjoint(
-    low: np.ndarray, taps: np.ndarray, ratio: int, phase: int, height: int, width: int
-) -> np.ndarray:
-    full = np.zeros(low.shape[:-2] + (height, width))
-    full[..., phase::ratio, phase::ratio] = low
-    full = _conv_axis_adjoint(full, taps, -1)
-    full = _conv_axis_adjoint(full, taps, -2)
-    return full
+# Naive Gaussian-prior solver on the Wald operator `sensorsim.degrade` and
+# its adjoint.
 
 
 def _noise_weights(model: SensorModel, bands: int) -> tuple[np.ndarray, float]:
@@ -159,7 +132,7 @@ def negative_log_posterior(
     wh, wm = _noise_weights(model, y_h.bands)
     phase = default_phase(model.ratio)
     x_cube = (H @ U).reshape(y_h.bands, y_m.height, y_m.width)
-    low = _wald_forward(x_cube, model.blur.taps, model.ratio, phase)
+    low = degrade(x_cube, model.blur.taps, model.ratio, phase)
     resid_h = (y_h.data - low.reshape(y_h.bands, -1)) * wh[:, np.newaxis]
     resid_m = (y_m.data - model.spectral_response @ (H @ U)) * wm
     value = 0.5 * float((resid_h**2).sum()) + 0.5 * float((resid_m**2).sum())
@@ -273,12 +246,12 @@ def bayes_naive_solve(
 
     def k_op(U):
         cube = U.reshape(p, pan.height, pan.width)
-        low = _wald_forward(cube, taps, ratio, phase)
-        back = _wald_adjoint(low, taps, ratio, phase, pan.height, pan.width)
+        low = degrade(cube, taps, ratio, phase)
+        back = degrade_adjoint(low, taps, ratio, phase, pan.height, pan.width)
         return back.reshape(p, n)
 
     hs_term = (H * wh[:, np.newaxis] ** 2).T @ y_h.data
-    hs_term = _wald_adjoint(
+    hs_term = degrade_adjoint(
         hs_term.reshape(p, y_h.height, y_h.width),
         taps,
         ratio,
@@ -684,8 +657,7 @@ def estimate_sensor(
     response = np.full((n_lambda, m_lambda), 1.0 / m_lambda)
 
     def degraded_ym(t):
-        blurred = sensorsim._blur_cube(y_m_cube, t)
-        return blurred[..., phase::ratio, phase::ratio].reshape(n_lambda, -1)
+        return degrade(y_m_cube, t, ratio, phase).reshape(n_lambda, -1)
 
     def objective(resp, t):
         resid = resp @ y_h.data - degraded_ym(t)

@@ -9,14 +9,12 @@ against the P_L statistics, and injects the band detail G_k (P - P_L).
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import convolve1d
 
 from ..imgcore import DynamicRange, SpectralImage
 from ..resample import upsample
-from ..sensorsim import blur_downsample, kernel_from_mtf
+from ..sensorsim import blur, blur_downsample, kernel_from_mtf
 
 __all__ = [
-    "mra_fuse",
     "box_lowpass",
     "glp_lowpass",
     "fuse_sfim",
@@ -34,44 +32,10 @@ def _hpm_gain(band: np.ndarray, p_low: np.ndarray, rng: DynamicRange) -> np.ndar
     return np.where(guard, 1.0, band / safe)
 
 
-def mra_fuse(
-    y_up: SpectralImage,
-    pan: SpectralImage,
-    pan_low: SpectralImage,
-    gains: str,
-    rng: DynamicRange,
-) -> SpectralImage:
-    """X^k = Y^k + G_k (P - P_L) with G = 1 (additive) or Y^k / P_L (hpm).
-
-    HPM outputs are clipped to the dynamic range; the division is guarded
-    where |P_L| is negligible relative to the range span.
-    """
-    if gains not in ("additive", "hpm"):
-        raise ValueError(f"unknown gain mode: {gains!r}")
-    if pan.bands != 1 or pan_low.bands != 1:
-        raise ValueError("PAN inputs must hold a single band")
-    if (pan.height, pan.width) != (y_up.height, y_up.width) or (
-        pan_low.height,
-        pan_low.width,
-    ) != (y_up.height, y_up.width):
-        raise ValueError("PAN planes must match the interpolated band dims")
-    detail = pan.data[0] - pan_low.data[0]
-    if gains == "additive":
-        return y_up.with_data(y_up.data + detail)
-    gains_mat = np.vstack(
-        [_hpm_gain(band, pan_low.data[0], rng) for band in y_up.data]
-    )
-    fused = y_up.data + gains_mat * detail
-    return y_up.with_data(np.clip(fused, rng.lo, rng.hi))
-
-
 def box_lowpass(pan: SpectralImage, ratio: int) -> SpectralImage:
     """Normalized (2 ratio + 1)^2 box mean with mirror boundaries."""
     width = 2 * int(ratio) + 1
-    taps = np.full(width, 1.0 / width)
-    cube = pan.to_cube()
-    out = convolve1d(cube, taps, axis=-1, mode="reflect")
-    out = convolve1d(out, taps, axis=-2, mode="reflect")
+    out = blur(pan.to_cube(), np.full(width, 1.0 / width))
     return pan.with_data(out.reshape(pan.bands, -1))
 
 

@@ -193,20 +193,6 @@ def _safe_name(name: str) -> str:
     return "".join(ch if ch.isalnum() else "_" for ch in name.lower())
 
 
-def _spectra_rows(report: BenchmarkReport) -> list[tuple]:
-    rows = []
-    for res in report.results:
-        if res.report is None:
-            continue
-        for q in report.config.percentiles:
-            pixel, ref, est = percentile_spectrum(
-                res.fused, report.truth, res.report.rmse_map, q
-            )
-            for band in range(ref.size):
-                rows.append((res.name, q, pixel, band, ref[band], est[band]))
-    return rows
-
-
 def emit_report(report: BenchmarkReport, output_dir: str | None = None) -> dict:
     """Write report.csv, report.json, spectra.csv, and per-method RMSE map
     rasters; returns the artifact paths.
@@ -237,29 +223,29 @@ def emit_report(report: BenchmarkReport, output_dir: str | None = None) -> dict:
     with open(csv_path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(rows) + "\n")
 
+    spectra = [
+        (res, q) + percentile_spectrum(res.fused, report.truth, res.report.rmse_map, q)
+        for res in report.results
+        if res.report is not None
+        for q in config.percentiles
+    ]
     spectra_path = os.path.join(out_dir, "spectra.csv")
     with open(spectra_path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("method,percentile,pixel,band,reference,estimate\n")
-        for name, q, pixel, band, ref, est in _spectra_rows(report):
-            fh.write(
-                "%s,%.17g,%d,%d,%.17g,%.17g\n" % (name, q, pixel, band, ref, est)
-            )
+        for res, q, pixel, ref, est in spectra:
+            for band in range(ref.size):
+                fh.write(
+                    "%s,%.17g,%d,%d,%.17g,%.17g\n"
+                    % (res.name, q, pixel, band, ref[band], est[band])
+                )
 
-    spectra_json = {}
-    for res in report.results:
-        if res.report is None:
-            continue
-        per_q = {}
-        for q in config.percentiles:
-            pixel, ref, est = percentile_spectrum(
-                res.fused, report.truth, res.report.rmse_map, q
-            )
-            per_q["%g" % q] = {
-                "pixel": pixel,
-                "reference": [float(v) for v in ref],
-                "estimate": [float(v) for v in est],
-            }
-        spectra_json[res.name] = per_q
+    spectra_json = {r.name: {} for r in report.results if r.report is not None}
+    for res, q, pixel, ref, est in spectra:
+        spectra_json[res.name]["%g" % q] = {
+            "pixel": pixel,
+            "reference": [float(v) for v in ref],
+            "estimate": [float(v) for v in est],
+        }
     payload = {
         "version": __version__,
         "noise_algorithm": NOISE_ALGORITHM,

@@ -19,7 +19,7 @@ from ..imgcore import DynamicRange
 from ..metrics import compute_report
 from ..sensorsim import SensorModel, default_pan_response, kernel_from_mtf
 from .bench import emit_report, run_wald, wald_inputs
-from .config import RunConfig, apply_overrides, parse_config
+from .config import RunConfig, _coerce, apply_overrides, parse_config
 from .envi import load_raster, save_raster
 from .registry import MethodContext, get_method, method_names
 from .scene import synth_scene
@@ -134,15 +134,7 @@ def _parse_method_params(pairs: list[str], method: str) -> dict:
             owner, _, key = key.partition(".")
             if owner != method:
                 continue
-        key = key.lower().replace("-", "_")
-        value = value.strip()
-        try:
-            params[key] = int(value)
-        except ValueError:
-            try:
-                params[key] = float(value)
-            except ValueError:
-                params[key] = value
+        params[key.lower().replace("-", "_")] = _coerce(value.strip())
     return params
 
 

@@ -11,14 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "SpectralImage",
-    "DynamicRange",
-    "as_matrix",
-    "from_matrix",
-    "clip_to_range",
-    "band_stats",
-]
+__all__ = ["SpectralImage", "DynamicRange"]
 
 
 def _readonly_f64(values) -> np.ndarray:
@@ -121,29 +114,3 @@ class SpectralImage:
             and np.array_equal(self.data, other.data)
         )
 
-
-def as_matrix(img: SpectralImage) -> np.ndarray:
-    """Bands x pixels matrix of the image (read-only, no copy)."""
-    return img.data
-
-
-def from_matrix(
-    matrix, height: int, width: int, wavelengths=None
-) -> SpectralImage:
-    """Build an image from a bands x pixels matrix."""
-    return SpectralImage(height, width, matrix, wavelengths)
-
-
-def clip_to_range(img: SpectralImage, rng: DynamicRange) -> SpectralImage:
-    """Clamp every sample into [rng.lo, rng.hi]."""
-    return img.with_data(np.clip(img.data, rng.lo, rng.hi))
-
-
-def band_stats(img: SpectralImage, k: int) -> tuple[float, float]:
-    """Per-band (mean, population variance)."""
-    if not 0 <= k < img.bands:
-        raise IndexError(f"band {k} out of range for {img.bands} bands")
-    row = img.data[k]
-    mean = float(row.mean())
-    var = float(row.var())
-    return mean, var

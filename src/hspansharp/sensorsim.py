@@ -2,7 +2,9 @@
 synthesis, and seeded per-band Gaussian noise.
 
 All spatial filtering uses symmetric (mirror) boundary extension so that
-constant images are preserved exactly.
+constant images are preserved exactly. `degrade` and `degrade_adjoint` are
+the one implementation of the Wald observation operator X B S and its
+adjoint.
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ __all__ = [
     "BlurKernel",
     "SensorModel",
     "kernel_from_mtf",
+    "blur",
+    "degrade",
+    "degrade_adjoint",
     "blur_downsample",
     "synth_pan",
     "add_gaussian_noise",
-    "drop_bands",
     "default_pan_response",
     "default_phase",
     "NOISE_ALGORITHM",
@@ -122,13 +126,33 @@ def kernel_from_mtf(ratio: int, gnyq: float = 0.3) -> BlurKernel:
     return BlurKernel(taps / taps.sum())
 
 
-def _blur_cube(cube: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Separable symmetric-boundary convolution over the two spatial axes."""
+def blur(cube: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Separable symmetric-boundary convolution over the two spatial axes.
+
+    With symmetric taps this is a symmetric matrix on every grid size, so it
+    is its own adjoint.
+    """
     if taps.size == 1:
         return cube * taps[0]
     out = convolve1d(cube, taps, axis=-1, mode="reflect")
     out = convolve1d(out, taps, axis=-2, mode="reflect")
     return out
+
+
+def degrade(cube: np.ndarray, taps: np.ndarray, ratio: int, phase: int) -> np.ndarray:
+    """Wald observation operator X B S: blur, then keep every ratio-th sample
+    starting at `phase` on both spatial axes."""
+    return blur(cube, taps)[..., phase::ratio, phase::ratio]
+
+
+def degrade_adjoint(
+    low: np.ndarray, taps: np.ndarray, ratio: int, phase: int, height: int, width: int
+) -> np.ndarray:
+    """Adjoint of `degrade`: zero-fill the decimation sites of a height x
+    width grid, then blur (the blur is self-adjoint)."""
+    full = np.zeros(low.shape[:-2] + (height, width))
+    full[..., phase::ratio, phase::ratio] = low
+    return blur(full, taps)
 
 
 def blur_downsample(
@@ -148,8 +172,7 @@ def blur_downsample(
     phase = int(phase)
     if not 0 <= phase < ratio:
         raise ValueError(f"phase must lie in [0, {ratio}), got {phase}")
-    cube = _blur_cube(img.to_cube(), kernel.taps)
-    dec = cube[:, phase::ratio, phase::ratio]
+    dec = degrade(img.to_cube(), kernel.taps, ratio, phase)
     return SpectralImage(
         img.height // ratio,
         img.width // ratio,
@@ -189,19 +212,6 @@ def add_gaussian_noise(img: SpectralImage, std_per_band, seed: int) -> SpectralI
         rng = np.random.default_rng([int(seed), k])
         data[k] += stds[k] * rng.standard_normal(img.pixels)
     return img.with_data(data)
-
-
-def drop_bands(img: SpectralImage, keep_mask) -> SpectralImage:
-    """Restrict the image to the bands flagged True in keep_mask."""
-    mask = np.asarray(keep_mask, dtype=bool).ravel()
-    if mask.size != img.bands:
-        raise ValueError(f"mask has {mask.size} entries for {img.bands} bands")
-    if not mask.any():
-        raise ValueError("keep mask drops every band")
-    wl = None
-    if img.wavelengths is not None:
-        wl = tuple(w for w, keep in zip(img.wavelengths, mask) if keep)
-    return SpectralImage(img.height, img.width, img.data[mask], wl)
 
 
 def default_pan_response(

@@ -17,7 +17,7 @@ from hspansharp.harness.bench import (
     run_wald,
     wald_inputs,
 )
-from hspansharp.harness.cli import main
+from hspansharp.harness.cli import _parse_method_params, main
 from hspansharp.harness.config import RunConfig, apply_overrides, parse_config
 from hspansharp.harness.envi import load_raster, save_raster
 from hspansharp.harness.registry import REGISTRY, get_method, method_names
@@ -193,6 +193,14 @@ inner-iters = 50
     def test_bad_override_rejected(self, pair):
         with pytest.raises(ValueError):
             apply_overrides(small_config(), [pair])
+
+    @pytest.mark.parametrize("value", ["3", "0.5", "true", "none", "abc"])
+    def test_fuse_and_bench_parse_method_values_alike(self, value):
+        pair = f"CNMF.k={value}"
+        fuse_value = _parse_method_params([pair], "CNMF")["k"]
+        bench_value = apply_overrides(RunConfig(), [pair]).method_params["CNMF"]["k"]
+        assert fuse_value == bench_value
+        assert type(fuse_value) is type(bench_value)
 
 
 class TestRegistry:

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from hspansharp.imgcore import (
-    DynamicRange,
-    SpectralImage,
-    as_matrix,
-    band_stats,
-    clip_to_range,
-    from_matrix,
-)
+from hspansharp.imgcore import DynamicRange, SpectralImage
 
 
 def make_img(bands=3, height=2, width=4, seed=0):
@@ -108,35 +101,3 @@ class TestSpectralImage:
         assert a != SpectralImage(a.width, a.height, a.data)
         assert a != "not an image"
 
-
-class TestHelpers:
-    def test_matrix_round_trip(self):
-        img = make_img()
-        again = from_matrix(as_matrix(img), img.height, img.width)
-        assert again == img
-
-    def test_as_matrix_is_not_a_copy(self):
-        img = make_img()
-        assert as_matrix(img) is img.data
-
-    def test_clip_to_range(self):
-        img = SpectralImage(1, 3, np.array([[-2.0, 0.5, 7.0]]))
-        out = clip_to_range(img, DynamicRange(0.0, 1.0))
-        np.testing.assert_array_equal(out.data, [[0.0, 0.5, 1.0]])
-
-    def test_band_stats_matches_loops(self):
-        img = make_img(bands=3, height=4, width=5, seed=7)
-        for k in range(img.bands):
-            mean, var = band_stats(img, k)
-            row = img.data[k]
-            loop_mean = sum(row) / row.size
-            loop_var = sum((v - loop_mean) ** 2 for v in row) / row.size
-            assert mean == pytest.approx(loop_mean, rel=1e-12)
-            assert var == pytest.approx(loop_var, rel=1e-12)
-
-    def test_band_stats_index_error(self):
-        img = make_img(bands=2)
-        with pytest.raises(IndexError):
-            band_stats(img, 2)
-        with pytest.raises(IndexError):
-            band_stats(img, -1)

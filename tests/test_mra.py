@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from hspansharp.fusion.mra import (
+    _hpm_gain,
     box_lowpass,
     fuse_mtf_glp,
     fuse_mtf_glp_hpm,
     fuse_sfim,
     glp_lowpass,
-    mra_fuse,
 )
 from hspansharp.imgcore import DynamicRange, SpectralImage
 from hspansharp.resample import upsample
@@ -71,58 +71,19 @@ class TestGlpLowpass:
         assert (out.height, out.width) == (10, 10)
 
 
-class TestMraFuse:
-    def test_additive_matches_formula(self):
-        y_up = random_img(3, 5, 5, seed=3)
-        pan = random_img(1, 5, 5, seed=4)
-        pan_low = box_lowpass(pan, 1)
-        fused = mra_fuse(y_up, pan, pan_low, "additive", WIDE)
-        detail = pan.data[0] - pan_low.data[0]
-        np.testing.assert_allclose(
-            fused.data, y_up.data + detail, rtol=0, atol=1e-12
-        )
+class TestHpmGain:
+    def test_hand_value(self):
+        # gain = Y / P_L = 3 / 1.5 = 2
+        gain = _hpm_gain(np.array([3.0]), np.array([1.5]), DynamicRange(0.0, 10.0))
+        assert gain[0] == 2.0
 
-    def test_zero_detail_is_identity(self):
-        y_up = random_img(2, 4, 4, seed=5)
-        pan = random_img(1, 4, 4, seed=6)
-        for gains in ("additive", "hpm"):
-            fused = mra_fuse(y_up, pan, pan, gains, WIDE)
-            np.testing.assert_allclose(fused.data, y_up.data, rtol=0, atol=1e-12)
-
-    def test_hpm_hand_value(self):
-        # gain = 3 / 1.5 = 2, detail = 0.5, fused = 3 + 2 * 0.5 = 4
-        y_up = SpectralImage(1, 1, np.array([[3.0]]))
-        pan = SpectralImage(1, 1, np.array([[2.0]]))
-        pan_low = SpectralImage(1, 1, np.array([[1.5]]))
-        fused = mra_fuse(y_up, pan, pan_low, "hpm", DynamicRange(0.0, 10.0))
-        assert fused.data[0, 0] == 4.0
-
-    def test_hpm_guard_on_vanishing_lowpass(self):
-        # |P_L| below the guard uses unit gain instead of dividing
-        y_up = SpectralImage(1, 2, np.array([[3.0, 3.0]]))
-        pan = SpectralImage(1, 2, np.array([[2.0, 2.0]]))
-        pan_low = SpectralImage(1, 2, np.array([[0.0, 1.0]]))
-        fused = mra_fuse(y_up, pan, pan_low, "hpm", DynamicRange(0.0, 10.0))
-        assert fused.data[0, 0] == pytest.approx(3.0 + 1.0 * 2.0)
-        assert fused.data[0, 1] == pytest.approx(3.0 + 3.0 * 1.0)
-
-    def test_hpm_output_clipped_to_range(self):
-        y_up = SpectralImage(1, 1, np.array([[3.0]]))
-        pan = SpectralImage(1, 1, np.array([[9.0]]))
-        pan_low = SpectralImage(1, 1, np.array([[1.5]]))
-        rng = DynamicRange(0.0, 5.0)
-        fused = mra_fuse(y_up, pan, pan_low, "hpm", rng)
-        assert fused.data[0, 0] == 5.0
-
-    def test_validation(self):
-        y_up = random_img(2, 4, 4)
-        pan = random_img(1, 4, 4)
-        with pytest.raises(ValueError):
-            mra_fuse(y_up, pan, pan, "multiplicative", WIDE)
-        with pytest.raises(ValueError):
-            mra_fuse(y_up, random_img(2, 4, 4), pan, "additive", WIDE)
-        with pytest.raises(ValueError):
-            mra_fuse(y_up, random_img(1, 5, 5), pan, "additive", WIDE)
+    def test_guard_on_vanishing_lowpass(self):
+        # The guard is 1e-8 of the span 10: |P_L| = 5e-8 falls below it and
+        # gets unit gain instead of a division; 2e-7 lies above and divides.
+        rng = DynamicRange(0.0, 10.0)
+        gain = _hpm_gain(np.array([3.0, 3.0]), np.array([5e-8, 2e-7]), rng)
+        assert gain[0] == 1.0
+        assert gain[1] == pytest.approx(3.0 / 2e-7)
 
 
 class TestConstantPanFixedPoint:

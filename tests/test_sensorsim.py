@@ -9,7 +9,6 @@ from hspansharp.sensorsim import (
     blur_downsample,
     default_pan_response,
     default_phase,
-    drop_bands,
     kernel_from_mtf,
     synth_pan,
 )
@@ -213,24 +212,6 @@ class TestAddGaussianNoise:
             add_gaussian_noise(img, [0.1, 0.1, 0.1], seed=0)
         with pytest.raises(ValueError):
             add_gaussian_noise(img, -0.1, seed=0)
-
-
-class TestDropBands:
-    def test_keeps_flagged_bands(self):
-        img = SpectralImage(
-            1, 2, np.arange(6.0).reshape(3, 2), wavelengths=(0.4, 0.5, 0.6)
-        )
-        out = drop_bands(img, [True, False, True])
-        assert out.bands == 2
-        assert out.wavelengths == (0.4, 0.6)
-        np.testing.assert_array_equal(out.data, [[0.0, 1.0], [4.0, 5.0]])
-
-    def test_validation(self):
-        img = random_img(3, 2, 2)
-        with pytest.raises(ValueError):
-            drop_bands(img, [True, False])
-        with pytest.raises(ValueError):
-            drop_bands(img, [False, False, False])
 
 
 class TestDefaultPanResponse:
