@@ -15,7 +15,6 @@ from .cs import pca_transform
 
 __all__ = [
     "GuidedFilterParams",
-    "guided_filter",
     "soft_threshold",
     "fuse_gfpca",
 ]
@@ -79,20 +78,6 @@ def guided_filter_plane(
     return mean_a * guide + mean_b
 
 
-def guided_filter(
-    inp: SpectralImage, guide: SpectralImage, params: GuidedFilterParams
-) -> SpectralImage:
-    """Filter a single-band image using a single-band guide."""
-    if inp.bands != 1 or guide.bands != 1:
-        raise ValueError("guided filter expects single-band input and guide")
-    if (inp.height, inp.width) != (guide.height, guide.width):
-        raise ValueError("input and guide dims must agree")
-    out = guided_filter_plane(
-        inp.band_image(0), guide.band_image(0), params.radius, params.epsilon
-    )
-    return inp.with_data(out.reshape(1, -1))
-
-
 def soft_threshold(values: np.ndarray, tau: float) -> np.ndarray:
     """sign(v) max(|v| - tau, 0) elementwise."""
     if tau < 0:
@@ -147,27 +132,23 @@ def fuse_gfpca(
     if tau is None:
         tau = _mad_sigma(scores[p:].ravel()) if p < y_h.bands else 0.0
 
+    def upsampled(components: np.ndarray) -> np.ndarray:
+        low = SpectralImage(y_h.height, y_h.width, components)
+        return upsample(low, ratio, "bicubic").data
+
     guide_planes = guide.to_cube()
-    out_rows = []
-    for i in range(y_h.bands):
-        channel = SpectralImage(y_h.height, y_h.width, scores[i][np.newaxis, :])
-        if i < p:
-            up = upsample(channel, ratio, "bicubic").band_image(0)
-            filtered = np.mean(
-                [
-                    guided_filter_plane(up, g, params.radius, params.epsilon)
-                    for g in guide_planes
-                ],
-                axis=0,
-            )
-            out_rows.append(filtered.ravel())
-        else:
-            shrunk = channel.with_data(soft_threshold(channel.data, tau))
-            out_rows.append(upsample(shrunk, ratio, "bicubic").data[0])
-    fused_scores = np.vstack(out_rows)
+    fused_scores = []
+    for up in upsampled(scores[:p]).reshape(p, guide.height, guide.width):
+        filtered = [
+            guided_filter_plane(up, g, params.radius, params.epsilon)
+            for g in guide_planes
+        ]
+        fused_scores.append(np.mean(filtered, axis=0).ravel())
+    if p < y_h.bands:
+        fused_scores.extend(upsampled(soft_threshold(scores[p:], tau)))
     return SpectralImage(
         guide.height,
         guide.width,
-        transform.inverse(fused_scores),
+        transform.inverse(np.vstack(fused_scores)),
         y_h.wavelengths,
     )

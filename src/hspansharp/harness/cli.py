@@ -175,6 +175,8 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.ratio < 1:
+        raise ValueError(f"ratio must be a positive integer, got {args.ratio}")
     fused = load_raster(args.fused)
     truth = load_raster(args.truth)
     report = compute_report(fused, truth, 1.0 / args.ratio)

@@ -3,7 +3,8 @@
 Output sample j on each axis interpolates the input at (j - floor(ratio/2))
 / ratio, so input pixel centers land exactly on the decimation sites kept by
 blur_downsample and the round trip through an impulse kernel is lossless.
-Out-of-range source coordinates use symmetric (mirror) extension.
+Out-of-range source coordinates use symmetric (mirror) extension. Each axis
+is one (n * ratio) x n interpolation matrix M, so `upsample` is M_h X M_w^T.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ def _cubic_weight(t: np.ndarray) -> np.ndarray:
 
 
 def _axis_plan(n_in: int, ratio: int, method: str):
-    """Gather indices and weights mapping one axis to length n_in * ratio."""
+    """Mirrored source indices and weights of each output sample when one
+    axis grows to length n_in * ratio."""
     offset = ratio // 2
     src = (np.arange(n_in * ratio) - offset) / ratio
     base = np.floor(src).astype(np.int64)
@@ -51,16 +53,14 @@ def _axis_plan(n_in: int, ratio: int, method: str):
     return idx, weights
 
 
-def _interp_axis(cube: np.ndarray, axis: int, ratio: int, method: str) -> np.ndarray:
-    idx, weights = _axis_plan(cube.shape[axis], ratio, method)
-    taken = np.take(cube, idx.reshape(-1), axis=axis)
-    new_shape = list(cube.shape)
-    new_shape[axis : axis + 1] = [idx.shape[0], idx.shape[1]]
-    taken = taken.reshape(new_shape)
-    shape = [1] * taken.ndim
-    shape[axis] = idx.shape[0]
-    shape[axis + 1] = idx.shape[1]
-    return (taken * weights.reshape(shape)).sum(axis=axis)
+def _axis_matrix(n_in: int, ratio: int, method: str) -> np.ndarray:
+    """The axis plan as an (n_in * ratio) x n_in matrix; taps that mirror onto
+    the same input sample add up."""
+    idx, weights = _axis_plan(n_in, ratio, method)
+    rows = np.broadcast_to(np.arange(n_in * ratio), idx.shape)
+    matrix = np.zeros((n_in * ratio, n_in))
+    np.add.at(matrix, (rows, idx), weights)
+    return matrix
 
 
 def upsample(img: SpectralImage, ratio: int, method: str = "bicubic") -> SpectralImage:
@@ -73,11 +73,9 @@ def upsample(img: SpectralImage, ratio: int, method: str = "bicubic") -> Spectra
         raise ValueError("ratio must be a positive integer")
     if method not in ("bilinear", "bicubic"):
         raise ValueError(f"unknown interpolation method: {method!r}")
-    if ratio == 1:
-        return img.with_data(img.data)
-    cube = img.to_cube()
-    cube = _interp_axis(cube, 1, ratio, method)
-    cube = _interp_axis(cube, 2, ratio, method)
+    rows = _axis_matrix(img.height, ratio, method)
+    cols = _axis_matrix(img.width, ratio, method)
+    cube = rows @ img.to_cube() @ cols.T
     return SpectralImage(
         img.height * ratio,
         img.width * ratio,

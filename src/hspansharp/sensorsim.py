@@ -2,9 +2,10 @@
 synthesis, and seeded per-band Gaussian noise.
 
 All spatial filtering uses symmetric (mirror) boundary extension so that
-constant images are preserved exactly. `degrade` and `degrade_adjoint` are
-the one implementation of the Wald observation operator X B S and its
-adjoint.
+constant images are preserved exactly. The separable blur is written per
+axis as a small matrix, so `blur` is B_h X B_w^T, `degrade` (the Wald
+observation operator X B S) keeps only the decimated rows of each matrix,
+and `degrade_adjoint` applies the same two matrices transposed.
 """
 
 from __future__ import annotations
@@ -126,33 +127,32 @@ def kernel_from_mtf(ratio: int, gnyq: float = 0.3) -> BlurKernel:
     return BlurKernel(taps / taps.sum())
 
 
-def blur(cube: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Separable symmetric-boundary convolution over the two spatial axes.
+def _axis_blur(n: int, taps: np.ndarray) -> np.ndarray:
+    """One axis of the reflect-boundary blur as an n x n matrix (row i holds
+    the weights of output sample i), valid also below the kernel radius."""
+    return convolve1d(np.eye(n), taps, axis=0, mode="reflect")
 
-    With symmetric taps this is a symmetric matrix on every grid size, so it
-    is its own adjoint.
-    """
-    if taps.size == 1:
-        return cube * taps[0]
-    out = convolve1d(cube, taps, axis=-1, mode="reflect")
-    out = convolve1d(out, taps, axis=-2, mode="reflect")
-    return out
+
+def blur(cube: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Separable symmetric-boundary convolution over the two spatial axes:
+    `degrade` with nothing decimated."""
+    return degrade(cube, taps, 1, 0)
 
 
 def degrade(cube: np.ndarray, taps: np.ndarray, ratio: int, phase: int) -> np.ndarray:
     """Wald observation operator X B S: blur, then keep every ratio-th sample
     starting at `phase` on both spatial axes."""
-    return blur(cube, taps)[..., phase::ratio, phase::ratio]
+    rows, cols = (_axis_blur(n, taps)[phase::ratio] for n in cube.shape[-2:])
+    return rows @ cube @ cols.T
 
 
 def degrade_adjoint(
     low: np.ndarray, taps: np.ndarray, ratio: int, phase: int, height: int, width: int
 ) -> np.ndarray:
-    """Adjoint of `degrade`: zero-fill the decimation sites of a height x
-    width grid, then blur (the blur is self-adjoint)."""
-    full = np.zeros(low.shape[:-2] + (height, width))
-    full[..., phase::ratio, phase::ratio] = low
-    return blur(full, taps)
+    """Adjoint of `degrade` onto a height x width grid: the same two
+    per-axis matrices, transposed."""
+    rows, cols = (_axis_blur(n, taps)[phase::ratio] for n in (height, width))
+    return rows.T @ low @ cols
 
 
 def blur_downsample(

@@ -53,6 +53,43 @@ def oracle_blur_downsample(cube: np.ndarray, taps: np.ndarray, ratio: int, phase
     return out
 
 
+def _oracle_cubic_weight(t: float) -> float:
+    """Catmull-Rom kernel, a = -0.5."""
+    a = -0.5
+    t = abs(t)
+    if t <= 1.0:
+        return (a + 2.0) * t**3 - (a + 3.0) * t**2 + 1.0
+    if t < 2.0:
+        return a * t**3 - 5.0 * a * t**2 + 8.0 * a * t - 4.0 * a
+    return 0.0
+
+
+def _oracle_interp_taps(j: int, n: int, ratio: int, method: str) -> list:
+    """(input index, weight) pairs for output sample j of one axis, which
+    sits at input position (j - ratio // 2) / ratio."""
+    pos = (j - ratio // 2) / ratio
+    base = math.floor(pos)
+    t = pos - base
+    if method == "bilinear":
+        return [(mirror_index(base, n), 1.0 - t), (mirror_index(base + 1, n), t)]
+    return [(mirror_index(base + o, n), _oracle_cubic_weight(t - o)) for o in (-1, 0, 1, 2)]
+
+
+def oracle_upsample(cube: np.ndarray, ratio: int, method: str) -> np.ndarray:
+    """Separable bilinear or bicubic interpolation by an integer factor."""
+    bands, height, width = cube.shape
+    out = np.zeros((bands, height * ratio, width * ratio))
+    for b in range(bands):
+        for y in range(height * ratio):
+            for x in range(width * ratio):
+                acc = 0.0
+                for iy, wy in _oracle_interp_taps(y, height, ratio, method):
+                    for ix, wx in _oracle_interp_taps(x, width, ratio, method):
+                        acc += wy * wx * cube[b, iy, ix]
+                out[b, y, x] = acc
+    return out
+
+
 def oracle_synth_pan(data: np.ndarray, weights: np.ndarray) -> np.ndarray:
     bands, pixels = data.shape
     out = np.zeros(pixels)

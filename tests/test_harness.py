@@ -465,6 +465,14 @@ class TestCli:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_eval_ratio_zero_returns_one(self, tmp_path, capsys):
+        img = SpectralImage(4, 4, np.random.default_rng(3).uniform(size=(2, 16)))
+        path = str(tmp_path / "img")
+        save_raster(path, img)
+        code = main(["eval", "--fused", path, "--truth", path, "--ratio", "0"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ratio")
+
     def test_bad_config_returns_one(self, tmp_path, capsys):
         cfg = tmp_path / "bench.cfg"
         cfg.write_text("mystery = 1\n")

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
+from hspansharp.fusion.cs import pca_transform
 from hspansharp.fusion.hybrid import (
     GuidedFilterParams,
     _window_counts,
     _window_sums,
     default_component_count,
     fuse_gfpca,
-    guided_filter,
     guided_filter_plane,
     soft_threshold,
 )
 from hspansharp.imgcore import SpectralImage
+from hspansharp.resample import upsample
 
 from oracles import oracle_guided_filter
 
@@ -88,27 +89,7 @@ class TestGuidedFilterPlane:
         np.testing.assert_allclose(out, a * guide + b, rtol=0, atol=1e-12)
 
 
-class TestGuidedFilterImage:
-    def test_wraps_plane_filter(self):
-        inp = SpectralImage(4, 4, random_plane(4, 4, seed=10).reshape(1, -1))
-        guide = SpectralImage(4, 4, random_plane(4, 4, seed=11).reshape(1, -1))
-        params = GuidedFilterParams(1, 0.01)
-        out = guided_filter(inp, guide, params)
-        want = guided_filter_plane(
-            inp.band_image(0), guide.band_image(0), 1, 0.01
-        )
-        np.testing.assert_array_equal(out.band_image(0), want)
-
-    def test_validation(self):
-        one = SpectralImage(4, 4, np.ones((1, 16)))
-        two = SpectralImage(4, 4, np.ones((2, 16)))
-        small = SpectralImage(2, 2, np.ones((1, 4)))
-        params = GuidedFilterParams(1, 0.01)
-        with pytest.raises(ValueError):
-            guided_filter(two, one, params)
-        with pytest.raises(ValueError):
-            guided_filter(one, small, params)
-
+class TestGuidedFilterParams:
     def test_params_validation(self):
         with pytest.raises(ValueError):
             GuidedFilterParams(0, 0.01)
@@ -177,6 +158,34 @@ class TestFuseGfpca:
         a = fuse_gfpca(y_h, guide, 2, p=1)
         b = fuse_gfpca(y_h, guide, 2, p=5)
         assert not np.allclose(a.data, b.data)
+
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_matches_per_component_composition(self, p):
+        # Each component on its own: upsample, then either guided-filter
+        # against every guide plane and average, or soft-threshold first.
+        y_h, _ = self.make_scene()
+        rng = np.random.default_rng(16)
+        guide = SpectralImage(12, 12, rng.uniform(0.1, 1.0, (3, 144)))
+        params = GuidedFilterParams(2, 0.01)
+        tau = 0.05
+        transform = pca_transform(y_h)
+        scores = transform.forward(y_h.data)
+        rows = []
+        for i in range(y_h.bands):
+            component = SpectralImage(6, 6, scores[i : i + 1])
+            if i < p:
+                up = upsample(component, 2).band_image(0)
+                planes = [
+                    guided_filter_plane(up, g, params.radius, params.epsilon)
+                    for g in guide.to_cube()
+                ]
+                rows.append(np.mean(planes, axis=0).ravel())
+            else:
+                shrunk = component.with_data(soft_threshold(component.data, tau))
+                rows.append(upsample(shrunk, 2).data[0])
+        want = transform.inverse(np.vstack(rows))
+        got = fuse_gfpca(y_h, guide, 2, p=p, params=params, tau=tau)
+        np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
 
     def test_validation(self):
         y_h, guide = self.make_scene()

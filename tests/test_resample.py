@@ -5,6 +5,8 @@ from hspansharp.imgcore import SpectralImage
 from hspansharp.resample import upsample
 from hspansharp.sensorsim import BlurKernel, blur_downsample, default_phase
 
+from oracles import oracle_upsample
+
 
 def ramp_img(bands, height, width):
     y, x = np.mgrid[0:height, 0:width]
@@ -30,6 +32,18 @@ class TestUpsample:
         assert (up.height, up.width) == (4 * ratio, 3 * ratio)
         down = blur_downsample(up, BlurKernel.impulse(), ratio)
         np.testing.assert_allclose(down.data, img.data, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(1, 4), (2, 3), (5, 3)])
+    @pytest.mark.parametrize("method", ["bilinear", "bicubic"])
+    @pytest.mark.parametrize("ratio", [2, 3, 4, 5])
+    def test_matches_loop_oracle(self, ratio, method, shape):
+        # Every output sample, the mirrored borders included.
+        height, width = shape
+        rng = np.random.default_rng(7)
+        img = SpectralImage(height, width, rng.uniform(size=(2, height * width)))
+        got = upsample(img, ratio, method).to_cube()
+        want = oracle_upsample(img.to_cube(), ratio, method)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("method", ["bilinear", "bicubic"])
     def test_linear_ramp_reproduced_in_interior(self, method):

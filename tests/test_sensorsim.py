@@ -6,6 +6,7 @@ from hspansharp.sensorsim import (
     BlurKernel,
     SensorModel,
     add_gaussian_noise,
+    blur,
     blur_downsample,
     default_pan_response,
     default_phase,
@@ -13,7 +14,7 @@ from hspansharp.sensorsim import (
     synth_pan,
 )
 
-from oracles import oracle_blur_downsample, oracle_synth_pan
+from oracles import oracle_blur_cube, oracle_blur_downsample, oracle_synth_pan
 
 
 def random_img(bands, height, width, seed=0):
@@ -107,6 +108,18 @@ class TestKernelFromMtf:
             kernel_from_mtf(5, 1.0)
         with pytest.raises(ValueError):
             kernel_from_mtf(0, 0.3)
+
+
+class TestBlur:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 4), (2, 3), (5, 7), (9, 4)])
+    @pytest.mark.parametrize("ratio", [2, 3, 4, 5, 6])
+    def test_matches_loop_oracle(self, ratio, shape):
+        # Most of these grids are smaller than the kernel radius.
+        cube = random_img(2, *shape, seed=ratio).to_cube()
+        taps = kernel_from_mtf(ratio, 0.3).taps
+        np.testing.assert_allclose(
+            blur(cube, taps), oracle_blur_cube(cube, taps), rtol=0, atol=1e-12
+        )
 
 
 class TestBlurDownsample:
