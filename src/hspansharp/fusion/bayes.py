@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.ndimage import convolve1d
 
 from ..imgcore import DynamicRange, SpectralImage
 from ..resample import upsample
@@ -24,6 +23,7 @@ from ..sensorsim import (
     default_phase,
     degrade,
     degrade_adjoint,
+    degrade_axis,
 )
 
 __all__ = [
@@ -586,21 +586,20 @@ def _solve_taps_one_axis(
     lambda_b: float,
 ) -> np.ndarray:
     """Least-squares update of the shared symmetric taps along one axis,
-    holding the other axis's convolution fixed; unit-sum enforced by
-    eliminating the center tap."""
+    holding the other axis's `degrade_axis` matrix at the current taps;
+    unit-sum enforced by eliminating the center tap. Solving along axis -2
+    is solving along axis -1 of the transposed images."""
     support = taps.size
-    radius = support // 2
-    other_axis = -1 if axis == -2 else -2
-    fixed = convolve1d(y_m_cube, taps, axis=other_axis, mode="reflect")
-    tap_map = _tap_matrix(support)
-    feats = []
-    for q in range(radius + 1):
-        basis_taps = tap_map[:, q]
-        conv = convolve1d(fixed, basis_taps, axis=axis, mode="reflect")
-        feats.append(conv[..., phase::ratio, phase::ratio].ravel())
-    feats = np.array(feats)
-    if radius == 0:
+    if support == 1:
         return np.array([1.0])
+    if axis == -2:
+        target, y_m_cube = target.swapaxes(-1, -2), y_m_cube.swapaxes(-1, -2)
+    height, width = y_m_cube.shape[-2:]
+    fixed = degrade_axis(height, taps, ratio, phase) @ y_m_cube
+    tap_map = _tap_matrix(support)
+    feats = np.array(
+        [(fixed @ degrade_axis(width, t, ratio, phase).T).ravel() for t in tap_map.T]
+    )
     design = feats[1:] - 2.0 * feats[0]
     resid = target.ravel() - feats[0]
     diff_gram = _first_diff_gram(support)

@@ -127,10 +127,9 @@ def nmf_update_abundances(
     return abundances * (spectra.T @ data) / ((spectra.T @ spectra) @ abundances + eps)
 
 
-def _augment(spectra: np.ndarray, data: np.ndarray, delta: float):
-    ones_h = np.full((1, spectra.shape[1]), delta)
-    ones_y = np.full((1, data.shape[1]), delta)
-    return np.vstack([spectra, ones_h]), np.vstack([data, ones_y])
+def _augment(matrix: np.ndarray, delta: float) -> np.ndarray:
+    """Stack the sum-to-one penalty row (every entry delta) under `matrix`."""
+    return np.vstack([matrix, np.full((1, matrix.shape[1]), delta)])
 
 
 def _objective(spectra: np.ndarray, abundances: np.ndarray, data: np.ndarray) -> float:
@@ -169,7 +168,9 @@ def cnmf_solve(
     # Nonnegative per-pixel unmixing against the VCA spectra seeds the
     # abundances; a flat start lets the first spectra updates drift away
     # from the vertices VCA already found.
-    h_aug, y_aug = _augment(spectra, data_h, delta)
+    h_aug = _augment(spectra, delta)
+    y_aug = _augment(data_h, delta)
+    p_aug = _augment(data_p, delta)
     abund_low = np.column_stack(
         [nnls(h_aug, y_aug[:, j])[0] for j in range(y_h.pixels)]
     )
@@ -182,13 +183,13 @@ def cnmf_solve(
             abund_low = np.maximum(
                 blur_downsample(low_img, model.blur, ratio).data, 0.0
             )
-        h_aug, y_aug = _augment(spectra, data_h, delta)
+        # Only the spectra change, so h_aug is restacked once per spectra
+        # update and serves both the objective and the next abundance step.
         trace = [_objective(h_aug, abund_low, y_aug)]
         for _ in range(inner_iters):
-            h_aug, y_aug = _augment(spectra, data_h, delta)
             abund_low = nmf_update_abundances(h_aug, abund_low, y_aug)
             spectra = nmf_update_spectra(spectra, abund_low, data_h)
-            h_aug, _ = _augment(spectra, data_h, delta)
+            h_aug = _augment(spectra, delta)
             trace.append(_objective(h_aug, abund_low, y_aug))
             if abs(trace[-2] - trace[-1]) <= tol * max(trace[-2], _EPS):
                 break
@@ -198,7 +199,7 @@ def cnmf_solve(
         if abund_high is None:
             low_img = SpectralImage(y_h.height, y_h.width, abund_low)
             abund_high = np.maximum(upsample(low_img, ratio, "bilinear").data, 0.0)
-        hp_aug, p_aug = _augment(spectra_pan, data_p, delta)
+        hp_aug = _augment(spectra_pan, delta)
         trace = [_objective(hp_aug, abund_high, p_aug)]
         for _ in range(inner_iters):
             abund_high = nmf_update_abundances(hp_aug, abund_high, p_aug)

@@ -1,6 +1,10 @@
 """Guided-filter PCA fusion: leading principal components are sharpened by
 edge-preserving filtering against the high-resolution guide, trailing
 components are denoised by soft thresholding and interpolated.
+
+The guided filter's window means use windows clipped at the image border
+(not mirrored). Each is separable, so it is written per axis as a small
+matrix and the mean of any stack of planes z is rows @ z @ cols^T.
 """
 
 from __future__ import annotations
@@ -36,46 +40,33 @@ class GuidedFilterParams:
             raise ValueError("guided filter epsilon must be >= 0")
 
 
-def _window_sums(plane: np.ndarray, d: int) -> np.ndarray:
-    """Sum of each (2d+1)^2 window clipped to the image, via integral images."""
-    h, w = plane.shape
-    ii = np.zeros((h + 1, w + 1))
-    ii[1:, 1:] = plane.cumsum(axis=0).cumsum(axis=1)
-    r0 = np.maximum(np.arange(h) - d, 0)
-    r1 = np.minimum(np.arange(h) + d, h - 1) + 1
-    c0 = np.maximum(np.arange(w) - d, 0)
-    c1 = np.minimum(np.arange(w) + d, w - 1) + 1
-    return (
-        ii[np.ix_(r1, c1)]
-        - ii[np.ix_(r0, c1)]
-        - ii[np.ix_(r1, c0)]
-        + ii[np.ix_(r0, c0)]
-    )
-
-
-def _window_counts(h: int, w: int, d: int) -> np.ndarray:
-    rows = np.minimum(np.arange(h) + d, h - 1) - np.maximum(np.arange(h) - d, 0) + 1
-    cols = np.minimum(np.arange(w) + d, w - 1) - np.maximum(np.arange(w) - d, 0) + 1
-    return rows[:, np.newaxis] * cols[np.newaxis, :].astype(np.float64)
+def _axis_window_mean(n: int, d: int) -> np.ndarray:
+    """One axis of the border-clipped window mean as an n x n matrix: row i
+    averages the samples within d of sample i."""
+    offsets = np.arange(n)
+    inside = np.abs(offsets[:, np.newaxis] - offsets) <= d
+    return inside / inside.sum(axis=1, keepdims=True)
 
 
 def guided_filter_plane(
     inp: np.ndarray, guide: np.ndarray, d: int, eps: float
 ) -> np.ndarray:
-    """He-style guided filter on 2-D arrays with border-clipped windows."""
-    counts = _window_counts(*inp.shape, d)
-    mean_i = _window_sums(guide, d) / counts
-    mean_p = _window_sums(inp, d) / counts
-    corr_ip = _window_sums(guide * inp, d) / counts
-    corr_ii = _window_sums(guide * guide, d) / counts
-    cov_ip = corr_ip - mean_i * mean_p
-    var_i = corr_ii - mean_i * mean_i
+    """He-style guided filter with border-clipped (2d + 1)^2 windows over the
+    last two axes; leading axes of `inp` and `guide` broadcast, so a
+    (p, 1, H, W) stack against (1, g, H, W) guides filters every pair."""
+    rows, cols = (_axis_window_mean(n, d) for n in inp.shape[-2:])
+
+    def mean(z):
+        return rows @ z @ cols.T
+
+    mean_i = mean(guide)
+    mean_p = mean(inp)
+    cov_ip = mean(guide * inp) - mean_i * mean_p
+    var_i = mean(guide * guide) - mean_i * mean_i
     denom = var_i + eps
     a = np.where(denom > 0.0, cov_ip / np.where(denom > 0.0, denom, 1.0), 0.0)
     b = mean_p - a * mean_i
-    mean_a = _window_sums(a, d) / counts
-    mean_b = _window_sums(b, d) / counts
-    return mean_a * guide + mean_b
+    return mean(a) * guide + mean(b)
 
 
 def soft_threshold(values: np.ndarray, tau: float) -> np.ndarray:
@@ -136,16 +127,13 @@ def fuse_gfpca(
         low = SpectralImage(y_h.height, y_h.width, components)
         return upsample(low, ratio, "bicubic").data
 
-    guide_planes = guide.to_cube()
-    fused_scores = []
-    for up in upsampled(scores[:p]).reshape(p, guide.height, guide.width):
-        filtered = [
-            guided_filter_plane(up, g, params.radius, params.epsilon)
-            for g in guide_planes
-        ]
-        fused_scores.append(np.mean(filtered, axis=0).ravel())
+    leading = upsampled(scores[:p]).reshape(p, 1, guide.height, guide.width)
+    filtered = guided_filter_plane(
+        leading, guide.to_cube()[np.newaxis], params.radius, params.epsilon
+    )
+    fused_scores = [filtered.mean(axis=1).reshape(p, -1)]
     if p < y_h.bands:
-        fused_scores.extend(upsampled(soft_threshold(scores[p:], tau)))
+        fused_scores.append(upsampled(soft_threshold(scores[p:], tau)))
     return SpectralImage(
         guide.height,
         guide.width,

@@ -3,9 +3,9 @@ synthesis, and seeded per-band Gaussian noise.
 
 All spatial filtering uses symmetric (mirror) boundary extension so that
 constant images are preserved exactly. The separable blur is written per
-axis as a small matrix, so `blur` is B_h X B_w^T, `degrade` (the Wald
-observation operator X B S) keeps only the decimated rows of each matrix,
-and `degrade_adjoint` applies the same two matrices transposed.
+axis as a small matrix (`degrade_axis`), so `blur` is B_h X B_w^T, `degrade`
+(the Wald observation operator X B S) keeps only the decimated rows of each
+matrix, and `degrade_adjoint` applies the same two matrices transposed.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ __all__ = [
     "BlurKernel",
     "SensorModel",
     "kernel_from_mtf",
+    "degrade_axis",
     "blur",
     "degrade",
     "degrade_adjoint",
@@ -127,10 +128,11 @@ def kernel_from_mtf(ratio: int, gnyq: float = 0.3) -> BlurKernel:
     return BlurKernel(taps / taps.sum())
 
 
-def _axis_blur(n: int, taps: np.ndarray) -> np.ndarray:
-    """One axis of the reflect-boundary blur as an n x n matrix (row i holds
-    the weights of output sample i), valid also below the kernel radius."""
-    return convolve1d(np.eye(n), taps, axis=0, mode="reflect")
+def degrade_axis(n: int, taps: np.ndarray, ratio: int, phase: int) -> np.ndarray:
+    """One axis of `degrade` as a matrix: the n x n reflect-boundary blur
+    (row i holds the weights of output sample i, valid also below the kernel
+    radius), keeping rows phase, phase + ratio, ..."""
+    return convolve1d(np.eye(n), taps, axis=0, mode="reflect")[phase::ratio]
 
 
 def blur(cube: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -142,7 +144,7 @@ def blur(cube: np.ndarray, taps: np.ndarray) -> np.ndarray:
 def degrade(cube: np.ndarray, taps: np.ndarray, ratio: int, phase: int) -> np.ndarray:
     """Wald observation operator X B S: blur, then keep every ratio-th sample
     starting at `phase` on both spatial axes."""
-    rows, cols = (_axis_blur(n, taps)[phase::ratio] for n in cube.shape[-2:])
+    rows, cols = (degrade_axis(n, taps, ratio, phase) for n in cube.shape[-2:])
     return rows @ cube @ cols.T
 
 
@@ -151,7 +153,7 @@ def degrade_adjoint(
 ) -> np.ndarray:
     """Adjoint of `degrade` onto a height x width grid: the same two
     per-axis matrices, transposed."""
-    rows, cols = (_axis_blur(n, taps)[phase::ratio] for n in (height, width))
+    rows, cols = (degrade_axis(n, taps, ratio, phase) for n in (height, width))
     return rows.T @ low @ cols
 
 

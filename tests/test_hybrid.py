@@ -4,8 +4,7 @@ import pytest
 from hspansharp.fusion.cs import pca_transform
 from hspansharp.fusion.hybrid import (
     GuidedFilterParams,
-    _window_counts,
-    _window_sums,
+    _axis_window_mean,
     default_component_count,
     fuse_gfpca,
     guided_filter_plane,
@@ -21,24 +20,32 @@ def random_plane(height, width, seed=0):
     return np.random.default_rng(seed).uniform(0.0, 1.0, (height, width))
 
 
-class TestWindowSums:
+def loop_window_mean(plane, d):
+    height, width = plane.shape
+    out = np.zeros_like(plane)
+    for y in range(height):
+        for x in range(width):
+            out[y, x] = plane[
+                max(0, y - d) : min(height, y + d + 1),
+                max(0, x - d) : min(width, x + d + 1),
+            ].mean()
+    return out
+
+
+class TestAxisWindowMean:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_loops(self, d):
         plane = random_plane(6, 7, seed=1)
-        got = _window_sums(plane, d)
-        for y in range(6):
-            for x in range(7):
-                want = plane[
-                    max(0, y - d) : min(6, y + d + 1),
-                    max(0, x - d) : min(7, x + d + 1),
-                ].sum()
-                assert got[y, x] == pytest.approx(want, rel=1e-12)
+        got = _axis_window_mean(6, d) @ plane @ _axis_window_mean(7, d).T
+        np.testing.assert_allclose(got, loop_window_mean(plane, d), rtol=1e-12, atol=0)
 
-    def test_counts(self):
-        counts = _window_counts(4, 5, 1)
-        assert counts[0, 0] == 4  # 2x2 corner window
-        assert counts[1, 2] == 9
-        assert counts[3, 4] == 4
+    def test_clipped_window_sizes(self):
+        rows = (_axis_window_mean(6, 1) > 0).sum(axis=1)
+        cols = (_axis_window_mean(7, 1) > 0).sum(axis=1)
+        sizes = np.outer(rows, cols)
+        assert sizes[0, 0] == 4  # 2x2 corner window
+        assert sizes[2, 3] == 9
+        assert sizes[5, 6] == 4
 
 
 class TestGuidedFilterPlane:
@@ -51,6 +58,20 @@ class TestGuidedFilterPlane:
         want = oracle_guided_filter(inp, guide, d, eps)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("d", [1, 2, 6])
+    def test_stack_matches_oracle_per_pair(self, d):
+        # (3, 1) components against (1, 2) guide planes filter all six pairs;
+        # at d = 6 every window of the 5 x 7 grid is clipped.
+        rng = np.random.default_rng(10)
+        inp = rng.uniform(0.0, 1.0, (3, 1, 5, 7))
+        guide = rng.uniform(0.0, 1.0, (1, 2, 5, 7))
+        got = guided_filter_plane(inp, guide, d, 0.05)
+        assert got.shape == (3, 2, 5, 7)
+        for i in range(3):
+            for g in range(2):
+                want = oracle_guided_filter(inp[i, 0], guide[0, g], d, 0.05)
+                np.testing.assert_allclose(got[i, g], want, rtol=0, atol=1e-10)
+
     def test_self_guide_zero_eps_is_identity(self):
         plane = np.arange(36.0).reshape(6, 6) + random_plane(6, 6, seed=4)
         out = guided_filter_plane(plane, plane, 1, 0.0)
@@ -60,18 +81,14 @@ class TestGuidedFilterPlane:
         inp = random_plane(6, 6, seed=5)
         guide = np.full((6, 6), 0.7)
         out = guided_filter_plane(inp, guide, 1, 0.0)
-        counts = _window_counts(6, 6, 1)
-        means = _window_sums(inp, 1) / counts
-        want = _window_sums(means, 1) / counts
+        want = loop_window_mean(loop_window_mean(inp, 1), 1)
         np.testing.assert_allclose(out, want, rtol=0, atol=1e-10)
 
     def test_huge_eps_approaches_double_box_mean(self):
         inp = random_plane(6, 6, seed=6)
         guide = random_plane(6, 6, seed=7)
         out = guided_filter_plane(inp, guide, 1, 1e12)
-        counts = _window_counts(6, 6, 1)
-        means = _window_sums(inp, 1) / counts
-        want = _window_sums(means, 1) / counts
+        want = loop_window_mean(loop_window_mean(inp, 1), 1)
         np.testing.assert_allclose(out, want, rtol=0, atol=1e-8)
 
     def test_single_window_output_is_affine_in_guide(self):

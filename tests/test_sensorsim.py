@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -120,6 +123,22 @@ class TestBlur:
         np.testing.assert_allclose(
             blur(cube, taps), oracle_blur_cube(cube, taps), rtol=0, atol=1e-12
         )
+
+    def test_only_sensorsim_imports_scipy_ndimage(self):
+        # The reflect boundary rule is defined once, by `degrade_axis`.
+        package = Path(__file__).resolve().parents[1] / "src" / "hspansharp"
+        importers = set()
+        for path in package.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    names = [f"{node.module}.{alias.name}" for alias in node.names]
+                else:
+                    continue
+                if any(n == "scipy.ndimage" or n.startswith("scipy.ndimage.") for n in names):
+                    importers.add(path.relative_to(package).as_posix())
+        assert importers == {"sensorsim.py"}
 
 
 class TestBlurDownsample:
