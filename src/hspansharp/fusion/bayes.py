@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, eigh
 
 from ..imgcore import DynamicRange, SpectralImage
 from ..resample import upsample
@@ -22,7 +22,6 @@ from ..sensorsim import (
     blur_downsample,
     default_phase,
     degrade,
-    degrade_adjoint,
     degrade_axis,
 )
 
@@ -31,7 +30,6 @@ __all__ = [
     "BayesNaivePriors",
     "HySureParams",
     "SensorEstimate",
-    "ConvergenceError",
     "learn_subspace",
     "default_subspace_dim",
     "negative_log_posterior",
@@ -44,15 +42,6 @@ __all__ = [
     "fuse_hysure",
     "estimate_sensor",
 ]
-
-
-class ConvergenceError(RuntimeError):
-    """Raised when an iterative solver exhausts its budget; carries the
-    final residual norm."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -96,8 +85,7 @@ def default_subspace_dim(y_h: SpectralImage, energy: float = 0.999, cap: int = 1
 
 
 # ---------------------------------------------------------------------------
-# Naive Gaussian-prior solver on the Wald operator `sensorsim.degrade` and
-# its adjoint.
+# Naive Gaussian-prior solver on the Wald operator `sensorsim.degrade`.
 
 
 def _noise_weights(model: SensorModel, bands: int) -> tuple[np.ndarray, float]:
@@ -164,12 +152,19 @@ class BayesNaivePriors:
         object.__setattr__(self, "sigma", sigma)
 
 
+def _interpolated_coefficients(
+    y_h: SpectralImage, basis: SubspaceBasis, ratio: int
+) -> np.ndarray:
+    """Bicubically interpolated Y_H projected onto the subspace (p x n)."""
+    return basis.H.T @ upsample(y_h, ratio, "bicubic").data
+
+
 def default_bayes_priors(
     y_h: SpectralImage, basis: SubspaceBasis, ratio: int
 ) -> BayesNaivePriors:
     """Prior mean = interpolated image projected onto the subspace; isotropic
     initial covariance scaled to the mean field's variance."""
-    mu = basis.H.T @ upsample(y_h, ratio, "bicubic").data
+    mu = _interpolated_coefficients(y_h, basis, ratio)
     var = float(mu.var(axis=1).mean())
     return BayesNaivePriors(mu, (var + 1e-6) * np.eye(basis.p))
 
@@ -178,36 +173,6 @@ def default_bayes_priors(
 class BayesNaiveResult:
     U: np.ndarray
     sigma: np.ndarray
-    grad_norm_initial: float
-    grad_norm_final: float
-    cg_iterations: int
-
-
-def _cg_solve(apply_a, b: np.ndarray, x0: np.ndarray, tol: float, max_iters: int):
-    """Conjugate gradients on the (SPD) normal equations over matrices."""
-    x = x0.copy()
-    r = b - apply_a(x)
-    d = r.copy()
-    rs = float((r * r).sum())
-    initial = np.sqrt(rs)
-    if initial == 0.0:
-        return x, 0.0, 0
-    threshold = tol * initial
-    for it in range(1, max_iters + 1):
-        ad = apply_a(d)
-        alpha = rs / float((d * ad).sum())
-        x += alpha * d
-        r -= alpha * ad
-        rs_new = float((r * r).sum())
-        if np.sqrt(rs_new) <= threshold:
-            return x, np.sqrt(rs_new), it
-        d = r + (rs_new / rs) * d
-        rs = rs_new
-    raise ConvergenceError(
-        f"conjugate gradients stalled at residual {np.sqrt(rs):.3e} "
-        f"after {max_iters} iterations",
-        residual=float(np.sqrt(rs)),
-    )
 
 
 def bayes_naive_solve(
@@ -217,17 +182,22 @@ def bayes_naive_solve(
     basis: SubspaceBasis,
     priors: BayesNaivePriors | None = None,
     sigma_rounds: int = 5,
-    cg_tol: float = 1e-8,
-    cg_max_iters: int = 5000,
 ) -> BayesNaiveResult:
     """MAP estimate under the Gaussian coefficient prior.
 
-    The quadratic posterior is solved with conjugate gradients; the prior
-    covariance is refit `sigma_rounds` times as the empirical second moment
-    of U - mu plus a 1e-6 ridge, ending with a final coefficient solve.
-    Sigma^-1 is formed once per round from its Cholesky factor and folded
-    with the PAN term into one p x p matrix, so a CG step applies the
-    per-pixel part of the system as a single p x p product.
+    The posterior is quadratic, so U solves the normal equations
+
+        M_hs K(U) + (M_pan + Sigma^-1) U = b,  K(X) = Dh^T Dh X Dw^T Dw,
+
+    with Dh, Dw the `degrade_axis` matrices of the Wald operator. They are
+    solved exactly: the eigenvectors of Dh^T Dh and Dw^T Dw diagonalize K,
+    and the generalized eigenvectors V of (M_hs, M_pan + Sigma^-1)
+    diagonalize the p x p part, leaving one division per coefficient. The
+    data and the prior mean are taken into the spatial eigenbasis once and
+    U is taken back once. The prior covariance is refit `sigma_rounds`
+    times as the empirical second moment of U - mu plus a 1e-6 ridge, which
+    the orthogonal spatial transform leaves unchanged, ending with a final
+    coefficient solve.
     """
     ratio = model.ratio
     if (pan.height, pan.width) != (y_h.height * ratio, y_h.width * ratio):
@@ -238,56 +208,36 @@ def bayes_naive_solve(
     p = basis.p
     n = pan.pixels
     phase = default_phase(ratio)
-    taps = model.blur.taps
+    dh = degrade_axis(pan.height, model.blur.taps, ratio, phase)
+    dw = degrade_axis(pan.width, model.blur.taps, ratio, phase)
+    lam_h, qh = np.linalg.eigh(dh.T @ dh)
+    lam_w, qw = np.linalg.eigh(dw.T @ dw)
+    lam_k = np.outer(np.maximum(lam_h, 0.0), np.maximum(lam_w, 0.0)).ravel()
+
+    def to_eigenbasis(field):
+        return (qh.T @ field.reshape(p, pan.height, pan.width) @ qw).reshape(p, n)
+
     wh, wm = _noise_weights(model, y_h.bands)
+    hw2 = (H * wh[:, np.newaxis] ** 2).T
     rh = (model.spectral_response @ H) * wm
+    m_hs = hw2 @ H
     m_pan = rh.T @ rh
-    m_hs = (H * wh[:, np.newaxis] ** 2).T @ H
+    hs_term = dh.T @ (hw2 @ y_h.data).reshape(p, y_h.height, y_h.width) @ dw
+    data_term = to_eigenbasis(hs_term.reshape(p, n) + rh.T @ (pan.data * wm))
 
-    def k_op(U):
-        cube = U.reshape(p, pan.height, pan.width)
-        low = degrade(cube, taps, ratio, phase)
-        back = degrade_adjoint(low, taps, ratio, phase, pan.height, pan.width)
-        return back.reshape(p, n)
-
-    hs_term = (H * wh[:, np.newaxis] ** 2).T @ y_h.data
-    hs_term = degrade_adjoint(
-        hs_term.reshape(p, y_h.height, y_h.width),
-        taps,
-        ratio,
-        phase,
-        pan.height,
-        pan.width,
-    ).reshape(p, n)
-    pan_term = rh.T @ (pan.data * wm)
-
-    mu = priors.mu
+    mu = to_eigenbasis(priors.mu)
     sigma = priors.sigma
-    U = mu.copy()
-    grad0 = None
-    info = (0.0, 0)
+    U = mu
     for round_idx in range(sigma_rounds + 1):
         if round_idx > 0:
             delta = U - mu
             sigma = (delta @ delta.T) / n + 1e-6 * np.eye(p)
         sigma_inv = cho_solve(cho_factor(sigma), np.eye(p))
-        m_pix = m_pan + sigma_inv
-
-        def apply_a(V):
-            return m_hs @ k_op(V) + m_pix @ V
-
-        b = hs_term + pan_term + sigma_inv @ mu
-        if grad0 is None:
-            grad0 = float(np.linalg.norm(b - apply_a(U)))
-        U, resid, iters = _cg_solve(apply_a, b, U, cg_tol, cg_max_iters)
-        info = (resid, iters)
-    return BayesNaiveResult(
-        U=U,
-        sigma=sigma,
-        grad_norm_initial=grad0,
-        grad_norm_final=info[0],
-        cg_iterations=info[1],
-    )
+        gamma, v = eigh(m_hs, m_pan + sigma_inv)
+        z = v.T @ (data_term + sigma_inv @ mu)
+        U = v @ (z / (gamma[:, np.newaxis] * lam_k + 1.0))
+    U = (qh @ U.reshape(p, pan.height, pan.width) @ qw.T).reshape(p, n)
+    return BayesNaiveResult(U=U, sigma=sigma)
 
 
 def fuse_bayes_naive(
@@ -297,9 +247,8 @@ def fuse_bayes_naive(
     basis: SubspaceBasis,
     priors: BayesNaivePriors | None = None,
     sigma_rounds: int = 5,
-    cg_tol: float = 1e-8,
 ) -> SpectralImage:
-    result = bayes_naive_solve(y_h, pan, model, basis, priors, sigma_rounds, cg_tol)
+    result = bayes_naive_solve(y_h, pan, model, basis, priors, sigma_rounds)
     return SpectralImage(
         pan.height, pan.width, basis.H @ result.U, y_h.wavelengths
     )
@@ -313,10 +262,14 @@ def _tv_of_diffs(dh: np.ndarray, dv: np.ndarray) -> float:
     return float(np.sqrt((dh**2 + dv**2).sum(axis=0)).sum())
 
 
+def _periodic_diff(cube: np.ndarray, axis: int, adjoint: bool = False) -> np.ndarray:
+    """Forward difference x[i + 1] - x[i] along `axis` with wrap-around, or
+    its adjoint x[i - 1] - x[i]."""
+    return np.roll(cube, 1 if adjoint else -1, axis=axis) - cube
+
+
 def _vtv_array(cube: np.ndarray) -> float:
-    dh = np.roll(cube, -1, axis=2) - cube
-    dv = np.roll(cube, -1, axis=1) - cube
-    return _tv_of_diffs(dh, dv)
+    return _tv_of_diffs(_periodic_diff(cube, 2), _periodic_diff(cube, 1))
 
 
 def vtv(img: SpectralImage) -> float:
@@ -353,7 +306,7 @@ def default_hysure_params(
     expected noise energy (which no estimate can remove), so the weight
     tracks the reducible misfit rather than the noise floor.
     """
-    u0 = basis.H.T @ upsample(y_h, model.ratio, "bicubic").data
+    u0 = _interpolated_coefficients(y_h, basis, model.ratio)
     x0 = SpectralImage(pan.height, pan.width, basis.H @ u0)
 
     stds = model.hs_noise_std
@@ -433,18 +386,6 @@ def hysure_solve(
     evals, evecs = np.linalg.eigh(lam_m * (rh.T @ rh))
     evals = np.maximum(evals, 0.0)
 
-    def diff_h(cube):
-        return np.roll(cube, -1, axis=2) - cube
-
-    def diff_v(cube):
-        return np.roll(cube, -1, axis=1) - cube
-
-    def diff_h_adj(cube):
-        return np.roll(cube, 1, axis=2) - cube
-
-    def diff_v_adj(cube):
-        return np.roll(cube, 1, axis=1) - cube
-
     sites = (slice(None), slice(phase, None, ratio), slice(phase, None, ratio))
     hty = (H.T @ y_h.data).reshape(p, y_h.height, y_h.width)
     pan_term = lam_m * (rh.T @ pan.data).reshape(p, h, w)
@@ -458,10 +399,10 @@ def hysure_solve(
             + lam_phi * _tv_of_diffs(uh, uv)
         )
 
-    u = (H.T @ upsample(y_h, ratio, "bicubic").data).reshape(p, h, w)
+    u = _interpolated_coefficients(y_h, basis, ratio).reshape(p, h, w)
     v1 = np.fft.irfft2(np.fft.rfft2(u) * fb, s=(h, w))
-    v2 = diff_h(u)
-    v3 = diff_v(u)
+    v2 = _periodic_diff(u, 2)
+    v3 = _periodic_diff(u, 1)
     d1 = np.zeros_like(v1)
     d2 = np.zeros_like(v2)
     d3 = np.zeros_like(v3)
@@ -472,7 +413,9 @@ def hysure_solve(
 
     def iterate(v1, v2, v3, d1, d2, d3, mu):
         rhs_hat = np.fft.rfft2(
-            pan_term + mu * diff_h_adj(v2 + d2) + mu * diff_v_adj(v3 + d3)
+            pan_term
+            + mu * _periodic_diff(v2 + d2, 2, adjoint=True)
+            + mu * _periodic_diff(v3 + d3, 1, adjoint=True)
         ) + mu * fb_conj * np.fft.rfft2(v1 + d1)
         z = evecs.T @ rhs_hat.reshape(p, -1)
         z /= evals[:, np.newaxis] + mu * psi[np.newaxis, :]
@@ -484,7 +427,7 @@ def hysure_solve(
         v1 = nu1.copy()
         v1[sites] = (hty + mu * nu1[sites]) / (1.0 + mu)
 
-        uh, uv = diff_h(u), diff_v(u)
+        uh, uv = _periodic_diff(u, 2), _periodic_diff(u, 1)
         nu2 = uh - d2
         nu3 = uv - d3
         norms = np.sqrt((nu2**2 + nu3**2).sum(axis=0, keepdims=True))

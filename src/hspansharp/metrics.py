@@ -35,12 +35,7 @@ def _paired(xhat: SpectralImage, x: SpectralImage):
     return xhat.data, x.data
 
 
-def cc(xhat: SpectralImage, x: SpectralImage) -> float:
-    """Mean over bands of the Pearson correlation coefficient.
-
-    The cosine is formed from squared sums so identical inputs give exactly 1.
-    """
-    a, b = _paired(xhat, x)
+def _cc(a: np.ndarray, b: np.ndarray) -> float:
     da = a - a.mean(axis=1, keepdims=True)
     db = b - b.mean(axis=1, keepdims=True)
     sa = (da * da).sum(axis=1)
@@ -52,13 +47,15 @@ def cc(xhat: SpectralImage, x: SpectralImage) -> float:
     return float(vals.mean())
 
 
-def sam(xhat: SpectralImage, x: SpectralImage) -> float:
-    """Mean spectral angle over pixels, in degrees.
+def cc(xhat: SpectralImage, x: SpectralImage) -> float:
+    """Mean over bands of the Pearson correlation coefficient.
 
-    The arccos argument is clamped to [-1, 1]; the ratio is formed from
-    squared terms so identical spectra give an exactly zero angle.
+    The cosine is formed from squared sums so identical inputs give exactly 1.
     """
-    a, b = _paired(xhat, x)
+    return _cc(*_paired(xhat, x))
+
+
+def _sam(a: np.ndarray, b: np.ndarray) -> float:
     dot = (a * b).sum(axis=0)
     sa = (a * a).sum(axis=0)
     sb = (b * b).sum(axis=0)
@@ -69,38 +66,59 @@ def sam(xhat: SpectralImage, x: SpectralImage) -> float:
     return float(np.degrees(ang.mean()))
 
 
+def sam(xhat: SpectralImage, x: SpectralImage) -> float:
+    """Mean spectral angle over pixels, in degrees.
+
+    The arccos argument is clamped to [-1, 1]; the ratio is formed from
+    squared terms so identical spectra give an exactly zero angle.
+    """
+    return _sam(*_paired(xhat, x))
+
+
+def _squared_errors(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean squared error per band and per pixel, from one difference."""
+    d = a - b
+    sq = d * d
+    return sq.mean(axis=1), sq.mean(axis=0)
+
+
 def rmse(xhat: SpectralImage, x: SpectralImage) -> float:
     """Frobenius error over sqrt(pixels * bands)."""
-    a, b = _paired(xhat, x)
-    return float(np.linalg.norm(a - b) / np.sqrt(a.size))
+    band_mse, _ = _squared_errors(*_paired(xhat, x))
+    return float(np.sqrt(band_mse.mean()))
 
 
 def rmse_per_band(xhat: SpectralImage, x: SpectralImage) -> np.ndarray:
-    a, b = _paired(xhat, x)
-    d = a - b
-    return np.sqrt((d * d).mean(axis=1))
+    band_mse, _ = _squared_errors(*_paired(xhat, x))
+    return np.sqrt(band_mse)
+
+
+def _rmse_map(pixel_mse: np.ndarray, x: SpectralImage) -> SpectralImage:
+    return SpectralImage(x.height, x.width, np.sqrt(pixel_mse)[np.newaxis, :])
 
 
 def rmse_map(xhat: SpectralImage, x: SpectralImage) -> SpectralImage:
     """Single-band image of per-pixel spectral RMSE."""
-    a, b = _paired(xhat, x)
-    d = a - b
-    vals = np.sqrt((d * d).mean(axis=0))
-    return SpectralImage(x.height, x.width, vals[np.newaxis, :])
+    _, pixel_mse = _squared_errors(*_paired(xhat, x))
+    return _rmse_map(pixel_mse, x)
+
+
+def _ergas(band_mse: np.ndarray, ref: np.ndarray, d: float) -> float:
+    d = float(d)
+    if d <= 0:
+        raise ValueError("resolution ratio d must be positive")
+    mu = ref.mean(axis=1)
+    if (mu == 0).any():
+        raise ValueError("ERGAS undefined for a zero-mean reference band")
+    return float(100.0 * d * np.sqrt(((np.sqrt(band_mse) / mu) ** 2).mean()))
 
 
 def ergas(xhat: SpectralImage, x: SpectralImage, d: float) -> float:
     """100 d sqrt(mean_k (RMSE_k / mu_k)^2) with d the resolution ratio
     (low over high, e.g. 1/5 for 5x sharpening)."""
-    d = float(d)
-    if d <= 0:
-        raise ValueError("resolution ratio d must be positive")
     a, b = _paired(xhat, x)
-    mu = b.mean(axis=1)
-    if (mu == 0).any():
-        raise ValueError("ERGAS undefined for a zero-mean reference band")
-    per_band = rmse_per_band(xhat, x)
-    return float(100.0 * d * np.sqrt(((per_band / mu) ** 2).mean()))
+    band_mse, _ = _squared_errors(a, b)
+    return _ergas(band_mse, b, d)
 
 
 @dataclass(frozen=True)
@@ -128,12 +146,15 @@ class QualityReport:
 def compute_report(
     xhat: SpectralImage, x: SpectralImage, d: float, wall_time_s: float = 0.0
 ) -> QualityReport:
+    """Every metric from one shape check and one squared-error pass."""
+    a, b = _paired(xhat, x)
+    band_mse, pixel_mse = _squared_errors(a, b)
     return QualityReport(
-        cc=cc(xhat, x),
-        sam_deg=sam(xhat, x),
-        rmse=rmse(xhat, x),
-        ergas=ergas(xhat, x, d),
-        rmse_per_band=tuple(float(v) for v in rmse_per_band(xhat, x)),
-        rmse_map=rmse_map(xhat, x),
+        cc=_cc(a, b),
+        sam_deg=_sam(a, b),
+        rmse=float(np.sqrt(band_mse.mean())),
+        ergas=_ergas(band_mse, b, d),
+        rmse_per_band=tuple(float(v) for v in np.sqrt(band_mse)),
+        rmse_map=_rmse_map(pixel_mse, x),
         wall_time_s=wall_time_s,
     )

@@ -3,9 +3,9 @@ synthesis, and seeded per-band Gaussian noise.
 
 All spatial filtering uses symmetric (mirror) boundary extension so that
 constant images are preserved exactly. The separable blur is written per
-axis as a small matrix (`degrade_axis`), so `blur` is B_h X B_w^T, `degrade`
-(the Wald observation operator X B S) keeps only the decimated rows of each
-matrix, and `degrade_adjoint` applies the same two matrices transposed.
+axis as a small matrix (`degrade_axis`), so `blur` is B_h X B_w^T and
+`degrade` (the Wald observation operator X B S) keeps only the decimated
+rows of each matrix.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "degrade_axis",
     "blur",
     "degrade",
-    "degrade_adjoint",
     "blur_downsample",
     "synth_pan",
     "add_gaussian_noise",
@@ -146,15 +145,6 @@ def degrade(cube: np.ndarray, taps: np.ndarray, ratio: int, phase: int) -> np.nd
     starting at `phase` on both spatial axes."""
     rows, cols = (degrade_axis(n, taps, ratio, phase) for n in cube.shape[-2:])
     return rows @ cube @ cols.T
-
-
-def degrade_adjoint(
-    low: np.ndarray, taps: np.ndarray, ratio: int, phase: int, height: int, width: int
-) -> np.ndarray:
-    """Adjoint of `degrade` onto a height x width grid: the same two
-    per-axis matrices, transposed."""
-    rows, cols = (degrade_axis(n, taps, ratio, phase) for n in (height, width))
-    return rows.T @ low @ cols
 
 
 def blur_downsample(

@@ -205,3 +205,58 @@ def oracle_vtv(cube: np.ndarray) -> float:
                 acc += dh * dh + dv * dv
             total += math.sqrt(acc)
     return total
+
+
+def oracle_degrade_axis(n: int, taps: np.ndarray, ratio: int, phase: int) -> np.ndarray:
+    """One spatial axis of blur-then-decimate as a dense matrix: row y holds
+    the mirrored tap weights of output sample phase + y * ratio."""
+    radius = len(taps) // 2
+    rows = []
+    for i in range(phase, n, ratio):
+        row = [0.0] * n
+        for t in range(-radius, radius + 1):
+            row[mirror_index(i + t, n)] += taps[t + radius]
+        rows.append(row)
+    return np.array(rows)
+
+
+def oracle_bayes_naive_system(
+    y_h: np.ndarray,
+    pan: np.ndarray,
+    basis: np.ndarray,
+    response: np.ndarray,
+    taps: np.ndarray,
+    ratio: int,
+    phase: int,
+    height: int,
+    width: int,
+    hs_std: np.ndarray,
+    pan_std: float,
+    mu: np.ndarray,
+    sigma: np.ndarray,
+):
+    """Dense normal equations (A, b) of the Gaussian-prior posterior over
+    the row-major vec(U), U being p x (height * width), with positive noise
+    stds:
+
+        0.5 ||W_H (Y_H - H U S^T)||^2 + 0.5 ||(P - R H U) / pan_std||^2
+        + 0.5 sum_pixels (U - mu)^T Sigma^-1 (U - mu),
+
+    where S = kron(Dh, Dw) applies both axes of blur-then-decimate."""
+    pixels = height * width
+    spatial = np.kron(
+        oracle_degrade_axis(height, taps, ratio, phase),
+        oracle_degrade_axis(width, taps, ratio, phase),
+    )
+    weights = 1.0 / np.asarray(hs_std, dtype=np.float64)
+    obs = np.vstack(
+        [
+            np.kron(weights[:, np.newaxis] * basis, spatial),
+            np.kron(response @ basis, np.eye(pixels)) / pan_std,
+        ]
+    )
+    data = np.concatenate(
+        [(weights[:, np.newaxis] * y_h).ravel(), pan.ravel() / pan_std]
+    )
+    prior = np.kron(np.linalg.inv(sigma), np.eye(pixels))
+    return obs.T @ obs + prior, obs.T @ data + prior @ mu.ravel()
