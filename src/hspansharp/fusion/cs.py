@@ -1,9 +1,9 @@
 """Component-substitution pansharpening: PCA, Gram-Schmidt, and GS Adaptive.
 
 All three share the same injection skeleton: a spectrally weighted intensity
-O_L is formed from the interpolated hyperspectral bands, the PAN image is
-moment-matched to it, and the detail (P - O_L) is injected with per-band
-gains.
+O_L = w^T Y is formed from the interpolated hyperspectral bands, the PAN
+image is moment-matched to it, and the detail (P - O_L) is injected with
+per-band gains g. PCA is the case w = g = the first principal loading.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..imgcore import SpectralImage
-from ..resample import upsample
+from ..resample import upsample_data
 from ..sensorsim import BlurKernel, blur_downsample
 
 __all__ = [
@@ -77,22 +77,22 @@ class PcaTransform:
     def forward(self, data: np.ndarray) -> np.ndarray:
         return self.loadings @ (data - self.band_means[:, np.newaxis])
 
-    def inverse(self, scores: np.ndarray) -> np.ndarray:
-        return self.loadings.T @ scores + self.band_means[:, np.newaxis]
-
 
 def pca_transform(img: SpectralImage) -> PcaTransform:
     """Principal components of the band covariance (population normalization),
     each loading row signed so its largest-magnitude entry is positive."""
-    data = img.data
+    return _pca_of(img.data)
+
+
+def _pca_of(data: np.ndarray) -> PcaTransform:
     mu = data.mean(axis=1)
     centered = data - mu[:, np.newaxis]
-    cov = (centered @ centered.T) / img.pixels
+    cov = (centered @ centered.T) / data.shape[1]
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1]
     evals = np.maximum(evals[order], 0.0)
     loadings = evecs[:, order].T
-    if evals[0] <= 1e-12 * max(1.0, float(np.abs(data).max())) ** 2:
+    if evals[0] <= 1e-12 * max(1.0, float(data.max()), -float(data.min())) ** 2:
         raise ValueError("degenerate PCA: image has no spectral variance")
     signs = np.sign(loadings[np.arange(loadings.shape[0]),
                              np.abs(loadings).argmax(axis=1)])
@@ -121,6 +121,22 @@ def _pan_values(pan: SpectralImage, height: int, width: int) -> np.ndarray:
     return pan.data[0]
 
 
+def _inject(
+    fused: np.ndarray,
+    p: np.ndarray,
+    o_l: np.ndarray,
+    g: np.ndarray,
+    match_histogram: bool,
+) -> None:
+    """F_k += g_k (P - O_L) in place, band by band; P is first moment-matched
+    to O_L when match_histogram is set."""
+    if match_histogram:
+        p = match_moments(p, o_l)
+    detail = p - o_l
+    for k, gain in enumerate(g):
+        fused[k] += gain * detail
+
+
 def cs_fuse(
     y_up: SpectralImage,
     pan: SpectralImage,
@@ -131,40 +147,49 @@ def cs_fuse(
     if weights.w.size != y_up.bands:
         raise ValueError("weights must have one entry per band")
     p = _pan_values(pan, y_up.height, y_up.width)
-    o_l = weights.w @ y_up.data
-    if match_histogram:
-        p = match_moments(p, o_l)
-    detail = p - o_l
-    return y_up.with_data(y_up.data + weights.g[:, np.newaxis] * detail)
+    fused = np.array(y_up.data)
+    _inject(fused, p, weights.w @ fused, weights.g, match_histogram)
+    return y_up.with_data(fused)
+
+
+def _interpolated(y_h: SpectralImage, pan: SpectralImage, ratio: int):
+    """Y_H interpolated to the PAN grid as a fresh writable array, and the PAN
+    values."""
+    ratio = int(ratio)
+    p = _pan_values(pan, y_h.height * ratio, y_h.width * ratio)
+    return upsample_data(y_h, ratio, "bicubic"), p
 
 
 def fuse_pca(y_h: SpectralImage, pan: SpectralImage, ratio: int) -> SpectralImage:
-    """Substitute the first principal component by the moment-matched PAN."""
-    y_up = upsample(y_h, ratio, "bicubic")
-    transform = pca_transform(y_up)
-    scores = transform.forward(y_up.data)
-    p = _pan_values(pan, y_up.height, y_up.width)
-    scores = np.concatenate(
-        [match_moments(p, scores[0])[np.newaxis, :], scores[1:]], axis=0
-    )
-    return y_up.with_data(transform.inverse(scores))
+    """Substitute the first principal component by the moment-matched PAN.
+
+    This is the CS injection with w = g = the first loading l_0: inverting the
+    PCA after the substitution adds l_0 (match(P, s_0) - s_0) to Y, and
+    shifting s_0 by l_0^T mean(Y) leaves that difference unchanged.
+    """
+    fused, p = _interpolated(y_h, pan, ratio)
+    l0 = _pca_of(fused).loadings[0]
+    _inject(fused, p, l0 @ fused, l0, match_histogram=True)
+    return SpectralImage(pan.height, pan.width, fused, y_h.wavelengths)
 
 
-def _gain_vector(y_up: SpectralImage, o_l: np.ndarray) -> np.ndarray:
+def _gain_vector(y_up: np.ndarray, o_l: np.ndarray) -> np.ndarray:
+    """cov(Y^k, O_L) / var(O_L) without forming the centred cube:
+    sum_j (Y^k_j - mean Y^k) c_j = Y^k c - mean(Y^k) sum(c)."""
     var = o_l.var()
     if var == 0.0:
         raise ValueError("intensity component has zero variance")
     centered = o_l - o_l.mean()
-    covs = (y_up.data - y_up.data.mean(axis=1, keepdims=True)) @ centered
+    covs = y_up @ centered - y_up.mean(axis=1) * centered.sum()
     return covs / (var * o_l.size)
 
 
 def fuse_gs(y_h: SpectralImage, pan: SpectralImage, ratio: int) -> SpectralImage:
     """Gram-Schmidt sharpening: uniform intensity weights, covariance gains."""
-    y_up = upsample(y_h, ratio, "bicubic")
-    w = np.full(y_up.bands, 1.0 / y_up.bands)
-    g = _gain_vector(y_up, w @ y_up.data)
-    return cs_fuse(y_up, pan, CsWeights(w, g), match_histogram=True)
+    fused, p = _interpolated(y_h, pan, ratio)
+    o_l = np.full(fused.shape[0], 1.0 / fused.shape[0]) @ fused
+    _inject(fused, p, o_l, _gain_vector(fused, o_l), match_histogram=True)
+    return SpectralImage(pan.height, pan.width, fused, y_h.wavelengths)
 
 
 def gsa_weights(y_h_matrix: np.ndarray, pan_low: np.ndarray, ridge: float = 1e-8) -> np.ndarray:
@@ -193,6 +218,7 @@ def fuse_gsa(
     the hyperspectral grid, then the usual GS injection."""
     pan_low = blur_downsample(pan, blur, ratio, phase)
     w = gsa_weights(y_h.data, pan_low.data[0])
-    y_up = upsample(y_h, ratio, "bicubic")
-    g = _gain_vector(y_up, w @ y_up.data)
-    return cs_fuse(y_up, pan, CsWeights(w, g), match_histogram=True)
+    fused, p = _interpolated(y_h, pan, ratio)
+    o_l = w @ fused
+    _inject(fused, p, o_l, _gain_vector(fused, o_l), match_histogram=True)
+    return SpectralImage(pan.height, pan.width, fused, y_h.wavelengths)

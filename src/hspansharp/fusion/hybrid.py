@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..imgcore import SpectralImage
-from ..resample import upsample
+from ..resample import upsample_data
 from .cs import pca_transform
 
 __all__ = [
@@ -125,18 +125,17 @@ def fuse_gfpca(
 
     def upsampled(components: np.ndarray) -> np.ndarray:
         low = SpectralImage(y_h.height, y_h.width, components)
-        return upsample(low, ratio, "bicubic").data
+        return upsample_data(low, ratio, "bicubic")
 
     leading = upsampled(scores[:p]).reshape(p, 1, guide.height, guide.width)
     filtered = guided_filter_plane(
         leading, guide.to_cube()[np.newaxis], params.radius, params.epsilon
-    )
-    fused_scores = [filtered.mean(axis=1).reshape(p, -1)]
-    if p < y_h.bands:
-        fused_scores.append(upsampled(soft_threshold(scores[p:], tau)))
-    return SpectralImage(
-        guide.height,
-        guide.width,
-        transform.inverse(np.vstack(fused_scores)),
-        y_h.wavelengths,
-    )
+    ).mean(axis=1).reshape(p, -1)
+    # Interpolation and the inverse PCA are linear, so the trailing
+    # components and the band means go back to band space at low resolution
+    # and are interpolated once, into the cube the leading term is added to.
+    trailing = transform.loadings[p:].T @ soft_threshold(scores[p:], tau)
+    fused = upsampled(trailing + transform.band_means[:, np.newaxis])
+    for band, weights in zip(fused, transform.loadings[:p].T):
+        band += weights @ filtered
+    return SpectralImage(guide.height, guide.width, fused, y_h.wavelengths)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..imgcore import DynamicRange, SpectralImage
-from ..resample import upsample
+from ..resample import upsample, upsample_data
 from ..sensorsim import blur, blur_downsample, kernel_from_mtf
 
 __all__ = [
@@ -59,9 +59,14 @@ def _equalized_fusion(
     P_eq^k = (P - mean(P)) std(Y^k) / std(P_L) + mean(Y^k); the same affine
     map is applied to P_L so the detail scales consistently. A constant PAN
     has std(P_L) = 0 and maps to a zero-detail injection.
+
+    The detail is added to the interpolated bands in place, one band at a
+    time. It stays the difference P_eq^k - P_L,eq^k rather than the equal
+    scale_k (P - P_L): where P_L,eq^k nears zero the HPM gain (~1e3 on real
+    scenes) magnifies any change in its rounding.
     """
-    y_up = upsample(y_h, ratio, "bicubic")
-    if (pan.height, pan.width) != (y_up.height, y_up.width):
+    ratio = int(ratio)
+    if (pan.height, pan.width) != (y_h.height * ratio, y_h.width * ratio):
         raise ValueError("PAN dims must equal the upsampled band dims")
     p = pan.data[0]
     p_l = pan_low.data[0]
@@ -70,20 +75,20 @@ def _equalized_fusion(
     # Filtering a constant PAN leaves rounding dust with std ~ eps |P|;
     # treat anything at that level as flat instead of dividing by it.
     std_floor = 1e-12 * max(np.abs(p_l).max(), np.abs(p).max())
-    fused = np.empty_like(y_up.data)
-    for k in range(y_up.bands):
-        band = y_up.data[k]
+    p_centred = p - p_mean
+    pl_centred = p_l - p_mean
+    fused = upsample_data(y_h, ratio, "bicubic")
+    for band in fused:
         scale = band.std() / pl_std if pl_std > std_floor else 0.0
-        p_eq = (p - p_mean) * scale + band.mean()
-        pl_eq = (p_l - p_mean) * scale + band.mean()
-        detail = p_eq - pl_eq
+        band_mean = band.mean()
+        pl_eq = pl_centred * scale + band_mean
+        detail = p_centred * scale + band_mean - pl_eq
         if gains == "additive":
-            fused[k] = band + detail
+            band += detail
         else:
-            fused[k] = band + _hpm_gain(band, pl_eq, rng) * detail
-    if gains == "hpm":
-        fused = np.clip(fused, rng.lo, rng.hi)
-    return y_up.with_data(fused)
+            band += _hpm_gain(band, pl_eq, rng) * detail
+            np.clip(band, rng.lo, rng.hi, out=band)
+    return SpectralImage(pan.height, pan.width, fused, y_h.wavelengths)
 
 
 def fuse_sfim(

@@ -184,7 +184,7 @@ def percentile_spectrum(
         raise ValueError("images and error map must share pixel count")
     values = rmse_map.data[0]
     rank = int(np.ceil(q / 100.0 * values.size))
-    value = np.sort(values, kind="stable")[rank - 1]
+    value = np.partition(values, rank - 1)[rank - 1]
     pixel = int(np.flatnonzero(values == value)[0])
     return pixel, x.data[:, pixel].copy(), xhat.data[:, pixel].copy()
 

@@ -108,7 +108,8 @@ def load_raster(path: str) -> SpectralImage:
             )
         wavelengths = [float(v) for v in values]
 
-    data = raw.astype(np.float64).reshape(bands, lines * samples)
+    # SpectralImage widens to float64 and copies in one pass.
+    data = raw.reshape(bands, lines * samples)
     return SpectralImage(lines, samples, data, wavelengths)
 
 
@@ -140,5 +141,5 @@ def save_raster(path: str, img: SpectralImage, dtype: str = "float64") -> tuple[
         fh.write(header)
     payload = np.ascontiguousarray(img.data, dtype=_DTYPE_CODES[code])
     with open(dat_path, "wb") as fh:
-        fh.write(payload.tobytes())
+        fh.write(payload)
     return hdr_path, dat_path

@@ -5,6 +5,8 @@ Output sample j on each axis interpolates the input at (j - floor(ratio/2))
 blur_downsample and the round trip through an impulse kernel is lossless.
 Out-of-range source coordinates use symmetric (mirror) extension. Each axis
 is one (n * ratio) x n interpolation matrix M, so `upsample` is M_h X M_w^T.
+`upsample_data` returns that product as a fresh writable array, for the
+fusion methods that inject detail into it in place and wrap it once.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 from .imgcore import SpectralImage
 
-__all__ = ["upsample"]
+__all__ = ["upsample", "upsample_data"]
 
 # Catmull-Rom bicubic parameter.
 _BICUBIC_A = -0.5
@@ -63,8 +65,9 @@ def _axis_matrix(n_in: int, ratio: int, method: str) -> np.ndarray:
     return matrix
 
 
-def upsample(img: SpectralImage, ratio: int, method: str = "bicubic") -> SpectralImage:
-    """Interpolate every band up by an integer factor.
+def upsample_data(img: SpectralImage, ratio: int, method: str = "bicubic") -> np.ndarray:
+    """`upsample(img, ratio, method).data` as a fresh, writable bands x pixels
+    array that shares no memory with `img`.
 
     method is "bilinear" or "bicubic" (Catmull-Rom, a = -0.5).
     """
@@ -75,10 +78,18 @@ def upsample(img: SpectralImage, ratio: int, method: str = "bicubic") -> Spectra
         raise ValueError(f"unknown interpolation method: {method!r}")
     rows = _axis_matrix(img.height, ratio, method)
     cols = _axis_matrix(img.width, ratio, method)
-    cube = rows @ img.to_cube() @ cols.T
+    return (rows @ img.to_cube() @ cols.T).reshape(img.bands, -1)
+
+
+def upsample(img: SpectralImage, ratio: int, method: str = "bicubic") -> SpectralImage:
+    """Interpolate every band up by an integer factor.
+
+    method is "bilinear" or "bicubic" (Catmull-Rom, a = -0.5).
+    """
+    ratio = int(ratio)
     return SpectralImage(
         img.height * ratio,
         img.width * ratio,
-        cube.reshape(img.bands, -1),
+        upsample_data(img, ratio, method),
         img.wavelengths,
     )

@@ -260,3 +260,54 @@ def oracle_bayes_naive_system(
     )
     prior = np.kron(np.linalg.inv(sigma), np.eye(pixels))
     return obs.T @ obs + prior, obs.T @ data + prior @ mu.ravel()
+
+
+def oracle_equalized_fusion(
+    y_up: np.ndarray,
+    pan: np.ndarray,
+    pan_low: np.ndarray,
+    lo: float,
+    hi: float,
+    gains: str,
+) -> np.ndarray:
+    """SFIM / MTF-GLP injection from its defining formula, band by band and
+    pixel by pixel. y_up is bands x pixels, pan and pan_low hold one value
+    per pixel:
+
+        P_eq^k = (P - mean P) std(Y^k) / std(P_L) + mean(Y^k), likewise P_L,eq^k
+        F^k = Y^k + G^k (P_eq^k - P_L,eq^k)
+
+    with G = 1 ("additive") or Y^k / P_L,eq^k ("hpm"; 1 where
+    |P_L,eq^k| < 1e-8 (hi - lo), and F clipped to [lo, hi]). std(P_L) at or
+    below 1e-12 max(|P|, |P_L|) counts as zero."""
+    bands, pixels = y_up.shape
+
+    def mean(values):
+        return sum(values) / len(values)
+
+    def std(values):
+        m = mean(values)
+        return math.sqrt(sum((v - m) ** 2 for v in values) / len(values))
+
+    p_mean = mean(pan)
+    pl_std = std(pan_low)
+    floor = 1e-12 * max(max(abs(v) for v in pan), max(abs(v) for v in pan_low))
+    out = np.zeros((bands, pixels))
+    for k in range(bands):
+        band = list(y_up[k])
+        scale = std(band) / pl_std if pl_std > floor else 0.0
+        band_mean = mean(band)
+        for j in range(pixels):
+            p_eq = (pan[j] - p_mean) * scale + band_mean
+            pl_eq = (pan_low[j] - p_mean) * scale + band_mean
+            if gains == "additive":
+                gain = 1.0
+            elif abs(pl_eq) < 1e-8 * (hi - lo):
+                gain = 1.0
+            else:
+                gain = band[j] / pl_eq
+            value = band[j] + gain * (p_eq - pl_eq)
+            if gains == "hpm":
+                value = min(max(value, lo), hi)
+            out[k, j] = value
+    return out

@@ -13,6 +13,7 @@ from hspansharp.fusion.cs import (
     pca_transform,
 )
 from hspansharp.imgcore import SpectralImage
+from hspansharp.resample import upsample
 from hspansharp.sensorsim import BlurKernel
 
 
@@ -64,9 +65,8 @@ class TestPcaTransform:
             t.loadings @ t.loadings.T, np.eye(5), rtol=0, atol=1e-10
         )
         assert (np.diff(t.variances) <= 1e-10).all()
-        np.testing.assert_allclose(
-            t.inverse(t.forward(img.data)), img.data, rtol=0, atol=1e-10
-        )
+        round_trip = t.loadings.T @ t.forward(img.data) + t.band_means[:, np.newaxis]
+        np.testing.assert_allclose(round_trip, img.data, rtol=0, atol=1e-10)
 
     def test_scores_are_decorrelated_with_matching_variance(self):
         img = random_img(4, 8, 8, seed=3)
@@ -144,6 +144,21 @@ class TestFusePca:
         fused = fuse_pca(img, pan, ratio=1)
         np.testing.assert_allclose(fused.data, img.data, rtol=0, atol=1e-10)
 
+    def test_matches_component_substitution(self):
+        # Forward PCA of the interpolated bands, first score replaced by the
+        # moment-matched PAN, inverse PCA.
+        img = random_img(4, 5, 4, seed=30)
+        pan = random_img(1, 10, 8, seed=31)
+        y_up = upsample(img, 2, "bicubic")
+        transform = pca_transform(y_up)
+        scores = transform.forward(y_up.data)
+        scores[0] = match_moments(pan.data[0], scores[0])
+        want = transform.loadings.T @ scores + transform.band_means[:, np.newaxis]
+        got = fuse_pca(img, pan, 2)
+        np.testing.assert_allclose(
+            got.data, want, rtol=0, atol=1e-12 * np.abs(want).max()
+        )
+
     def test_output_geometry(self):
         img = random_img(3, 4, 4, seed=12)
         pan = random_img(1, 8, 8, seed=13)
@@ -165,8 +180,6 @@ class TestFuseGs:
         img = random_img(1, 4, 4, seed=16)
         pan = random_img(1, 8, 8, seed=17)
         fused = fuse_gs(img, pan, 2)
-        from hspansharp.resample import upsample
-
         y_up = upsample(img, 2, "bicubic")
         want = match_moments(pan.data[0], y_up.data[0])
         np.testing.assert_allclose(fused.data[0], want, rtol=0, atol=1e-10)

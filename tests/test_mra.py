@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hspansharp.fusion.mra import (
+    _equalized_fusion,
     _hpm_gain,
     box_lowpass,
     fuse_mtf_glp,
@@ -12,7 +13,7 @@ from hspansharp.fusion.mra import (
 from hspansharp.imgcore import DynamicRange, SpectralImage
 from hspansharp.resample import upsample
 
-from oracles import oracle_blur_cube
+from oracles import oracle_blur_cube, oracle_equalized_fusion
 
 WIDE = DynamicRange(-1e6, 1e6)
 
@@ -136,6 +137,57 @@ class TestEqualizedFusion:
             )
             assert fused.data.min() >= 0.0
             assert fused.data.max() <= 1.0
+
+    @pytest.mark.parametrize("name", ["sfim", "mtf_glp", "mtf_glp_hpm"])
+    def test_matches_loop_oracle(self, name):
+        # A range narrower than the data makes HPM clip.
+        y_h = random_img(3, 5, 4, seed=21)
+        pan = random_img(1, 15, 12, seed=22)
+        ratio = 3
+        rng = DynamicRange(0.3, 0.7)
+        if name == "sfim":
+            got = fuse_sfim(y_h, pan, ratio, rng)
+            pan_low, gains = box_lowpass(pan, ratio), "hpm"
+        elif name == "mtf_glp":
+            got = fuse_mtf_glp(y_h, pan, ratio, 0.3, rng)
+            pan_low, gains = glp_lowpass(pan, ratio, 0.3), "additive"
+        else:
+            got = fuse_mtf_glp_hpm(y_h, pan, ratio, 0.3, rng)
+            pan_low, gains = glp_lowpass(pan, ratio, 0.3), "hpm"
+        want = oracle_equalized_fusion(
+            upsample(y_h, ratio, "bicubic").data,
+            pan.data[0],
+            pan_low.data[0],
+            rng.lo,
+            rng.hi,
+            gains,
+        )
+        scale = np.abs(want).max()
+        np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12 * scale)
+        if gains == "hpm":
+            at_bound = (got.data == rng.lo) | (got.data == rng.hi)
+            assert at_bound.any() and not at_bound.all()
+
+    def test_hpm_divisor_guard_matches_loop_oracle(self):
+        # Band 0 has mean exactly 0 and P_L equals mean(P) at pixel 0, so
+        # P_L,eq^0 vanishes there and the guard sets the gain to 1 while
+        # the detail is nonzero. Ratio 1 keeps the bands as given.
+        rng_gen = np.random.default_rng(23)
+        band0 = np.tile([0.5, -0.5, 0.25, -0.25], 4)
+        data = np.vstack([band0, rng_gen.uniform(0.1, 1.0, 16)])
+        y_h = SpectralImage(4, 4, data)
+        pan = random_img(1, 4, 4, seed=24)
+        p_l = rng_gen.uniform(0.1, 1.0, 16)
+        p_l[0] = pan.data[0].mean()
+        pan_low = SpectralImage(4, 4, p_l[np.newaxis, :])
+        rng = DynamicRange(-2.0, 2.0)
+        got = _equalized_fusion(y_h, pan, pan_low, 1, rng, "hpm")
+        want = oracle_equalized_fusion(data, pan.data[0], p_l, rng.lo, rng.hi, "hpm")
+        np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
+        assert pan.data[0, 0] != p_l[0]
+        scale = band0.std() / p_l.std()
+        gain_one = band0[0] + scale * (pan.data[0, 0] - p_l[0])
+        assert got.data[0, 0] == pytest.approx(gain_one, abs=1e-12)
 
     def test_pan_dims_validated(self):
         y_h = random_img(2, 4, 4)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hspansharp.imgcore import SpectralImage
-from hspansharp.resample import upsample
+from hspansharp.resample import upsample, upsample_data
 from hspansharp.sensorsim import BlurKernel, blur_downsample, default_phase
 
 from oracles import oracle_upsample
@@ -80,7 +80,20 @@ class TestUpsample:
 
     def test_invalid_args(self):
         img = ramp_img(1, 2, 2)
-        with pytest.raises(ValueError):
-            upsample(img, 0)
-        with pytest.raises(ValueError):
-            upsample(img, 2, method="nearest")
+        for fn in (upsample, upsample_data):
+            with pytest.raises(ValueError):
+                fn(img, 0)
+            with pytest.raises(ValueError):
+                fn(img, 2, method="nearest")
+
+
+class TestUpsampleData:
+    @pytest.mark.parametrize("method", ["bilinear", "bicubic"])
+    @pytest.mark.parametrize("ratio", [1, 2, 3])
+    def test_fresh_writable_copy_of_upsample(self, ratio, method):
+        img = ramp_img(3, 4, 5)
+        got = upsample_data(img, ratio, method)
+        np.testing.assert_array_equal(got, upsample(img, ratio, method).data)
+        assert got.shape == (3, 20 * ratio * ratio)
+        assert got.flags.writeable
+        assert not np.shares_memory(got, img.data)
