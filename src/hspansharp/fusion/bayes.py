@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh
 
 from ..imgcore import DynamicRange, SpectralImage
-from ..resample import upsample
+from ..resample import upsample_data
 from ..sensorsim import (
     BlurKernel,
     SensorModel,
@@ -156,7 +156,7 @@ def _interpolated_coefficients(
     y_h: SpectralImage, basis: SubspaceBasis, ratio: int
 ) -> np.ndarray:
     """Bicubically interpolated Y_H projected onto the subspace (p x n)."""
-    return basis.H.T @ upsample(y_h, ratio, "bicubic").data
+    return basis.H.T @ upsample_data(y_h, ratio, "bicubic")
 
 
 def default_bayes_priors(

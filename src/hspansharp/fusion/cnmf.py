@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from ..imgcore import SpectralImage
-from ..resample import upsample
+from ..resample import upsample_data
 from ..sensorsim import SensorModel, blur_downsample
 
 __all__ = [
@@ -120,11 +120,25 @@ def nmf_update_spectra(
     return spectra * (data @ abundances.T) / (spectra @ (abundances @ abundances.T) + eps)
 
 
+def _abundance_step(
+    abundances: np.ndarray, hty: np.ndarray, hth: np.ndarray, eps: float = _EPS
+) -> np.ndarray:
+    """U <- U (H^T Y) / (H^T H U + eps) from the products H^T Y and H^T H,
+    written over `abundances` and returned."""
+    denom = hth @ abundances
+    denom += eps
+    abundances *= hty
+    abundances /= denom
+    return abundances
+
+
 def nmf_update_abundances(
     spectra: np.ndarray, abundances: np.ndarray, data: np.ndarray, eps: float = _EPS
 ) -> np.ndarray:
     """Multiplicative abundance step: U <- U (H^T Y) / (H^T H U + eps)."""
-    return abundances * (spectra.T @ data) / ((spectra.T @ spectra) @ abundances + eps)
+    return _abundance_step(
+        abundances.astype(np.float64), spectra.T @ data, spectra.T @ spectra, eps
+    )
 
 
 def _augment(matrix: np.ndarray, delta: float) -> np.ndarray:
@@ -132,9 +146,14 @@ def _augment(matrix: np.ndarray, delta: float) -> np.ndarray:
     return np.vstack([matrix, np.full((1, matrix.shape[1]), delta)])
 
 
-def _objective(spectra: np.ndarray, abundances: np.ndarray, data: np.ndarray) -> float:
-    resid = data - spectra @ abundances
-    return float((resid * resid).sum())
+def _objective(
+    spectra: np.ndarray, abundances: np.ndarray, data: np.ndarray, resid: np.ndarray
+) -> float:
+    """||data - spectra abundances||^2, formed in the buffer `resid`."""
+    np.matmul(spectra, abundances, out=resid)
+    np.subtract(data, resid, out=resid)
+    np.multiply(resid, resid, out=resid)
+    return float(resid.sum())
 
 
 def cnmf_solve(
@@ -174,6 +193,12 @@ def cnmf_solve(
     abund_low = np.column_stack(
         [nnls(h_aug, y_aug[:, j])[0] for j in range(y_h.pixels)]
     )
+    # The spectra live in the top rows of h_aug, so each spectra update
+    # rewrites them in place and h_aug serves the objective and the next
+    # abundance step without restacking.
+    spectra = h_aug[:-1]
+    y_resid = np.empty_like(y_aug)
+    p_resid = np.empty_like(p_aug)
     abund_high = None
     hs_traces, pan_traces = [], []
 
@@ -183,27 +208,26 @@ def cnmf_solve(
             abund_low = np.maximum(
                 blur_downsample(low_img, model.blur, ratio).data, 0.0
             )
-        # Only the spectra change, so h_aug is restacked once per spectra
-        # update and serves both the objective and the next abundance step.
-        trace = [_objective(h_aug, abund_low, y_aug)]
+        trace = [_objective(h_aug, abund_low, y_aug, y_resid)]
         for _ in range(inner_iters):
-            abund_low = nmf_update_abundances(h_aug, abund_low, y_aug)
-            spectra = nmf_update_spectra(spectra, abund_low, data_h)
-            h_aug = _augment(spectra, delta)
-            trace.append(_objective(h_aug, abund_low, y_aug))
+            abund_low = _abundance_step(abund_low, h_aug.T @ y_aug, h_aug.T @ h_aug)
+            spectra[...] = nmf_update_spectra(spectra, abund_low, data_h)
+            trace.append(_objective(h_aug, abund_low, y_aug, y_resid))
             if abs(trace[-2] - trace[-1]) <= tol * max(trace[-2], _EPS):
                 break
         hs_traces.append(np.array(trace))
 
-        spectra_pan = response @ spectra
         if abund_high is None:
             low_img = SpectralImage(y_h.height, y_h.width, abund_low)
-            abund_high = np.maximum(upsample(low_img, ratio, "bilinear").data, 0.0)
-        hp_aug = _augment(spectra_pan, delta)
-        trace = [_objective(hp_aug, abund_high, p_aug)]
+            abund_high = np.maximum(upsample_data(low_img, ratio, "bilinear"), 0.0)
+        # The PAN loop updates only the abundances, so H^T Y and H^T H of the
+        # stacked PAN spectra are formed once per loop.
+        hp_aug = _augment(response @ spectra, delta)
+        hty, hth = hp_aug.T @ p_aug, hp_aug.T @ hp_aug
+        trace = [_objective(hp_aug, abund_high, p_aug, p_resid)]
         for _ in range(inner_iters):
-            abund_high = nmf_update_abundances(hp_aug, abund_high, p_aug)
-            trace.append(_objective(hp_aug, abund_high, p_aug))
+            abund_high = _abundance_step(abund_high, hty, hth)
+            trace.append(_objective(hp_aug, abund_high, p_aug, p_resid))
             if abs(trace[-2] - trace[-1]) <= tol * max(trace[-2], _EPS):
                 break
         pan_traces.append(np.array(trace))

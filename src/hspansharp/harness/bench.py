@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..imgcore import DynamicRange, SpectralImage
-from ..metrics import QualityReport, compute_report
+from ..metrics import QualityReport, Reference, compute_report
 from ..sensorsim import (
     NOISE_ALGORITHM,
     SensorModel,
@@ -142,6 +142,7 @@ def run_wald(config: RunConfig, truth: SpectralImage | None = None) -> Benchmark
     if truth is None:
         truth = reference_scene(config)
     y_h, pan, model, rng = wald_inputs(truth, config)
+    reference = Reference(truth)
     results = []
     for index, name in enumerate(config.selected_methods()):
         ctx = MethodContext(
@@ -163,7 +164,7 @@ def run_wald(config: RunConfig, truth: SpectralImage | None = None) -> Benchmark
             else:
                 fused = method(ctx)
                 elapsed = 0.0
-            report = compute_report(fused, truth, 1.0 / config.ratio, elapsed)
+            report = compute_report(fused, reference, 1.0 / config.ratio, elapsed)
             results.append(MethodResult(name, report, fused))
         except Exception as exc:
             results.append(MethodResult(name, None, None, error=str(exc)))

@@ -3,6 +3,10 @@
 CC averages per-band Pearson correlation, SAM averages the per-pixel
 spectral angle in degrees, RMSE is the Frobenius error normalized by the
 total sample count, and ERGAS is the resolution-weighted relative RMSE.
+
+Every metric takes the reference either as an image or as a `Reference`
+prepared from it once, which holds the reference-side sums that scoring
+several estimates against one reference would otherwise recompute.
 """
 
 from __future__ import annotations
@@ -20,45 +24,105 @@ __all__ = [
     "rmse_per_band",
     "rmse_map",
     "ergas",
+    "Reference",
     "QualityReport",
     "compute_report",
 ]
 
+# A band varies only by rounding when its centred sum of squares is at most
+# n (_ROUNDING max|x_k|)^2: its standard deviation is then a few ulps of its
+# largest magnitude, and any reordering of the sums moves its correlation.
+_ROUNDING = 16.0 * np.finfo(np.float64).eps
 
-def _paired(xhat: SpectralImage, x: SpectralImage):
+
+def _rounding_floor(x: np.ndarray) -> np.ndarray:
+    peak = np.maximum(x.max(axis=1), -x.min(axis=1))
+    return x.shape[1] * (_ROUNDING * peak) ** 2
+
+
+def _about_mean(products, sums_a, sums_b, n):
+    """Per-band sums of products of two centred arrays, less the offset that
+    an inexact band mean leaves (the corrected two-pass form): a mean summed
+    in another order can be off by far more than a flat band's spread."""
+    return products - sums_a * sums_b / n
+
+
+class Reference:
+    """Reference-side sums shared by every report scored against `image`.
+
+    Holds the band means, the centred reference with its per-band sums and
+    sums of squares, the per-pixel sum of squares, and the mask of bands that
+    are constant up to rounding (`flat`), which CC leaves out of its mean.
+    """
+
+    def __init__(self, image: SpectralImage):
+        x = image.data
+        self.image = image
+        self.band_means = x.mean(axis=1)
+        self.centred = x - self.band_means[:, np.newaxis]
+        self.band_sums = self.centred.sum(axis=1)
+        self.band_ss = _about_mean(
+            np.einsum("kj,kj->k", self.centred, self.centred),
+            self.band_sums,
+            self.band_sums,
+            x.shape[1],
+        )
+        self.pixel_ss = np.einsum("kj,kj->j", x, x)
+        self.flat = self.band_ss <= _rounding_floor(x)
+
+
+def _prepared(x: SpectralImage | Reference) -> Reference:
+    return x if isinstance(x, Reference) else Reference(x)
+
+
+def _paired(xhat: SpectralImage, ref: Reference) -> np.ndarray:
+    x = ref.image
     if (xhat.height, xhat.width, xhat.bands) != (x.height, x.width, x.bands):
         raise ValueError(
             "images disagree in shape: "
             f"{xhat.bands}x{xhat.height}x{xhat.width} vs "
             f"{x.bands}x{x.height}x{x.width}"
         )
-    return xhat.data, x.data
+    return xhat.data
 
 
-def _cc(a: np.ndarray, b: np.ndarray) -> float:
-    da = a - a.mean(axis=1, keepdims=True)
-    db = b - b.mean(axis=1, keepdims=True)
-    sa = (da * da).sum(axis=1)
-    sb = (db * db).sum(axis=1)
-    if (sa == 0).any() or (sb == 0).any():
+def _cc(work: np.ndarray, a: np.ndarray, ref: Reference) -> float:
+    """Mean correlation over the bands that vary; overwrites `work` with
+    the centred estimate."""
+    keep = ~ref.flat
+    if not keep.any():
+        raise ValueError("correlation undefined: every reference band is constant")
+    n = a.shape[1]
+    np.subtract(a, a.mean(axis=1)[:, np.newaxis], out=work)
+    sums = work.sum(axis=1)
+    sa = _about_mean(np.einsum("kj,kj->k", work, work), sums, sums, n)
+    if (sa <= _rounding_floor(a))[keep].any():
         raise ValueError("correlation undefined for a zero-variance band")
-    num = (da * db).sum(axis=1)
+    num = _about_mean(
+        np.einsum("kj,kj->k", work, ref.centred), sums, ref.band_sums, n
+    )[keep]
+    sa, sb = sa[keep], ref.band_ss[keep]
     vals = np.sign(num) * np.sqrt(np.minimum((num * num) / (sa * sb), 1.0))
     return float(vals.mean())
 
 
-def cc(xhat: SpectralImage, x: SpectralImage) -> float:
+def cc(xhat: SpectralImage, x: SpectralImage | Reference) -> float:
     """Mean over bands of the Pearson correlation coefficient.
 
     The cosine is formed from squared sums so identical inputs give exactly 1.
+    Reference bands that are constant up to rounding carry no correlation and
+    are left out of the mean; an estimate band that is constant up to rounding
+    where the reference varies, or a reference with no varying band, raises.
     """
-    return _cc(*_paired(xhat, x))
+    ref = _prepared(x)
+    a = _paired(xhat, ref)
+    return _cc(np.empty_like(a), a, ref)
 
 
-def _sam(a: np.ndarray, b: np.ndarray) -> float:
-    dot = (a * b).sum(axis=0)
-    sa = (a * a).sum(axis=0)
-    sb = (b * b).sum(axis=0)
+def _sam(a: np.ndarray, ref: Reference) -> float:
+    dot = np.einsum("kj,kj->j", a, ref.image.data)
+    sa = np.einsum("kj,kj->j", a, a)
+    sb = ref.pixel_ss
     if (sa == 0).any() or (sb == 0).any():
         raise ValueError("spectral angle undefined for a zero spectrum")
     cosv = np.sign(dot) * np.sqrt(np.clip((dot * dot) / (sa * sb), 0.0, 1.0))
@@ -66,59 +130,70 @@ def _sam(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.degrees(ang.mean()))
 
 
-def sam(xhat: SpectralImage, x: SpectralImage) -> float:
+def sam(xhat: SpectralImage, x: SpectralImage | Reference) -> float:
     """Mean spectral angle over pixels, in degrees.
 
     The arccos argument is clamped to [-1, 1]; the ratio is formed from
     squared terms so identical spectra give an exactly zero angle.
     """
-    return _sam(*_paired(xhat, x))
+    ref = _prepared(x)
+    return _sam(_paired(xhat, ref), ref)
 
 
-def _squared_errors(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean squared error per band and per pixel, from one difference."""
-    d = a - b
-    sq = d * d
-    return sq.mean(axis=1), sq.mean(axis=0)
+def _squared_errors(
+    work: np.ndarray, a: np.ndarray, ref: Reference
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean squared error per band and per pixel; overwrites `work` with the
+    difference."""
+    np.subtract(a, ref.image.data, out=work)
+    band_mse = np.einsum("kj,kj->k", work, work) / a.shape[1]
+    pixel_mse = np.einsum("kj,kj->j", work, work) / a.shape[0]
+    return band_mse, pixel_mse
 
 
-def rmse(xhat: SpectralImage, x: SpectralImage) -> float:
+def _errors(xhat: SpectralImage, x: SpectralImage | Reference):
+    ref = _prepared(x)
+    a = _paired(xhat, ref)
+    return _squared_errors(np.empty_like(a), a, ref) + (ref,)
+
+
+def rmse(xhat: SpectralImage, x: SpectralImage | Reference) -> float:
     """Frobenius error over sqrt(pixels * bands)."""
-    band_mse, _ = _squared_errors(*_paired(xhat, x))
+    band_mse, _, _ = _errors(xhat, x)
     return float(np.sqrt(band_mse.mean()))
 
 
-def rmse_per_band(xhat: SpectralImage, x: SpectralImage) -> np.ndarray:
-    band_mse, _ = _squared_errors(*_paired(xhat, x))
+def rmse_per_band(xhat: SpectralImage, x: SpectralImage | Reference) -> np.ndarray:
+    band_mse, _, _ = _errors(xhat, x)
     return np.sqrt(band_mse)
 
 
-def _rmse_map(pixel_mse: np.ndarray, x: SpectralImage) -> SpectralImage:
+def _rmse_map(pixel_mse: np.ndarray, ref: Reference) -> SpectralImage:
+    x = ref.image
     return SpectralImage(x.height, x.width, np.sqrt(pixel_mse)[np.newaxis, :])
 
 
-def rmse_map(xhat: SpectralImage, x: SpectralImage) -> SpectralImage:
+def rmse_map(xhat: SpectralImage, x: SpectralImage | Reference) -> SpectralImage:
     """Single-band image of per-pixel spectral RMSE."""
-    _, pixel_mse = _squared_errors(*_paired(xhat, x))
-    return _rmse_map(pixel_mse, x)
+    _, pixel_mse, ref = _errors(xhat, x)
+    return _rmse_map(pixel_mse, ref)
 
 
-def _ergas(band_mse: np.ndarray, ref: np.ndarray, d: float) -> float:
+def _ergas(band_mse: np.ndarray, ref: Reference, d: float) -> float:
     d = float(d)
     if d <= 0:
         raise ValueError("resolution ratio d must be positive")
-    mu = ref.mean(axis=1)
+    mu = ref.band_means
     if (mu == 0).any():
         raise ValueError("ERGAS undefined for a zero-mean reference band")
     return float(100.0 * d * np.sqrt(((np.sqrt(band_mse) / mu) ** 2).mean()))
 
 
-def ergas(xhat: SpectralImage, x: SpectralImage, d: float) -> float:
+def ergas(xhat: SpectralImage, x: SpectralImage | Reference, d: float) -> float:
     """100 d sqrt(mean_k (RMSE_k / mu_k)^2) with d the resolution ratio
     (low over high, e.g. 1/5 for 5x sharpening)."""
-    a, b = _paired(xhat, x)
-    band_mse, _ = _squared_errors(a, b)
-    return _ergas(band_mse, b, d)
+    band_mse, _, ref = _errors(xhat, x)
+    return _ergas(band_mse, ref, d)
 
 
 @dataclass(frozen=True)
@@ -144,17 +219,24 @@ class QualityReport:
 
 
 def compute_report(
-    xhat: SpectralImage, x: SpectralImage, d: float, wall_time_s: float = 0.0
+    xhat: SpectralImage,
+    x: SpectralImage | Reference,
+    d: float,
+    wall_time_s: float = 0.0,
 ) -> QualityReport:
-    """Every metric from one shape check and one squared-error pass."""
-    a, b = _paired(xhat, x)
-    band_mse, pixel_mse = _squared_errors(a, b)
+    """Every metric from one shape check and one working array, which holds
+    the difference for the squared errors and then the centred estimate for
+    CC. Pass a `Reference` to share the reference-side sums across reports."""
+    ref = _prepared(x)
+    a = _paired(xhat, ref)
+    work = np.empty_like(a)
+    band_mse, pixel_mse = _squared_errors(work, a, ref)
     return QualityReport(
-        cc=_cc(a, b),
-        sam_deg=_sam(a, b),
+        cc=_cc(work, a, ref),
+        sam_deg=_sam(a, ref),
         rmse=float(np.sqrt(band_mse.mean())),
-        ergas=_ergas(band_mse, b, d),
+        ergas=_ergas(band_mse, ref, d),
         rmse_per_band=tuple(float(v) for v in np.sqrt(band_mse)),
-        rmse_map=_rmse_map(pixel_mse, x),
+        rmse_map=_rmse_map(pixel_mse, ref),
         wall_time_s=wall_time_s,
     )

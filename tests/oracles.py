@@ -311,3 +311,64 @@ def oracle_equalized_fusion(
                 value = min(max(value, lo), hi)
             out[k, j] = value
     return out
+
+
+def oracle_cnmf_loops(
+    data_h: np.ndarray,
+    data_p: np.ndarray,
+    response: np.ndarray,
+    spectra: np.ndarray,
+    abund_low: np.ndarray,
+    to_low,
+    to_high,
+    update_spectra,
+    update_abundances,
+    outer_iters: int,
+    inner_iters: int,
+    delta: float,
+    tol: float,
+):
+    """CNMF's alternating loops as published (Yokoya, Yairi & Iwasaki, 2012),
+    with nothing hoisted: every step restacks the sum-to-one penalty row with
+    np.vstack, recomputes its products inside the update, and forms the
+    objective from a fresh residual. The update steps, the initial factors
+    and the maps between the two resolutions (`to_low`, `to_high`) are passed
+    in. Returns the spectra, both abundances and the HS and PAN traces."""
+
+    def augment(matrix):
+        return np.vstack([matrix, np.full((1, matrix.shape[1]), delta)])
+
+    def objective(h, u, y):
+        resid = y - h @ u
+        return float((resid * resid).sum())
+
+    def stop(trace):
+        return abs(trace[-2] - trace[-1]) <= tol * max(trace[-2], 1e-12)
+
+    y_aug = augment(data_h)
+    p_aug = augment(data_p)
+    abund_high = None
+    hs_traces, pan_traces = [], []
+    for outer in range(outer_iters):
+        if outer > 0:
+            abund_low = to_low(abund_high)
+        trace = [objective(augment(spectra), abund_low, y_aug)]
+        for _ in range(inner_iters):
+            abund_low = update_abundances(augment(spectra), abund_low, y_aug)
+            spectra = update_spectra(spectra, abund_low, data_h)
+            trace.append(objective(augment(spectra), abund_low, y_aug))
+            if stop(trace):
+                break
+        hs_traces.append(np.array(trace))
+        if abund_high is None:
+            abund_high = to_high(abund_low)
+        trace = [objective(augment(response @ spectra), abund_high, p_aug)]
+        for _ in range(inner_iters):
+            abund_high = update_abundances(
+                augment(response @ spectra), abund_high, p_aug
+            )
+            trace.append(objective(augment(response @ spectra), abund_high, p_aug))
+            if stop(trace):
+                break
+        pan_traces.append(np.array(trace))
+    return spectra, abund_low, abund_high, hs_traces, pan_traces

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 from hspansharp.fusion.cnmf import (
     CnmfResult,
@@ -11,7 +12,10 @@ from hspansharp.fusion.cnmf import (
     vca,
 )
 from hspansharp.imgcore import SpectralImage
-from hspansharp.sensorsim import SensorModel, kernel_from_mtf
+from hspansharp.resample import upsample
+from hspansharp.sensorsim import SensorModel, blur_downsample, kernel_from_mtf
+
+from oracles import oracle_cnmf_loops
 
 
 def pure_pixel_data(bands=12, p=3, pixels=200, seed=0):
@@ -206,6 +210,68 @@ def bilinear_patch_scene(bands=10, ratio=5, n=40, seed=11):
     y_h = blur_downsample(truth, model.blur, ratio)
     pan = synth_pan(truth, model.spectral_response[0])
     return truth, y_h, pan, model
+
+
+def loop_oracle_run(y_h, pan, model, p, outer_iters, inner_iters, seed, delta, tol):
+    """`oracle_cnmf_loops` from cnmf_solve's initialization: VCA spectra and
+    per-pixel NNLS abundances against the stacked penalty row."""
+    data_h = np.maximum(y_h.data, 0.0)
+    spectra = vca(data_h, p, seed)
+    stack = np.vstack([spectra, np.full((1, p), delta)])
+    data_aug = np.vstack([data_h, np.full((1, y_h.pixels), delta)])
+    abund_low = np.column_stack(
+        [nnls(stack, data_aug[:, j])[0] for j in range(y_h.pixels)]
+    )
+    ratio = model.ratio
+
+    def to_low(abund_high):
+        img = SpectralImage(pan.height, pan.width, abund_high)
+        return np.maximum(blur_downsample(img, model.blur, ratio).data, 0.0)
+
+    def to_high(abund_low):
+        img = SpectralImage(y_h.height, y_h.width, abund_low)
+        return np.maximum(upsample(img, ratio, "bilinear").data, 0.0)
+
+    return oracle_cnmf_loops(
+        data_h, np.maximum(pan.data, 0.0), model.spectral_response, spectra,
+        abund_low, to_low, to_high, nmf_update_spectra, nmf_update_abundances,
+        outer_iters, inner_iters, delta, tol,
+    )
+
+
+class TestCnmfLoopOracle:
+    @pytest.mark.parametrize(
+        "scene, p, tol",
+        [
+            (low_rank_scene, 3, 0.0),
+            (bilinear_patch_scene, 3, 0.0),
+            (low_rank_scene, 3, 1e-4),  # both loops stop early
+        ],
+    )
+    def test_bit_identical_to_published_loops(self, scene, p, tol):
+        _, y_h, pan, model = scene()
+        args = (y_h, pan, model, p, 2, 60, 5, 10.0, tol)
+        result = cnmf_solve(*args)
+        spectra, abund_low, abund_high, hs, pan_traces = loop_oracle_run(*args)
+        np.testing.assert_array_equal(
+            result.endmembers.spectra @ result.endmembers.abundances,
+            spectra @ abund_high,
+        )
+        np.testing.assert_array_equal(result.abundances_low, abund_low)
+        assert len(result.hs_objectives) == len(hs) == 2
+        assert len(result.pan_objectives) == len(pan_traces) == 2
+        for got, want in zip(
+            result.hs_objectives + result.pan_objectives, hs + pan_traces
+        ):
+            np.testing.assert_array_equal(got, want)
+
+    def test_update_leaves_its_input_alone(self):
+        rng = np.random.default_rng(3)
+        h = rng.uniform(0.1, 1.0, (6, 3))
+        u = rng.uniform(0.1, 1.0, (3, 9))
+        before = u.copy()
+        nmf_update_abundances(h, u, rng.uniform(size=(6, 9)))
+        np.testing.assert_array_equal(u, before)
 
 
 class TestFuseCnmf:

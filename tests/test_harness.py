@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from hspansharp.imgcore import SpectralImage
+from hspansharp.harness import bench
 from hspansharp.harness.bench import (
     emit_report,
     percentile_spectrum,
@@ -22,6 +23,9 @@ from hspansharp.harness.config import RunConfig, apply_overrides, parse_config
 from hspansharp.harness.envi import load_raster, save_raster
 from hspansharp.harness.registry import REGISTRY, get_method, method_names
 from hspansharp.harness.scene import synth_scene, synth_scene_factors
+from hspansharp.metrics import Reference
+
+from oracles import oracle_cc
 
 SMALL = dict(height=20, width=20, bands=11, endmembers=3, ratio=2)
 
@@ -335,6 +339,27 @@ class TestRunWald:
         assert by_name["CNMF"].report is None
         assert by_name["CNMF"].error
 
+    def test_one_report_per_scored_method(self, monkeypatch):
+        # The traced `metrics.compute_report` span counts these calls.
+        calls = []
+        real = bench.compute_report
+
+        def counting(fused, reference, *args, **kwargs):
+            calls.append(reference)
+            return real(fused, reference, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "compute_report", counting)
+        config = small_config(
+            methods=("PCA", "CNMF", "SFIM"),
+            method_params={"CNMF": {"endmembers": 99}},
+        )
+        report = run_wald(config)
+        scored = [r for r in report.results if r.report is not None]
+        assert len(scored) == 2
+        assert len(calls) == len(scored)
+        assert all(isinstance(r, Reference) for r in calls)
+        assert calls[0] is calls[1]
+
     def test_timing_off_zeroes_time(self):
         config = small_config(methods=("SFIM",), timing="off")
         report = run_wald(config)
@@ -472,6 +497,22 @@ class TestCli:
         code = main(["eval", "--fused", path, "--truth", path, "--ratio", "0"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ratio")
+
+    def test_eval_leaves_out_constant_truth_band(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        data = rng.uniform(0.2, 1.0, (3, 16))
+        data[2] = 0.25
+        truth = SpectralImage(4, 4, data)
+        fused = truth.with_data(data + rng.normal(0.0, 0.05, data.shape))
+        truth_path = str(tmp_path / "truth")
+        fused_path = str(tmp_path / "fused")
+        save_raster(truth_path, truth)
+        save_raster(fused_path, fused)
+        code = main(["eval", "--fused", fused_path, "--truth", truth_path])
+        assert code == 0
+        cc_value = float(capsys.readouterr().out.splitlines()[-1].split(",")[0])
+        expected = oracle_cc(fused.data[:2], truth.data[:2])
+        assert cc_value == pytest.approx(expected, rel=1e-12)
 
     def test_bad_config_returns_one(self, tmp_path, capsys):
         cfg = tmp_path / "bench.cfg"

@@ -5,6 +5,8 @@ into one working cube, injects its detail into it in place and wraps it once,
 so its traced peak stays within a small multiple of the output cube's bytes:
 the working cube, the image's own copy and band-sized temporaries (PCA's
 centred covariance copy is freed before the image is built).
+
+Scoring against a prepared reference forms one working array per report.
 """
 
 import tracemalloc
@@ -14,17 +16,24 @@ import pytest
 from hspansharp.harness.bench import reference_scene, wald_inputs
 from hspansharp.harness.config import RunConfig
 from hspansharp.harness.registry import MethodContext, get_method
+from hspansharp.metrics import Reference, compute_report
 
 METHODS = ["SFIM", "MTF-GLP", "MTF-GLP-HPM", "GS", "GSA", "PCA", "GFPCA"]
 # Peak traced bytes over the output cube's bytes.
 BUDGET = 2.5
+REPORT_BUDGET = 1.5
+CONFIG = RunConfig(height=160, width=160, bands=60, ratio=4).validate()
 
 
 @pytest.fixture(scope="module")
-def context():
-    config = RunConfig(height=160, width=160, bands=60, ratio=4).validate()
-    y_h, pan, model, rng = wald_inputs(reference_scene(config), config)
-    return MethodContext(y_h, pan, model, rng, config.gnyq, config.seed)
+def truth():
+    return reference_scene(CONFIG)
+
+
+@pytest.fixture(scope="module")
+def context(truth):
+    y_h, pan, model, rng = wald_inputs(truth, CONFIG)
+    return MethodContext(y_h, pan, model, rng, CONFIG.gnyq, CONFIG.seed)
 
 
 @pytest.mark.parametrize("name", METHODS)
@@ -38,3 +47,16 @@ def test_peak_within_budget(context, name):
         tracemalloc.stop()
     ratio = peak / fused.data.nbytes
     assert ratio <= BUDGET, f"{name} peaked at {ratio:.2f}x the output"
+
+
+def test_report_peak_within_budget(context, truth):
+    fused = get_method("GSA")(context)
+    reference = Reference(truth)
+    tracemalloc.start()
+    try:
+        compute_report(fused, reference, 1.0 / CONFIG.ratio)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ratio = peak / truth.data.nbytes
+    assert ratio <= REPORT_BUDGET, f"compute_report peaked at {ratio:.2f}x the cube"

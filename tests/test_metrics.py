@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from hspansharp.imgcore import SpectralImage
 from hspansharp.metrics import (
+    Reference,
     cc,
     compute_report,
     ergas,
@@ -122,6 +123,12 @@ class TestErrorCases:
         with pytest.raises(ValueError):
             cc(a, b)
 
+    def test_cc_all_constant_reference(self):
+        xhat, x = img_pair(2, bands=2)
+        flat = x.with_data(np.array([[0.1], [0.7]]) * np.ones((2, x.pixels)))
+        with pytest.raises(ValueError):
+            cc(xhat, flat)
+
     def test_sam_zero_spectrum(self):
         a = SpectralImage(1, 2, np.array([[0.0, 1.0], [0.0, 1.0]]))
         b = SpectralImage(1, 2, np.ones((2, 2)))
@@ -138,6 +145,44 @@ class TestErrorCases:
             ergas(near, zero, 0.25)
 
 
+def rounding_band_pair(seed):
+    """A pair whose reference band 2 is 0.1 plus noise of ~1e-17, a band
+    that is constant up to rounding. Enough pixels that a band mean
+    summed in another order is off by more than the noise."""
+    xhat, x = img_pair(seed, bands=4, height=80, width=90)
+    data = x.data.copy()
+    noise = np.random.default_rng(seed + 100).normal(0.0, 1e-17, x.pixels)
+    data[2] = 0.1 + noise
+    assert data[2].std() > 0
+    return xhat, x.with_data(data)
+
+
+class TestCcRoundingRule:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rounding_band_left_out_of_mean(self, seed):
+        xhat, x = rounding_band_pair(seed)
+        keep = [0, 1, 3]
+        assert cc(xhat, x) == pytest.approx(
+            oracle_cc(xhat.data[keep], x.data[keep]), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stable_under_pixel_permutation(self, seed):
+        xhat, x = rounding_band_pair(seed)
+        order = np.random.default_rng(seed).permutation(x.pixels)
+        shuffled = cc(
+            xhat.with_data(xhat.data[:, order]), x.with_data(x.data[:, order])
+        )
+        assert abs(shuffled - cc(xhat, x)) <= 1e-14
+
+    def test_estimate_rounding_band_raises_where_reference_varies(self):
+        xhat, x = img_pair(5)
+        data = xhat.data.copy()
+        data[1] = 0.4 + np.random.default_rng(5).normal(0.0, 1e-17, x.pixels)
+        with pytest.raises(ValueError):
+            cc(xhat.with_data(data), x)
+
+
 class TestComputeReport:
     def test_fields_match_individual_metrics(self):
         xhat, x = img_pair(4)
@@ -151,6 +196,14 @@ class TestComputeReport:
         assert rep.wall_time_s == 1.5
         scalars = rep.scalars()
         assert set(scalars) == {"CC", "SAM", "RMSE", "ERGAS", "time_s"}
+
+    def test_prepared_reference_gives_same_report(self):
+        xhat, x = img_pair(6)
+        reference = Reference(x)
+        for _ in range(2):
+            assert compute_report(xhat, reference, 0.2) == compute_report(xhat, x, 0.2)
+        other, _ = img_pair(7)
+        assert compute_report(other, reference, 0.2) == compute_report(other, x, 0.2)
 
 
 finite_pairs = arrays(
