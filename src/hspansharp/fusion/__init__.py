@@ -1,98 +1,2 @@
 """Fusion methods: component substitution, multiresolution analysis,
 hybrid, unmixing, and Bayesian families."""
-
-from .cs import (
-    CsWeights,
-    PcaTransform,
-    cs_fuse,
-    fuse_gs,
-    fuse_gsa,
-    fuse_pca,
-    gsa_weights,
-    match_moments,
-    pca_transform,
-)
-from .mra import (
-    box_lowpass,
-    fuse_mtf_glp,
-    fuse_mtf_glp_hpm,
-    fuse_sfim,
-    glp_lowpass,
-)
-from .hybrid import (
-    GuidedFilterParams,
-    default_component_count,
-    fuse_gfpca,
-    guided_filter_plane,
-    soft_threshold,
-)
-from .cnmf import (
-    CnmfResult,
-    Endmembers,
-    cnmf_solve,
-    fuse_cnmf,
-    nmf_update_abundances,
-    nmf_update_spectra,
-    vca,
-)
-from .bayes import (
-    BayesNaivePriors,
-    HySureParams,
-    SensorEstimate,
-    SubspaceBasis,
-    bayes_naive_solve,
-    default_bayes_priors,
-    default_hysure_params,
-    default_subspace_dim,
-    estimate_sensor,
-    fuse_bayes_naive,
-    fuse_hysure,
-    hysure_solve,
-    learn_subspace,
-    negative_log_posterior,
-    vtv,
-)
-
-__all__ = [
-    "CsWeights",
-    "PcaTransform",
-    "cs_fuse",
-    "fuse_gs",
-    "fuse_gsa",
-    "fuse_pca",
-    "gsa_weights",
-    "match_moments",
-    "pca_transform",
-    "box_lowpass",
-    "fuse_mtf_glp",
-    "fuse_mtf_glp_hpm",
-    "fuse_sfim",
-    "glp_lowpass",
-    "GuidedFilterParams",
-    "default_component_count",
-    "fuse_gfpca",
-    "guided_filter_plane",
-    "soft_threshold",
-    "CnmfResult",
-    "Endmembers",
-    "cnmf_solve",
-    "fuse_cnmf",
-    "nmf_update_abundances",
-    "nmf_update_spectra",
-    "vca",
-    "BayesNaivePriors",
-    "HySureParams",
-    "SensorEstimate",
-    "SubspaceBasis",
-    "bayes_naive_solve",
-    "default_bayes_priors",
-    "default_hysure_params",
-    "default_subspace_dim",
-    "estimate_sensor",
-    "fuse_bayes_naive",
-    "fuse_hysure",
-    "hysure_solve",
-    "learn_subspace",
-    "negative_log_posterior",
-    "vtv",
-]

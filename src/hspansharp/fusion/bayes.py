@@ -34,10 +34,12 @@ __all__ = [
     "default_subspace_dim",
     "negative_log_posterior",
     "default_bayes_priors",
+    "BayesNaiveResult",
     "bayes_naive_solve",
     "fuse_bayes_naive",
     "vtv",
     "default_hysure_params",
+    "HysureResult",
     "hysure_solve",
     "fuse_hysure",
     "estimate_sensor",

@@ -17,36 +17,14 @@ from ..resample import upsample_data
 from ..sensorsim import BlurKernel, blur_downsample
 
 __all__ = [
-    "CsWeights",
     "PcaTransform",
     "pca_transform",
     "match_moments",
-    "cs_fuse",
     "fuse_pca",
     "fuse_gs",
     "gsa_weights",
     "fuse_gsa",
 ]
-
-
-@dataclass(frozen=True)
-class CsWeights:
-    """Intensity weights w and injection gains g, one entry per band."""
-
-    w: np.ndarray
-    g: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64).ravel().copy()
-        g = np.asarray(self.g, dtype=np.float64).ravel().copy()
-        if w.size != g.size:
-            raise ValueError("w and g must have one entry per band each")
-        if not (np.isfinite(w).all() and np.isfinite(g).all()):
-            raise ValueError("weights must be finite")
-        w.flags.writeable = False
-        g.flags.writeable = False
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "g", g)
 
 
 @dataclass(frozen=True)
@@ -121,35 +99,12 @@ def _pan_values(pan: SpectralImage, height: int, width: int) -> np.ndarray:
     return pan.data[0]
 
 
-def _inject(
-    fused: np.ndarray,
-    p: np.ndarray,
-    o_l: np.ndarray,
-    g: np.ndarray,
-    match_histogram: bool,
-) -> None:
-    """F_k += g_k (P - O_L) in place, band by band; P is first moment-matched
-    to O_L when match_histogram is set."""
-    if match_histogram:
-        p = match_moments(p, o_l)
-    detail = p - o_l
+def _inject(fused: np.ndarray, p: np.ndarray, o_l: np.ndarray, g: np.ndarray) -> None:
+    """F_k += g_k (P - O_L) in place, band by band, with P first
+    moment-matched to O_L."""
+    detail = match_moments(p, o_l) - o_l
     for k, gain in enumerate(g):
         fused[k] += gain * detail
-
-
-def cs_fuse(
-    y_up: SpectralImage,
-    pan: SpectralImage,
-    weights: CsWeights,
-    match_histogram: bool = False,
-) -> SpectralImage:
-    """Inject (P - O_L) with per-band gains, O_L = sum_i w_i Y^i."""
-    if weights.w.size != y_up.bands:
-        raise ValueError("weights must have one entry per band")
-    p = _pan_values(pan, y_up.height, y_up.width)
-    fused = np.array(y_up.data)
-    _inject(fused, p, weights.w @ fused, weights.g, match_histogram)
-    return y_up.with_data(fused)
 
 
 def _interpolated(y_h: SpectralImage, pan: SpectralImage, ratio: int):
@@ -169,7 +124,7 @@ def fuse_pca(y_h: SpectralImage, pan: SpectralImage, ratio: int) -> SpectralImag
     """
     fused, p = _interpolated(y_h, pan, ratio)
     l0 = _pca_of(fused).loadings[0]
-    _inject(fused, p, l0 @ fused, l0, match_histogram=True)
+    _inject(fused, p, l0 @ fused, l0)
     return SpectralImage(pan.height, pan.width, fused, y_h.wavelengths)
 
 
@@ -188,7 +143,7 @@ def fuse_gs(y_h: SpectralImage, pan: SpectralImage, ratio: int) -> SpectralImage
     """Gram-Schmidt sharpening: uniform intensity weights, covariance gains."""
     fused, p = _interpolated(y_h, pan, ratio)
     o_l = np.full(fused.shape[0], 1.0 / fused.shape[0]) @ fused
-    _inject(fused, p, o_l, _gain_vector(fused, o_l), match_histogram=True)
+    _inject(fused, p, o_l, _gain_vector(fused, o_l))
     return SpectralImage(pan.height, pan.width, fused, y_h.wavelengths)
 
 
@@ -220,5 +175,5 @@ def fuse_gsa(
     w = gsa_weights(y_h.data, pan_low.data[0])
     fused, p = _interpolated(y_h, pan, ratio)
     o_l = w @ fused
-    _inject(fused, p, o_l, _gain_vector(fused, o_l), match_histogram=True)
+    _inject(fused, p, o_l, _gain_vector(fused, o_l))
     return SpectralImage(pan.height, pan.width, fused, y_h.wavelengths)

@@ -19,7 +19,9 @@ from .cs import pca_transform
 
 __all__ = [
     "GuidedFilterParams",
+    "guided_filter_plane",
     "soft_threshold",
+    "default_component_count",
     "fuse_gfpca",
 ]
 

@@ -1,38 +1,2 @@
 """Evaluation harness: raster I/O, synthetic scenes, the method registry,
 run configuration, the Wald-protocol benchmark, and the CLI."""
-
-from .envi import load_raster, save_raster
-from .scene import SceneFactors, synth_scene, synth_scene_factors
-from .registry import REGISTRY, MethodContext, get_method, method_names
-from .config import RunConfig, apply_overrides, parse_config
-from .bench import (
-    BenchmarkReport,
-    MethodResult,
-    emit_report,
-    percentile_spectrum,
-    reference_scene,
-    run_wald,
-    wald_inputs,
-)
-
-__all__ = [
-    "load_raster",
-    "save_raster",
-    "SceneFactors",
-    "synth_scene",
-    "synth_scene_factors",
-    "REGISTRY",
-    "MethodContext",
-    "get_method",
-    "method_names",
-    "RunConfig",
-    "apply_overrides",
-    "parse_config",
-    "BenchmarkReport",
-    "MethodResult",
-    "emit_report",
-    "percentile_spectrum",
-    "reference_scene",
-    "run_wald",
-    "wald_inputs",
-]

@@ -82,8 +82,9 @@ def _pan_response(config: RunConfig, truth: SpectralImage) -> np.ndarray:
         if total <= 0 or (weights < 0).any():
             raise ValueError("pan-weights must be nonnegative with positive sum")
         return weights / total
-    window = config.pan_window if config.pan_window is not None else (0.48, 0.69)
-    return default_pan_response(truth.bands, truth.wavelengths, tuple(window))
+    if config.pan_window is None:
+        return default_pan_response(truth.bands, truth.wavelengths)
+    return default_pan_response(truth.bands, truth.wavelengths, tuple(config.pan_window))
 
 
 def wald_inputs(

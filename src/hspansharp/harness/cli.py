@@ -19,7 +19,7 @@ from ..imgcore import DynamicRange
 from ..metrics import compute_report
 from ..sensorsim import SensorModel, default_pan_response, kernel_from_mtf
 from .bench import emit_report, run_wald, wald_inputs
-from .config import RunConfig, _coerce, apply_overrides, parse_config
+from .config import RunConfig, apply_overrides, parse_config
 from .envi import load_raster, save_raster
 from .registry import MethodContext, get_method, method_names
 from .scene import synth_scene
@@ -123,22 +123,14 @@ def _cmd_degrade(args) -> int:
     return 0
 
 
-def _parse_method_params(pairs: list[str], method: str) -> dict:
-    params: dict = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ValueError(f"override {pair!r} is not of the form key=value")
-        key, _, value = pair.partition("=")
-        key = key.strip()
-        if "." in key:
-            owner, _, key = key.partition(".")
-            if owner != method:
-                continue
-        params[key.lower().replace("-", "_")] = _coerce(value.strip())
-    return params
-
-
 def _cmd_fuse(args) -> int:
+    # Bare keys name parameters of --method; the config grammar parses and
+    # checks every pair.
+    pairs = [
+        pair if "." in pair.partition("=")[0] else f"{args.method}.{pair}"
+        for pair in args.overrides
+    ]
+    params = apply_overrides(RunConfig(), pairs).method_params.get(args.method)
     y_h = load_raster(args.hs)
     pan = load_raster(args.pan)
     if pan.height % y_h.height or pan.width % y_h.width:
@@ -162,7 +154,7 @@ def _cmd_fuse(args) -> int:
         gnyq=args.gnyq,
         seed=args.seed,
         subspace_dim=args.subspace_dim,
-        params=_parse_method_params(args.overrides, args.method),
+        params=params,
     )
     try:
         fused = get_method(args.method)(ctx)

@@ -3,8 +3,9 @@
 Config files are line-oriented `key = value` text with `#`/`;` comments.
 Keys are kebab-case in files and map onto the snake_case fields of
 `RunConfig`. A `[MethodName]` section holds per-method parameter
-overrides. CLI `--set key=value` (or `--set Method.key=value`) pairs are
-applied on top of the file.
+overrides; a key the method does not read (see `registry.PARAMS`) is an
+error. CLI `--set key=value` (or `--set Method.key=value`) pairs are
+applied on top of the file; `fuse --set` uses the same grammar.
 
 The reference scene comes either from `input` (a raster path) or from the
 synthetic-scene fields. Noise is specified as an SNR in dB (`snr-db`,
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 
-from .registry import method_names
+from .registry import method_names, resolve_params
 
 __all__ = ["RunConfig", "parse_config", "apply_overrides"]
 
@@ -69,9 +70,10 @@ class RunConfig:
         for name in self.selected_methods():
             if name not in known:
                 raise ValueError(f"unknown method {name!r} in config")
-        for name in self.method_params:
+        for name, given in self.method_params.items():
             if name not in known:
                 raise ValueError(f"unknown method section [{name}] in config")
+            resolve_params(name, given)
         for q in self.percentiles:
             if not 0.0 < q <= 100.0:
                 raise ValueError("percentiles must lie in (0, 100]")

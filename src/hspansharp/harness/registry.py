@@ -11,22 +11,25 @@ from dataclasses import dataclass
 
 from ..imgcore import DynamicRange, SpectralImage
 from ..sensorsim import SensorModel
-from ..fusion import (
+from ..fusion.bayes import (
     default_subspace_dim,
     fuse_bayes_naive,
-    fuse_cnmf,
-    fuse_gfpca,
-    fuse_gs,
-    fuse_gsa,
     fuse_hysure,
-    fuse_mtf_glp,
-    fuse_mtf_glp_hpm,
-    fuse_pca,
-    fuse_sfim,
     learn_subspace,
 )
+from ..fusion.cnmf import fuse_cnmf
+from ..fusion.cs import fuse_gs, fuse_gsa, fuse_pca
+from ..fusion.hybrid import fuse_gfpca
+from ..fusion.mra import fuse_mtf_glp, fuse_mtf_glp_hpm, fuse_sfim
 
-__all__ = ["MethodContext", "REGISTRY", "method_names", "get_method"]
+__all__ = [
+    "MethodContext",
+    "REGISTRY",
+    "PARAMS",
+    "resolve_params",
+    "method_names",
+    "get_method",
+]
 
 
 @dataclass(frozen=True)
@@ -45,11 +48,6 @@ class MethodContext:
     @property
     def ratio(self) -> int:
         return self.model.ratio
-
-    def param(self, key: str, default):
-        if self.params and key in self.params:
-            return self.params[key]
-        return default
 
     def dim(self) -> int:
         if self.subspace_dim is not None:
@@ -86,16 +84,15 @@ def _run_gfpca(ctx: MethodContext) -> SpectralImage:
 
 
 def _run_cnmf(ctx: MethodContext) -> SpectralImage:
-    # 300 inner iterations: the multiplicative updates are slow and the
-    # signature default of 100 leaves visible residual on smooth scenes.
-    p = ctx.param("endmembers", max(ctx.dim(), 2))
+    p = resolve_params("CNMF", ctx.params)
+    endmembers = p["endmembers"]
     return fuse_cnmf(
         ctx.y_h,
         ctx.pan,
         ctx.model,
-        int(p),
-        outer_iters=int(ctx.param("outer_iters", 2)),
-        inner_iters=int(ctx.param("inner_iters", 300)),
+        int(max(ctx.dim(), 2) if endmembers is None else endmembers),
+        outer_iters=int(p["outer_iters"]),
+        inner_iters=int(p["inner_iters"]),
         seed=ctx.seed,
     )
 
@@ -107,7 +104,7 @@ def _run_bayes_naive(ctx: MethodContext) -> SpectralImage:
         ctx.pan,
         ctx.model,
         basis,
-        sigma_rounds=int(ctx.param("sigma_rounds", 5)),
+        sigma_rounds=int(resolve_params("BayesNaive", ctx.params)["sigma_rounds"]),
     )
 
 
@@ -128,6 +125,31 @@ REGISTRY = {
     "BayesNaive": _run_bayes_naive,
     "HySure": _run_hysure,
 }
+
+
+# The parameters each method reads from `MethodContext.params`, with their
+# defaults; a method not listed reads none. CNMF's endmember count of None
+# means the subspace dimension, at least 2. CNMF runs 300 inner iterations:
+# the multiplicative updates are slow and `fuse_cnmf`'s default of 100 leaves
+# visible residual on smooth scenes.
+PARAMS = {
+    "CNMF": {"endmembers": None, "outer_iters": 2, "inner_iters": 300},
+    "BayesNaive": {"sigma_rounds": 5},
+}
+
+
+def resolve_params(name: str, given: dict | None) -> dict:
+    """`given` over the defaults of the parameters `name` reads; a key the
+    method does not read raises ValueError naming the accepted keys."""
+    accepted = PARAMS.get(name, {})
+    unknown = sorted(set(given or ()) - set(accepted))
+    if unknown:
+        shown = ", ".join(k.replace("_", "-") for k in accepted) or "none"
+        raise ValueError(
+            f"method {name} does not read parameter {unknown[0].replace('_', '-')!r}"
+            f" (accepted: {shown})"
+        )
+    return {**accepted, **(given or {})}
 
 
 def method_names() -> tuple[str, ...]:

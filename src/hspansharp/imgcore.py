@@ -15,7 +15,9 @@ __all__ = ["SpectralImage", "DynamicRange"]
 
 
 def _readonly_f64(values) -> np.ndarray:
-    out = np.array(values, dtype=np.float64)
+    # C order whatever the input's: `to_cube` stays a view, and a row
+    # reduction sums in the same order for equal values.
+    out = np.array(values, dtype=np.float64, order="C")
     out.flags.writeable = False
     return out
 

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from hspansharp.fusion.cs import (
-    CsWeights,
     PcaTransform,
-    cs_fuse,
+    _inject,
     fuse_gs,
     fuse_gsa,
     fuse_pca,
@@ -40,21 +39,6 @@ class TestMatchMoments:
     def test_identity_when_already_matched(self):
         v = np.array([0.0, 1.0, 2.0])
         np.testing.assert_allclose(match_moments(v, v), v, rtol=0, atol=1e-12)
-
-
-class TestCsWeights:
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            CsWeights([1.0, 2.0], [1.0])
-
-    def test_non_finite(self):
-        with pytest.raises(ValueError):
-            CsWeights([np.nan], [1.0])
-
-    def test_arrays_readonly(self):
-        w = CsWeights([0.5, 0.5], [1.0, 1.0])
-        with pytest.raises(ValueError):
-            w.w[0] = 2.0
 
 
 class TestPcaTransform:
@@ -96,44 +80,52 @@ class TestPcaTransform:
 
 
 class TestCsFuse:
+    """The injection GS, GSA and PCA share, F_k += g_k (match(P, O_L) - O_L),
+    and their PAN checks."""
+
+    def inject(self, y, pan, w, g):
+        fused = np.array(y.data)
+        _inject(fused, pan.data[0], np.asarray(w) @ y.data, np.asarray(g, dtype=float))
+        return fused
+
     def test_matches_direct_formula(self):
         y_up = random_img(3, 4, 4, seed=5)
         pan = random_img(1, 4, 4, seed=6)
         w = np.array([0.2, 0.5, 0.3])
         g = np.array([1.1, 0.9, 1.4])
-        fused = cs_fuse(y_up, pan, CsWeights(w, g))
-        detail = pan.data[0] - w @ y_up.data
+        fused = self.inject(y_up, pan, w, g)
+        o_l = w @ y_up.data
+        detail = match_moments(pan.data[0], o_l) - o_l
         for k in range(3):
             np.testing.assert_allclose(
-                fused.data[k], y_up.data[k] + g[k] * detail, rtol=0, atol=1e-12
+                fused[k], y_up.data[k] + g[k] * detail, rtol=0, atol=1e-12
             )
 
     def test_injected_detail_is_rank_one(self):
         y_up = random_img(4, 5, 5, seed=7)
         pan = random_img(1, 5, 5, seed=8)
-        fused = cs_fuse(y_up, pan, CsWeights(np.full(4, 0.25), [1.0, 2.0, 3.0, 4.0]))
-        delta = fused.data - y_up.data
+        fused = self.inject(y_up, pan, np.full(4, 0.25), [1.0, 2.0, 3.0, 4.0])
+        delta = fused - y_up.data
         assert np.linalg.matrix_rank(delta, tol=1e-10) == 1
 
     def test_histogram_matching_applied(self):
+        # With unit gains the injected P carries O_L's mean and std.
         y_up = random_img(2, 4, 4, seed=9)
         pan = random_img(1, 4, 4, seed=10)
         w = np.array([0.5, 0.5])
-        fused = cs_fuse(y_up, pan, CsWeights(w, [1.0, 1.0]), match_histogram=True)
+        fused = self.inject(y_up, pan, w, [1.0, 1.0])
         o_l = w @ y_up.data
-        detail = match_moments(pan.data[0], o_l) - o_l
-        np.testing.assert_allclose(
-            fused.data, y_up.data + detail, rtol=0, atol=1e-12
-        )
+        matched = fused[0] - y_up.data[0] + o_l
+        assert matched.mean() == pytest.approx(o_l.mean(), abs=1e-12)
+        assert matched.std() == pytest.approx(o_l.std(), rel=1e-12)
+        np.testing.assert_allclose(fused[1] - y_up.data[1], matched - o_l, rtol=0, atol=1e-12)
 
     def test_validation(self):
-        y_up = random_img(3, 4, 4)
-        with pytest.raises(ValueError):
-            cs_fuse(y_up, random_img(2, 4, 4), CsWeights([1.0] * 3, [1.0] * 3))
-        with pytest.raises(ValueError):
-            cs_fuse(y_up, random_img(1, 5, 5), CsWeights([1.0] * 3, [1.0] * 3))
-        with pytest.raises(ValueError):
-            cs_fuse(y_up, random_img(1, 4, 4), CsWeights([1.0] * 2, [1.0] * 2))
+        y_h = random_img(3, 2, 2)
+        with pytest.raises(ValueError, match="single band"):
+            fuse_gs(y_h, random_img(2, 4, 4), 2)
+        with pytest.raises(ValueError, match="PAN dims"):
+            fuse_gs(y_h, random_img(1, 5, 5), 2)
 
 
 class TestFusePca:

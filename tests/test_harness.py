@@ -18,7 +18,7 @@ from hspansharp.harness.bench import (
     run_wald,
     wald_inputs,
 )
-from hspansharp.harness.cli import _parse_method_params, main
+from hspansharp.harness.cli import main
 from hspansharp.harness.config import RunConfig, apply_overrides, parse_config
 from hspansharp.harness.envi import load_raster, save_raster
 from hspansharp.harness.registry import REGISTRY, get_method, method_names
@@ -28,6 +28,16 @@ from hspansharp.metrics import Reference
 from oracles import oracle_cc
 
 SMALL = dict(height=20, width=20, bands=11, endmembers=3, ratio=2)
+
+
+def tiny_pair(tmp_path):
+    """Paths of a 3-band 2x2 HS raster and a 4x4 PAN raster."""
+    rng = np.random.default_rng(5)
+    hs = str(tmp_path / "hs")
+    pan = str(tmp_path / "pan")
+    save_raster(hs, SpectralImage(2, 2, rng.uniform(0.1, 1.0, (3, 4))))
+    save_raster(pan, SpectralImage(4, 4, rng.uniform(0.1, 1.0, (1, 16))))
+    return hs, pan
 
 
 def small_config(**extra):
@@ -114,6 +124,7 @@ class TestRunConfig:
             dict(timing="cpu"),
             dict(methods=("PCA", "Nope")),
             dict(method_params={"Nope": {}}),
+            dict(method_params={"HySure": {"max_iters": 1}}),
             dict(percentiles=(0.0,)),
             dict(percentiles=(101.0,)),
         ],
@@ -199,12 +210,23 @@ inner-iters = 50
             apply_overrides(small_config(), [pair])
 
     @pytest.mark.parametrize("value", ["3", "0.5", "true", "none", "abc"])
-    def test_fuse_and_bench_parse_method_values_alike(self, value):
-        pair = f"CNMF.k={value}"
-        fuse_value = _parse_method_params([pair], "CNMF")["k"]
-        bench_value = apply_overrides(RunConfig(), [pair]).method_params["CNMF"]["k"]
-        assert fuse_value == bench_value
-        assert type(fuse_value) is type(bench_value)
+    def test_fuse_and_bench_parse_method_values_alike(self, value, tmp_path, monkeypatch):
+        seen = []
+
+        def capture(ctx):
+            seen.append(ctx.params)
+            return ctx.y_h
+
+        monkeypatch.setitem(REGISTRY, "CNMF", capture)
+        hs, pan = tiny_pair(tmp_path)
+        assert main([
+            "fuse", "--method", "CNMF", "--hs", hs, "--pan", pan,
+            "--out", str(tmp_path / "out"), "--set", f"endmembers={value}",
+        ]) == 0
+        config = apply_overrides(RunConfig(), [f"CNMF.endmembers={value}"])
+        bench_value = config.method_params["CNMF"]["endmembers"]
+        assert seen == [{"endmembers": bench_value}]
+        assert type(seen[0]["endmembers"]) is type(bench_value)
 
 
 class TestRegistry:
@@ -519,6 +541,40 @@ class TestCli:
         cfg.write_text("mystery = 1\n")
         assert main(["bench", "--config", str(cfg)]) == 1
         assert "mystery" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            ("HySure.max-iters=1", "method HySure does not read parameter"
+             " 'max-iters' (accepted: none)"),
+            ("CNMF.inner-iter=1", "method CNMF does not read parameter"
+             " 'inner-iter' (accepted: endmembers, outer-iters, inner-iters)"),
+            ("BayesNaive.endmembers=3", "method BayesNaive does not read parameter"
+             " 'endmembers' (accepted: sigma-rounds)"),
+        ],
+    )
+    def test_bench_unread_method_key_returns_one(self, tmp_path, capsys, pair, message):
+        out_dir = str(tmp_path / "out")
+        assert main(["bench", "--output-dir", out_dir, "--set", pair]) == 1
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out_dir)
+
+    def test_bench_config_section_unread_key_returns_one(self, tmp_path, capsys):
+        cfg = self.bench_config(tmp_path, extra="[CNMF]\ninner-iter = 1\n")
+        assert main(["bench", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 1
+        assert "'inner-iter'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pair", ["endmembers=3", "GS.endmembers=3"])
+    def test_fuse_unread_method_key_returns_one(self, tmp_path, capsys, pair):
+        hs, pan = tiny_pair(tmp_path)
+        out = str(tmp_path / "out")
+        code = main([
+            "fuse", "--method", "GS", "--hs", hs, "--pan", pan, "--out", out,
+            "--set", pair,
+        ])
+        assert code == 1
+        assert "method GS does not read parameter 'endmembers'" in capsys.readouterr().err
+        assert not os.path.exists(out + ".dat")
 
     def bench_config(self, tmp_path, name="bench.cfg", extra=""):
         cfg = tmp_path / name

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hspansharp.harness.scene import synth_scene
 from hspansharp.imgcore import DynamicRange, SpectralImage
 
 
@@ -74,6 +75,17 @@ class TestSpectralImage:
         # row-major: pixel (row y, col x) is column y * width + x
         assert cube[1, 1, 2] == img.data[1, 1 * 3 + 2]
         assert cube.base is not None
+
+    def test_column_indexed_data_stored_in_c_order(self):
+        # `x.data[:, perm]` is Fortran-ordered. Stored as given, its band means
+        # summed in another order and moved by 1.6e-14 (`wald-100` scene 3).
+        truth = synth_scene(3, 3, 100, 100, 40)
+        perm = np.random.default_rng(0).permutation(truth.pixels)
+        raw = truth.data[:, perm]
+        img = SpectralImage(truth.height, truth.width, raw)
+        assert img.data.flags.c_contiguous
+        want = np.ascontiguousarray(raw).mean(axis=1)
+        assert np.array_equal(img.data.mean(axis=1), want)
 
     def test_band_image(self):
         img = make_img(bands=2, height=3, width=3)

@@ -140,6 +140,33 @@ class TestBlur:
                     importers.add(path.relative_to(package).as_posix())
         assert importers == {"sensorsim.py"}
 
+    def test_each_public_name_has_one_module(self):
+        # A module's `__all__` lists exactly its public top-level functions,
+        # classes and constants, and a package binds no public name, so each
+        # name is imported from the one module that defines it.
+        package = Path(__file__).resolve().parents[1] / "src" / "hspansharp"
+        for path in sorted(package.rglob("*.py")):
+            where = path.relative_to(package).as_posix()
+            bound, imported, exported = set(), set(), None
+            for node in ast.parse(path.read_text()).body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    bound.add(node.name)
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+                elif isinstance(node, ast.Assign):
+                    for target in node.targets:
+                        if target.id == "__all__":
+                            exported = ast.literal_eval(node.value)
+                        bound.add(target.id)
+            public = {n for n in bound if not n.startswith("_")}
+            if path.name == "__init__.py":
+                assert exported is None, where
+                assert not {n for n in bound | imported if not n.startswith("_")}, where
+            elif path.name != "__main__.py":
+                assert exported is not None, where
+                assert len(exported) == len(set(exported)), where
+                assert set(exported) == public, where
+
 
 class TestBlurDownsample:
     def test_matches_loop_oracle(self):
