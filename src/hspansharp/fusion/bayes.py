@@ -251,7 +251,7 @@ def fuse_bayes_naive(
     sigma_rounds: int = 5,
 ) -> SpectralImage:
     result = bayes_naive_solve(y_h, pan, model, basis, priors, sigma_rounds)
-    return SpectralImage(
+    return SpectralImage._adopt(
         pan.height, pan.width, basis.H @ result.U, y_h.wavelengths
     )
 
@@ -487,8 +487,8 @@ def fuse_hysure(
     result = hysure_solve(y_h, pan, basis, model, params)
     fused = basis.H @ result.U
     if rng is not None:
-        fused = np.clip(fused, rng.lo, rng.hi)
-    return SpectralImage(pan.height, pan.width, fused, y_h.wavelengths)
+        np.clip(fused, rng.lo, rng.hi, out=fused)
+    return SpectralImage._adopt(pan.height, pan.width, fused, y_h.wavelengths)
 
 
 # ---------------------------------------------------------------------------

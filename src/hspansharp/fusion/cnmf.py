@@ -255,4 +255,4 @@ def fuse_cnmf(
         y_h, pan, model, p, outer_iters, inner_iters, seed, delta
     )
     fused = result.endmembers.spectra @ result.endmembers.abundances
-    return SpectralImage(pan.height, pan.width, fused, y_h.wavelengths)
+    return SpectralImage._adopt(pan.height, pan.width, fused, y_h.wavelengths)

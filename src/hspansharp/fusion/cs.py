@@ -4,6 +4,10 @@ All three share the same injection skeleton: a spectrally weighted intensity
 O_L = w^T Y is formed from the interpolated hyperspectral bands, the PAN
 image is moment-matched to it, and the detail (P - O_L) is injected with
 per-band gains g. PCA is the case w = g = the first principal loading.
+The band covariance of the interpolated bands, which GS and GSA gains and
+the PCA loading need, comes from the low-resolution bands
+(`resample.upsampled_moments`), so only O_L and the injection pass over the
+interpolated cube.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..imgcore import SpectralImage
-from ..resample import upsample_data
+from ..resample import upsample_data, upsampled_moments
 from ..sensorsim import BlurKernel, blur_downsample
 
 __all__ = [
@@ -59,13 +63,17 @@ class PcaTransform:
 def pca_transform(img: SpectralImage) -> PcaTransform:
     """Principal components of the band covariance (population normalization),
     each loading row signed so its largest-magnitude entry is positive."""
-    return _pca_of(img.data)
-
-
-def _pca_of(data: np.ndarray) -> PcaTransform:
+    data = img.data
     mu = data.mean(axis=1)
     centered = data - mu[:, np.newaxis]
-    cov = (centered @ centered.T) / data.shape[1]
+    evals, loadings = _principal_axes((centered @ centered.T) / img.pixels, data)
+    return PcaTransform(loadings, mu, evals)
+
+
+def _principal_axes(cov: np.ndarray, data: np.ndarray):
+    """Eigenvalues of a band covariance in descending order, clamped at zero,
+    and the loadings as rows, each signed so its largest-magnitude entry is
+    positive. A leading variance at or below 1e-12 max(1, |data|)^2 raises."""
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1]
     evals = np.maximum(evals[order], 0.0)
@@ -74,8 +82,7 @@ def _pca_of(data: np.ndarray) -> PcaTransform:
         raise ValueError("degenerate PCA: image has no spectral variance")
     signs = np.sign(loadings[np.arange(loadings.shape[0]),
                              np.abs(loadings).argmax(axis=1)])
-    loadings = loadings * np.where(signs == 0, 1.0, signs)[:, np.newaxis]
-    return PcaTransform(loadings, mu, evals)
+    return evals, loadings * np.where(signs == 0, 1.0, signs)[:, np.newaxis]
 
 
 def match_moments(values: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -115,6 +122,21 @@ def _interpolated(y_h: SpectralImage, pan: SpectralImage, ratio: int):
     return upsample_data(y_h, ratio, "bicubic"), p
 
 
+def _gs_inject(
+    y_h: SpectralImage, pan: SpectralImage, ratio: int, w: np.ndarray
+) -> SpectralImage:
+    """GS injection with intensity weights w and gains
+    cov(Y^k, O_L) / var(O_L), where cov(Y, O_L) = C w."""
+    fused, p = _interpolated(y_h, pan, ratio)
+    o_l = w @ fused
+    var = o_l.var()
+    if var == 0.0:
+        raise ValueError("intensity component has zero variance")
+    _, cov = upsampled_moments(y_h, ratio, "bicubic")
+    _inject(fused, p, o_l, cov @ w / var)
+    return SpectralImage._adopt(pan.height, pan.width, fused, y_h.wavelengths)
+
+
 def fuse_pca(y_h: SpectralImage, pan: SpectralImage, ratio: int) -> SpectralImage:
     """Substitute the first principal component by the moment-matched PAN.
 
@@ -123,28 +145,15 @@ def fuse_pca(y_h: SpectralImage, pan: SpectralImage, ratio: int) -> SpectralImag
     shifting s_0 by l_0^T mean(Y) leaves that difference unchanged.
     """
     fused, p = _interpolated(y_h, pan, ratio)
-    l0 = _pca_of(fused).loadings[0]
+    _, cov = upsampled_moments(y_h, ratio, "bicubic")
+    l0 = _principal_axes(cov, y_h.data)[1][0]
     _inject(fused, p, l0 @ fused, l0)
-    return SpectralImage(pan.height, pan.width, fused, y_h.wavelengths)
-
-
-def _gain_vector(y_up: np.ndarray, o_l: np.ndarray) -> np.ndarray:
-    """cov(Y^k, O_L) / var(O_L) without forming the centred cube:
-    sum_j (Y^k_j - mean Y^k) c_j = Y^k c - mean(Y^k) sum(c)."""
-    var = o_l.var()
-    if var == 0.0:
-        raise ValueError("intensity component has zero variance")
-    centered = o_l - o_l.mean()
-    covs = y_up @ centered - y_up.mean(axis=1) * centered.sum()
-    return covs / (var * o_l.size)
+    return SpectralImage._adopt(pan.height, pan.width, fused, y_h.wavelengths)
 
 
 def fuse_gs(y_h: SpectralImage, pan: SpectralImage, ratio: int) -> SpectralImage:
     """Gram-Schmidt sharpening: uniform intensity weights, covariance gains."""
-    fused, p = _interpolated(y_h, pan, ratio)
-    o_l = np.full(fused.shape[0], 1.0 / fused.shape[0]) @ fused
-    _inject(fused, p, o_l, _gain_vector(fused, o_l))
-    return SpectralImage(pan.height, pan.width, fused, y_h.wavelengths)
+    return _gs_inject(y_h, pan, ratio, np.full(y_h.bands, 1.0 / y_h.bands))
 
 
 def gsa_weights(y_h_matrix: np.ndarray, pan_low: np.ndarray, ridge: float = 1e-8) -> np.ndarray:
@@ -173,7 +182,4 @@ def fuse_gsa(
     the hyperspectral grid, then the usual GS injection."""
     pan_low = blur_downsample(pan, blur, ratio, phase)
     w = gsa_weights(y_h.data, pan_low.data[0])
-    fused, p = _interpolated(y_h, pan, ratio)
-    o_l = w @ fused
-    _inject(fused, p, o_l, _gain_vector(fused, o_l))
-    return SpectralImage(pan.height, pan.width, fused, y_h.wavelengths)
+    return _gs_inject(y_h, pan, ratio, w)

@@ -140,4 +140,4 @@ def fuse_gfpca(
     fused = upsampled(trailing + transform.band_means[:, np.newaxis])
     for band, weights in zip(fused, transform.loadings[:p].T):
         band += weights @ filtered
-    return SpectralImage(guide.height, guide.width, fused, y_h.wavelengths)
+    return SpectralImage._adopt(guide.height, guide.width, fused, y_h.wavelengths)

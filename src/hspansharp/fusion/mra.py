@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..imgcore import DynamicRange, SpectralImage
-from ..resample import upsample, upsample_data
+from ..resample import upsample, upsample_data, upsampled_moments
 from ..sensorsim import blur, blur_downsample, kernel_from_mtf
 
 __all__ = [
@@ -26,10 +26,14 @@ __all__ = [
 _DIV_GUARD = 1e-8
 
 
-def _hpm_gain(band: np.ndarray, p_low: np.ndarray, rng: DynamicRange) -> np.ndarray:
-    guard = np.abs(p_low) < _DIV_GUARD * rng.span
-    safe = np.where(guard, 1.0, p_low)
-    return np.where(guard, 1.0, band / safe)
+def _hpm_gain(
+    band: np.ndarray, p_low: np.ndarray, rng: DynamicRange, out: np.ndarray
+) -> np.ndarray:
+    """band / p_low into `out`, and 1 where |p_low| is below the guard."""
+    np.abs(p_low, out=out)
+    divide = out >= _DIV_GUARD * rng.span
+    out.fill(1.0)
+    return np.divide(band, p_low, out=out, where=divide)
 
 
 def box_lowpass(pan: SpectralImage, ratio: int) -> SpectralImage:
@@ -61,9 +65,11 @@ def _equalized_fusion(
     has std(P_L) = 0 and maps to a zero-detail injection.
 
     The detail is added to the interpolated bands in place, one band at a
-    time. It stays the difference P_eq^k - P_L,eq^k rather than the equal
-    scale_k (P - P_L): where P_L,eq^k nears zero the HPM gain (~1e3 on real
-    scenes) magnifies any change in its rounding.
+    time, through three reused band buffers. It stays the difference
+    P_eq^k - P_L,eq^k rather than the equal scale_k (P - P_L): where
+    P_L,eq^k nears zero the HPM gain (~1e3 on real scenes) magnifies any
+    change in its rounding. std(Y^k) and mean(Y^k) of the interpolated bands
+    come from the low-resolution bands (`upsampled_moments`).
     """
     ratio = int(ratio)
     if (pan.height, pan.width) != (y_h.height * ratio, y_h.width * ratio):
@@ -77,18 +83,24 @@ def _equalized_fusion(
     std_floor = 1e-12 * max(np.abs(p_l).max(), np.abs(p).max())
     p_centred = p - p_mean
     pl_centred = p_l - p_mean
+    means, cov = upsampled_moments(y_h, ratio, "bicubic")
+    stds = np.sqrt(np.maximum(np.diagonal(cov), 0.0))
+    pl_eq, detail, gain = (np.empty_like(p) for _ in range(3))
     fused = upsample_data(y_h, ratio, "bicubic")
-    for band in fused:
-        scale = band.std() / pl_std if pl_std > std_floor else 0.0
-        band_mean = band.mean()
-        pl_eq = pl_centred * scale + band_mean
-        detail = p_centred * scale + band_mean - pl_eq
+    for band, band_std, band_mean in zip(fused, stds, means):
+        scale = band_std / pl_std if pl_std > std_floor else 0.0
+        np.multiply(pl_centred, scale, out=pl_eq)
+        pl_eq += band_mean
+        np.multiply(p_centred, scale, out=detail)
+        detail += band_mean
+        detail -= pl_eq
         if gains == "additive":
             band += detail
         else:
-            band += _hpm_gain(band, pl_eq, rng) * detail
+            detail *= _hpm_gain(band, pl_eq, rng, gain)
+            band += detail
             np.clip(band, rng.lo, rng.hi, out=band)
-    return SpectralImage(pan.height, pan.width, fused, y_h.wavelengths)
+    return SpectralImage._adopt(pan.height, pan.width, fused, y_h.wavelengths)
 
 
 def fuse_sfim(

@@ -3,8 +3,9 @@
 Config files are line-oriented `key = value` text with `#`/`;` comments.
 Keys are kebab-case in files and map onto the snake_case fields of
 `RunConfig`. A `[MethodName]` section holds per-method parameter
-overrides; a key the method does not read (see `registry.PARAMS`) is an
-error. CLI `--set key=value` (or `--set Method.key=value`) pairs are
+overrides; a key the method does not read, or a value not of the key's type
+(see `registry.PARAMS`), is an error that `RunConfig.validate` raises before
+any method runs. CLI `--set key=value` (or `--set Method.key=value`) pairs are
 applied on top of the file; `fuse --set` uses the same grammar.
 
 The reference scene comes either from `input` (a raster path) or from the

@@ -108,9 +108,9 @@ def load_raster(path: str) -> SpectralImage:
             )
         wavelengths = [float(v) for v in values]
 
-    # SpectralImage widens to float64 and copies in one pass.
-    data = raw.reshape(bands, lines * samples)
-    return SpectralImage(lines, samples, data, wavelengths)
+    # A float64 payload is adopted as read; float32 is widened once.
+    data = raw.astype(np.float64, copy=False).reshape(bands, lines * samples)
+    return SpectralImage._adopt(lines, samples, data, wavelengths)
 
 
 def save_raster(path: str, img: SpectralImage, dtype: str = "float64") -> tuple[str, str]:

@@ -90,9 +90,9 @@ def _run_cnmf(ctx: MethodContext) -> SpectralImage:
         ctx.y_h,
         ctx.pan,
         ctx.model,
-        int(max(ctx.dim(), 2) if endmembers is None else endmembers),
-        outer_iters=int(p["outer_iters"]),
-        inner_iters=int(p["inner_iters"]),
+        max(ctx.dim(), 2) if endmembers is None else endmembers,
+        outer_iters=p["outer_iters"],
+        inner_iters=p["inner_iters"],
         seed=ctx.seed,
     )
 
@@ -104,7 +104,7 @@ def _run_bayes_naive(ctx: MethodContext) -> SpectralImage:
         ctx.pan,
         ctx.model,
         basis,
-        sigma_rounds=int(resolve_params("BayesNaive", ctx.params)["sigma_rounds"]),
+        sigma_rounds=resolve_params("BayesNaive", ctx.params)["sigma_rounds"],
     )
 
 
@@ -127,29 +127,48 @@ REGISTRY = {
 }
 
 
-# The parameters each method reads from `MethodContext.params`, with their
-# defaults; a method not listed reads none. CNMF's endmember count of None
-# means the subspace dimension, at least 2. CNMF runs 300 inner iterations:
-# the multiplicative updates are slow and `fuse_cnmf`'s default of 100 leaves
+# The parameters each method reads from `MethodContext.params`, as
+# (type, default); a method not listed reads none. A default of None means
+# "unset" and may also be given. CNMF's endmember count of None means the
+# subspace dimension, at least 2. CNMF runs 300 inner iterations: the
+# multiplicative updates are slow and `fuse_cnmf`'s default of 100 leaves
 # visible residual on smooth scenes.
 PARAMS = {
-    "CNMF": {"endmembers": None, "outer_iters": 2, "inner_iters": 300},
-    "BayesNaive": {"sigma_rounds": 5},
+    "CNMF": {
+        "endmembers": (int, None),
+        "outer_iters": (int, 2),
+        "inner_iters": (int, 300),
+    },
+    "BayesNaive": {"sigma_rounds": (int, 5)},
 }
 
 
 def resolve_params(name: str, given: dict | None) -> dict:
-    """`given` over the defaults of the parameters `name` reads; a key the
-    method does not read raises ValueError naming the accepted keys."""
+    """`given` over the defaults of the parameters `name` reads. A key the
+    method does not read, or a value not of the key's type, raises
+    ValueError."""
     accepted = PARAMS.get(name, {})
-    unknown = sorted(set(given or ()) - set(accepted))
+    given = given or {}
+    unknown = sorted(set(given) - set(accepted))
     if unknown:
         shown = ", ".join(k.replace("_", "-") for k in accepted) or "none"
         raise ValueError(
             f"method {name} does not read parameter {unknown[0].replace('_', '-')!r}"
             f" (accepted: {shown})"
         )
-    return {**accepted, **(given or {})}
+    resolved = {key: default for key, (_, default) in accepted.items()}
+    for key, value in given.items():
+        kind, default = accepted[key]
+        # bool is an int subclass, but `true` is no count.
+        if not (value is None and default is None) and (
+            isinstance(value, bool) or not isinstance(value, kind)
+        ):
+            raise ValueError(
+                f"method {name} parameter {key.replace('_', '-')!r} must be"
+                f" {kind.__name__}{' or none' if default is None else ''}, got {value!r}"
+            )
+        resolved[key] = value
+    return resolved
 
 
 def method_names() -> tuple[str, ...]:

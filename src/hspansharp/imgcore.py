@@ -3,6 +3,12 @@
 An image is stored as a bands x pixels float64 matrix with pixels in
 raster-scan (row-major) order, so spectral operators are plain matrix
 products and spatial operators reshape to (bands, height, width).
+
+The constructor copies its data into a read-only array. Code that has just
+created a C-ordered float64 array and will not write it again (a fusion
+method's working cube, an interpolation product, a raster payload) hands it
+over with the private `SpectralImage._adopt` instead, which freezes that
+array in place and skips the copy.
 """
 
 from __future__ import annotations
@@ -63,12 +69,43 @@ class SpectralImage:
     wavelengths: tuple | None = None
 
     def __post_init__(self):
+        self._settle(_readonly_f64(np.atleast_2d(self.data)))
+
+    @classmethod
+    def _adopt(cls, height, width, data: np.ndarray, wavelengths=None) -> "SpectralImage":
+        """Wrap `data` without copying it.
+
+        `data` must be a writable, C-contiguous float64 bands x pixels array
+        that the caller created and that nothing else refers to. It is made
+        read-only here and becomes the image's storage, so the caller must
+        not write it again. The constructor's checks, finiteness included,
+        still run.
+        """
+        if not (
+            isinstance(data, np.ndarray)
+            and data.dtype == np.float64
+            and data.flags.c_contiguous
+            and data.flags.writeable
+        ):
+            raise ValueError(
+                "only a writable C-contiguous float64 array can be adopted"
+            )
+        img = cls.__new__(cls)
+        object.__setattr__(img, "height", height)
+        object.__setattr__(img, "width", width)
+        object.__setattr__(img, "wavelengths", wavelengths)
+        data.flags.writeable = False
+        img._settle(data)
+        return img
+
+    def _settle(self, data: np.ndarray) -> None:
+        """Validate the fields and store `data`, a read-only C-ordered
+        float64 array."""
         h, w = int(self.height), int(self.width)
         object.__setattr__(self, "height", h)
         object.__setattr__(self, "width", w)
         if h <= 0 or w <= 0:
             raise ValueError(f"image dims must be positive, got {h}x{w}")
-        data = _readonly_f64(np.atleast_2d(self.data))
         if data.ndim != 2:
             raise ValueError("image data must be a 2-D bands x pixels matrix")
         if data.shape[1] != h * w:

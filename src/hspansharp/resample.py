@@ -6,7 +6,12 @@ blur_downsample and the round trip through an impulse kernel is lossless.
 Out-of-range source coordinates use symmetric (mirror) extension. Each axis
 is one (n * ratio) x n interpolation matrix M, so `upsample` is M_h X M_w^T.
 `upsample_data` returns that product as a fresh writable array, for the
-fusion methods that inject detail into it in place and wrap it once.
+fusion methods that inject detail into it in place and hand it to
+`SpectralImage` without a copy.
+
+Every row of M sums to one, so interpolation maps a constant to itself and
+commutes with centring. `upsampled_moments` uses that to give the band means
+and covariance of the interpolated cube from the low-resolution cube alone.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 
 from .imgcore import SpectralImage
 
-__all__ = ["upsample", "upsample_data"]
+__all__ = ["upsample", "upsample_data", "upsampled_moments"]
 
 # Catmull-Rom bicubic parameter.
 _BICUBIC_A = -0.5
@@ -65,20 +70,47 @@ def _axis_matrix(n_in: int, ratio: int, method: str) -> np.ndarray:
     return matrix
 
 
+def _axis_matrices(img: SpectralImage, ratio: int, method: str):
+    """The row and column interpolation matrices of `img` grown by `ratio`."""
+    if ratio < 1:
+        raise ValueError("ratio must be a positive integer")
+    if method not in ("bilinear", "bicubic"):
+        raise ValueError(f"unknown interpolation method: {method!r}")
+    return (
+        _axis_matrix(img.height, ratio, method),
+        _axis_matrix(img.width, ratio, method),
+    )
+
+
 def upsample_data(img: SpectralImage, ratio: int, method: str = "bicubic") -> np.ndarray:
     """`upsample(img, ratio, method).data` as a fresh, writable bands x pixels
     array that shares no memory with `img`.
 
     method is "bilinear" or "bicubic" (Catmull-Rom, a = -0.5).
     """
-    ratio = int(ratio)
-    if ratio < 1:
-        raise ValueError("ratio must be a positive integer")
-    if method not in ("bilinear", "bicubic"):
-        raise ValueError(f"unknown interpolation method: {method!r}")
-    rows = _axis_matrix(img.height, ratio, method)
-    cols = _axis_matrix(img.width, ratio, method)
+    rows, cols = _axis_matrices(img, int(ratio), method)
     return (rows @ img.to_cube() @ cols.T).reshape(img.bands, -1)
+
+
+def upsampled_moments(
+    img: SpectralImage, ratio: int, method: str = "bicubic"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Band means and population band covariance of
+    `upsample_data(img, ratio, method)`, computed on the grid of `img`.
+
+    With R, K the row and column matrices and N the interpolated pixel
+    count, band k's mean is m_k = (1^T R) Y_k (K^T 1) / N. As the rows of R
+    and K sum to one, the centred interpolated band is R Z_k K^T with
+    Z_k = Y_k - m_k, so the covariance is <Z_j, (R^T R) Z_k (K^T K)> / N.
+    """
+    rows, cols = _axis_matrices(img, int(ratio), method)
+    count = rows.shape[0] * cols.shape[0]
+    cube = img.to_cube()
+    means = rows.sum(axis=0) @ cube @ cols.sum(axis=0) / count
+    centred = cube - means[:, np.newaxis, np.newaxis]
+    spread = (rows.T @ rows) @ centred @ (cols.T @ cols)
+    flat = centred.reshape(img.bands, -1)
+    return means, flat @ spread.reshape(img.bands, -1).T / count
 
 
 def upsample(img: SpectralImage, ratio: int, method: str = "bicubic") -> SpectralImage:
@@ -87,7 +119,7 @@ def upsample(img: SpectralImage, ratio: int, method: str = "bicubic") -> Spectra
     method is "bilinear" or "bicubic" (Catmull-Rom, a = -0.5).
     """
     ratio = int(ratio)
-    return SpectralImage(
+    return SpectralImage._adopt(
         img.height * ratio,
         img.width * ratio,
         upsample_data(img, ratio, method),

@@ -4,6 +4,7 @@ import pytest
 from hspansharp.fusion.cs import (
     PcaTransform,
     _inject,
+    _principal_axes,
     fuse_gs,
     fuse_gsa,
     fuse_pca,
@@ -12,8 +13,8 @@ from hspansharp.fusion.cs import (
     pca_transform,
 )
 from hspansharp.imgcore import SpectralImage
-from hspansharp.resample import upsample
-from hspansharp.sensorsim import BlurKernel
+from hspansharp.resample import upsample, upsampled_moments
+from hspansharp.sensorsim import BlurKernel, blur_downsample
 
 
 def random_img(bands, height, width, seed=0):
@@ -230,3 +231,40 @@ class TestFuseGsa:
             img.with_data(1.8 * img.data), pan.with_data(1.8 * pan.data), 2, kernel
         )
         np.testing.assert_allclose(scaled.data, 1.8 * base.data, rtol=1e-10, atol=1e-10)
+
+
+class TestStatisticsFromLowResolution:
+    """GS and GSA gains and the PCA loading come from the low-resolution
+    cube; they must equal the values taken from the formed interpolated
+    cube."""
+
+    @staticmethod
+    def formed_cube_gs(img, pan, ratio, w):
+        y_up = upsample(img, ratio, "bicubic").data
+        o_l = w @ y_up
+        centred = o_l - o_l.mean()
+        gains = (y_up - y_up.mean(axis=1, keepdims=True)) @ centred / (centred @ centred)
+        return y_up + np.outer(gains, match_moments(pan.data[0], o_l) - o_l)
+
+    @pytest.mark.parametrize("ratio", [2, 3, 4, 5])
+    def test_gs_and_gsa_gains(self, ratio):
+        img = random_img(5, 4, 3, seed=40 + ratio)
+        pan = random_img(1, 4 * ratio, 3 * ratio, seed=50 + ratio)
+        kernel = BlurKernel([0.25, 0.5, 0.25])
+        w_gsa = gsa_weights(img.data, blur_downsample(pan, kernel, ratio).data[0])
+        for got, w in (
+            (fuse_gs(img, pan, ratio), np.full(5, 0.2)),
+            (fuse_gsa(img, pan, ratio, kernel), w_gsa),
+        ):
+            want = self.formed_cube_gs(img, pan, ratio, w)
+            np.testing.assert_allclose(
+                got.data, want, rtol=0, atol=1e-12 * np.abs(want).max()
+            )
+
+    @pytest.mark.parametrize("ratio", [2, 3, 4, 5])
+    def test_pca_first_loading(self, ratio):
+        img = random_img(6, 3, 5, seed=60 + ratio)
+        _, cov = upsampled_moments(img, ratio, "bicubic")
+        got = _principal_axes(cov, img.data)[1][0]
+        want = pca_transform(upsample(img, ratio, "bicubic")).loadings[0]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

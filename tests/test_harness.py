@@ -219,12 +219,19 @@ inner-iters = 50
 
         monkeypatch.setitem(REGISTRY, "CNMF", capture)
         hs, pan = tiny_pair(tmp_path)
-        assert main([
+        code = main([
             "fuse", "--method", "CNMF", "--hs", hs, "--pan", pan,
             "--out", str(tmp_path / "out"), "--set", f"endmembers={value}",
-        ]) == 0
-        config = apply_overrides(RunConfig(), [f"CNMF.endmembers={value}"])
-        bench_value = config.method_params["CNMF"]["endmembers"]
+        ])
+        pair = [f"CNMF.endmembers={value}"]
+        if value not in ("3", "none"):
+            # Not an integer or none: both refuse it before the method runs.
+            assert code == 1 and seen == []
+            with pytest.raises(ValueError, match="must be int or none"):
+                apply_overrides(RunConfig(), pair)
+            return
+        assert code == 0
+        bench_value = apply_overrides(RunConfig(), pair).method_params["CNMF"]["endmembers"]
         assert seen == [{"endmembers": bench_value}]
         assert type(seen[0]["endmembers"]) is type(bench_value)
 
@@ -575,6 +582,32 @@ class TestCli:
         assert code == 1
         assert "method GS does not read parameter 'endmembers'" in capsys.readouterr().err
         assert not os.path.exists(out + ".dat")
+
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            ("CNMF.endmembers=2.7", "parameter 'endmembers' must be int or none, got 2.7"),
+            ("CNMF.inner-iters=abc", "parameter 'inner-iters' must be int, got 'abc'"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["bench", "fuse"])
+    def test_mistyped_method_value_returns_one_before_any_method(
+        self, tmp_path, capsys, monkeypatch, command, pair, message
+    ):
+        calls = []
+        for name in method_names():
+            monkeypatch.setitem(REGISTRY, name, lambda ctx, name=name: calls.append(name))
+        out = str(tmp_path / "out")
+        if command == "bench":
+            argv = ["bench", "--output-dir", out, "--set", pair]
+        else:
+            hs, pan = tiny_pair(tmp_path)
+            argv = ["fuse", "--method", "CNMF", "--hs", hs, "--pan", pan,
+                    "--out", out, "--set", pair]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+        assert calls == []
+        assert not os.path.exists(out) and not os.path.exists(out + ".dat")
 
     def bench_config(self, tmp_path, name="bench.cfg", extra=""):
         cfg = tmp_path / name

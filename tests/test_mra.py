@@ -75,14 +75,16 @@ class TestGlpLowpass:
 class TestHpmGain:
     def test_hand_value(self):
         # gain = Y / P_L = 3 / 1.5 = 2
-        gain = _hpm_gain(np.array([3.0]), np.array([1.5]), DynamicRange(0.0, 10.0))
+        out = np.empty(1)
+        gain = _hpm_gain(np.array([3.0]), np.array([1.5]), DynamicRange(0.0, 10.0), out)
+        assert gain is out
         assert gain[0] == 2.0
 
     def test_guard_on_vanishing_lowpass(self):
         # The guard is 1e-8 of the span 10: |P_L| = 5e-8 falls below it and
         # gets unit gain instead of a division; 2e-7 lies above and divides.
         rng = DynamicRange(0.0, 10.0)
-        gain = _hpm_gain(np.array([3.0, 3.0]), np.array([5e-8, 2e-7]), rng)
+        gain = _hpm_gain(np.array([3.0, 3.0]), np.array([5e-8, 2e-7]), rng, np.empty(2))
         assert gain[0] == 1.0
         assert gain[1] == pytest.approx(3.0 / 2e-7)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hspansharp.imgcore import SpectralImage
-from hspansharp.resample import upsample, upsample_data
+from hspansharp.resample import _axis_matrix, upsample, upsample_data, upsampled_moments
 from hspansharp.sensorsim import BlurKernel, blur_downsample, default_phase
 
 from oracles import oracle_upsample
@@ -80,7 +80,7 @@ class TestUpsample:
 
     def test_invalid_args(self):
         img = ramp_img(1, 2, 2)
-        for fn in (upsample, upsample_data):
+        for fn in (upsample, upsample_data, upsampled_moments):
             with pytest.raises(ValueError):
                 fn(img, 0)
             with pytest.raises(ValueError):
@@ -97,3 +97,34 @@ class TestUpsampleData:
         assert got.shape == (3, 20 * ratio * ratio)
         assert got.flags.writeable
         assert not np.shares_memory(got, img.data)
+
+
+class TestUpsampledMoments:
+    @pytest.mark.parametrize("method", ["bilinear", "bicubic"])
+    @pytest.mark.parametrize("ratio", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_axis_rows_sum_to_one(self, n, ratio, method):
+        # Interpolation maps a constant to itself, so centring commutes with
+        # it; `upsampled_moments` is exact only because of this. Up to four
+        # cubic-polynomial taps are summed, so allow a few ulps of rounding.
+        rows = _axis_matrix(n, ratio, method).sum(axis=1)
+        np.testing.assert_allclose(rows, 1.0, rtol=0, atol=8 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("method", ["bilinear", "bicubic"])
+    @pytest.mark.parametrize("ratio", [2, 3, 4, 5])
+    @pytest.mark.parametrize("shape", [(4, 7), (6, 3), (1, 5), (5, 1)])
+    def test_match_formed_cube(self, shape, ratio, method):
+        height, width = shape
+        rng = np.random.default_rng(ratio * 10 + height)
+        img = SpectralImage(
+            height, width, rng.uniform(0.1, 1.0, (4, height * width)) + np.arange(4)[:, None]
+        )
+        means, cov = upsampled_moments(img, ratio, method)
+        formed = upsample_data(img, ratio, method)
+        want_cov = np.cov(formed, bias=True)
+        np.testing.assert_allclose(
+            means, formed.mean(axis=1), rtol=0, atol=1e-12 * np.abs(formed).max()
+        )
+        np.testing.assert_allclose(
+            cov, want_cov, rtol=0, atol=1e-12 * np.abs(want_cov).max()
+        )
