@@ -45,6 +45,11 @@ __all__ = [
     "estimate_sensor",
 ]
 
+# The default subspace keeps this share of the squared singular values of
+# Y_H, in at most this many directions.
+_ENERGY = 0.999
+_MAX_DIM = 10
+
 
 @dataclass(frozen=True)
 class SubspaceBasis:
@@ -78,12 +83,13 @@ def learn_subspace(y_h: SpectralImage, p: int) -> SubspaceBasis:
     return SubspaceBasis(H * np.where(signs == 0, 1.0, signs)[np.newaxis, :])
 
 
-def default_subspace_dim(y_h: SpectralImage, energy: float = 0.999, cap: int = 10) -> int:
-    """Singular-energy knee: smallest p capturing `energy`, capped."""
+def default_subspace_dim(y_h: SpectralImage) -> int:
+    """Singular-energy knee: smallest p capturing `_ENERGY` of the squared
+    singular values, at most `_MAX_DIM`."""
     sing = np.linalg.svd(y_h.data, compute_uv=False)
     frac = np.cumsum(sing**2) / (sing**2).sum()
-    p = int(np.searchsorted(frac, energy) + 1)
-    return min(p, cap, y_h.bands)
+    p = int(np.searchsorted(frac, _ENERGY) + 1)
+    return min(p, _MAX_DIM, y_h.bands)
 
 
 # ---------------------------------------------------------------------------
@@ -102,33 +108,23 @@ def _noise_weights(model: SensorModel, bands: int) -> tuple[np.ndarray, float]:
     return wh, wm
 
 
-def _basis_matrix(basis) -> np.ndarray:
-    return basis.H if isinstance(basis, SubspaceBasis) else np.asarray(basis, float)
-
-
 def negative_log_posterior(
     U: np.ndarray,
     y_h: SpectralImage,
     y_m: SpectralImage,
     model: SensorModel,
-    basis,
-    regularizer=None,
-    lam: float = 0.0,
+    basis: SubspaceBasis,
 ) -> float:
-    """0.5||L_H^-1/2 (Y_H - HUBS)||^2 + 0.5||L_M^-1/2 (Y_M - RHU)||^2
-    + lam * regularizer(U), with unit weights where a noise std is zero."""
-    H = _basis_matrix(basis)
+    """0.5||L_H^-1/2 (Y_H - HUBS)||^2 + 0.5||L_M^-1/2 (Y_M - RHU)||^2, with
+    unit weights where a noise std is zero."""
+    H = basis.H
     U = np.asarray(U, dtype=np.float64)
     wh, wm = _noise_weights(model, y_h.bands)
-    phase = default_phase(model.ratio)
     x_cube = (H @ U).reshape(y_h.bands, y_m.height, y_m.width)
-    low = degrade(x_cube, model.blur.taps, model.ratio, phase)
+    low = degrade(x_cube, model.blur.taps, model.ratio)
     resid_h = (y_h.data - low.reshape(y_h.bands, -1)) * wh[:, np.newaxis]
     resid_m = (y_m.data - model.spectral_response @ (H @ U)) * wm
-    value = 0.5 * float((resid_h**2).sum()) + 0.5 * float((resid_m**2).sum())
-    if regularizer is not None and lam != 0.0:
-        value += lam * float(regularizer(U))
-    return value
+    return 0.5 * float((resid_h**2).sum()) + 0.5 * float((resid_m**2).sum())
 
 
 @dataclass(frozen=True)
@@ -209,9 +205,8 @@ def bayes_naive_solve(
     H = basis.H
     p = basis.p
     n = pan.pixels
-    phase = default_phase(ratio)
-    dh = degrade_axis(pan.height, model.blur.taps, ratio, phase)
-    dw = degrade_axis(pan.width, model.blur.taps, ratio, phase)
+    dh = degrade_axis(pan.height, model.blur.taps, ratio)
+    dw = degrade_axis(pan.width, model.blur.taps, ratio)
     lam_h, qh = np.linalg.eigh(dh.T @ dh)
     lam_w, qw = np.linalg.eigh(dw.T @ dw)
     lam_k = np.outer(np.maximum(lam_h, 0.0), np.maximum(lam_w, 0.0)).ravel()
@@ -247,10 +242,10 @@ def fuse_bayes_naive(
     pan: SpectralImage,
     model: SensorModel,
     basis: SubspaceBasis,
-    priors: BayesNaivePriors | None = None,
     sigma_rounds: int = 5,
 ) -> SpectralImage:
-    result = bayes_naive_solve(y_h, pan, model, basis, priors, sigma_rounds)
+    """H U from `bayes_naive_solve` under the default priors."""
+    result = bayes_naive_solve(y_h, pan, model, basis, sigma_rounds=sigma_rounds)
     return SpectralImage._adopt(
         pan.height, pan.width, basis.H @ result.U, y_h.wavelengths
     )
@@ -478,12 +473,11 @@ def fuse_hysure(
     pan: SpectralImage,
     basis: SubspaceBasis,
     model: SensorModel,
-    params: HySureParams | None = None,
     rng: DynamicRange | None = None,
 ) -> SpectralImage:
-    """Variational fusion; output optionally clipped to the dynamic range."""
-    if params is None:
-        params = default_hysure_params(y_h, pan, basis, model)
+    """Variational fusion under `default_hysure_params`; output optionally
+    clipped to the dynamic range."""
+    params = default_hysure_params(y_h, pan, basis, model)
     result = hysure_solve(y_h, pan, basis, model, params)
     fused = basis.H @ result.U
     if rng is not None:
@@ -527,7 +521,6 @@ def _solve_taps_one_axis(
     taps: np.ndarray,
     axis: int,
     ratio: int,
-    phase: int,
     lambda_b: float,
 ) -> np.ndarray:
     """Least-squares update of the shared symmetric taps along one axis,
@@ -540,10 +533,10 @@ def _solve_taps_one_axis(
     if axis == -2:
         target, y_m_cube = target.swapaxes(-1, -2), y_m_cube.swapaxes(-1, -2)
     height, width = y_m_cube.shape[-2:]
-    fixed = degrade_axis(height, taps, ratio, phase) @ y_m_cube
+    fixed = degrade_axis(height, taps, ratio) @ y_m_cube
     tap_map = _tap_matrix(support)
     feats = np.array(
-        [(fixed @ degrade_axis(width, t, ratio, phase).T).ravel() for t in tap_map.T]
+        [(fixed @ degrade_axis(width, t, ratio).T).ravel() for t in tap_map.T]
     )
     design = feats[1:] - 2.0 * feats[0]
     resid = target.ravel() - feats[0]
@@ -591,7 +584,6 @@ def estimate_sensor(
         raise ValueError("height and width ratios disagree")
     if y_h.data.std() == 0 or y_m.data.std() == 0:
         raise ValueError("degenerate (constant) input image")
-    phase = default_phase(ratio)
     m_lambda = y_h.bands
     n_lambda = y_m.bands
     y_m_cube = y_m.to_cube()
@@ -601,7 +593,7 @@ def estimate_sensor(
     response = np.full((n_lambda, m_lambda), 1.0 / m_lambda)
 
     def degraded_ym(t):
-        return degrade(y_m_cube, t, ratio, phase).reshape(n_lambda, -1)
+        return degrade(y_m_cube, t, ratio).reshape(n_lambda, -1)
 
     def objective(resp, t):
         resid = resp @ y_h.data - degraded_ym(t)
@@ -618,8 +610,8 @@ def estimate_sensor(
             response = candidate
 
         t2 = (response @ y_h.data).reshape(n_lambda, y_h.height, y_h.width)
-        new_taps = _solve_taps_one_axis(t2, y_m_cube, taps, -1, ratio, phase, lambda_b)
-        new_taps = _solve_taps_one_axis(t2, y_m_cube, new_taps, -2, ratio, phase, lambda_b)
+        new_taps = _solve_taps_one_axis(t2, y_m_cube, taps, -1, ratio, lambda_b)
+        new_taps = _solve_taps_one_axis(t2, y_m_cube, new_taps, -2, ratio, lambda_b)
         if objective(response, new_taps) <= objective(response, taps):
             taps = new_taps
 

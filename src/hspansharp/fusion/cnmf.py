@@ -23,12 +23,16 @@ __all__ = [
     "CnmfResult",
     "vca",
     "nmf_update_spectra",
-    "nmf_update_abundances",
     "cnmf_solve",
     "fuse_cnmf",
 ]
 
+# Added to each multiplicative update's denominator; also the floor of the
+# relative stopping test.
 _EPS = 1e-12
+# Entry of the stacked sum-to-one penalty row: the larger, the closer each
+# abundance column sums to one.
+_DELTA = 10.0
 
 
 @dataclass(frozen=True)
@@ -114,36 +118,25 @@ def vca(y: np.ndarray, p: int, seed: int = 0) -> np.ndarray:
 
 
 def nmf_update_spectra(
-    spectra: np.ndarray, abundances: np.ndarray, data: np.ndarray, eps: float = _EPS
+    spectra: np.ndarray, abundances: np.ndarray, data: np.ndarray
 ) -> np.ndarray:
     """Multiplicative spectra step: H <- H (Y U^T) / (H U U^T + eps)."""
-    return spectra * (data @ abundances.T) / (spectra @ (abundances @ abundances.T) + eps)
+    return spectra * (data @ abundances.T) / (spectra @ (abundances @ abundances.T) + _EPS)
 
 
-def _abundance_step(
-    abundances: np.ndarray, hty: np.ndarray, hth: np.ndarray, eps: float = _EPS
-) -> np.ndarray:
-    """U <- U (H^T Y) / (H^T H U + eps) from the products H^T Y and H^T H,
-    written over `abundances` and returned."""
+def _abundance_step(abundances: np.ndarray, hty: np.ndarray, hth: np.ndarray) -> np.ndarray:
+    """Multiplicative abundance step U <- U (H^T Y) / (H^T H U + eps) from the
+    products H^T Y and H^T H, written over `abundances` and returned."""
     denom = hth @ abundances
-    denom += eps
+    denom += _EPS
     abundances *= hty
     abundances /= denom
     return abundances
 
 
-def nmf_update_abundances(
-    spectra: np.ndarray, abundances: np.ndarray, data: np.ndarray, eps: float = _EPS
-) -> np.ndarray:
-    """Multiplicative abundance step: U <- U (H^T Y) / (H^T H U + eps)."""
-    return _abundance_step(
-        abundances.astype(np.float64), spectra.T @ data, spectra.T @ spectra, eps
-    )
-
-
-def _augment(matrix: np.ndarray, delta: float) -> np.ndarray:
-    """Stack the sum-to-one penalty row (every entry delta) under `matrix`."""
-    return np.vstack([matrix, np.full((1, matrix.shape[1]), delta)])
+def _augment(matrix: np.ndarray) -> np.ndarray:
+    """Stack the sum-to-one penalty row (every entry `_DELTA`) under `matrix`."""
+    return np.vstack([matrix, np.full((1, matrix.shape[1]), _DELTA)])
 
 
 def _objective(
@@ -164,7 +157,6 @@ def cnmf_solve(
     outer_iters: int = 2,
     inner_iters: int = 100,
     seed: int = 0,
-    delta: float = 10.0,
     tol: float = 1e-6,
 ) -> CnmfResult:
     """Run the coupled factorization and return factors plus objective traces.
@@ -187,9 +179,9 @@ def cnmf_solve(
     # Nonnegative per-pixel unmixing against the VCA spectra seeds the
     # abundances; a flat start lets the first spectra updates drift away
     # from the vertices VCA already found.
-    h_aug = _augment(spectra, delta)
-    y_aug = _augment(data_h, delta)
-    p_aug = _augment(data_p, delta)
+    h_aug = _augment(spectra)
+    y_aug = _augment(data_h)
+    p_aug = _augment(data_p)
     abund_low = np.column_stack(
         [nnls(h_aug, y_aug[:, j])[0] for j in range(y_h.pixels)]
     )
@@ -222,7 +214,7 @@ def cnmf_solve(
             abund_high = np.maximum(upsample_data(low_img, ratio, "bilinear"), 0.0)
         # The PAN loop updates only the abundances, so H^T Y and H^T H of the
         # stacked PAN spectra are formed once per loop.
-        hp_aug = _augment(response @ spectra, delta)
+        hp_aug = _augment(response @ spectra)
         hty, hth = hp_aug.T @ p_aug, hp_aug.T @ hp_aug
         trace = [_objective(hp_aug, abund_high, p_aug, p_resid)]
         for _ in range(inner_iters):
@@ -248,11 +240,8 @@ def fuse_cnmf(
     outer_iters: int = 2,
     inner_iters: int = 100,
     seed: int = 0,
-    delta: float = 10.0,
 ) -> SpectralImage:
     """Fused image H U from the coupled factorization."""
-    result = cnmf_solve(
-        y_h, pan, model, p, outer_iters, inner_iters, seed, delta
-    )
+    result = cnmf_solve(y_h, pan, model, p, outer_iters, inner_iters, seed)
     fused = result.endmembers.spectra @ result.endmembers.abundances
     return SpectralImage._adopt(pan.height, pan.width, fused, y_h.wavelengths)

@@ -30,6 +30,10 @@ __all__ = [
     "fuse_gsa",
 ]
 
+# Ridge added to the GSA normal equations when the band Gram matrix is
+# numerically singular.
+_RIDGE = 1e-8
+
 
 @dataclass(frozen=True)
 class PcaTransform:
@@ -156,7 +160,7 @@ def fuse_gs(y_h: SpectralImage, pan: SpectralImage, ratio: int) -> SpectralImage
     return _gs_inject(y_h, pan, ratio, np.full(y_h.bands, 1.0 / y_h.bands))
 
 
-def gsa_weights(y_h_matrix: np.ndarray, pan_low: np.ndarray, ridge: float = 1e-8) -> np.ndarray:
+def gsa_weights(y_h_matrix: np.ndarray, pan_low: np.ndarray) -> np.ndarray:
     """Least-squares weights fitting the degraded PAN from the HS bands,
     solved via the normal equations with a ridge when rank deficient."""
     y = np.asarray(y_h_matrix, dtype=np.float64)
@@ -167,19 +171,15 @@ def gsa_weights(y_h_matrix: np.ndarray, pan_low: np.ndarray, ridge: float = 1e-8
     rhs = y @ p
     evals = np.linalg.eigvalsh(gram)
     if evals[0] <= 1e-12 * max(evals[-1], 1.0):
-        gram = gram + ridge * np.eye(gram.shape[0])
+        gram = gram + _RIDGE * np.eye(gram.shape[0])
     return np.linalg.solve(gram, rhs)
 
 
 def fuse_gsa(
-    y_h: SpectralImage,
-    pan: SpectralImage,
-    ratio: int,
-    blur: BlurKernel,
-    phase: int | None = None,
+    y_h: SpectralImage, pan: SpectralImage, ratio: int, blur: BlurKernel
 ) -> SpectralImage:
     """GS Adaptive: intensity weights regressed against the PAN degraded to
     the hyperspectral grid, then the usual GS injection."""
-    pan_low = blur_downsample(pan, blur, ratio, phase)
+    pan_low = blur_downsample(pan, blur, ratio)
     w = gsa_weights(y_h.data, pan_low.data[0])
     return _gs_inject(y_h, pan, ratio, w)

@@ -72,6 +72,8 @@ def _equalized_fusion(
     come from the low-resolution bands (`upsampled_moments`).
     """
     ratio = int(ratio)
+    if pan.bands != 1:
+        raise ValueError("PAN image must hold a single band")
     if (pan.height, pan.width) != (y_h.height * ratio, y_h.width * ratio):
         raise ValueError("PAN dims must equal the upsampled band dims")
     p = pan.data[0]

@@ -125,12 +125,12 @@ def _cmd_degrade(args) -> int:
 
 def _cmd_fuse(args) -> int:
     # Bare keys name parameters of --method; the config grammar parses and
-    # checks every pair.
+    # checks every pair, and the subspace dimension with them.
     pairs = [
         pair if "." in pair.partition("=")[0] else f"{args.method}.{pair}"
         for pair in args.overrides
     ]
-    params = apply_overrides(RunConfig(), pairs).method_params.get(args.method)
+    config = apply_overrides(RunConfig(subspace_dim=args.subspace_dim), pairs)
     y_h = load_raster(args.hs)
     pan = load_raster(args.pan)
     if pan.height % y_h.height or pan.width % y_h.width:
@@ -153,8 +153,8 @@ def _cmd_fuse(args) -> int:
         range=DynamicRange(lo, hi if hi > lo else lo + 1.0),
         gnyq=args.gnyq,
         seed=args.seed,
-        subspace_dim=args.subspace_dim,
-        params=params,
+        subspace_dim=config.subspace_dim,
+        params=config.method_params.get(args.method),
     )
     try:
         fused = get_method(args.method)(ctx)

@@ -3,10 +3,13 @@
 Config files are line-oriented `key = value` text with `#`/`;` comments.
 Keys are kebab-case in files and map onto the snake_case fields of
 `RunConfig`. A `[MethodName]` section holds per-method parameter
-overrides; a key the method does not read, or a value not of the key's type
-(see `registry.PARAMS`), is an error that `RunConfig.validate` raises before
-any method runs. CLI `--set key=value` (or `--set Method.key=value`) pairs are
-applied on top of the file; `fuse --set` uses the same grammar.
+overrides. There is one grammar: each file line is read as the CLI pair
+`key=value`, or `Method.key=value` inside a section, and `apply_overrides`
+parses every pair. `--set` pairs are applied on top of the file, and
+`fuse --set` uses the same grammar. `RunConfig.validate` checks every value
+before any method runs: each field's type, each range, and for a method
+parameter that the method reads the key and that the value has the key's
+type (see `registry.PARAMS`).
 
 The reference scene comes either from `input` (a raster path) or from the
 synthetic-scene fields. Noise is specified as an SNR in dB (`snr-db`,
@@ -23,7 +26,40 @@ from .registry import method_names, resolve_params
 __all__ = ["RunConfig", "parse_config", "apply_overrides"]
 
 _TIMING_MODES = ("wall", "off")
-_LIST_KEYS = ("methods", "percentiles", "pan_window", "pan_weights")
+
+
+def _is_int(value) -> bool:
+    # bool is an int subclass, but `true` is no count.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _is_text(value) -> bool:
+    return isinstance(value, str) and value != ""
+
+
+def _is_reals(value) -> bool:
+    return isinstance(value, tuple) and all(map(_is_real, value))
+
+
+def _is_names(value) -> bool:
+    return isinstance(value, tuple) and all(map(_is_text, value))
+
+
+# The test and description of each field annotation, less any `| None`: a
+# field whose default is None may also be None.
+_KINDS = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_real, "a number"),
+    "str": (_is_text, "a non-empty string"),
+    "tuple[float, float]": (_is_reals, "a list of numbers"),
+    "tuple[float, ...]": (_is_reals, "a list of numbers"),
+    "tuple[str, ...]": (_is_names, "a list of names"),
+    "dict": (lambda value: isinstance(value, dict), "a table"),
+}
 
 
 @dataclass(frozen=True)
@@ -49,8 +85,17 @@ class RunConfig:
     method_params: dict = field(default_factory=dict)
 
     def validate(self) -> "RunConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            test, kind = _KINDS[f.type.removesuffix(" | None")]
+            if not (test(value) or (value is None and f.default is None)):
+                raise ValueError(
+                    f"{f.name.replace('_', '-')} must be {kind}, got {value!r}"
+                )
         if self.input is None and min(self.height, self.width, self.bands) < 1:
             raise ValueError("scene dims must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.ratio < 2:
             raise ValueError("ratio must be at least 2 for fusion runs")
         if self.input is None and (self.height % self.ratio or self.width % self.ratio):
@@ -65,6 +110,8 @@ class RunConfig:
                 raise ValueError(f"{key} must be nonnegative")
         if self.pan_window is not None and len(self.pan_window) != 2:
             raise ValueError("pan-window needs exactly two wavelengths")
+        if self.subspace_dim is not None and self.subspace_dim < 1:
+            raise ValueError("subspace-dim must be at least 1 when set")
         if self.timing not in _TIMING_MODES:
             raise ValueError(f"timing must be one of {_TIMING_MODES}")
         known = method_names()
@@ -91,18 +138,6 @@ class RunConfig:
                 value = list(value)
             out[f.name] = value
         return out
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(raw)
-        for key in _LIST_KEYS:
-            if key in kwargs and kwargs[key] is not None:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
 
 
 def _coerce(text: str):
@@ -144,32 +179,24 @@ def _parse_base_value(key: str, value: str):
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse config text into a validated RunConfig."""
-    base: dict = {}
-    sections: dict = {}
-    current = None
+    """Parse config text into a validated RunConfig: each `key = value` line
+    is the pair `key=value` of `apply_overrides`, `Method.key=value` under a
+    `[Method]` section, applied to the defaults."""
+    pairs = []
+    section = None
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
-        if not line or line.startswith("#") or line.startswith(";"):
+        if not line or line.startswith(("#", ";")):
             continue
         if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
-            sections.setdefault(current, {})
+            section = line[1:-1].strip()
             continue
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        key = key.strip().lower().replace("-", "_")
-        value = value.strip()
-        if current is None:
-            base[key] = _parse_base_value(key, value)
-        else:
-            sections[current][key] = _coerce(value)
-    if sections:
-        base["method_params"] = sections
-    if base.get("output_dir") is None:
-        base.pop("output_dir", None)
-    return RunConfig.from_dict(base).validate()
+        key = key.strip() if section is None else f"{section}.{key.strip()}"
+        pairs.append(f"{key}={value.strip()}")
+    return apply_overrides(RunConfig(), pairs)
 
 
 def apply_overrides(config: RunConfig, pairs: list[str]) -> RunConfig:
@@ -189,7 +216,7 @@ def apply_overrides(config: RunConfig, pairs: list[str]) -> RunConfig:
             continue
         key = key.lower().replace("-", "_")
         if key not in names:
-            raise ValueError(f"unknown config key {key!r} in override")
+            raise ValueError(f"unknown config key {key!r}")
         parsed = _parse_base_value(key, value)
         if isinstance(parsed, list):
             parsed = tuple(parsed)

@@ -139,7 +139,11 @@ def save_raster(path: str, img: SpectralImage, dtype: str = "float64") -> tuple[
 
     with open(hdr_path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(header)
-    payload = np.ascontiguousarray(img.data, dtype=_DTYPE_CODES[code])
+    # One band at a time through one buffer, so a float32 write converts
+    # without a second copy of the whole image.
+    band = np.empty(img.pixels, dtype=_DTYPE_CODES[code])
     with open(dat_path, "wb") as fh:
-        fh.write(payload)
+        for values in img.data:
+            band[...] = values
+            fh.write(band)
     return hdr_path, dat_path

@@ -137,9 +137,6 @@ class SpectralImage:
         """(bands, height, width) view of the stored matrix."""
         return self.data.reshape(self.bands, self.height, self.width)
 
-    def band_image(self, k: int) -> np.ndarray:
-        return self.to_cube()[k]
-
     def with_data(self, data) -> "SpectralImage":
         """Same geometry and wavelengths, new sample values."""
         return SpectralImage(self.height, self.width, data, self.wavelengths)

@@ -21,8 +21,6 @@ __all__ = [
     "cc",
     "sam",
     "rmse",
-    "rmse_per_band",
-    "rmse_map",
     "ergas",
     "Reference",
     "QualityReport",
@@ -163,22 +161,6 @@ def rmse(xhat: SpectralImage, x: SpectralImage | Reference) -> float:
     return float(np.sqrt(band_mse.mean()))
 
 
-def rmse_per_band(xhat: SpectralImage, x: SpectralImage | Reference) -> np.ndarray:
-    band_mse, _, _ = _errors(xhat, x)
-    return np.sqrt(band_mse)
-
-
-def _rmse_map(pixel_mse: np.ndarray, ref: Reference) -> SpectralImage:
-    x = ref.image
-    return SpectralImage(x.height, x.width, np.sqrt(pixel_mse)[np.newaxis, :])
-
-
-def rmse_map(xhat: SpectralImage, x: SpectralImage | Reference) -> SpectralImage:
-    """Single-band image of per-pixel spectral RMSE."""
-    _, pixel_mse, ref = _errors(xhat, x)
-    return _rmse_map(pixel_mse, ref)
-
-
 def _ergas(band_mse: np.ndarray, ref: Reference, d: float) -> float:
     d = float(d)
     if d <= 0:
@@ -237,6 +219,8 @@ def compute_report(
         rmse=float(np.sqrt(band_mse.mean())),
         ergas=_ergas(band_mse, ref, d),
         rmse_per_band=tuple(float(v) for v in np.sqrt(band_mse)),
-        rmse_map=_rmse_map(pixel_mse, ref),
+        rmse_map=SpectralImage(
+            xhat.height, xhat.width, np.sqrt(pixel_mse)[np.newaxis, :]
+        ),
         wall_time_s=wall_time_s,
     )

@@ -1,8 +1,9 @@
 """Integer-factor upsampling with grid alignment matched to the decimator.
 
-Output sample j on each axis interpolates the input at (j - floor(ratio/2))
-/ ratio, so input pixel centers land exactly on the decimation sites kept by
-blur_downsample and the round trip through an impulse kernel is lossless.
+Output sample j on each axis interpolates the input at
+(j - sensorsim.default_phase(ratio)) / ratio, so input pixel centers land
+exactly on the decimation sites kept by blur_downsample and the round trip
+through an impulse kernel is lossless.
 Out-of-range source coordinates use symmetric (mirror) extension. Each axis
 is one (n * ratio) x n interpolation matrix M, so `upsample` is M_h X M_w^T.
 `upsample_data` returns that product as a fresh writable array, for the
@@ -19,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .imgcore import SpectralImage
+from .sensorsim import default_phase
 
 __all__ = ["upsample", "upsample_data", "upsampled_moments"]
 
@@ -46,8 +48,7 @@ def _cubic_weight(t: np.ndarray) -> np.ndarray:
 def _axis_plan(n_in: int, ratio: int, method: str):
     """Mirrored source indices and weights of each output sample when one
     axis grows to length n_in * ratio."""
-    offset = ratio // 2
-    src = (np.arange(n_in * ratio) - offset) / ratio
+    src = (np.arange(n_in * ratio) - default_phase(ratio)) / ratio
     base = np.floor(src).astype(np.int64)
     t = src - base
     if method == "bilinear":

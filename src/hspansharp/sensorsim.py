@@ -105,7 +105,11 @@ class SensorModel:
 
 
 def default_phase(ratio: int) -> int:
-    """Decimation phase that keeps the sample nearest each block center."""
+    """Decimation phase that keeps the sample nearest each block center.
+
+    It is the one phase of the package: `degrade_axis` keeps these samples
+    and `resample` centres its interpolation grid on them, so interpolation
+    and decimation always align."""
     return ratio // 2
 
 
@@ -127,31 +131,30 @@ def kernel_from_mtf(ratio: int, gnyq: float = 0.3) -> BlurKernel:
     return BlurKernel(taps / taps.sum())
 
 
-def degrade_axis(n: int, taps: np.ndarray, ratio: int, phase: int) -> np.ndarray:
+def degrade_axis(n: int, taps: np.ndarray, ratio: int) -> np.ndarray:
     """One axis of `degrade` as a matrix: the n x n reflect-boundary blur
     (row i holds the weights of output sample i, valid also below the kernel
-    radius), keeping rows phase, phase + ratio, ..."""
-    return convolve1d(np.eye(n), taps, axis=0, mode="reflect")[phase::ratio]
+    radius), keeping rows default_phase(ratio) + k ratio."""
+    blurred = convolve1d(np.eye(n), taps, axis=0, mode="reflect")
+    return blurred[default_phase(ratio)::ratio]
 
 
 def blur(cube: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Separable symmetric-boundary convolution over the two spatial axes:
     `degrade` with nothing decimated."""
-    return degrade(cube, taps, 1, 0)
+    return degrade(cube, taps, 1)
 
 
-def degrade(cube: np.ndarray, taps: np.ndarray, ratio: int, phase: int) -> np.ndarray:
+def degrade(cube: np.ndarray, taps: np.ndarray, ratio: int) -> np.ndarray:
     """Wald observation operator X B S: blur, then keep every ratio-th sample
-    starting at `phase` on both spatial axes."""
-    rows, cols = (degrade_axis(n, taps, ratio, phase) for n in cube.shape[-2:])
+    starting at `default_phase(ratio)` on both spatial axes."""
+    rows, cols = (degrade_axis(n, taps, ratio) for n in cube.shape[-2:])
     return rows @ cube @ cols.T
 
 
-def blur_downsample(
-    img: SpectralImage, kernel: BlurKernel, ratio: int, phase: int | None = None
-) -> SpectralImage:
+def blur_downsample(img: SpectralImage, kernel: BlurKernel, ratio: int) -> SpectralImage:
     """Blur each band with the separable kernel, then keep every ratio-th
-    sample starting at `phase` (default floor(ratio / 2)) on both axes."""
+    sample starting at `default_phase(ratio)` on both axes."""
     ratio = int(ratio)
     if ratio < 1:
         raise ValueError("ratio must be a positive integer")
@@ -159,12 +162,7 @@ def blur_downsample(
         raise ValueError(
             f"dims {img.height}x{img.width} not divisible by ratio {ratio}"
         )
-    if phase is None:
-        phase = default_phase(ratio)
-    phase = int(phase)
-    if not 0 <= phase < ratio:
-        raise ValueError(f"phase must lie in [0, {ratio}), got {phase}")
-    dec = degrade(img.to_cube(), kernel.taps, ratio, phase)
+    dec = degrade(img.to_cube(), kernel.taps, ratio)
     return SpectralImage(
         img.height // ratio,
         img.width // ratio,

@@ -3,11 +3,12 @@ import pytest
 from scipy.optimize import nnls
 
 from hspansharp.fusion.cnmf import (
+    _DELTA,
     CnmfResult,
     Endmembers,
+    _abundance_step,
     cnmf_solve,
     fuse_cnmf,
-    nmf_update_abundances,
     nmf_update_spectra,
     vca,
 )
@@ -96,6 +97,12 @@ class TestVca:
 def objective(h, u, y):
     r = y - h @ u
     return float((r * r).sum())
+
+
+def nmf_update_abundances(spectra, abundances, data):
+    """CNMF's multiplicative abundance step taken from the full factors, on a
+    copy of the abundances."""
+    return _abundance_step(abundances.copy(), spectra.T @ data, spectra.T @ spectra)
 
 
 class TestMultiplicativeUpdates:
@@ -250,9 +257,10 @@ class TestCnmfLoopOracle:
     )
     def test_bit_identical_to_published_loops(self, scene, p, tol):
         _, y_h, pan, model = scene()
-        args = (y_h, pan, model, p, 2, 60, 5, 10.0, tol)
-        result = cnmf_solve(*args)
-        spectra, abund_low, abund_high, hs, pan_traces = loop_oracle_run(*args)
+        result = cnmf_solve(y_h, pan, model, p, 2, 60, 5, tol)
+        spectra, abund_low, abund_high, hs, pan_traces = loop_oracle_run(
+            y_h, pan, model, p, 2, 60, 5, _DELTA, tol
+        )
         np.testing.assert_array_equal(
             result.endmembers.spectra @ result.endmembers.abundances,
             spectra @ abund_high,
@@ -266,12 +274,17 @@ class TestCnmfLoopOracle:
             np.testing.assert_array_equal(got, want)
 
     def test_update_leaves_its_input_alone(self):
+        # The spectra step returns a new array and writes none of its inputs.
         rng = np.random.default_rng(3)
-        h = rng.uniform(0.1, 1.0, (6, 3))
-        u = rng.uniform(0.1, 1.0, (3, 9))
-        before = u.copy()
-        nmf_update_abundances(h, u, rng.uniform(size=(6, 9)))
-        np.testing.assert_array_equal(u, before)
+        inputs = (
+            rng.uniform(0.1, 1.0, (6, 3)),
+            rng.uniform(0.1, 1.0, (3, 9)),
+            rng.uniform(size=(6, 9)),
+        )
+        before = [a.copy() for a in inputs]
+        nmf_update_spectra(*inputs)
+        for got, want in zip(inputs, before):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestFuseCnmf:

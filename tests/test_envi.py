@@ -1,5 +1,7 @@
 """Raster header/payload I/O."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,29 @@ class TestRoundTrip:
         _, dat = save_raster(str(tmp_path / "f"), img, dtype="float64")
         raw = np.fromfile(dat, dtype="<f8")
         assert np.array_equal(raw, np.arange(1.0, 9.0))
+
+
+class TestBandByBandWrite:
+    @pytest.mark.parametrize("dtype, code", [("float32", "<f4"), ("float64", "<f8")])
+    def test_payload_equals_whole_array_conversion(self, tmp_path, dtype, code):
+        rng = np.random.default_rng(6)
+        img = SpectralImage(7, 9, rng.normal(0.0, 1e3, (6, 63)))
+        _, dat = save_raster(str(tmp_path / "g"), img, dtype=dtype)
+        with open(dat, "rb") as fh:
+            assert fh.read() == np.ascontiguousarray(img.data, dtype=code).tobytes()
+
+    def test_float32_write_holds_a_few_bands(self, tmp_path):
+        # 120 bands of 100 x 100: 9.6 MB as float64, 40 kB per float32 band.
+        img = SpectralImage(
+            100, 100, np.random.default_rng(7).uniform(size=(120, 10_000))
+        )
+        tracemalloc.start()
+        try:
+            save_raster(str(tmp_path / "h"), img, dtype="float32")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.01 * img.data.nbytes
 
 
 class TestHeaderFormat:

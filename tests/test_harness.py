@@ -127,6 +127,19 @@ class TestRunConfig:
             dict(method_params={"HySure": {"max_iters": 1}}),
             dict(percentiles=(0.0,)),
             dict(percentiles=(101.0,)),
+            dict(height="abc"),
+            dict(seed=1.5),
+            dict(ratio=2.5),
+            dict(ratio=True),
+            dict(snr_db="abc"),
+            dict(gnyq=None),
+            dict(output_dir=None),
+            dict(output_dir=""),
+            dict(methods=["PCA"]),
+            dict(percentiles=(50.0, "x")),
+            dict(method_params=None),
+            dict(subspace_dim=0),
+            dict(seed=-1),
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -134,15 +147,22 @@ class TestRunConfig:
             small_config(**kwargs)
 
     def test_dict_round_trip(self):
+        # The config echo `report.json` holds, written back as config text,
+        # parses to the same config.
         config = small_config(
-            methods=("PCA",), snr_db=30.0, method_params={"CNMF": {"endmembers": 4}}
+            methods=("PCA",), snr_db=30.0, percentiles=(25.0, 75.0),
+            method_params={"CNMF": {"endmembers": 4}},
         )
-        rebuilt = RunConfig.from_dict(config.to_dict()).validate()
-        assert rebuilt == config
-
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="mystery"):
-            RunConfig.from_dict({"mystery": 1})
+        lines, sections = [], []
+        for key, value in config.to_dict().items():
+            if key == "method_params":
+                for name, params in value.items():
+                    sections.append(f"[{name}]")
+                    sections += [f"{k} = {v}" for k, v in params.items()]
+            elif value is not None:
+                text = ", ".join(map(str, value)) if isinstance(value, list) else value
+                lines.append(f"{key.replace('_', '-')} = {text}")
+        assert parse_config("\n".join(lines + sections)) == config
 
 
 class TestParseConfig:
@@ -187,6 +207,10 @@ inner-iters = 50
     def test_unknown_method_section_rejected(self):
         with pytest.raises(ValueError, match="Nope"):
             parse_config("[Nope]\nx = 1\n")
+
+    def test_empty_output_dir_rejected(self):
+        with pytest.raises(ValueError, match="output-dir"):
+            parse_config("output-dir =\n")
 
     def test_overrides_replace_values(self):
         config = parse_config(self.TEXT)
@@ -608,6 +632,45 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert calls == []
         assert not os.path.exists(out) and not os.path.exists(out + ".dat")
+
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            ("height=abc", "height must be an integer, got 'abc'"),
+            ("snr-db=abc", "snr-db must be a number, got 'abc'"),
+            ("seed=1.5", "seed must be an integer, got 1.5"),
+            ("ratio=2.5", "ratio must be an integer, got 2.5"),
+            ("subspace-dim=0", "subspace-dim must be at least 1"),
+            ("seed=-1", "seed must be nonnegative"),
+            ("output-dir=", "output-dir must be a non-empty string, got None"),
+        ],
+    )
+    def test_bad_config_value_returns_one_before_any_method(
+        self, tmp_path, capsys, monkeypatch, pair, message
+    ):
+        calls = []
+        for name in method_names():
+            monkeypatch.setitem(REGISTRY, name, lambda ctx, name=name: calls.append(name))
+        monkeypatch.chdir(tmp_path)
+        cfg = self.bench_config(tmp_path)
+        assert main(["bench", "--config", cfg, "--set", pair]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert calls == []
+        assert os.listdir(tmp_path) == ["bench.cfg"]
+
+    def test_fuse_zero_subspace_dim_returns_one_before_any_method(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setitem(REGISTRY, "HySure", lambda ctx: calls.append(ctx))
+        hs, pan = tiny_pair(tmp_path)
+        out = str(tmp_path / "out")
+        argv = ["fuse", "--method", "HySure", "--hs", hs, "--pan", pan,
+                "--out", out, "--subspace-dim", "0"]
+        assert main(argv) == 1
+        assert "subspace-dim must be at least 1" in capsys.readouterr().err
+        assert calls == [] and not os.path.exists(out + ".dat")
 
     def bench_config(self, tmp_path, name="bench.cfg", extra=""):
         cfg = tmp_path / name

@@ -3,7 +3,6 @@ import pytest
 
 from hspansharp.fusion.cs import pca_transform
 from hspansharp.fusion.hybrid import (
-    GuidedFilterParams,
     _axis_window_mean,
     default_component_count,
     fuse_gfpca,
@@ -106,14 +105,6 @@ class TestGuidedFilterPlane:
         np.testing.assert_allclose(out, a * guide + b, rtol=0, atol=1e-12)
 
 
-class TestGuidedFilterParams:
-    def test_params_validation(self):
-        with pytest.raises(ValueError):
-            GuidedFilterParams(0, 0.01)
-        with pytest.raises(ValueError):
-            GuidedFilterParams(1, -1.0)
-
-
 class TestSoftThreshold:
     def test_hand_values(self):
         out = soft_threshold(np.array([3.0, -0.5, 0.2, -2.0]), 0.5)
@@ -143,75 +134,63 @@ class TestDefaultComponentCount:
         assert default_component_count(np.ones(20)) == 10
 
     def test_never_exceeds_band_count(self):
-        assert default_component_count(np.array([1.0, 0.5]), cap=10) == 2
+        assert default_component_count(np.array([1.0, 0.5])) == 2
 
 
 class TestFuseGfpca:
-    def make_scene(self, seed=13):
+    def make_scene(self, seed=13, p=5):
+        """A 5-band 6 x 6 Y_H whose first p principal components carry all
+        but a trace of its variance, and a 12 x 12 PAN."""
         rng = np.random.default_rng(seed)
-        y_h = SpectralImage(6, 6, rng.uniform(0.1, 1.0, (5, 36)))
-        guide = SpectralImage(12, 12, rng.uniform(0.1, 1.0, (1, 144)))
-        return y_h, guide
+        weights = np.full(5, 1e-3)
+        weights[:p] = 1.0
+        q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+        data = 0.5 + 0.1 * (q * weights) @ rng.normal(size=(5, 36))
+        y_h = SpectralImage(6, 6, data)
+        pan = SpectralImage(12, 12, rng.uniform(0.1, 1.0, (1, 144)))
+        return y_h, pan
 
     def test_output_geometry_and_wavelengths(self):
         rng = np.random.default_rng(14)
         y_h = SpectralImage(
             6, 6, rng.uniform(0.1, 1.0, (3, 36)), wavelengths=(0.4, 0.5, 0.6)
         )
-        guide = SpectralImage(12, 12, rng.uniform(0.1, 1.0, (1, 144)))
-        fused = fuse_gfpca(y_h, guide, 2)
+        pan = SpectralImage(12, 12, rng.uniform(0.1, 1.0, (1, 144)))
+        fused = fuse_gfpca(y_h, pan, 2)
         assert (fused.bands, fused.height, fused.width) == (3, 12, 12)
         assert fused.wavelengths == (0.4, 0.5, 0.6)
-
-    def test_three_band_guide_accepted(self):
-        y_h, _ = self.make_scene()
-        rng = np.random.default_rng(15)
-        guide = SpectralImage(12, 12, rng.uniform(0.1, 1.0, (3, 144)))
-        fused = fuse_gfpca(y_h, guide, 2)
-        assert fused.bands == y_h.bands
-
-    def test_explicit_component_count_used(self):
-        y_h, guide = self.make_scene()
-        a = fuse_gfpca(y_h, guide, 2, p=1)
-        b = fuse_gfpca(y_h, guide, 2, p=5)
-        assert not np.allclose(a.data, b.data)
 
     @pytest.mark.parametrize("p", [2, 5])
     def test_matches_per_component_composition(self, p):
         # Each component on its own: upsample, then either guided-filter
-        # against every guide plane and average, or soft-threshold first.
-        y_h, _ = self.make_scene()
-        rng = np.random.default_rng(16)
-        guide = SpectralImage(12, 12, rng.uniform(0.1, 1.0, (3, 144)))
-        params = GuidedFilterParams(2, 0.01)
-        tau = 0.05
+        # against the PAN (window radius = ratio, eps = 1e-4 span^2), or
+        # soft-threshold at the MAD scale of the trailing scores first.
+        y_h, pan = self.make_scene(p=p)
         transform = pca_transform(y_h)
         scores = transform.forward(y_h.data)
+        assert default_component_count(transform.variances) == p
+        eps = 1e-4 * float(y_h.data.max() - y_h.data.min()) ** 2
+        trailing = scores[p:].ravel()
+        tau = 1.4826 * np.median(np.abs(trailing - np.median(trailing))) if p < 5 else 0.0
         rows = []
         for i in range(y_h.bands):
             component = SpectralImage(6, 6, scores[i : i + 1])
             if i < p:
-                up = upsample(component, 2).band_image(0)
-                planes = [
-                    guided_filter_plane(up, g, params.radius, params.epsilon)
-                    for g in guide.to_cube()
-                ]
-                rows.append(np.mean(planes, axis=0).ravel())
+                up = upsample(component, 2).to_cube()[0]
+                rows.append(guided_filter_plane(up, pan.to_cube()[0], 2, eps).ravel())
             else:
                 shrunk = component.with_data(soft_threshold(component.data, tau))
                 rows.append(upsample(shrunk, 2).data[0])
         scores_fused = np.vstack(rows)
         want = transform.loadings.T @ scores_fused + transform.band_means[:, np.newaxis]
-        got = fuse_gfpca(y_h, guide, 2, p=p, params=params, tau=tau)
+        got = fuse_gfpca(y_h, pan, 2)
         np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
 
     def test_validation(self):
-        y_h, guide = self.make_scene()
-        with pytest.raises(ValueError):
+        y_h, pan = self.make_scene()
+        with pytest.raises(ValueError, match="single band"):
             fuse_gfpca(y_h, SpectralImage(12, 12, np.ones((2, 144))), 2)
+        with pytest.raises(ValueError, match="single band"):
+            fuse_gfpca(y_h, SpectralImage(12, 12, np.ones((3, 144))), 2)
         with pytest.raises(ValueError):
             fuse_gfpca(y_h, SpectralImage(11, 12, np.ones((1, 132))), 2)
-        with pytest.raises(ValueError):
-            fuse_gfpca(y_h, guide, 2, p=0)
-        with pytest.raises(ValueError):
-            fuse_gfpca(y_h, guide, 2, p=6)

@@ -87,10 +87,6 @@ class TestSpectralImage:
         want = np.ascontiguousarray(raw).mean(axis=1)
         assert np.array_equal(img.data.mean(axis=1), want)
 
-    def test_band_image(self):
-        img = make_img(bands=2, height=3, width=3)
-        np.testing.assert_array_equal(img.band_image(1), img.to_cube()[1])
-
     def test_wavelengths_validation(self):
         SpectralImage(1, 2, np.zeros((2, 2)), wavelengths=(0.4, 0.5))
         with pytest.raises(ValueError):

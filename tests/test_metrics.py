@@ -11,8 +11,6 @@ from hspansharp.metrics import (
     compute_report,
     ergas,
     rmse,
-    rmse_map,
-    rmse_per_band,
     sam,
 )
 
@@ -96,24 +94,27 @@ class TestRmseDecompositions:
     def test_rmse_consistent_with_per_band_and_map(self):
         xhat, x = img_pair(8)
         total = rmse(xhat, x)
-        per_band = rmse_per_band(xhat, x)
-        per_pixel = rmse_map(xhat, x)
+        rep = compute_report(xhat, x, 0.2)
+        per_band = np.array(rep.rmse_per_band)
         assert total**2 == pytest.approx(np.mean(per_band**2), rel=1e-12)
-        assert total**2 == pytest.approx(np.mean(per_pixel.data**2), rel=1e-12)
+        assert total**2 == pytest.approx(np.mean(rep.rmse_map.data**2), rel=1e-12)
 
     def test_rmse_map_geometry(self):
         xhat, x = img_pair(9, bands=3, height=4, width=7)
-        m = rmse_map(xhat, x)
+        m = compute_report(xhat, x, 0.2).rmse_map
         assert (m.bands, m.height, m.width) == (1, 4, 7)
+        assert m.wavelengths is None
 
 
 class TestErrorCases:
     def test_shape_mismatch(self):
         a = SpectralImage(2, 2, np.ones((1, 4)))
         b = SpectralImage(2, 3, np.ones((1, 6)))
-        for fn in (cc, sam, rmse, rmse_per_band, rmse_map):
+        for fn in (cc, sam, rmse):
             with pytest.raises(ValueError):
                 fn(a, b)
+        with pytest.raises(ValueError):
+            compute_report(a, b, 0.25)
         with pytest.raises(ValueError):
             ergas(a, b, 0.25)
 
@@ -191,8 +192,13 @@ class TestComputeReport:
         assert rep.sam_deg == sam(xhat, x)
         assert rep.rmse == rmse(xhat, x)
         assert rep.ergas == ergas(xhat, x, 0.2)
-        assert rep.rmse_per_band == tuple(rmse_per_band(xhat, x))
-        assert rep.rmse_map == rmse_map(xhat, x)
+        diff = xhat.data - x.data
+        np.testing.assert_allclose(
+            rep.rmse_per_band, np.sqrt((diff**2).mean(axis=1)), rtol=1e-14, atol=0
+        )
+        np.testing.assert_allclose(
+            rep.rmse_map.data[0], np.sqrt((diff**2).mean(axis=0)), rtol=1e-14, atol=0
+        )
         assert rep.wall_time_s == 1.5
         scalars = rep.scalars()
         assert set(scalars) == {"CC", "SAM", "RMSE", "ERGAS", "time_s"}

@@ -196,3 +196,14 @@ class TestEqualizedFusion:
         pan = random_img(1, 9, 9)
         with pytest.raises(ValueError):
             fuse_sfim(y_h, pan, 2, WIDE)
+
+    @pytest.mark.parametrize("fuse", [
+        lambda y_h, pan: fuse_sfim(y_h, pan, 2, WIDE),
+        lambda y_h, pan: fuse_mtf_glp(y_h, pan, 2, 0.3, WIDE),
+        lambda y_h, pan: fuse_mtf_glp_hpm(y_h, pan, 2, 0.3, WIDE),
+    ], ids=["SFIM", "MTF-GLP", "MTF-GLP-HPM"])
+    def test_multi_band_pan_rejected(self, fuse):
+        y_h = random_img(2, 4, 4)
+        pan = random_img(3, 8, 8, seed=1)
+        with pytest.raises(ValueError, match="PAN image must hold a single band"):
+            fuse(y_h, pan)
