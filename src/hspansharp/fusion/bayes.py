@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh
 
 from ..imgcore import DynamicRange, SpectralImage
 from ..resample import upsample_data
@@ -173,6 +172,15 @@ class BayesNaiveResult:
     sigma: np.ndarray
 
 
+def _generalized_eigh(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues gamma and b-orthonormal eigenvectors V (V^T b V = I) of
+    the symmetric-definite pencil a v = gamma b v, by Cholesky reduction:
+    with b = L L^T, the eigenvectors W of L^-1 a L^-T give V = L^-T W."""
+    linv = np.linalg.inv(np.linalg.cholesky(b))
+    gamma, w = np.linalg.eigh(linv @ a @ linv.T)
+    return gamma, linv.T @ w
+
+
 def bayes_naive_solve(
     y_h: SpectralImage,
     pan: SpectralImage,
@@ -229,8 +237,8 @@ def bayes_naive_solve(
         if round_idx > 0:
             delta = U - mu
             sigma = (delta @ delta.T) / n + 1e-6 * np.eye(p)
-        sigma_inv = cho_solve(cho_factor(sigma), np.eye(p))
-        gamma, v = eigh(m_hs, m_pan + sigma_inv)
+        sigma_inv = np.linalg.inv(sigma)
+        gamma, v = _generalized_eigh(m_hs, m_pan + sigma_inv)
         z = v.T @ (data_term + sigma_inv @ mu)
         U = v @ (z / (gamma[:, np.newaxis] * lam_k + 1.0))
     U = (qh @ U.reshape(p, pan.height, pan.width) @ qw.T).reshape(p, n)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from ..imgcore import SpectralImage
 from ..resample import upsample_data
@@ -134,6 +133,60 @@ def _abundance_step(abundances: np.ndarray, hty: np.ndarray, hth: np.ndarray) ->
     return abundances
 
 
+def _passive_solve(gram: np.ndarray, rhs: np.ndarray, passive: np.ndarray) -> np.ndarray:
+    """Per column j, the solution s of gram[P, P] s_P = rhs[P, j] with
+    P = passive[:, j], and s = 0 off P: one batched solve of p x p systems
+    that hold the identity off P."""
+    p = gram.shape[0]
+    both = passive.T[:, :, np.newaxis] & passive.T[:, np.newaxis, :]
+    mats = np.where(both, gram, np.eye(p))
+    vecs = np.where(passive, rhs, 0.0).T[:, :, np.newaxis]
+    return np.linalg.solve(mats, vecs)[:, :, 0].T
+
+
+def _nnls_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin ||a x - b_j||, x >= 0, for every column b_j of b at once.
+
+    Lawson-Hanson active-set NNLS (Lawson & Hanson, Solving Least Squares
+    Problems, 1974, ch. 23) on the Gram form a^T a, a^T b. Every column runs
+    its own passive set P: the free coefficient of largest gradient enters
+    P while that gradient exceeds the tolerance and P has fewer than
+    a.shape[0] entries; each infeasible passive solve steps back to the
+    boundary and drops the coefficients it zeroes, at most 3 p times per
+    column."""
+    m, p = a.shape
+    gram = a.T @ a
+    atb = a.T @ b
+    tol = 10 * max(m, p) * np.finfo(np.float64).eps
+    x = np.zeros_like(atb)
+    passive = np.zeros(atb.shape, dtype=bool)
+    grad = atb.copy()
+    steps = np.zeros(atb.shape[1], dtype=np.int64)
+    while True:
+        free = np.where(passive, -np.inf, grad)
+        cols = np.flatnonzero((free.max(axis=0) > tol) & (passive.sum(axis=0) < m))
+        if cols.size == 0:
+            return x
+        passive[free[:, cols].argmax(axis=0), cols] = True
+        s = _passive_solve(gram, atb[:, cols], passive[:, cols])
+        while True:
+            cut = passive[:, cols] & (s < 0)
+            back = np.flatnonzero(cut.any(axis=0))
+            if back.size == 0:
+                break
+            idx = cols[back]
+            steps[idx] += 1
+            if steps[idx].max() > 3 * p:
+                raise RuntimeError("NNLS did not converge in 3 p steps")
+            xb, sb, cb = x[:, idx], s[:, back], cut[:, back]
+            alpha = np.where(cb, xb / np.where(cb, xb - sb, 1.0), np.inf).min(axis=0)
+            x[:, idx] = xb + alpha * (sb - xb)
+            passive[:, idx] &= x[:, idx] > tol
+            s[:, back] = _passive_solve(gram, atb[:, idx], passive[:, idx])
+        x[:, cols] = s
+        grad[:, cols] = atb[:, cols] - gram @ s
+
+
 def _augment(matrix: np.ndarray) -> np.ndarray:
     """Stack the sum-to-one penalty row (every entry `_DELTA`) under `matrix`."""
     return np.vstack([matrix, np.full((1, matrix.shape[1]), _DELTA)])
@@ -182,9 +235,7 @@ def cnmf_solve(
     h_aug = _augment(spectra)
     y_aug = _augment(data_h)
     p_aug = _augment(data_p)
-    abund_low = np.column_stack(
-        [nnls(h_aug, y_aug[:, j])[0] for j in range(y_h.pixels)]
-    )
+    abund_low = _nnls_columns(h_aug, y_aug)
     # The spectra live in the top rows of h_aug, so each spectra update
     # rewrites them in place and h_aug serves the objective and the next
     # abundance step without restacking.

@@ -4,7 +4,8 @@ Output sample j on each axis interpolates the input at
 (j - sensorsim.default_phase(ratio)) / ratio, so input pixel centers land
 exactly on the decimation sites kept by blur_downsample and the round trip
 through an impulse kernel is lossless.
-Out-of-range source coordinates use symmetric (mirror) extension. Each axis
+Out-of-range source coordinates use `sensorsim.mirror_index`, the symmetric
+(mirror) extension the blur of `sensorsim.degrade_axis` also uses. Each axis
 is one (n * ratio) x n interpolation matrix M, so `upsample` is M_h X M_w^T.
 `upsample_data` returns that product as a fresh writable array, for the
 fusion methods that inject detail into it in place and hand it to
@@ -20,21 +21,12 @@ from __future__ import annotations
 import numpy as np
 
 from .imgcore import SpectralImage
-from .sensorsim import default_phase
+from .sensorsim import default_phase, mirror_index
 
 __all__ = ["upsample", "upsample_data", "upsampled_moments"]
 
 # Catmull-Rom bicubic parameter.
 _BICUBIC_A = -0.5
-
-
-def _mirror_index(idx: np.ndarray, n: int) -> np.ndarray:
-    """Symmetric half-sample extension: ... 1 0 | 0 1 ... n-1 | n-1 n-2 ..."""
-    if n == 1:
-        return np.zeros_like(idx)
-    period = 2 * n
-    j = np.mod(idx, period)
-    return np.where(j >= n, period - 1 - j, j)
 
 
 def _cubic_weight(t: np.ndarray) -> np.ndarray:
@@ -57,7 +49,7 @@ def _axis_plan(n_in: int, ratio: int, method: str):
     else:
         offsets = np.array([-1, 0, 1, 2])
         weights = np.stack([_cubic_weight(t - o) for o in offsets])
-    idx = _mirror_index(base[np.newaxis, :] + offsets[:, np.newaxis], n_in)
+    idx = mirror_index(base[np.newaxis, :] + offsets[:, np.newaxis], n_in)
     return idx, weights
 
 

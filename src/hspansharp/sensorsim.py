@@ -1,11 +1,11 @@
 """Forward sensor simulation: MTF-matched blur, decimation, panchromatic
 synthesis, and seeded per-band Gaussian noise.
 
-All spatial filtering uses symmetric (mirror) boundary extension so that
-constant images are preserved exactly. The separable blur is written per
-axis as a small matrix (`degrade_axis`), so `blur` is B_h X B_w^T and
-`degrade` (the Wald observation operator X B S) keeps only the decimated
-rows of each matrix.
+All spatial filtering uses symmetric (mirror) boundary extension, defined
+once by `mirror_index`, so that constant images are preserved exactly. The
+separable blur is written per axis as a small matrix (`degrade_axis`), so
+`blur` is B_h X B_w^T and `degrade` (the Wald observation operator X B S)
+keeps only the decimated rows of each matrix.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import convolve1d
 
 from .imgcore import SpectralImage
 
@@ -29,6 +28,7 @@ __all__ = [
     "add_gaussian_noise",
     "default_pan_response",
     "default_phase",
+    "mirror_index",
     "NOISE_ALGORITHM",
 ]
 
@@ -113,6 +113,19 @@ def default_phase(ratio: int) -> int:
     return ratio // 2
 
 
+def mirror_index(idx: np.ndarray, n: int) -> np.ndarray:
+    """Map sample indices onto 0..n-1 by symmetric half-sample extension:
+    ... 1 0 | 0 1 ... n-1 | n-1 n-2 ... (scipy.ndimage's "reflect").
+
+    It is the one boundary rule of the package: `degrade_axis` blurs with it
+    and `resample` interpolates with it."""
+    if n == 1:
+        return np.zeros_like(idx)
+    period = 2 * n
+    j = np.mod(idx, period)
+    return np.where(j >= n, period - 1 - j, j)
+
+
 def kernel_from_mtf(ratio: int, gnyq: float = 0.3) -> BlurKernel:
     """Gaussian taps whose frequency response hits `gnyq` at the Nyquist
     frequency of the grid decimated by `ratio` (omega = pi / ratio).
@@ -132,11 +145,19 @@ def kernel_from_mtf(ratio: int, gnyq: float = 0.3) -> BlurKernel:
 
 
 def degrade_axis(n: int, taps: np.ndarray, ratio: int) -> np.ndarray:
-    """One axis of `degrade` as a matrix: the n x n reflect-boundary blur
-    (row i holds the weights of output sample i, valid also below the kernel
-    radius), keeping rows default_phase(ratio) + k ratio."""
-    blurred = convolve1d(np.eye(n), taps, axis=0, mode="reflect")
-    return blurred[default_phase(ratio)::ratio]
+    """One axis of `degrade` as a matrix: row k holds the weights of blurred
+    sample i = default_phase(ratio) + k ratio of an n-sample line, tap j
+    reading sample i + radius - j through `mirror_index` (valid also when n
+    is below the kernel radius). Taps that mirror onto the same sample add
+    up."""
+    taps = np.asarray(taps, dtype=np.float64)
+    kept = np.arange(default_phase(ratio), n, ratio)
+    offsets = taps.size // 2 - np.arange(taps.size)
+    idx = mirror_index(kept[:, np.newaxis] + offsets, n)
+    rows = np.broadcast_to(np.arange(kept.size)[:, np.newaxis], idx.shape)
+    matrix = np.zeros((kept.size, n))
+    np.add.at(matrix, (rows, idx), np.broadcast_to(taps, idx.shape))
+    return matrix
 
 
 def blur(cube: np.ndarray, taps: np.ndarray) -> np.ndarray:

@@ -3,8 +3,12 @@ and blind sensor estimation."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import solve_sylvester
 
+from hspansharp.fusion import bayes
+from hspansharp.harness.bench import reference_scene, wald_inputs
+from hspansharp.harness.config import RunConfig
 from hspansharp.imgcore import DynamicRange, SpectralImage
 from hspansharp.resample import upsample
 from hspansharp.sensorsim import (
@@ -376,6 +380,18 @@ class TestBayesNaiveSolve:
         expected = np.linalg.solve(matrix, rhs).reshape(p, -1)
         rel = np.linalg.norm(result.U - expected) / np.linalg.norm(expected)
         assert rel <= 1e-10
+
+    @pytest.mark.parametrize("ratio", [2, 3, 4, 5])
+    def test_generalized_eigh_matches_scipy(self, ratio, monkeypatch):
+        # The Cholesky-reduced p x p pencil solve gives the same fused
+        # coefficients as scipy's generalized eigh, through every sigma round.
+        config = RunConfig(height=12 * ratio, width=12 * ratio, seed=ratio, ratio=ratio)
+        y_h, pan, model, _ = wald_inputs(reference_scene(config), config)
+        basis = learn_subspace(y_h, default_subspace_dim(y_h))
+        got = bayes_naive_solve(y_h, pan, model, basis).U
+        monkeypatch.setattr(bayes, "_generalized_eigh", scipy.linalg.eigh)
+        want = bayes_naive_solve(y_h, pan, model, basis).U
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_sigma_refit_changes_covariance(self):
         y_h, pan, model, basis = self.make_generic()

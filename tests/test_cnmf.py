@@ -7,11 +7,15 @@ from hspansharp.fusion.cnmf import (
     CnmfResult,
     Endmembers,
     _abundance_step,
+    _augment,
+    _nnls_columns,
     cnmf_solve,
     fuse_cnmf,
     nmf_update_spectra,
     vca,
 )
+from hspansharp.harness.bench import reference_scene, wald_inputs
+from hspansharp.harness.config import RunConfig
 from hspansharp.imgcore import SpectralImage
 from hspansharp.resample import upsample
 from hspansharp.sensorsim import SensorModel, blur_downsample, kernel_from_mtf
@@ -221,14 +225,13 @@ def bilinear_patch_scene(bands=10, ratio=5, n=40, seed=11):
 
 def loop_oracle_run(y_h, pan, model, p, outer_iters, inner_iters, seed, delta, tol):
     """`oracle_cnmf_loops` from cnmf_solve's initialization: VCA spectra and
-    per-pixel NNLS abundances against the stacked penalty row."""
+    NNLS abundances against the stacked penalty row, from `_nnls_columns`
+    (checked against scipy's NNLS in TestNnlsColumns)."""
     data_h = np.maximum(y_h.data, 0.0)
     spectra = vca(data_h, p, seed)
     stack = np.vstack([spectra, np.full((1, p), delta)])
     data_aug = np.vstack([data_h, np.full((1, y_h.pixels), delta)])
-    abund_low = np.column_stack(
-        [nnls(stack, data_aug[:, j])[0] for j in range(y_h.pixels)]
-    )
+    abund_low = _nnls_columns(stack, data_aug)
     ratio = model.ratio
 
     def to_low(abund_high):
@@ -285,6 +288,89 @@ class TestCnmfLoopOracle:
         nmf_update_spectra(*inputs)
         for got, want in zip(inputs, before):
             np.testing.assert_array_equal(got, want)
+
+
+def scipy_nnls_columns(a, b):
+    return np.column_stack([nnls(a, b[:, j])[0] for j in range(b.shape[1])])
+
+
+def assert_kkt(a, b, x):
+    # x >= 0; the gradient a^T (b - a x) is at most tol where x = 0 and
+    # vanishes where x > 0.
+    grad = a.T @ (b - a @ x)
+    scale = np.abs(a.T @ b).max() + np.abs(a.T @ a).max() * np.abs(x).max()
+    assert (x >= 0).all()
+    assert (grad[x == 0] <= 1e-12 * scale).all()
+    np.testing.assert_allclose(grad[x > 0], 0.0, rtol=0, atol=1e-12 * scale)
+
+
+def assert_matches_scipy(a, b):
+    x = _nnls_columns(a, b)
+    want = scipy_nnls_columns(a, b)
+    assert np.abs(x - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
+    assert_kkt(a, b, x)
+
+
+class TestNnlsColumns:
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cnmf_start_matches_scipy(self, p, seed):
+        # The augmented problems cnmf_solve starts from on a bench scene: VCA
+        # spectra and the low-resolution pixels over the penalty row.
+        config = RunConfig(height=50, width=50, endmembers=4, seed=seed)
+        y_h = wald_inputs(reference_scene(config), config)[0]
+        data_h = np.maximum(y_h.data, 0.0)
+        assert_matches_scipy(_augment(vca(data_h, p, seed)), _augment(data_h))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_tall_problems_match_scipy(self, seed):
+        # The shape CNMF solves: at least as many rows as coefficients.
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(1, 10))
+        m = int(rng.integers(max(p, 3), 31))
+        assert_matches_scipy(rng.standard_normal((m, p)), rng.standard_normal((m, 12)))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_wide_problems_meet_kkt(self, seed):
+        # Fewer rows than coefficients: the passive set stops at m entries.
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(3, 8))
+        p = int(rng.integers(m + 1, 10))
+        a, b = rng.standard_normal((m, p)), rng.standard_normal((m, 12))
+        x = _nnls_columns(a, b)
+        assert ((x > 0).sum(axis=0) <= m).all()
+        assert_kkt(a, b, x)
+        np.testing.assert_allclose(
+            np.linalg.norm(a @ x - b, axis=0),
+            np.linalg.norm(a @ scipy_nnls_columns(a, b) - b, axis=0),
+            rtol=1e-10,
+            atol=1e-12 * np.linalg.norm(b),
+        )
+
+    def test_single_coefficient(self):
+        a = np.array([[1.0], [2.0], [2.0]])
+        b = np.array([[3.0, -3.0, 0.0], [6.0, -1.0, 1.0], [0.0, -2.0, 1.0]])
+        np.testing.assert_allclose(_nnls_columns(a, b), [[15.0 / 9.0, 0.0, 4.0 / 9.0]])
+        assert_matches_scipy(a, b)
+
+    def test_feasible_column_is_least_squares(self):
+        rng = np.random.default_rng(7)
+        a = rng.uniform(0.1, 1.0, (8, 3))
+        want = np.array([0.5, 1.5, 2.0])
+        b = a @ want + 1e-3 * rng.standard_normal(8)
+        np.testing.assert_allclose(
+            _nnls_columns(a, b[:, np.newaxis])[:, 0],
+            np.linalg.lstsq(a, b, rcond=None)[0],
+            rtol=1e-12,
+        )
+
+    def test_zero_column(self):
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((6, 4))
+        b = np.column_stack([np.zeros(6), rng.standard_normal(6)])
+        x = _nnls_columns(a, b)
+        np.testing.assert_array_equal(x[:, 0], 0.0)
+        assert_matches_scipy(a, b)
 
 
 class TestFuseCnmf:

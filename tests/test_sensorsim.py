@@ -1,8 +1,11 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.ndimage import convolve1d
 
 from hspansharp.imgcore import SpectralImage
 from hspansharp.sensorsim import (
@@ -13,6 +16,7 @@ from hspansharp.sensorsim import (
     blur_downsample,
     default_pan_response,
     default_phase,
+    degrade_axis,
     kernel_from_mtf,
     synth_pan,
 )
@@ -124,8 +128,23 @@ class TestBlur:
             blur(cube, taps), oracle_blur_cube(cube, taps), rtol=0, atol=1e-12
         )
 
-    def test_only_sensorsim_imports_scipy_ndimage(self):
-        # The reflect boundary rule is defined once, by `degrade_axis`.
+    @pytest.mark.parametrize(
+        "taps",
+        [kernel_from_mtf(r, g).taps for r in range(1, 8) for g in (0.2, 0.3, 0.5)]
+        + [np.full(k, 1.0 / k) for k in (1, 3, 5, 9)],
+        ids=[f"mtf{r}-{g}" for r in range(1, 8) for g in (0.2, 0.3, 0.5)]
+        + [f"box{k}" for k in (1, 3, 5, 9)],
+    )
+    def test_axis_matrix_is_scipy_reflect_convolution(self, taps):
+        # scipy.ndimage's "reflect" mode is the definition of the boundary
+        # rule that `mirror_index` implements; many of these lines are
+        # shorter than the kernel radius.
+        for n in [*range(1, 61), 97, 100, 125, 320, 480]:
+            want = convolve1d(np.eye(n), taps, axis=0, mode="reflect")
+            np.testing.assert_allclose(degrade_axis(n, taps, 1), want, rtol=0, atol=1e-15)
+
+    def test_no_module_imports_scipy(self):
+        # The package runs on numpy alone; scipy serves only as a test oracle.
         package = Path(__file__).resolve().parents[1] / "src" / "hspansharp"
         importers = set()
         for path in package.rglob("*.py"):
@@ -133,12 +152,25 @@ class TestBlur:
                 if isinstance(node, ast.Import):
                     names = [alias.name for alias in node.names]
                 elif isinstance(node, ast.ImportFrom) and node.module:
-                    names = [f"{node.module}.{alias.name}" for alias in node.names]
+                    names = [node.module]
                 else:
                     continue
-                if any(n == "scipy.ndimage" or n.startswith("scipy.ndimage.") for n in names):
+                if any(n == "scipy" or n.startswith("scipy.") for n in names):
                     importers.add(path.relative_to(package).as_posix())
-        assert importers == {"sensorsim.py"}
+        assert importers == set()
+
+    def test_cli_import_loads_no_scipy(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            f"import sys; sys.path.insert(0, {str(src)!r}); "
+            "import hspansharp.harness.cli, hspansharp.harness.bench; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_each_public_name_has_one_module(self):
         # A module's `__all__` lists exactly its public top-level functions,
