@@ -22,6 +22,7 @@ from ..sensorsim import (
     default_phase,
     degrade,
     degrade_axis,
+    separable,
 )
 
 __all__ = [
@@ -220,14 +221,16 @@ def bayes_naive_solve(
     lam_k = np.outer(np.maximum(lam_h, 0.0), np.maximum(lam_w, 0.0)).ravel()
 
     def to_eigenbasis(field):
-        return (qh.T @ field.reshape(p, pan.height, pan.width) @ qw).reshape(p, n)
+        planes = field.reshape(p, pan.height, pan.width)
+        return separable(qh.T, planes, qw.T).reshape(p, n)
 
     wh, wm = _noise_weights(model, y_h.bands)
     hw2 = (H * wh[:, np.newaxis] ** 2).T
     rh = (model.spectral_response @ H) * wm
     m_hs = hw2 @ H
     m_pan = rh.T @ rh
-    hs_term = dh.T @ (hw2 @ y_h.data).reshape(p, y_h.height, y_h.width) @ dw
+    hs_low = (hw2 @ y_h.data).reshape(p, y_h.height, y_h.width)
+    hs_term = separable(dh.T, hs_low, dw.T)
     data_term = to_eigenbasis(hs_term.reshape(p, n) + rh.T @ (pan.data * wm))
 
     mu = to_eigenbasis(priors.mu)
@@ -241,7 +244,7 @@ def bayes_naive_solve(
         gamma, v = _generalized_eigh(m_hs, m_pan + sigma_inv)
         z = v.T @ (data_term + sigma_inv @ mu)
         U = v @ (z / (gamma[:, np.newaxis] * lam_k + 1.0))
-    U = (qh @ U.reshape(p, pan.height, pan.width) @ qw.T).reshape(p, n)
+    U = separable(qh, U.reshape(p, pan.height, pan.width), qw).reshape(p, n)
     return BayesNaiveResult(U=U, sigma=sigma)
 
 
@@ -541,11 +544,12 @@ def _solve_taps_one_axis(
     if axis == -2:
         target, y_m_cube = target.swapaxes(-1, -2), y_m_cube.swapaxes(-1, -2)
     height, width = y_m_cube.shape[-2:]
-    fixed = degrade_axis(height, taps, ratio) @ y_m_cube
     tap_map = _tap_matrix(support)
-    feats = np.array(
-        [(fixed @ degrade_axis(width, t, ratio).T).ravel() for t in tap_map.T]
-    )
+    # The image degraded once per basis tap vector along this axis, as one
+    # product with the basis axis matrices stacked.
+    cols = np.concatenate([degrade_axis(width, t, ratio) for t in tap_map.T])
+    low = separable(degrade_axis(height, taps, ratio), y_m_cube, cols)
+    feats = np.array([f.ravel() for f in np.split(low, tap_map.shape[1], axis=-1)])
     design = feats[1:] - 2.0 * feats[0]
     resid = target.ravel() - feats[0]
     diff_gram = _first_diff_gram(support)

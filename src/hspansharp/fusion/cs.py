@@ -111,11 +111,12 @@ def _pan_values(pan: SpectralImage, height: int, width: int) -> np.ndarray:
 
 
 def _inject(fused: np.ndarray, p: np.ndarray, o_l: np.ndarray, g: np.ndarray) -> None:
-    """F_k += g_k (P - O_L) in place, band by band, with P first
-    moment-matched to O_L."""
+    """F_k += g_k (P - O_L) in place, band by band through one reused band
+    buffer, with P first moment-matched to O_L."""
     detail = match_moments(p, o_l) - o_l
-    for k, gain in enumerate(g):
-        fused[k] += gain * detail
+    scaled = np.empty_like(detail)
+    for band, gain in zip(fused, g):
+        band += np.multiply(detail, gain, out=scaled)
 
 
 def _interpolated(y_h: SpectralImage, pan: SpectralImage, ratio: int):

@@ -4,7 +4,9 @@ denoised by soft thresholding and interpolated.
 
 The guided filter's window means use windows clipped at the image border
 (not mirrored). Each is separable, so it is written per axis as a small
-matrix and the mean of any stack of planes z is rows @ z @ cols^T.
+banded matrix and the mean of any stack of planes z is rows @ z @ cols^T,
+applied by `sensorsim.separable` (the one place a pair of axis matrices is
+applied).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import numpy as np
 
 from ..imgcore import SpectralImage
 from ..resample import upsample_data
+from ..sensorsim import separable
 from .cs import pca_transform
 
 __all__ = [
@@ -26,6 +29,9 @@ __all__ = [
 # and there are at most this many of them.
 _ENERGY = 0.995
 _MAX_COMPONENTS = 10
+
+# Bands per GEMM when GFPCA adds the filtered components back.
+_BAND_BLOCK = 8
 
 
 def _axis_window_mean(n: int, d: int) -> np.ndarray:
@@ -45,16 +51,25 @@ def guided_filter_plane(
     rows, cols = (_axis_window_mean(n, d) for n in inp.shape[-2:])
 
     def mean(z):
-        return rows @ z @ cols.T
+        return separable(rows, z, cols)
 
+    # The stack-sized terms are formed in place, in `a` and one work
+    # array: a = cov(I, p) / (var(I) + eps), 0 where that divisor is not
+    # positive, and b = mean(p) - a mean(I).
     mean_i = mean(guide)
     mean_p = mean(inp)
-    cov_ip = mean(guide * inp) - mean_i * mean_p
-    var_i = mean(guide * guide) - mean_i * mean_i
-    denom = var_i + eps
-    a = np.where(denom > 0.0, cov_ip / np.where(denom > 0.0, denom, 1.0), 0.0)
-    b = mean_p - a * mean_i
-    return mean(a) * guide + mean(b)
+    a = mean(guide * inp)
+    work = np.multiply(mean_i, mean_p)
+    a -= work
+    denom = mean(guide * guide) - mean_i * mean_i + eps
+    positive = denom > 0.0
+    np.divide(a, np.where(positive, denom, 1.0), out=a)
+    np.copyto(a, 0.0, where=~positive)
+    b = np.subtract(mean_p, np.multiply(a, mean_i, out=work), out=work)
+    out = mean(a)
+    out *= guide
+    out += mean(b)
+    return out
 
 
 def soft_threshold(values: np.ndarray, tau: float) -> np.ndarray:
@@ -111,6 +126,10 @@ def fuse_gfpca(y_h: SpectralImage, pan: SpectralImage, ratio: int) -> SpectralIm
     # and are interpolated once, into the cube the leading term is added to.
     trailing = transform.loadings[p:].T @ soft_threshold(scores[p:], tau)
     fused = upsampled(trailing + transform.band_means[:, np.newaxis])
-    for band, weights in zip(fused, transform.loadings[:p].T):
-        band += weights @ filtered
+    weights = transform.loadings[:p].T
+    term = np.empty((_BAND_BLOCK, fused.shape[1]))
+    for start in range(0, y_h.bands, _BAND_BLOCK):
+        block = fused[start:start + _BAND_BLOCK]
+        np.matmul(weights[start:start + _BAND_BLOCK], filtered, out=term[:len(block)])
+        block += term[:len(block)]
     return SpectralImage._adopt(pan.height, pan.width, fused, y_h.wavelengths)

@@ -65,11 +65,13 @@ def _equalized_fusion(
     has std(P_L) = 0 and maps to a zero-detail injection.
 
     The detail is added to the interpolated bands in place, one band at a
-    time, through three reused band buffers. It stays the difference
-    P_eq^k - P_L,eq^k rather than the equal scale_k (P - P_L): where
-    P_L,eq^k nears zero the HPM gain (~1e3 on real scenes) magnifies any
-    change in its rounding. std(Y^k) and mean(Y^k) of the interpolated bands
-    come from the low-resolution bands (`upsampled_moments`).
+    time, through reused band buffers. Additive injection adds the equal
+    scale_k (P - P_L) in one scaled pass. HPM keeps the difference
+    P_eq^k - P_L,eq^k: where P_L,eq^k nears zero its gain (~1e3 on real
+    scenes) magnifies any change in the rounding of that divisor, so the
+    detail is rounded as the divisor is. std(Y^k) and mean(Y^k) of the
+    interpolated bands come from the low-resolution bands
+    (`upsampled_moments`).
     """
     ratio = int(ratio)
     if pan.bands != 1:
@@ -83,22 +85,25 @@ def _equalized_fusion(
     # Filtering a constant PAN leaves rounding dust with std ~ eps |P|;
     # treat anything at that level as flat instead of dividing by it.
     std_floor = 1e-12 * max(np.abs(p_l).max(), np.abs(p).max())
-    p_centred = p - p_mean
-    pl_centred = p_l - p_mean
     means, cov = upsampled_moments(y_h, ratio, "bicubic")
     stds = np.sqrt(np.maximum(np.diagonal(cov), 0.0))
-    pl_eq, detail, gain = (np.empty_like(p) for _ in range(3))
+    scales = stds / pl_std if pl_std > std_floor else np.zeros_like(stds)
     fused = upsample_data(y_h, ratio, "bicubic")
-    for band, band_std, band_mean in zip(fused, stds, means):
-        scale = band_std / pl_std if pl_std > std_floor else 0.0
-        np.multiply(pl_centred, scale, out=pl_eq)
-        pl_eq += band_mean
-        np.multiply(p_centred, scale, out=detail)
-        detail += band_mean
-        detail -= pl_eq
-        if gains == "additive":
-            band += detail
-        else:
+    detail = np.empty_like(p)
+    if gains == "additive":
+        p_high = p - p_l
+        for band, scale in zip(fused, scales):
+            band += np.multiply(p_high, scale, out=detail)
+    else:
+        p_centred = p - p_mean
+        pl_centred = p_l - p_mean
+        pl_eq, gain = np.empty_like(p), np.empty_like(p)
+        for band, scale, band_mean in zip(fused, scales, means):
+            np.multiply(pl_centred, scale, out=pl_eq)
+            pl_eq += band_mean
+            np.multiply(p_centred, scale, out=detail)
+            detail += band_mean
+            detail -= pl_eq
             detail *= _hpm_gain(band, pl_eq, rng, gain)
             band += detail
             np.clip(band, rng.lo, rng.hi, out=band)

@@ -68,7 +68,8 @@ def _require_int(fields: dict, key: str, path: str) -> int:
 
 
 def load_raster(path: str) -> SpectralImage:
-    """Read a raster pair; payload values are widened to float64."""
+    """Read a raster pair; payload values are widened to float64. The payload
+    starts `header offset` bytes into its file (0 when the key is absent)."""
     hdr_path, dat_path = raster_paths(path)
     with open(hdr_path, "r", encoding="ascii") as fh:
         fields = _parse_header(fh.read(), hdr_path)
@@ -91,13 +92,20 @@ def load_raster(path: str) -> SpectralImage:
     if byte_order != 0:
         raise ValueError(f"{hdr_path}: unsupported 'byte order' {byte_order}")
 
+    offset = 0
+    if "header offset" in fields:
+        offset = _require_int(fields, "header offset", hdr_path)
+        if offset < 0:
+            raise ValueError(f"{hdr_path}: negative 'header offset' {offset}")
+
     dtype = _DTYPE_CODES[dtype_code]
-    raw = np.fromfile(dat_path, dtype=dtype)
     expected = bands * lines * samples
-    if raw.size != expected:
+    held = max(os.path.getsize(dat_path) - offset, 0) // dtype.itemsize
+    if held != expected:
         raise ValueError(
-            f"{dat_path}: payload holds {raw.size} values, header implies {expected}"
+            f"{dat_path}: payload holds {held} values, header implies {expected}"
         )
+    raw = np.fromfile(dat_path, dtype=dtype, offset=offset)
 
     wavelengths = None
     if "wavelength" in fields and fields["wavelength"]:

@@ -6,7 +6,9 @@ exactly on the decimation sites kept by blur_downsample and the round trip
 through an impulse kernel is lossless.
 Out-of-range source coordinates use `sensorsim.mirror_index`, the symmetric
 (mirror) extension the blur of `sensorsim.degrade_axis` also uses. Each axis
-is one (n * ratio) x n interpolation matrix M, so `upsample` is M_h X M_w^T.
+is one (n * ratio) x n interpolation matrix M, so `upsample` is M_h X M_w^T,
+applied by `sensorsim.separable` (the one place a pair of axis matrices is
+applied) on the four nonzero weights of each row.
 `upsample_data` returns that product as a fresh writable array, for the
 fusion methods that inject detail into it in place and hand it to
 `SpectralImage` without a copy.
@@ -21,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .imgcore import SpectralImage
-from .sensorsim import default_phase, mirror_index
+from .sensorsim import default_phase, mirror_index, separable
 
 __all__ = ["upsample", "upsample_data", "upsampled_moments"]
 
@@ -82,7 +84,7 @@ def upsample_data(img: SpectralImage, ratio: int, method: str = "bicubic") -> np
     method is "bilinear" or "bicubic" (Catmull-Rom, a = -0.5).
     """
     rows, cols = _axis_matrices(img, int(ratio), method)
-    return (rows @ img.to_cube() @ cols.T).reshape(img.bands, -1)
+    return separable(rows, img.to_cube(), cols).reshape(img.bands, -1)
 
 
 def upsampled_moments(
@@ -99,9 +101,10 @@ def upsampled_moments(
     rows, cols = _axis_matrices(img, int(ratio), method)
     count = rows.shape[0] * cols.shape[0]
     cube = img.to_cube()
-    means = rows.sum(axis=0) @ cube @ cols.sum(axis=0) / count
+    row_sums, col_sums = (m.sum(axis=0, keepdims=True) for m in (rows, cols))
+    means = separable(row_sums, cube, col_sums)[:, 0, 0] / count
     centred = cube - means[:, np.newaxis, np.newaxis]
-    spread = (rows.T @ rows) @ centred @ (cols.T @ cols)
+    spread = separable(rows.T @ rows, centred, cols.T @ cols)
     flat = centred.reshape(img.bands, -1)
     return means, flat @ spread.reshape(img.bands, -1).T / count
 

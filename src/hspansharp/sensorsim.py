@@ -6,6 +6,10 @@ once by `mirror_index`, so that constant images are preserved exactly. The
 separable blur is written per axis as a small matrix (`degrade_axis`), so
 `blur` is B_h X B_w^T and `degrade` (the Wald observation operator X B S)
 keeps only the decimated rows of each matrix.
+
+`separable` is the one place where a pair of per-axis matrices is applied,
+here and in `resample`, the guided filter and BayesNaive. It spends work
+only on the band of nonzero weights each block of output rows reads.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ __all__ = [
     "SensorModel",
     "kernel_from_mtf",
     "degrade_axis",
+    "separable",
     "blur",
     "degrade",
     "blur_downsample",
@@ -34,6 +39,9 @@ __all__ = [
 
 # One PCG64 substream per band, seeded from (scene seed, band index).
 NOISE_ALGORITHM = "pcg64-per-band"
+
+# Output rows per block of `separable`'s row product.
+_ROW_BLOCK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,6 +168,37 @@ def degrade_axis(n: int, taps: np.ndarray, ratio: int) -> np.ndarray:
     return matrix
 
 
+def separable(rows: np.ndarray, stack: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """rows @ stack @ cols.T over the last two axes of `stack`, as a fresh
+    array; leading axes are planes.
+
+    The row product runs in blocks of `_ROW_BLOCK` output rows, and each
+    block multiplies only the span of input rows its nonzero weights read,
+    so a banded matrix costs its band and a dense one a plain product. The
+    column product is one flat GEMM over all planes, taken on whichever of
+    `stack` and the row product has fewer rows.
+    """
+    if rows.shape[0] > stack.shape[-2]:
+        return _row_product(rows, _column_product(stack, cols))
+    return _column_product(_row_product(rows, stack), cols)
+
+
+def _column_product(stack: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    flat = stack.reshape(-1, stack.shape[-1]) @ cols.T
+    return flat.reshape(stack.shape[:-1] + cols.shape[:1])
+
+
+def _row_product(rows: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    out = np.empty(stack.shape[:-2] + (rows.shape[0], stack.shape[-1]))
+    reads = rows != 0
+    for start in range(0, rows.shape[0], _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        used = np.flatnonzero(reads[block].any(axis=0))
+        span = slice(used[0], used[-1] + 1) if used.size else slice(0, 0)
+        np.matmul(rows[block, span], stack[..., span, :], out=out[..., block, :])
+    return out
+
+
 def blur(cube: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Separable symmetric-boundary convolution over the two spatial axes:
     `degrade` with nothing decimated."""
@@ -170,7 +209,7 @@ def degrade(cube: np.ndarray, taps: np.ndarray, ratio: int) -> np.ndarray:
     """Wald observation operator X B S: blur, then keep every ratio-th sample
     starting at `default_phase(ratio)` on both spatial axes."""
     rows, cols = (degrade_axis(n, taps, ratio) for n in cube.shape[-2:])
-    return rows @ cube @ cols.T
+    return separable(rows, cube, cols)
 
 
 def blur_downsample(img: SpectralImage, kernel: BlurKernel, ratio: int) -> SpectralImage:

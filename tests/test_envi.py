@@ -211,6 +211,42 @@ class TestErrorPaths:
         with pytest.raises(ValueError, match="59.*60"):
             load_raster(hdr)
 
+    def with_offset(self, tmp_path, offset, cut=0):
+        """The pair rewritten so that its payload starts `offset` bytes into
+        the file behind a run of 0xFF bytes, less `cut` trailing bytes."""
+        (hdr, dat), img = self.write_pair(tmp_path)
+        text = open(hdr).read().replace("header offset = 0", f"header offset = {offset}")
+        open(hdr, "w").write(text)
+        raw = open(dat, "rb").read()
+        open(dat, "wb").write(b"\xff" * max(offset, 0) + raw[: len(raw) - cut])
+        return hdr, img
+
+    @pytest.mark.parametrize("offset", [0, 80, 128])
+    def test_payload_read_from_header_offset(self, tmp_path, offset):
+        hdr, img = self.with_offset(tmp_path, offset)
+        assert load_raster(hdr) == img
+
+    def test_truncated_payload_behind_offset_rejected(self, tmp_path):
+        # Read from byte 0, this file holds exactly the 60 values the header
+        # implies, the first 10 of them the offset's filler.
+        hdr, _ = self.with_offset(tmp_path, 80, cut=80)
+        with pytest.raises(ValueError, match="50.*60"):
+            load_raster(hdr)
+
+    @pytest.mark.parametrize("offset", ["-8", "eight"])
+    def test_bad_header_offset_rejected(self, tmp_path, offset):
+        (hdr, _), _ = self.write_pair(tmp_path)
+        text = open(hdr).read().replace("header offset = 0", f"header offset = {offset}")
+        open(hdr, "w").write(text)
+        with pytest.raises(ValueError, match="header offset"):
+            load_raster(hdr)
+
+    def test_missing_header_offset_means_zero(self, tmp_path):
+        (hdr, _), img = self.write_pair(tmp_path)
+        text = open(hdr).read().replace("header offset = 0\n", "")
+        open(hdr, "w").write(text)
+        assert load_raster(hdr) == img
+
     def test_wavelength_count_mismatch(self, tmp_path):
         (hdr, _), _ = self.write_pair(tmp_path)
         open(hdr, "a").write("wavelength = { 0.4, 0.5 }\n")

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from hspansharp.imgcore import SpectralImage
+from hspansharp.imgcore import DynamicRange, SpectralImage
 from hspansharp.harness import bench
 from hspansharp.harness.bench import (
     emit_report,
@@ -21,9 +21,15 @@ from hspansharp.harness.bench import (
 from hspansharp.harness.cli import main
 from hspansharp.harness.config import RunConfig, apply_overrides, parse_config
 from hspansharp.harness.envi import load_raster, save_raster
-from hspansharp.harness.registry import REGISTRY, get_method, method_names
+from hspansharp.harness.registry import (
+    REGISTRY,
+    MethodContext,
+    get_method,
+    method_names,
+)
 from hspansharp.harness.scene import synth_scene, synth_scene_factors
 from hspansharp.metrics import Reference
+from hspansharp.sensorsim import SensorModel, default_pan_response, kernel_from_mtf
 
 from oracles import oracle_cc
 
@@ -520,6 +526,36 @@ class TestCli:
         ]) == 0
         assert not np.array_equal(load_raster(a).data, load_raster(b).data)
         assert not np.array_equal(load_raster(a).data, load_raster(c).data)
+
+    @pytest.mark.parametrize(
+        "method", ["SFIM", "MTF-GLP", "MTF-GLP-HPM", "GS", "GSA", "PCA", "GFPCA"]
+    )
+    def test_fuse_float32_writes_the_in_process_result(self, tmp_path, method):
+        # A non-square scene at ratio 4, float32 rasters as in the real-data
+        # path; the written payload is the method's output rounded once.
+        p = {k: str(tmp_path / k) for k in ("truth", "hs", "pan", "out")}
+        assert main(["synth", "--out", p["truth"], "--height", "48", "--width", "32",
+                     "--bands", "24", "--seed", "3", "--dtype", "float32"]) == 0
+        assert main(["degrade", "--truth", p["truth"], "--out-hs", p["hs"],
+                     "--out-pan", p["pan"], "--ratio", "4", "--snr-db", "30",
+                     "--seed", "3", "--dtype", "float32"]) == 0
+        assert main(["fuse", "--method", method, "--hs", p["hs"], "--pan", p["pan"],
+                     "--out", p["out"], "--dtype", "float32"]) == 0
+        y_h, pan = load_raster(p["hs"]), load_raster(p["pan"])
+        response = default_pan_response(y_h.bands, y_h.wavelengths)
+        lo, hi = float(y_h.data.min()), float(y_h.data.max())
+        ctx = MethodContext(
+            y_h=y_h,
+            pan=pan,
+            model=SensorModel(4, kernel_from_mtf(4, 0.3), response[np.newaxis, :]),
+            range=DynamicRange(lo, hi if hi > lo else lo + 1.0),
+            gnyq=0.3,
+            seed=0,
+        )
+        want = get_method(method)(ctx).data.astype("<f4")
+        got = np.fromfile(p["out"] + ".dat", dtype="<f4")
+        assert load_raster(p["out"]).to_cube().shape == (24, 48, 32)
+        np.testing.assert_array_equal(got, want.ravel())
 
     def test_module_entry_point_runs(self):
         src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")

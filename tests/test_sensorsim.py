@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from scipy.ndimage import convolve1d
 
+from hspansharp.fusion.hybrid import _axis_window_mean
 from hspansharp.imgcore import SpectralImage
+from hspansharp.resample import _axis_matrix
 from hspansharp.sensorsim import (
     BlurKernel,
     SensorModel,
@@ -18,6 +20,7 @@ from hspansharp.sensorsim import (
     default_phase,
     degrade_axis,
     kernel_from_mtf,
+    separable,
     synth_pan,
 )
 
@@ -198,6 +201,65 @@ class TestBlur:
                 assert exported is not None, where
                 assert len(exported) == len(set(exported)), where
                 assert set(exported) == public, where
+
+
+def axis_pairs(family):
+    """(rows, cols) pairs of one family of per-axis matrices the package
+    builds. Heights and widths fall below and between multiples of the
+    32-row block, and below the blur radius and the window width."""
+    sizes = [(5, 3), (31, 70), (70, 45), (1, 7)]
+    pairs = []
+    for h, w in sizes:
+        if family in ("bilinear", "bicubic"):
+            pairs += [(_axis_matrix(h, r, family), _axis_matrix(w, r, family))
+                      for r in range(1, 7)]
+        elif family == "interpolation-gram":
+            for r in range(1, 7):
+                rows, cols = _axis_matrix(h, r, "bicubic"), _axis_matrix(w, r, "bicubic")
+                pairs.append((rows.T @ rows, cols.T @ cols))
+        elif family in ("degrade", "degrade-adjoint", "degrade-eigenbasis"):
+            for r in range(1, 6):
+                taps = kernel_from_mtf(r, 0.3).taps
+                rows, cols = degrade_axis(h, taps, r), degrade_axis(w, taps, r)
+                if family == "degrade-adjoint":
+                    rows, cols = rows.T, cols.T
+                elif family == "degrade-eigenbasis":
+                    rows, cols = (np.linalg.eigh(m.T @ m)[1] for m in (rows, cols))
+                pairs.append((rows, cols))
+        elif family == "window":
+            pairs += [(_axis_window_mean(h, d), _axis_window_mean(w, d))
+                      for d in range(1, 7)]
+    return pairs
+
+
+class TestSeparable:
+    FAMILIES = ["bilinear", "bicubic", "interpolation-gram", "degrade",
+                "degrade-adjoint", "degrade-eigenbasis", "window"]
+
+    @pytest.mark.parametrize("planes", [(), (3,)], ids=["plane", "stack"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_dense_product(self, family, planes):
+        rng = np.random.default_rng(len(family))
+        eps = np.finfo(np.float64).eps
+        for rows, cols in axis_pairs(family):
+            z = rng.uniform(-1.0, 1.0, planes + (rows.shape[1], cols.shape[1]))
+            want = rows @ z @ cols.T
+            got = separable(rows, z, cols)
+            assert got.shape == want.shape
+            scale = np.abs(want).max(initial=0.0)
+            np.testing.assert_allclose(got, want, rtol=0, atol=4 * eps * scale)
+            assert not np.shares_memory(got, z)
+
+    def test_rows_without_weights_give_zeros(self):
+        # Blocks whose rows read nothing multiply an empty span.
+        rng = np.random.default_rng(2)
+        rows = rng.uniform(size=(100, 40))
+        rows[10:80] = 0.0
+        cols = rng.uniform(size=(9, 6))
+        z = rng.uniform(size=(2, 40, 6))
+        got = separable(rows, z, cols)
+        np.testing.assert_array_equal(got[:, 10:80], 0.0)
+        np.testing.assert_allclose(got, rows @ z @ cols.T, rtol=1e-14, atol=0)
 
 
 class TestBlurDownsample:
