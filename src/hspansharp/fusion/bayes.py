@@ -18,12 +18,14 @@ from ..resample import upsample_data
 from ..sensorsim import (
     BlurKernel,
     SensorModel,
-    blur_downsample,
+    check_pair,
     default_phase,
     degrade,
     degrade_axis,
+    pair_ratio,
     separable,
 )
+from .cs import energy_knee, signed_axes
 
 __all__ = [
     "SubspaceBasis",
@@ -78,18 +80,14 @@ def learn_subspace(y_h: SpectralImage, p: int) -> SubspaceBasis:
     if not 1 <= p <= y_h.bands:
         raise ValueError(f"subspace dim {p} out of range for {y_h.bands} bands")
     left, _, _ = np.linalg.svd(y_h.data, full_matrices=False)
-    H = left[:, :p]
-    signs = np.sign(H[np.abs(H).argmax(axis=0), np.arange(p)])
-    return SubspaceBasis(H * np.where(signs == 0, 1.0, signs)[np.newaxis, :])
+    return SubspaceBasis(signed_axes(left[:, :p]))
 
 
 def default_subspace_dim(y_h: SpectralImage) -> int:
     """Singular-energy knee: smallest p capturing `_ENERGY` of the squared
     singular values, at most `_MAX_DIM`."""
     sing = np.linalg.svd(y_h.data, compute_uv=False)
-    frac = np.cumsum(sing**2) / (sing**2).sum()
-    p = int(np.searchsorted(frac, _ENERGY) + 1)
-    return min(p, _MAX_DIM, y_h.bands)
+    return energy_knee(sing**2, _ENERGY, _MAX_DIM)
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +205,7 @@ def bayes_naive_solve(
     coefficient solve.
     """
     ratio = model.ratio
-    if (pan.height, pan.width) != (y_h.height * ratio, y_h.width * ratio):
-        raise ValueError("PAN dims must equal ratio times the Y_H dims")
+    check_pair(y_h, pan, ratio)
     if priors is None:
         priors = default_bayes_priors(y_h, basis, ratio)
     H = basis.H
@@ -314,8 +311,10 @@ def default_hysure_params(
     expected noise energy (which no estimate can remove), so the weight
     tracks the reducible misfit rather than the noise floor.
     """
+    check_pair(y_h, pan, model.ratio)
     u0 = _interpolated_coefficients(y_h, basis, model.ratio)
-    x0 = SpectralImage(pan.height, pan.width, basis.H @ u0)
+    x0 = basis.H @ u0
+    low = degrade(x0.reshape(-1, pan.height, pan.width), model.blur.taps, model.ratio)
 
     stds = model.hs_noise_std
     noise_floor = 0.0
@@ -323,8 +322,8 @@ def default_hysure_params(
         noise_floor += 0.5 * y_h.pixels * float((stds**2).sum())
     noise_floor += 0.5 * pan.pixels * model.pan_noise_std**2
 
-    resid_h = y_h.data - blur_downsample(x0, model.blur, model.ratio).data
-    resid_m = pan.data - model.spectral_response @ x0.data
+    resid_h = y_h.data - low.reshape(y_h.bands, -1)
+    resid_m = pan.data - model.spectral_response @ x0
     data_scale = 0.5 * float((resid_h**2).sum()) + 0.5 * float((resid_m**2).sum())
     reducible = max(data_scale - noise_floor, 0.05 * data_scale)
     tv0 = _vtv_array(u0.reshape(basis.p, pan.height, pan.width))
@@ -376,8 +375,7 @@ def hysure_solve(
     """
     ratio = model.ratio
     h, w = pan.height, pan.width
-    if (y_h.height * ratio, y_h.width * ratio) != (h, w):
-        raise ValueError("PAN dims must equal ratio times the Y_H dims")
+    check_pair(y_h, pan, ratio)
     p = basis.p
     H = basis.H
     phase = default_phase(ratio)
@@ -484,15 +482,14 @@ def fuse_hysure(
     pan: SpectralImage,
     basis: SubspaceBasis,
     model: SensorModel,
-    rng: DynamicRange | None = None,
+    rng: DynamicRange,
 ) -> SpectralImage:
-    """Variational fusion under `default_hysure_params`; output optionally
-    clipped to the dynamic range."""
+    """Variational fusion under `default_hysure_params`, clipped to the
+    dynamic range."""
     params = default_hysure_params(y_h, pan, basis, model)
     result = hysure_solve(y_h, pan, basis, model, params)
     fused = basis.H @ result.U
-    if rng is not None:
-        np.clip(fused, rng.lo, rng.hi, out=fused)
+    np.clip(fused, rng.lo, rng.hi, out=fused)
     return SpectralImage._adopt(pan.height, pan.width, fused, y_h.wavelengths)
 
 
@@ -589,11 +586,7 @@ def estimate_sensor(
         raise ValueError("kernel support must be a positive odd width")
     if lambda_b < 0 or lambda_r < 0:
         raise ValueError("regularization weights must be nonnegative")
-    if y_m.height % y_h.height or y_m.width % y_h.width:
-        raise ValueError("image dims do not give an integer scale ratio")
-    ratio = y_m.height // y_h.height
-    if y_m.width // y_h.width != ratio:
-        raise ValueError("height and width ratios disagree")
+    ratio = pair_ratio(y_h, y_m)
     if y_h.data.std() == 0 or y_m.data.std() == 0:
         raise ValueError("degenerate (constant) input image")
     m_lambda = y_h.bands

@@ -15,7 +15,8 @@ import numpy as np
 
 from ..imgcore import SpectralImage
 from ..resample import upsample_data
-from ..sensorsim import SensorModel, blur_downsample
+from ..sensorsim import SensorModel, check_pair, degrade
+from .cs import signed_axes
 
 __all__ = [
     "Endmembers",
@@ -82,9 +83,7 @@ def vca(y: np.ndarray, p: int, seed: int = 0) -> np.ndarray:
     left, sing, _ = np.linalg.svd(y, full_matrices=False)
     if sing[p - 1] <= max(m, n) * np.finfo(np.float64).eps * sing[0]:
         raise ValueError(f"data rank is below the requested {p} endmembers")
-    basis = left[:, :p]
-    signs = np.sign(basis[np.abs(basis).argmax(axis=0), np.arange(p)])
-    basis = basis * np.where(signs == 0, 1.0, signs)[np.newaxis, :]
+    basis = signed_axes(left[:, :p])
     if p == 1:
         k = int(np.argmax(basis[:, 0] @ y))
         return y[:, [k]].copy()
@@ -220,8 +219,7 @@ def cnmf_solve(
     if outer_iters < 1 or inner_iters < 1:
         raise ValueError("iteration budgets must be positive")
     ratio = model.ratio
-    if (pan.height, pan.width) != (y_h.height * ratio, y_h.width * ratio):
-        raise ValueError("PAN dims must equal ratio times the Y_H dims")
+    check_pair(y_h, pan, ratio)
     data_h = np.maximum(y_h.data, 0.0)
     data_p = np.maximum(pan.data, 0.0)
     response = model.spectral_response
@@ -247,10 +245,9 @@ def cnmf_solve(
 
     for outer in range(outer_iters):
         if outer > 0:
-            low_img = SpectralImage(pan.height, pan.width, abund_high)
-            abund_low = np.maximum(
-                blur_downsample(low_img, model.blur, ratio).data, 0.0
-            )
+            planes = abund_high.reshape(-1, pan.height, pan.width)
+            low = degrade(planes, model.blur.taps, ratio)
+            abund_low = np.maximum(low.reshape(planes.shape[0], -1), 0.0)
         trace = [_objective(h_aug, abund_low, y_aug, y_resid)]
         for _ in range(inner_iters):
             abund_low = _abundance_step(abund_low, h_aug.T @ y_aug, h_aug.T @ h_aug)

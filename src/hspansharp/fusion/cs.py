@@ -7,7 +7,8 @@ per-band gains g. PCA is the case w = g = the first principal loading.
 The band covariance of the interpolated bands, which GS and GSA gains and
 the PCA loading need, comes from the low-resolution bands
 (`resample.upsampled_moments`), so only O_L and the injection pass over the
-interpolated cube.
+interpolated cube. The sign rule of principal axes (`signed_axes`) and the
+energy knee (`energy_knee`) of every method live here.
 """
 
 from __future__ import annotations
@@ -18,11 +19,13 @@ import numpy as np
 
 from ..imgcore import SpectralImage
 from ..resample import upsample_data, upsampled_moments
-from ..sensorsim import BlurKernel, blur_downsample
+from ..sensorsim import BlurKernel, blur_downsample, check_pair, pan_values
 
 __all__ = [
     "PcaTransform",
     "pca_transform",
+    "signed_axes",
+    "energy_knee",
     "match_moments",
     "fuse_pca",
     "fuse_gs",
@@ -74,19 +77,30 @@ def pca_transform(img: SpectralImage) -> PcaTransform:
     return PcaTransform(loadings, mu, evals)
 
 
+def signed_axes(axes: np.ndarray) -> np.ndarray:
+    """`axes` (one axis per column) with each column negated where that makes
+    its largest-magnitude entry positive."""
+    signs = np.sign(axes[np.abs(axes).argmax(axis=0), np.arange(axes.shape[1])])
+    return axes * np.where(signs == 0, 1.0, signs)
+
+
+def energy_knee(energies: np.ndarray, share: float, cap: int) -> int:
+    """Smallest leading count of the descending `energies` whose sum reaches
+    `share` of the total, at most `cap`."""
+    frac = np.cumsum(energies) / energies.sum()
+    return min(int(np.searchsorted(frac, share) + 1), cap, energies.size)
+
+
 def _principal_axes(cov: np.ndarray, data: np.ndarray):
     """Eigenvalues of a band covariance in descending order, clamped at zero,
-    and the loadings as rows, each signed so its largest-magnitude entry is
-    positive. A leading variance at or below 1e-12 max(1, |data|)^2 raises."""
+    and the `signed_axes` loadings as rows. A leading variance at or below
+    1e-12 max(1, |data|)^2 raises."""
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1]
     evals = np.maximum(evals[order], 0.0)
-    loadings = evecs[:, order].T
     if evals[0] <= 1e-12 * max(1.0, float(data.max()), -float(data.min())) ** 2:
         raise ValueError("degenerate PCA: image has no spectral variance")
-    signs = np.sign(loadings[np.arange(loadings.shape[0]),
-                             np.abs(loadings).argmax(axis=1)])
-    return evals, loadings * np.where(signs == 0, 1.0, signs)[:, np.newaxis]
+    return evals, signed_axes(evecs[:, order]).T
 
 
 def match_moments(values: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -102,14 +116,6 @@ def match_moments(values: np.ndarray, target: np.ndarray) -> np.ndarray:
     return (values - values.mean()) * scale + target.mean()
 
 
-def _pan_values(pan: SpectralImage, height: int, width: int) -> np.ndarray:
-    if pan.bands != 1:
-        raise ValueError("PAN image must hold a single band")
-    if (pan.height, pan.width) != (height, width):
-        raise ValueError("PAN dims disagree with the interpolated bands")
-    return pan.data[0]
-
-
 def _inject(fused: np.ndarray, p: np.ndarray, o_l: np.ndarray, g: np.ndarray) -> None:
     """F_k += g_k (P - O_L) in place, band by band through one reused band
     buffer, with P first moment-matched to O_L."""
@@ -123,7 +129,8 @@ def _interpolated(y_h: SpectralImage, pan: SpectralImage, ratio: int):
     """Y_H interpolated to the PAN grid as a fresh writable array, and the PAN
     values."""
     ratio = int(ratio)
-    p = _pan_values(pan, y_h.height * ratio, y_h.width * ratio)
+    p = pan_values(pan)
+    check_pair(y_h, pan, ratio)
     return upsample_data(y_h, ratio, "bicubic"), p
 
 
@@ -181,6 +188,7 @@ def fuse_gsa(
 ) -> SpectralImage:
     """GS Adaptive: intensity weights regressed against the PAN degraded to
     the hyperspectral grid, then the usual GS injection."""
+    check_pair(y_h, pan, int(ratio))
     pan_low = blur_downsample(pan, blur, ratio)
     w = gsa_weights(y_h.data, pan_low.data[0])
     return _gs_inject(y_h, pan, ratio, w)

@@ -15,8 +15,8 @@ import numpy as np
 
 from ..imgcore import SpectralImage
 from ..resample import upsample_data
-from ..sensorsim import separable
-from .cs import pca_transform
+from ..sensorsim import check_pair, pan_values, separable
+from .cs import energy_knee, pca_transform
 
 __all__ = [
     "guided_filter_plane",
@@ -88,9 +88,7 @@ def _mad_sigma(values: np.ndarray) -> float:
 def default_component_count(variances: np.ndarray) -> int:
     """Smallest leading component count explaining `_ENERGY` of the variance,
     at most `_MAX_COMPONENTS`."""
-    frac = np.cumsum(variances) / variances.sum()
-    p = int(np.searchsorted(frac, _ENERGY) + 1)
-    return min(p, _MAX_COMPONENTS, variances.size)
+    return energy_knee(variances, _ENERGY, _MAX_COMPONENTS)
 
 
 def fuse_gfpca(y_h: SpectralImage, pan: SpectralImage, ratio: int) -> SpectralImage:
@@ -103,10 +101,8 @@ def fuse_gfpca(y_h: SpectralImage, pan: SpectralImage, ratio: int) -> SpectralIm
     is the MAD noise scale of the trailing components.
     """
     ratio = int(ratio)
-    if pan.bands != 1:
-        raise ValueError("PAN image must hold a single band")
-    if (pan.height, pan.width) != (y_h.height * ratio, y_h.width * ratio):
-        raise ValueError("PAN dims must equal the upsampled Y_H dims")
+    guide = pan_values(pan).reshape(pan.height, pan.width)
+    check_pair(y_h, pan, ratio)
     transform = pca_transform(y_h)
     scores = transform.forward(y_h.data)
     p = default_component_count(transform.variances)
@@ -118,9 +114,7 @@ def fuse_gfpca(y_h: SpectralImage, pan: SpectralImage, ratio: int) -> SpectralIm
         return upsample_data(low, ratio, "bicubic")
 
     leading = upsampled(scores[:p]).reshape(p, pan.height, pan.width)
-    filtered = guided_filter_plane(
-        leading, pan.to_cube()[0], ratio, 1e-4 * span**2
-    ).reshape(p, -1)
+    filtered = guided_filter_plane(leading, guide, ratio, 1e-4 * span**2).reshape(p, -1)
     # Interpolation and the inverse PCA are linear, so the trailing
     # components and the band means go back to band space at low resolution
     # and are interpolated once, into the cube the leading term is added to.

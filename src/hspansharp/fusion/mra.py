@@ -8,11 +8,13 @@ against the P_L statistics, and injects the band detail G_k (P - P_L).
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..imgcore import DynamicRange, SpectralImage
 from ..resample import upsample, upsample_data, upsampled_moments
-from ..sensorsim import blur, blur_downsample, kernel_from_mtf
+from ..sensorsim import blur, blur_downsample, check_pair, kernel_from_mtf, pan_values
 
 __all__ = [
     "box_lowpass",
@@ -53,12 +55,13 @@ def glp_lowpass(pan: SpectralImage, ratio: int, gnyq: float = 0.3) -> SpectralIm
 def _equalized_fusion(
     y_h: SpectralImage,
     pan: SpectralImage,
-    pan_low: SpectralImage,
+    lowpass,
     ratio: int,
     rng: DynamicRange,
     gains: str,
 ) -> SpectralImage:
-    """Shared SFIM / MTF-GLP body: per-band PAN equalization then injection.
+    """Shared SFIM / MTF-GLP body: the low-pass PAN P_L = lowpass(pan), then
+    per-band PAN equalization and injection.
 
     P_eq^k = (P - mean(P)) std(Y^k) / std(P_L) + mean(Y^k); the same affine
     map is applied to P_L so the detail scales consistently. A constant PAN
@@ -74,12 +77,9 @@ def _equalized_fusion(
     (`upsampled_moments`).
     """
     ratio = int(ratio)
-    if pan.bands != 1:
-        raise ValueError("PAN image must hold a single band")
-    if (pan.height, pan.width) != (y_h.height * ratio, y_h.width * ratio):
-        raise ValueError("PAN dims must equal the upsampled band dims")
-    p = pan.data[0]
-    p_l = pan_low.data[0]
+    p = pan_values(pan)
+    check_pair(y_h, pan, ratio)
+    p_l = lowpass(pan).data[0]
     p_mean = p.mean()
     pl_std = p_l.std()
     # Filtering a constant PAN leaves rounding dust with std ~ eps |P|;
@@ -114,8 +114,8 @@ def fuse_sfim(
     y_h: SpectralImage, pan: SpectralImage, ratio: int, rng: DynamicRange
 ) -> SpectralImage:
     """Smoothing-filter-based intensity modulation: box low-pass, HPM gains."""
-    pan_low = box_lowpass(pan, ratio)
-    return _equalized_fusion(y_h, pan, pan_low, ratio, rng, "hpm")
+    lowpass = partial(box_lowpass, ratio=ratio)
+    return _equalized_fusion(y_h, pan, lowpass, ratio, rng, "hpm")
 
 
 def fuse_mtf_glp(
@@ -126,8 +126,8 @@ def fuse_mtf_glp(
     rng: DynamicRange,
 ) -> SpectralImage:
     """MTF-matched GLP detail with additive injection."""
-    pan_low = glp_lowpass(pan, ratio, gnyq)
-    return _equalized_fusion(y_h, pan, pan_low, ratio, rng, "additive")
+    lowpass = partial(glp_lowpass, ratio=ratio, gnyq=gnyq)
+    return _equalized_fusion(y_h, pan, lowpass, ratio, rng, "additive")
 
 
 def fuse_mtf_glp_hpm(
@@ -138,5 +138,5 @@ def fuse_mtf_glp_hpm(
     rng: DynamicRange,
 ) -> SpectralImage:
     """MTF-matched GLP detail with high-pass-modulation gains."""
-    pan_low = glp_lowpass(pan, ratio, gnyq)
-    return _equalized_fusion(y_h, pan, pan_low, ratio, rng, "hpm")
+    lowpass = partial(glp_lowpass, ratio=ratio, gnyq=gnyq)
+    return _equalized_fusion(y_h, pan, lowpass, ratio, rng, "hpm")

@@ -73,44 +73,25 @@ def reference_scene(config: RunConfig) -> SpectralImage:
     )
 
 
-def _pan_response(config: RunConfig, truth: SpectralImage) -> np.ndarray:
-    if config.pan_weights is not None:
-        weights = np.asarray(config.pan_weights, dtype=np.float64)
-        if weights.size != truth.bands:
-            raise ValueError("pan-weights length must equal the band count")
-        total = weights.sum()
-        if total <= 0 or (weights < 0).any():
-            raise ValueError("pan-weights must be nonnegative with positive sum")
-        return weights / total
-    if config.pan_window is None:
-        return default_pan_response(truth.bands, truth.wavelengths)
-    return default_pan_response(truth.bands, truth.wavelengths, tuple(config.pan_window))
-
-
 def wald_inputs(
     truth: SpectralImage, config: RunConfig
 ) -> tuple[SpectralImage, SpectralImage, SensorModel, DynamicRange]:
     """Degrade the reference into the observed pair and assemble the sensor
-    model (blur, response, and any noise standard deviations)."""
+    model: the MTF-matched blur, the default PAN response, and the noise
+    standard deviations that `snr-db` gives each image (none when unset)."""
     ratio = config.ratio
     if truth.height % ratio or truth.width % ratio:
         raise ValueError("reference dims must be divisible by the ratio")
     kernel = kernel_from_mtf(ratio, config.gnyq)
-    response = _pan_response(config, truth)
+    response = default_pan_response(truth.bands, truth.wavelengths)
 
     y_h = blur_downsample(truth, kernel, ratio)
     pan = synth_pan(truth, response)
 
     hs_stds = np.zeros(truth.bands)
     pan_std = 0.0
-    if config.hs_noise_std is not None:
-        hs_stds = np.full(truth.bands, config.hs_noise_std)
-    elif config.snr_db is not None:
-        rms = np.sqrt((y_h.data**2).mean(axis=1))
-        hs_stds = _snr_std(rms, config.snr_db)
-    if config.pan_noise_std is not None:
-        pan_std = config.pan_noise_std
-    elif config.snr_db is not None:
+    if config.snr_db is not None:
+        hs_stds = _snr_std(np.sqrt((y_h.data**2).mean(axis=1)), config.snr_db)
         pan_std = _snr_std(float(np.sqrt((pan.data**2).mean())), config.snr_db)
 
     if hs_stds.any():
@@ -125,11 +106,7 @@ def wald_inputs(
         hs_noise_std=hs_stds,
         pan_noise_std=pan_std,
     )
-    lo = float(y_h.data.min())
-    hi = float(y_h.data.max())
-    if hi <= lo:
-        hi = lo + 1.0
-    return y_h, pan, model, DynamicRange(lo, hi)
+    return y_h, pan, model, DynamicRange.spanning(y_h.data)
 
 
 def _method_seed(seed: int, index: int) -> int:

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..imgcore import DynamicRange
 from ..metrics import compute_report
-from ..sensorsim import SensorModel, default_pan_response, kernel_from_mtf
+from ..sensorsim import SensorModel, default_pan_response, kernel_from_mtf, pair_ratio
 from .bench import emit_report, run_wald, wald_inputs
 from .config import RunConfig, apply_overrides, parse_config
 from .envi import load_raster, save_raster
@@ -133,11 +133,7 @@ def _cmd_fuse(args) -> int:
     config = apply_overrides(RunConfig(subspace_dim=args.subspace_dim), pairs)
     y_h = load_raster(args.hs)
     pan = load_raster(args.pan)
-    if pan.height % y_h.height or pan.width % y_h.width:
-        raise ValueError("PAN dims are not an integer multiple of the HS dims")
-    ratio = pan.height // y_h.height
-    if pan.width // y_h.width != ratio:
-        raise ValueError("height and width ratios disagree")
+    ratio = pair_ratio(y_h, pan)
     kernel = kernel_from_mtf(ratio, args.gnyq)
     response = default_pan_response(y_h.bands, y_h.wavelengths)
     model = SensorModel(
@@ -145,12 +141,11 @@ def _cmd_fuse(args) -> int:
         blur=kernel,
         spectral_response=response[np.newaxis, :],
     )
-    lo, hi = float(y_h.data.min()), float(y_h.data.max())
     ctx = MethodContext(
         y_h=y_h,
         pan=pan,
         model=model,
-        range=DynamicRange(lo, hi if hi > lo else lo + 1.0),
+        range=DynamicRange.spanning(y_h.data),
         gnyq=args.gnyq,
         seed=args.seed,
         subspace_dim=config.subspace_dim,

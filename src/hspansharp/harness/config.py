@@ -12,9 +12,10 @@ parameter that the method reads the key and that the value has the key's
 type (see `registry.PARAMS`).
 
 The reference scene comes either from `input` (a raster path) or from the
-synthetic-scene fields. Noise is specified as an SNR in dB (`snr-db`,
-converted to per-band standard deviations at degradation time), as
-explicit per-image standard deviations, or omitted for noiseless runs.
+synthetic-scene fields. Noise is set only by `snr-db`, an SNR in dB that
+`bench.wald_inputs` turns into per-band standard deviations; without it a
+run is noiseless. The PAN response is always
+`sensorsim.default_pan_response`.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ _KINDS = {
     "int": (_is_int, "an integer"),
     "float": (_is_real, "a number"),
     "str": (_is_text, "a non-empty string"),
-    "tuple[float, float]": (_is_reals, "a list of numbers"),
     "tuple[float, ...]": (_is_reals, "a list of numbers"),
     "tuple[str, ...]": (_is_names, "a list of names"),
     "dict": (lambda value: isinstance(value, dict), "a table"),
@@ -72,11 +72,7 @@ class RunConfig:
     seed: int = 0
     ratio: int = 5
     gnyq: float = 0.3
-    pan_window: tuple[float, float] | None = None
-    pan_weights: tuple[float, ...] | None = None
     snr_db: float | None = None
-    hs_noise_std: float | None = None
-    pan_noise_std: float | None = None
     timing: str = "wall"
     methods: tuple[str, ...] | None = None
     subspace_dim: int | None = None
@@ -104,20 +100,19 @@ class RunConfig:
             raise ValueError("gnyq must lie strictly between 0 and 1")
         if self.snr_db is not None and self.snr_db <= 0:
             raise ValueError("snr-db must be positive when set")
-        for key in ("hs_noise_std", "pan_noise_std"):
-            value = getattr(self, key)
-            if value is not None and value < 0:
-                raise ValueError(f"{key} must be nonnegative")
-        if self.pan_window is not None and len(self.pan_window) != 2:
-            raise ValueError("pan-window needs exactly two wavelengths")
         if self.subspace_dim is not None and self.subspace_dim < 1:
             raise ValueError("subspace-dim must be at least 1 when set")
         if self.timing not in _TIMING_MODES:
             raise ValueError(f"timing must be one of {_TIMING_MODES}")
         known = method_names()
-        for name in self.selected_methods():
+        selected = self.selected_methods()
+        if not selected:
+            raise ValueError("methods must name at least one method")
+        for index, name in enumerate(selected):
             if name not in known:
                 raise ValueError(f"unknown method {name!r} in config")
+            if name in selected[:index]:
+                raise ValueError(f"methods names {name!r} twice")
         for name, given in self.method_params.items():
             if name not in known:
                 raise ValueError(f"unknown method section [{name}] in config")
@@ -167,10 +162,8 @@ def _parse_base_value(key: str, value: str):
     if key == "methods":
         return _split_list(value)
     if key == "percentiles":
-        return [float(v) for v in _split_list(value)]
-    if key in ("pan_window", "pan_weights"):
-        parts = _split_list(value)
-        return [float(v) for v in parts] if parts else None
+        # A part that is no number stays text, for `validate` to name.
+        return [float(v) if _is_real(_coerce(v)) else v for v in _split_list(value)]
     if key == "timing":
         return value.lower()
     if key in ("input", "output_dir"):

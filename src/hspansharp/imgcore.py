@@ -43,6 +43,12 @@ class DynamicRange:
         if not self.lo < self.hi:
             raise ValueError(f"dynamic range needs lo < hi, got [{self.lo}, {self.hi}]")
 
+    @classmethod
+    def spanning(cls, values: np.ndarray) -> "DynamicRange":
+        """[min, max] of `values`, or [lo, lo + 1] when they are constant."""
+        lo, hi = float(values.min()), float(values.max())
+        return cls(lo, hi if hi > lo else lo + 1.0)
+
     @property
     def span(self) -> float:
         return self.hi - self.lo

@@ -4,9 +4,9 @@ Output sample j on each axis interpolates the input at
 (j - sensorsim.default_phase(ratio)) / ratio, so input pixel centers land
 exactly on the decimation sites kept by blur_downsample and the round trip
 through an impulse kernel is lossless.
-Out-of-range source coordinates use `sensorsim.mirror_index`, the symmetric
-(mirror) extension the blur of `sensorsim.degrade_axis` also uses. Each axis
-is one (n * ratio) x n interpolation matrix M, so `upsample` is M_h X M_w^T,
+Out-of-range source coordinates are mirrored by `sensorsim.stencil_matrix`,
+which also builds the blur of `sensorsim.degrade_axis`. Each axis is one
+(n * ratio) x n interpolation matrix M, so `upsample` is M_h X M_w^T,
 applied by `sensorsim.separable` (the one place a pair of axis matrices is
 applied) on the four nonzero weights of each row.
 `upsample_data` returns that product as a fresh writable array, for the
@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .imgcore import SpectralImage
-from .sensorsim import default_phase, mirror_index, separable
+from .sensorsim import default_phase, separable, stencil_matrix
 
 __all__ = ["upsample", "upsample_data", "upsampled_moments"]
 
@@ -39,30 +39,19 @@ def _cubic_weight(t: np.ndarray) -> np.ndarray:
     return np.where(at <= 1.0, inner, np.where(at < 2.0, outer, 0.0))
 
 
-def _axis_plan(n_in: int, ratio: int, method: str):
-    """Mirrored source indices and weights of each output sample when one
-    axis grows to length n_in * ratio."""
+def _axis_matrix(n_in: int, ratio: int, method: str) -> np.ndarray:
+    """One axis grown to length n_in * ratio, as an (n_in * ratio) x n_in
+    matrix of mirrored taps (`sensorsim.stencil_matrix`)."""
     src = (np.arange(n_in * ratio) - default_phase(ratio)) / ratio
     base = np.floor(src).astype(np.int64)
     t = src - base
     if method == "bilinear":
         offsets = np.array([0, 1])
-        weights = np.stack([1.0 - t, t])
+        weights = np.stack([1.0 - t, t], axis=1)
     else:
         offsets = np.array([-1, 0, 1, 2])
-        weights = np.stack([_cubic_weight(t - o) for o in offsets])
-    idx = mirror_index(base[np.newaxis, :] + offsets[:, np.newaxis], n_in)
-    return idx, weights
-
-
-def _axis_matrix(n_in: int, ratio: int, method: str) -> np.ndarray:
-    """The axis plan as an (n_in * ratio) x n_in matrix; taps that mirror onto
-    the same input sample add up."""
-    idx, weights = _axis_plan(n_in, ratio, method)
-    rows = np.broadcast_to(np.arange(n_in * ratio), idx.shape)
-    matrix = np.zeros((n_in * ratio, n_in))
-    np.add.at(matrix, (rows, idx), weights)
-    return matrix
+        weights = np.stack([_cubic_weight(t - o) for o in offsets], axis=1)
+    return stencil_matrix(base[:, np.newaxis] + offsets, weights, n_in)
 
 
 def _axis_matrices(img: SpectralImage, ratio: int, method: str):

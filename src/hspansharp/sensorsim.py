@@ -2,10 +2,14 @@
 synthesis, and seeded per-band Gaussian noise.
 
 All spatial filtering uses symmetric (mirror) boundary extension, defined
-once by `mirror_index`, so that constant images are preserved exactly. The
-separable blur is written per axis as a small matrix (`degrade_axis`), so
-`blur` is B_h X B_w^T and `degrade` (the Wald observation operator X B S)
-keeps only the decimated rows of each matrix.
+once by `stencil_matrix`, which builds every per-axis matrix of mirrored
+taps, so that constant images are preserved exactly. The separable blur is
+written per axis as a small matrix (`degrade_axis`), so `blur` is
+B_h X B_w^T and `degrade` (the Wald observation operator X B S) keeps only
+the decimated rows of each matrix.
+
+`pan_values`, `check_pair` and `pair_ratio` are the checks on an observed
+(Y_H, PAN) pair that every method and command shares.
 
 `separable` is the one place where a pair of per-axis matrices is applied,
 here and in `resample`, the guided filter and BayesNaive. It spends work
@@ -32,8 +36,12 @@ __all__ = [
     "synth_pan",
     "add_gaussian_noise",
     "default_pan_response",
+    "PAN_WINDOW",
     "default_phase",
-    "mirror_index",
+    "stencil_matrix",
+    "pan_values",
+    "check_pair",
+    "pair_ratio",
     "NOISE_ALGORITHM",
 ]
 
@@ -42,6 +50,9 @@ NOISE_ALGORITHM = "pcg64-per-band"
 
 # Output rows per block of `separable`'s row product.
 _ROW_BLOCK = 32
+
+# Visible wavelength window (micrometers) of the default PAN response.
+PAN_WINDOW = (0.48, 0.69)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,17 +132,45 @@ def default_phase(ratio: int) -> int:
     return ratio // 2
 
 
-def mirror_index(idx: np.ndarray, n: int) -> np.ndarray:
-    """Map sample indices onto 0..n-1 by symmetric half-sample extension:
-    ... 1 0 | 0 1 ... n-1 | n-1 n-2 ... (scipy.ndimage's "reflect").
+def stencil_matrix(positions: np.ndarray, weights, n: int) -> np.ndarray:
+    """The m x n matrix whose row k reads sample positions[k, j] of an
+    n-sample line with weight weights[k, j] (`weights` broadcasts against
+    `positions`). Positions outside 0..n-1 are mirrored by symmetric
+    half-sample extension, ... 1 0 | 0 1 ... n-1 | n-1 n-2 ...
+    (scipy.ndimage's "reflect"), and taps that land on the same sample add up.
 
-    It is the one boundary rule of the package: `degrade_axis` blurs with it
-    and `resample` interpolates with it."""
-    if n == 1:
-        return np.zeros_like(idx)
-    period = 2 * n
-    j = np.mod(idx, period)
-    return np.where(j >= n, period - 1 - j, j)
+    It holds the one boundary rule of the package: `degrade_axis` blurs with
+    it and `resample` interpolates with it."""
+    j = np.mod(positions, 2 * n)
+    idx = np.where(j >= n, 2 * n - 1 - j, j)
+    rows = np.broadcast_to(np.arange(idx.shape[0])[:, np.newaxis], idx.shape)
+    matrix = np.zeros((idx.shape[0], n))
+    np.add.at(matrix, (rows, idx), np.broadcast_to(weights, idx.shape))
+    return matrix
+
+
+def pan_values(pan: SpectralImage) -> np.ndarray:
+    """The samples of a single-band PAN image."""
+    if pan.bands != 1:
+        raise ValueError("PAN image must hold a single band")
+    return pan.data[0]
+
+
+def check_pair(y_h: SpectralImage, pan: SpectralImage, ratio: int) -> None:
+    """Raise unless the PAN grid is `ratio` times the Y_H grid on both axes."""
+    if (pan.height, pan.width) != (y_h.height * ratio, y_h.width * ratio):
+        raise ValueError(
+            f"PAN dims {pan.height}x{pan.width} are not {ratio} times"
+            f" the Y_H dims {y_h.height}x{y_h.width}"
+        )
+
+
+def pair_ratio(y_h: SpectralImage, pan: SpectralImage) -> int:
+    """The integer ratio of the PAN grid to the Y_H grid, the same on both
+    axes, or `check_pair`'s error."""
+    ratio = max(pan.height // y_h.height, 1)
+    check_pair(y_h, pan, ratio)
+    return ratio
 
 
 def kernel_from_mtf(ratio: int, gnyq: float = 0.3) -> BlurKernel:
@@ -155,17 +194,12 @@ def kernel_from_mtf(ratio: int, gnyq: float = 0.3) -> BlurKernel:
 def degrade_axis(n: int, taps: np.ndarray, ratio: int) -> np.ndarray:
     """One axis of `degrade` as a matrix: row k holds the weights of blurred
     sample i = default_phase(ratio) + k ratio of an n-sample line, tap j
-    reading sample i + radius - j through `mirror_index` (valid also when n
-    is below the kernel radius). Taps that mirror onto the same sample add
-    up."""
+    reading sample i + radius - j as mirrored by `stencil_matrix` (valid
+    also when n is below the kernel radius)."""
     taps = np.asarray(taps, dtype=np.float64)
     kept = np.arange(default_phase(ratio), n, ratio)
     offsets = taps.size // 2 - np.arange(taps.size)
-    idx = mirror_index(kept[:, np.newaxis] + offsets, n)
-    rows = np.broadcast_to(np.arange(kept.size)[:, np.newaxis], idx.shape)
-    matrix = np.zeros((kept.size, n))
-    np.add.at(matrix, (rows, idx), np.broadcast_to(taps, idx.shape))
-    return matrix
+    return stencil_matrix(kept[:, np.newaxis] + offsets, taps, n)
 
 
 def separable(rows: np.ndarray, stack: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -264,17 +298,15 @@ def add_gaussian_noise(img: SpectralImage, std_per_band, seed: int) -> SpectralI
     return img.with_data(data)
 
 
-def default_pan_response(
-    bands: int, wavelengths=None, window: tuple[float, float] = (0.48, 0.69)
-) -> np.ndarray:
-    """Uniform panchromatic response over the visible window, falling back to
-    the first half of the bands when no wavelengths are available."""
+def default_pan_response(bands: int, wavelengths=None) -> np.ndarray:
+    """Uniform panchromatic response over `PAN_WINDOW`, falling back to the
+    first half of the bands when no wavelengths are available."""
     if wavelengths is not None:
         wl = np.asarray(wavelengths, dtype=np.float64)
-        mask = (wl >= window[0]) & (wl <= window[1])
+        mask = (wl >= PAN_WINDOW[0]) & (wl <= PAN_WINDOW[1])
         if not mask.any():
             raise ValueError(
-                f"no band falls inside the response window {window}"
+                f"no band falls inside the response window {PAN_WINDOW}"
             )
     else:
         mask = np.zeros(bands, dtype=bool)

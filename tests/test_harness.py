@@ -125,8 +125,8 @@ class TestRunConfig:
             dict(gnyq=0.0),
             dict(gnyq=1.0),
             dict(snr_db=0.0),
-            dict(hs_noise_std=-1.0),
-            dict(pan_noise_std=-0.5),
+            dict(methods=()),
+            dict(methods=("PCA", "PCA")),
             dict(timing="cpu"),
             dict(methods=("PCA", "Nope")),
             dict(method_params={"Nope": {}}),
@@ -289,6 +289,17 @@ class TestRegistry:
         with pytest.raises(KeyError, match="Nope"):
             get_method("Nope")
 
+    @pytest.mark.parametrize("name", method_names())
+    def test_pan_one_row_short_rejected(self, name):
+        config = small_config()
+        truth = synth_scene(0, 3, 20, 20, 11)
+        y_h, pan, model, bounds = wald_inputs(truth, config)
+        short = SpectralImage(19, 20, pan.data[:, :-20])
+        ctx = MethodContext(y_h, short, model, bounds, config.gnyq, seed=0)
+        message = "PAN dims 19x20 are not 2 times the Y_H dims 10x10"
+        with pytest.raises(ValueError, match=message):
+            get_method(name)(ctx)
+
 
 class TestPercentileSpectrum:
     def make_instance(self):
@@ -427,7 +438,12 @@ class TestRunWald:
 
 class TestEmitReport:
     def test_no_methods_header_only(self, tmp_path):
-        report = run_wald(small_config(methods=()))
+        # A config names at least one method, so the empty report is built
+        # directly.
+        config = small_config()
+        truth = synth_scene(0, 3, 20, 20, 11)
+        y_h, pan, _, _ = wald_inputs(truth, config)
+        report = bench.BenchmarkReport(config, (), truth, y_h, pan)
         paths = emit_report(report, str(tmp_path))
         lines = open(paths["csv"]).read().splitlines()
         assert lines == ["method,CC,SAM,RMSE,ERGAS,time_s"]
@@ -679,6 +695,9 @@ class TestCli:
             ("subspace-dim=0", "subspace-dim must be at least 1"),
             ("seed=-1", "seed must be nonnegative"),
             ("output-dir=", "output-dir must be a non-empty string, got None"),
+            ("percentiles=abc", "percentiles must be a list of numbers, got ('abc',)"),
+            ("methods=", "methods must name at least one method"),
+            ("methods=PCA,PCA", "methods names 'PCA' twice"),
         ],
     )
     def test_bad_config_value_returns_one_before_any_method(

@@ -28,6 +28,10 @@ class TestDynamicRange:
         assert DynamicRange(0, 1) == DynamicRange(0.0, 1.0)
         assert DynamicRange(0, 1) != DynamicRange(0, 2)
 
+    def test_spanning_widens_constant_values(self):
+        assert DynamicRange.spanning(np.array([0.5, -1.0, 2.0])) == DynamicRange(-1.0, 2.0)
+        assert DynamicRange.spanning(np.full(4, 3.0)) == DynamicRange(3.0, 4.0)
+
 
 class TestSpectralImage:
     def test_shape_accessors(self):

@@ -140,7 +140,7 @@ class TestBlur:
     )
     def test_axis_matrix_is_scipy_reflect_convolution(self, taps):
         # scipy.ndimage's "reflect" mode is the definition of the boundary
-        # rule that `mirror_index` implements; many of these lines are
+        # rule that `stencil_matrix` implements; many of these lines are
         # shorter than the kernel radius.
         for n in [*range(1, 61), 97, 100, 125, 320, 480]:
             want = convolve1d(np.eye(n), taps, axis=0, mode="reflect")
@@ -161,6 +161,18 @@ class TestBlur:
                 if any(n == "scipy" or n.startswith("scipy.") for n in names):
                     importers.add(path.relative_to(package).as_posix())
         assert importers == set()
+
+    def test_pair_message_has_one_home(self):
+        # The PAN/Y_H grid rule is written once, in `sensorsim.check_pair`.
+        package = Path(__file__).resolve().parents[1] / "src" / "hspansharp"
+        homes = {
+            path.relative_to(package).as_posix()
+            for path in package.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and "PAN dims" in node.value
+        }
+        assert homes == {"sensorsim.py"}
 
     def test_cli_import_loads_no_scipy(self):
         src = Path(__file__).resolve().parents[1] / "src"
