@@ -94,16 +94,21 @@ def default_subspace_dim(y_h: SpectralImage) -> int:
 # Naive Gaussian-prior solver on the Wald operator `sensorsim.degrade`.
 
 
-def _noise_weights(model: SensorModel, bands: int) -> tuple[np.ndarray, float]:
+def _noise_weights(model: SensorModel) -> tuple[np.ndarray, float]:
     """Inverse noise weights; a zero (unknown) std falls back to unit weight."""
     stds = model.hs_noise_std
-    if stds.size == 0:
-        stds = np.zeros(bands)
-    if stds.size != bands:
-        raise ValueError(f"{stds.size} noise stds for {bands} bands")
     wh = np.where(stds > 0, 1.0 / np.where(stds > 0, stds, 1.0), 1.0)
     wm = 1.0 / model.pan_noise_std if model.pan_noise_std > 0 else 1.0
     return wh, wm
+
+
+def _residuals(
+    x: np.ndarray, y_h: SpectralImage, pan: SpectralImage, model: SensorModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """The misfits (Y_H - X B S, P - R X) of a bands x pixels image X on the
+    PAN grid under the sensor model."""
+    low = degrade(x.reshape(-1, pan.height, pan.width), model.blur.taps, model.ratio)
+    return y_h.data - low.reshape(y_h.bands, -1), pan.data - model.spectral_response @ x
 
 
 def negative_log_posterior(
@@ -115,13 +120,11 @@ def negative_log_posterior(
 ) -> float:
     """0.5||L_H^-1/2 (Y_H - HUBS)||^2 + 0.5||L_M^-1/2 (Y_M - RHU)||^2, with
     unit weights where a noise std is zero."""
-    H = basis.H
-    U = np.asarray(U, dtype=np.float64)
-    wh, wm = _noise_weights(model, y_h.bands)
-    x_cube = (H @ U).reshape(y_h.bands, y_m.height, y_m.width)
-    low = degrade(x_cube, model.blur.taps, model.ratio)
-    resid_h = (y_h.data - low.reshape(y_h.bands, -1)) * wh[:, np.newaxis]
-    resid_m = (y_m.data - model.spectral_response @ (H @ U)) * wm
+    x = basis.H @ np.asarray(U, dtype=np.float64)
+    wh, wm = _noise_weights(model)
+    resid_h, resid_m = _residuals(x, y_h, y_m, model)
+    resid_h *= wh[:, np.newaxis]
+    resid_m *= wm
     return 0.5 * float((resid_h**2).sum()) + 0.5 * float((resid_m**2).sum())
 
 
@@ -221,7 +224,7 @@ def bayes_naive_solve(
         planes = field.reshape(p, pan.height, pan.width)
         return separable(qh.T, planes, qw.T).reshape(p, n)
 
-    wh, wm = _noise_weights(model, y_h.bands)
+    wh, wm = _noise_weights(model)
     hw2 = (H * wh[:, np.newaxis] ** 2).T
     rh = (model.spectral_response @ H) * wm
     m_hs = hw2 @ H
@@ -250,7 +253,7 @@ def fuse_bayes_naive(
     pan: SpectralImage,
     model: SensorModel,
     basis: SubspaceBasis,
-    sigma_rounds: int = 5,
+    sigma_rounds: int,
 ) -> SpectralImage:
     """H U from `bayes_naive_solve` under the default priors."""
     result = bayes_naive_solve(y_h, pan, model, basis, sigma_rounds=sigma_rounds)
@@ -313,17 +316,9 @@ def default_hysure_params(
     """
     check_pair(y_h, pan, model.ratio)
     u0 = _interpolated_coefficients(y_h, basis, model.ratio)
-    x0 = basis.H @ u0
-    low = degrade(x0.reshape(-1, pan.height, pan.width), model.blur.taps, model.ratio)
-
-    stds = model.hs_noise_std
-    noise_floor = 0.0
-    if stds.size:
-        noise_floor += 0.5 * y_h.pixels * float((stds**2).sum())
+    resid_h, resid_m = _residuals(basis.H @ u0, y_h, pan, model)
+    noise_floor = 0.5 * y_h.pixels * float((model.hs_noise_std**2).sum())
     noise_floor += 0.5 * pan.pixels * model.pan_noise_std**2
-
-    resid_h = y_h.data - low.reshape(y_h.bands, -1)
-    resid_m = pan.data - model.spectral_response @ x0
     data_scale = 0.5 * float((resid_h**2).sum()) + 0.5 * float((resid_m**2).sum())
     reducible = max(data_scale - noise_floor, 0.05 * data_scale)
     tv0 = _vtv_array(u0.reshape(basis.p, pan.height, pan.width))

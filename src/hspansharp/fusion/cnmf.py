@@ -285,8 +285,8 @@ def fuse_cnmf(
     pan: SpectralImage,
     model: SensorModel,
     p: int,
-    outer_iters: int = 2,
-    inner_iters: int = 100,
+    outer_iters: int,
+    inner_iters: int,
     seed: int = 0,
 ) -> SpectralImage:
     """Fused image H U from the coupled factorization."""

@@ -45,7 +45,7 @@ def box_lowpass(pan: SpectralImage, ratio: int) -> SpectralImage:
     return pan.with_data(out.reshape(pan.bands, -1))
 
 
-def glp_lowpass(pan: SpectralImage, ratio: int, gnyq: float = 0.3) -> SpectralImage:
+def glp_lowpass(pan: SpectralImage, ratio: int, gnyq: float) -> SpectralImage:
     """Single GLP stage: MTF-matched blur, decimate, interpolate back."""
     kernel = kernel_from_mtf(ratio, gnyq)
     low = blur_downsample(pan, kernel, ratio)

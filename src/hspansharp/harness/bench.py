@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,9 +21,8 @@ from ..sensorsim import (
     NOISE_ALGORITHM,
     SensorModel,
     add_gaussian_noise,
+    assumed_model,
     blur_downsample,
-    default_pan_response,
-    kernel_from_mtf,
     synth_pan,
 )
 from .config import RunConfig
@@ -76,36 +75,21 @@ def reference_scene(config: RunConfig) -> SpectralImage:
 def wald_inputs(
     truth: SpectralImage, config: RunConfig
 ) -> tuple[SpectralImage, SpectralImage, SensorModel, DynamicRange]:
-    """Degrade the reference into the observed pair and assemble the sensor
-    model: the MTF-matched blur, the default PAN response, and the noise
-    standard deviations that `snr-db` gives each image (none when unset)."""
-    ratio = config.ratio
-    if truth.height % ratio or truth.width % ratio:
-        raise ValueError("reference dims must be divisible by the ratio")
-    kernel = kernel_from_mtf(ratio, config.gnyq)
-    response = default_pan_response(truth.bands, truth.wavelengths)
+    """Degrade the reference into the observed pair under
+    `sensorsim.assumed_model`, with the noise standard deviations that
+    `snr-db` gives each image (none when unset)."""
+    model = assumed_model(config.ratio, truth.bands, truth.wavelengths, config.gnyq)
+    y_h = blur_downsample(truth, model.blur, config.ratio)
+    pan = synth_pan(truth, model.spectral_response[0])
 
-    y_h = blur_downsample(truth, kernel, ratio)
-    pan = synth_pan(truth, response)
-
-    hs_stds = np.zeros(truth.bands)
-    pan_std = 0.0
     if config.snr_db is not None:
-        hs_stds = _snr_std(np.sqrt((y_h.data**2).mean(axis=1)), config.snr_db)
+        hs_std = _snr_std(np.sqrt((y_h.data**2).mean(axis=1)), config.snr_db)
         pan_std = _snr_std(float(np.sqrt((pan.data**2).mean())), config.snr_db)
-
-    if hs_stds.any():
-        y_h = add_gaussian_noise(y_h, hs_stds, config.seed)
-    if pan_std > 0:
-        pan = add_gaussian_noise(pan, np.array([pan_std]), config.seed + 1)
-
-    model = SensorModel(
-        ratio=ratio,
-        blur=kernel,
-        spectral_response=response[np.newaxis, :],
-        hs_noise_std=hs_stds,
-        pan_noise_std=pan_std,
-    )
+        model = replace(model, hs_noise_std=hs_std, pan_noise_std=pan_std)
+    if model.hs_noise_std.any():
+        y_h = add_gaussian_noise(y_h, model.hs_noise_std, config.seed)
+    if model.pan_noise_std > 0:
+        pan = add_gaussian_noise(pan, model.pan_noise_std, config.seed + 1)
     return y_h, pan, model, DynamicRange.spanning(y_h.data)
 
 

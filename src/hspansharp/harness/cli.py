@@ -13,11 +13,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from ..imgcore import DynamicRange
 from ..metrics import compute_report
-from ..sensorsim import SensorModel, default_pan_response, kernel_from_mtf, pair_ratio
+from ..sensorsim import GNYQ, assumed_model, pair_ratio
 from .bench import emit_report, run_wald, wald_inputs
 from .config import RunConfig, apply_overrides, parse_config
 from .envi import load_raster, save_raster
@@ -56,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_deg.add_argument("--out-hs", required=True)
     p_deg.add_argument("--out-pan", required=True)
     p_deg.add_argument("--ratio", type=int, default=5)
-    p_deg.add_argument("--gnyq", type=float, default=0.3)
+    p_deg.add_argument("--gnyq", type=float, default=GNYQ)
     p_deg.add_argument("--snr-db", type=float, default=None)
     p_deg.add_argument("--seed", type=int, default=0)
     p_deg.add_argument("--dtype", choices=("float32", "float64"), default="float64")
@@ -66,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuse.add_argument("--hs", required=True)
     p_fuse.add_argument("--pan", required=True)
     p_fuse.add_argument("--out", required=True)
-    p_fuse.add_argument("--gnyq", type=float, default=0.3)
+    p_fuse.add_argument("--gnyq", type=float, default=GNYQ)
     p_fuse.add_argument("--seed", type=int, default=0)
     p_fuse.add_argument("--subspace-dim", type=int, default=None)
     p_fuse.add_argument(
@@ -125,28 +123,22 @@ def _cmd_degrade(args) -> int:
 
 def _cmd_fuse(args) -> int:
     # Bare keys name parameters of --method; the config grammar parses and
-    # checks every pair, and the subspace dimension with them.
+    # checks every pair, and the gain and subspace dimension with them.
     pairs = [
         pair if "." in pair.partition("=")[0] else f"{args.method}.{pair}"
         for pair in args.overrides
     ]
-    config = apply_overrides(RunConfig(subspace_dim=args.subspace_dim), pairs)
+    base = RunConfig(gnyq=args.gnyq, subspace_dim=args.subspace_dim)
+    config = apply_overrides(base, pairs)
     y_h = load_raster(args.hs)
     pan = load_raster(args.pan)
-    ratio = pair_ratio(y_h, pan)
-    kernel = kernel_from_mtf(ratio, args.gnyq)
-    response = default_pan_response(y_h.bands, y_h.wavelengths)
-    model = SensorModel(
-        ratio=ratio,
-        blur=kernel,
-        spectral_response=response[np.newaxis, :],
-    )
+    model = assumed_model(pair_ratio(y_h, pan), y_h.bands, y_h.wavelengths, config.gnyq)
     ctx = MethodContext(
         y_h=y_h,
         pan=pan,
         model=model,
         range=DynamicRange.spanning(y_h.data),
-        gnyq=args.gnyq,
+        gnyq=config.gnyq,
         seed=args.seed,
         subspace_dim=config.subspace_dim,
         params=config.method_params.get(args.method),

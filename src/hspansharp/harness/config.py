@@ -12,16 +12,17 @@ parameter that the method reads the key and that the value has the key's
 type (see `registry.PARAMS`).
 
 The reference scene comes either from `input` (a raster path) or from the
-synthetic-scene fields. Noise is set only by `snr-db`, an SNR in dB that
+synthetic-scene fields. The sensor model is `sensorsim.assumed_model` at
+gain `gnyq`. Noise is set only by `snr-db`, an SNR in dB that
 `bench.wald_inputs` turns into per-band standard deviations; without it a
-run is noiseless. The PAN response is always
-`sensorsim.default_pan_response`.
+run is noiseless.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 
+from ..sensorsim import GNYQ
 from .registry import method_names, resolve_params
 
 __all__ = ["RunConfig", "parse_config", "apply_overrides"]
@@ -71,7 +72,7 @@ class RunConfig:
     endmembers: int = 3
     seed: int = 0
     ratio: int = 5
-    gnyq: float = 0.3
+    gnyq: float = GNYQ
     snr_db: float | None = None
     timing: str = "wall"
     methods: tuple[str, ...] | None = None
@@ -82,12 +83,16 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         for f in fields(self):
-            value = getattr(self, f.name)
+            key, value = f.name.replace("_", "-"), getattr(self, f.name)
             test, kind = _KINDS[f.type.removesuffix(" | None")]
             if not (test(value) or (value is None and f.default is None)):
-                raise ValueError(
-                    f"{f.name.replace('_', '-')} must be {kind}, got {value!r}"
-                )
+                raise ValueError(f"{key} must be {kind}, got {value!r}")
+            if isinstance(value, tuple):
+                if not value:
+                    raise ValueError(f"{key} must name at least one {key[:-1]}")
+                for index, item in enumerate(value):
+                    if item in value[:index]:
+                        raise ValueError(f"{key} names {item!r} twice")
         if self.input is None and min(self.height, self.width, self.bands) < 1:
             raise ValueError("scene dims must be positive")
         if self.seed < 0:
@@ -105,14 +110,9 @@ class RunConfig:
         if self.timing not in _TIMING_MODES:
             raise ValueError(f"timing must be one of {_TIMING_MODES}")
         known = method_names()
-        selected = self.selected_methods()
-        if not selected:
-            raise ValueError("methods must name at least one method")
-        for index, name in enumerate(selected):
+        for name in self.selected_methods():
             if name not in known:
                 raise ValueError(f"unknown method {name!r} in config")
-            if name in selected[:index]:
-                raise ValueError(f"methods names {name!r} twice")
         for name, given in self.method_params.items():
             if name not in known:
                 raise ValueError(f"unknown method section [{name}] in config")

@@ -128,11 +128,11 @@ REGISTRY = {
 
 
 # The parameters each method reads from `MethodContext.params`, as
-# (type, default); a method not listed reads none. A default of None means
-# "unset" and may also be given. CNMF's endmember count of None means the
-# subspace dimension, at least 2. CNMF runs 300 inner iterations: the
-# multiplicative updates are slow and `fuse_cnmf`'s default of 100 leaves
-# visible residual on smooth scenes.
+# (type, default), the only defaults the fuse functions run with; a method
+# not listed reads none. A default of None means "unset" and may also be
+# given. CNMF's endmember count of None means the subspace dimension, at
+# least 2. CNMF runs 300 inner iterations: the multiplicative updates are
+# slow and `cnmf_solve`'s default of 100 leaves visible residual.
 PARAMS = {
     "CNMF": {
         "endmembers": (int, None),

@@ -11,6 +11,9 @@ the decimated rows of each matrix.
 `pan_values`, `check_pair` and `pair_ratio` are the checks on an observed
 (Y_H, PAN) pair that every method and command shares.
 
+`assumed_model` alone decides the model every method is fused under: the
+MTF-matched blur, the default PAN response and no known noise.
+
 `separable` is the one place where a pair of per-axis matrices is applied,
 here and in `resample`, the guided filter and BayesNaive. It spends work
 only on the band of nonzero weights each block of output rows reads.
@@ -18,7 +21,7 @@ only on the band of nonzero weights each block of output rows reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +31,7 @@ __all__ = [
     "BlurKernel",
     "SensorModel",
     "kernel_from_mtf",
+    "assumed_model",
     "degrade_axis",
     "separable",
     "blur",
@@ -37,6 +41,7 @@ __all__ = [
     "add_gaussian_noise",
     "default_pan_response",
     "PAN_WINDOW",
+    "GNYQ",
     "default_phase",
     "stencil_matrix",
     "pan_values",
@@ -53,6 +58,9 @@ _ROW_BLOCK = 32
 
 # Visible wavelength window (micrometers) of the default PAN response.
 PAN_WINDOW = (0.48, 0.69)
+
+# Default MTF gain at the Nyquist frequency of the decimated grid.
+GNYQ = 0.3
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,13 +100,15 @@ class SensorModel:
 
     spectral_response holds one row per synthesized low-resolution spectral
     channel (a single row for panchromatic), each row nonnegative and
-    summing to 1. Noise levels are standard deviations in data units.
+    summing to 1, and one column per Y_H band. Noise levels are standard
+    deviations in data units: hs_noise_std holds one per Y_H band, zeros
+    when the noise is unknown (the default).
     """
 
     ratio: int
     blur: BlurKernel
     spectral_response: np.ndarray
-    hs_noise_std: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    hs_noise_std: np.ndarray | None = None
     pan_noise_std: float = 0.0
 
     def __post_init__(self):
@@ -113,7 +123,11 @@ class SensorModel:
         resp = resp.copy()
         resp.flags.writeable = False
         object.__setattr__(self, "spectral_response", resp)
-        stds = np.asarray(self.hs_noise_std, dtype=np.float64).ravel().copy()
+        bands = resp.shape[1]
+        stds = np.zeros(bands) if self.hs_noise_std is None else self.hs_noise_std
+        stds = np.asarray(stds, dtype=np.float64).ravel().copy()
+        if stds.size != bands:
+            raise ValueError(f"{stds.size} noise stds for {bands} bands")
         if (stds < 0).any():
             raise ValueError("noise standard deviations must be nonnegative")
         stds.flags.writeable = False
@@ -173,7 +187,7 @@ def pair_ratio(y_h: SpectralImage, pan: SpectralImage) -> int:
     return ratio
 
 
-def kernel_from_mtf(ratio: int, gnyq: float = 0.3) -> BlurKernel:
+def kernel_from_mtf(ratio: int, gnyq: float = GNYQ) -> BlurKernel:
     """Gaussian taps whose frequency response hits `gnyq` at the Nyquist
     frequency of the grid decimated by `ratio` (omega = pi / ratio).
 
@@ -189,6 +203,14 @@ def kernel_from_mtf(ratio: int, gnyq: float = 0.3) -> BlurKernel:
     k = np.arange(-radius, radius + 1, dtype=np.float64)
     taps = np.exp(-(k**2) / (2.0 * sigma**2))
     return BlurKernel(taps / taps.sum())
+
+
+def assumed_model(ratio: int, bands: int, wavelengths, gnyq: float) -> SensorModel:
+    """The noiseless sensor model every method is fused under: the blur
+    `kernel_from_mtf(ratio, gnyq)` and the `default_pan_response` of a
+    `bands`-band Y_H."""
+    response = default_pan_response(bands, wavelengths)
+    return SensorModel(ratio, kernel_from_mtf(ratio, gnyq), response[np.newaxis, :])
 
 
 def degrade_axis(n: int, taps: np.ndarray, ratio: int) -> np.ndarray:

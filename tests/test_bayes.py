@@ -202,7 +202,7 @@ class TestNegativeLogPosterior:
         return 0.5 * float((resid_h**2).sum()) + 0.5 * float((resid_m**2).sum())
 
     def test_matches_dense_oracle_unit_weights(self):
-        u, y_h, pan, model, basis = self.setup_instance(np.zeros(0), 0.0)
+        u, y_h, pan, model, basis = self.setup_instance(None, 0.0)
         value = negative_log_posterior(u, y_h, pan, model, basis)
         expected = self.oracle_value(
             u, y_h, pan, model, basis, np.ones(y_h.bands), 1.0
@@ -268,7 +268,6 @@ class TestBayesNaivePriors:
 def naive_system(y_h, pan, model, basis, priors):
     """Dense normal equations of `bayes_naive_solve`'s posterior; a zero
     noise std stands for unit weight, as in the solver."""
-    hs_std = model.hs_noise_std if model.hs_noise_std.size else np.zeros(y_h.bands)
     return oracle_bayes_naive_system(
         y_h.data,
         pan.data,
@@ -279,7 +278,7 @@ def naive_system(y_h, pan, model, basis, priors):
         default_phase(model.ratio),
         pan.height,
         pan.width,
-        np.where(hs_std > 0, hs_std, 1.0),
+        np.where(model.hs_noise_std > 0, model.hs_noise_std, 1.0),
         model.pan_noise_std or 1.0,
         priors.mu,
         priors.sigma,

@@ -376,7 +376,7 @@ class TestNnlsColumns:
 class TestFuseCnmf:
     def test_pure_patch_scene_recovered(self):
         truth, y_h, pan, model = bilinear_patch_scene()
-        fused = fuse_cnmf(y_h, pan, model, p=3, inner_iters=100)
+        fused = fuse_cnmf(y_h, pan, model, p=3, outer_iters=2, inner_iters=100)
         assert (fused.bands, fused.height, fused.width) == (
             truth.bands,
             truth.height,
@@ -390,5 +390,5 @@ class TestFuseCnmf:
         truth, y_h, pan, model = low_rank_scene(seed=10)
         wl = tuple(0.4 + 0.01 * k for k in range(y_h.bands))
         y_h = SpectralImage(y_h.height, y_h.width, y_h.data, wl)
-        fused = fuse_cnmf(y_h, pan, model, p=3, inner_iters=20)
+        fused = fuse_cnmf(y_h, pan, model, p=3, outer_iters=2, inner_iters=20)
         assert fused.wavelengths == wl

@@ -18,6 +18,7 @@ from hspansharp.harness.bench import (
     run_wald,
     wald_inputs,
 )
+from hspansharp.harness import cli
 from hspansharp.harness.cli import main
 from hspansharp.harness.config import RunConfig, apply_overrides, parse_config
 from hspansharp.harness.envi import load_raster, save_raster
@@ -29,7 +30,13 @@ from hspansharp.harness.registry import (
 )
 from hspansharp.harness.scene import synth_scene, synth_scene_factors
 from hspansharp.metrics import Reference
-from hspansharp.sensorsim import SensorModel, default_pan_response, kernel_from_mtf
+from hspansharp.sensorsim import (
+    GNYQ,
+    SensorModel,
+    assumed_model,
+    default_pan_response,
+    kernel_from_mtf,
+)
 
 from oracles import oracle_cc
 
@@ -348,6 +355,9 @@ class TestWaldInputs:
         assert (pan.height, pan.width, pan.bands) == (20, 20, 1)
         assert model.ratio == 2
         assert abs(model.spectral_response.sum() - 1.0) <= 1e-12
+        want = assumed_model(2, truth.bands, truth.wavelengths, config.gnyq)
+        assert model.blur == want.blur
+        np.testing.assert_array_equal(model.spectral_response, want.spectral_response)
         assert bounds.lo == y_h.data.min()
         assert bounds.hi == y_h.data.max()
 
@@ -698,6 +708,8 @@ class TestCli:
             ("percentiles=abc", "percentiles must be a list of numbers, got ('abc',)"),
             ("methods=", "methods must name at least one method"),
             ("methods=PCA,PCA", "methods names 'PCA' twice"),
+            ("percentiles=", "percentiles must name at least one percentile"),
+            ("percentiles=50,50", "percentiles names 50.0 twice"),
         ],
     )
     def test_bad_config_value_returns_one_before_any_method(
@@ -713,6 +725,38 @@ class TestCli:
         assert err.startswith("error: ") and message in err
         assert calls == []
         assert os.listdir(tmp_path) == ["bench.cfg"]
+
+    @pytest.mark.parametrize("gnyq", ["0", "1", "1.5", "-0.3"])
+    def test_fuse_bad_gnyq_returns_one_before_reading_rasters(
+        self, tmp_path, capsys, monkeypatch, gnyq
+    ):
+        reads = []
+        monkeypatch.setattr(cli, "load_raster", lambda path: reads.append(path))
+        out = str(tmp_path / "out")
+        argv = ["fuse", "--method", "MTF-GLP", "--hs", "hs", "--pan", "pan",
+                "--out", out, "--gnyq", gnyq]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: gnyq must lie strictly between 0 and 1\n"
+        assert reads == [] and not os.path.exists(out + ".dat")
+
+    @pytest.mark.parametrize("extra", [[], ["--gnyq", "0.45"]])
+    def test_fuse_runs_under_the_assumed_model(self, tmp_path, monkeypatch, extra):
+        # fuse knows no noise: zero stds, so BayesNaive weighs every band alike.
+        seen = []
+        monkeypatch.setitem(REGISTRY, "PCA", lambda ctx: seen.append(ctx) or ctx.y_h)
+        hs, pan = tiny_pair(tmp_path)
+        argv = ["fuse", "--method", "PCA", "--hs", hs, "--pan", pan,
+                "--out", str(tmp_path / "out"), *extra]
+        assert main(argv) == 0
+        gnyq = float(extra[1]) if extra else GNYQ
+        want = assumed_model(2, 3, None, gnyq)
+        (ctx,) = seen
+        assert ctx.gnyq == gnyq
+        assert ctx.model.ratio == 2 and ctx.model.blur == want.blur
+        np.testing.assert_array_equal(ctx.model.spectral_response, want.spectral_response)
+        np.testing.assert_array_equal(ctx.model.hs_noise_std, np.zeros(3))
+        assert ctx.model.pan_noise_std == 0.0
 
     def test_fuse_zero_subspace_dim_returns_one_before_any_method(
         self, tmp_path, capsys, monkeypatch

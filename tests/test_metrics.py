@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from hspansharp.imgcore import SpectralImage
 from hspansharp.metrics import (
     Reference,
+    _rounding_floor,
     cc,
     compute_report,
     ergas,
@@ -219,12 +220,30 @@ finite_pairs = arrays(
 )
 
 
+def varies_past_rounding(x):
+    """Every band's centred sum of squares clears cc's rounding floor by a
+    margin, so no reordering of the sums can put it on the other side."""
+    centred = x - x.mean(axis=1, keepdims=True)
+    return bool(((centred**2).sum(axis=1) > 4.0 * _rounding_floor(x)).all())
+
+
 class TestProperties:
     @settings(max_examples=40, deadline=None)
     @given(a=finite_pairs, b=finite_pairs)
     def test_cc_bounded(self, a, b):
-        assume(a.var(axis=1).min() > 0 and b.var(axis=1).min() > 0)
+        assume(varies_past_rounding(a) and varies_past_rounding(b))
         assert -1.0 <= cc(SpectralImage(2, 4, a), SpectralImage(2, 4, b)) <= 1.0
+
+    def test_cc_rejects_band_constant_up_to_rounding(self):
+        # Found by test_cc_bounded under a plain var > 0 assumption: the
+        # middle band's variance is one ulp's worth, which cc, as documented,
+        # treats as constant.
+        v = 0.05
+        a = np.array([[1.0] + [v] * 7, [v] * 7 + [np.nextafter(v, 1.0)], [1.0] + [v] * 7])
+        b = np.arange(24.0).reshape(3, 8) % 5 + 1.0
+        assert a.var(axis=1).min() > 0 and not varies_past_rounding(a)
+        with pytest.raises(ValueError, match="zero-variance band"):
+            cc(SpectralImage(2, 4, a), SpectralImage(2, 4, b))
 
     @settings(max_examples=40, deadline=None)
     @given(a=finite_pairs, b=finite_pairs)

@@ -11,9 +11,11 @@ from hspansharp.fusion.hybrid import _axis_window_mean
 from hspansharp.imgcore import SpectralImage
 from hspansharp.resample import _axis_matrix
 from hspansharp.sensorsim import (
+    GNYQ,
     BlurKernel,
     SensorModel,
     add_gaussian_noise,
+    assumed_model,
     blur,
     blur_downsample,
     default_pan_response,
@@ -87,14 +89,91 @@ class TestSensorModel:
 
     def test_noise_std_must_be_nonnegative(self):
         resp = np.full((1, 4), 0.25)
-        with pytest.raises(ValueError):
-            SensorModel(4, BlurKernel.impulse(), resp, hs_noise_std=[-1.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nonnegative"):
+            SensorModel(4, BlurKernel.impulse(), resp, hs_noise_std=[0.1, -1.0, 0.1, 0.1])
+        with pytest.raises(ValueError, match="nonnegative"):
             SensorModel(4, BlurKernel.impulse(), resp, pan_noise_std=-0.1)
+
+    def test_unknown_noise_is_zero_per_band(self):
+        m = SensorModel(4, BlurKernel.impulse(), np.full((2, 5), 0.2))
+        np.testing.assert_array_equal(m.hs_noise_std, np.zeros(5))
+        assert not m.hs_noise_std.flags.writeable
+
+    @pytest.mark.parametrize("stds", [[], [0.1], [0.1] * 3, [0.1] * 5])
+    def test_noise_std_needs_one_per_band(self, stds):
+        resp = np.full((1, 4), 0.25)
+        with pytest.raises(ValueError, match=f"{len(stds)} noise stds for 4 bands"):
+            SensorModel(4, BlurKernel.impulse(), resp, hs_noise_std=stds)
 
     def test_ratio_must_be_positive(self):
         with pytest.raises(ValueError):
             SensorModel(0, BlurKernel.impulse(), np.full((1, 4), 0.25))
+
+
+class TestAssumedModel:
+    def test_is_the_default_blur_and_pan_response(self):
+        wl = np.linspace(0.4, 0.9, 12)
+        for gnyq in (GNYQ, 0.45):
+            model = assumed_model(3, 12, wl, gnyq)
+            assert model.ratio == 3
+            assert model.blur == kernel_from_mtf(3, gnyq)
+            np.testing.assert_array_equal(
+                model.spectral_response, default_pan_response(12, wl)[np.newaxis, :]
+            )
+            np.testing.assert_array_equal(model.hs_noise_std, np.zeros(12))
+            assert model.pan_noise_std == 0.0
+
+    def test_kernel_gain_defaults_to_gnyq(self):
+        assert GNYQ == 0.3
+        assert kernel_from_mtf(4) == kernel_from_mtf(4, GNYQ)
+
+    def test_only_sensorsim_decides_the_model(self):
+        # No other module builds a SensorModel or picks the PAN response,
+        # and none asks whether the noise stds are empty: there is one per
+        # band, zeros when unknown.
+        package = Path(__file__).resolve().parents[1] / "src" / "hspansharp"
+        callers = set()
+        for path in package.rglob("*.py"):
+            where = path.relative_to(package).as_posix()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    if node.func.id in ("SensorModel", "default_pan_response"):
+                        callers.add(where)
+                if isinstance(node, ast.Attribute) and node.attr == "size":
+                    inner = node.value
+                    assert not (
+                        isinstance(inner, ast.Attribute) and inner.attr == "hs_noise_std"
+                    ), where
+        assert callers == {"sensorsim.py"}
+
+    def test_default_gain_has_one_home(self):
+        # Every default of a `gnyq` parameter, field or option reads GNYQ,
+        # and 0.3 is written once, as its value. (scene.py draws bump
+        # amplitudes from [0.3, 1), which is no gain.)
+        package = Path(__file__).resolve().parents[1] / "src" / "hspansharp"
+        literals, defaults = [], []
+        for path in package.rglob("*.py"):
+            where = path.relative_to(package).as_posix()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Constant) and node.value == 0.3:
+                    literals.append(where)
+                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    args = node.args.posonlyargs + node.args.args
+                    pairs = zip(args[len(args) - len(node.args.defaults):], node.args.defaults)
+                    pairs = [*pairs, *zip(node.args.kwonlyargs, node.args.kw_defaults)]
+                    defaults += [(where, d) for a, d in pairs if a.arg == "gnyq" and d]
+                elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                    if getattr(node.target, "id", "") == "gnyq":
+                        defaults.append((where, node.value))
+                elif isinstance(node, ast.Call) and any(
+                    isinstance(a, ast.Constant) and a.value == "--gnyq" for a in node.args
+                ):
+                    defaults += [(where, k.value) for k in node.keywords if k.arg == "default"]
+        assert sorted(literals) == ["harness/scene.py", "sensorsim.py"]
+        # kernel_from_mtf, RunConfig and the degrade and fuse options.
+        assert len(defaults) == 4
+        for where, value in defaults:
+            assert isinstance(value, ast.Name) and value.id == "GNYQ", where
 
 
 class TestKernelFromMtf:
