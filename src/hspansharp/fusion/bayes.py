@@ -592,30 +592,28 @@ def estimate_sensor(
     taps = np.full(kernel_support, 1.0 / kernel_support)
     response = np.full((n_lambda, m_lambda), 1.0 / m_lambda)
 
-    def degraded_ym(t):
-        return degrade(y_m_cube, t, ratio).reshape(n_lambda, -1)
-
-    def objective(resp, t):
-        resid = resp @ y_h.data - degraded_ym(t)
+    def objective(resp, t, low):
+        resid = resp @ y_h.data - low
         pen_b = lambda_b * float((np.diff(t) ** 2).sum())
         pen_r = lambda_r * float((np.diff(resp, axis=1) ** 2).sum())
         return float((resid**2).sum()) + pen_b + pen_r
 
-    trace = [objective(response, taps)]
+    target = degrade(y_m_cube, taps, ratio).reshape(n_lambda, -1)
+    trace = [objective(response, taps, target)]
     for _ in range(max_alternations):
-        target = degraded_ym(taps)
         candidate = np.linalg.solve(gram_h, y_h.data @ target.T).T
         candidate = np.maximum(candidate, 0.0)
-        if objective(candidate, taps) <= objective(response, taps):
+        if objective(candidate, taps, target) <= trace[-1]:
             response = candidate
 
         t2 = (response @ y_h.data).reshape(n_lambda, y_h.height, y_h.width)
         new_taps = _solve_taps_one_axis(t2, y_m_cube, taps, -1, ratio, lambda_b)
         new_taps = _solve_taps_one_axis(t2, y_m_cube, new_taps, -2, ratio, lambda_b)
-        if objective(response, new_taps) <= objective(response, taps):
-            taps = new_taps
+        low = degrade(y_m_cube, new_taps, ratio).reshape(n_lambda, -1)
+        if objective(response, new_taps, low) <= objective(response, taps, target):
+            taps, target = new_taps, low
 
-        trace.append(objective(response, taps))
+        trace.append(objective(response, taps, target))
         if abs(trace[-2] - trace[-1]) <= tol * max(abs(trace[-2]), 1e-30):
             break
 

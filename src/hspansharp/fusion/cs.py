@@ -27,6 +27,7 @@ __all__ = [
     "signed_axes",
     "energy_knee",
     "match_moments",
+    "inject_detail",
     "fuse_pca",
     "fuse_gs",
     "gsa_weights",
@@ -116,12 +117,11 @@ def match_moments(values: np.ndarray, target: np.ndarray) -> np.ndarray:
     return (values - values.mean()) * scale + target.mean()
 
 
-def _inject(fused: np.ndarray, p: np.ndarray, o_l: np.ndarray, g: np.ndarray) -> None:
-    """F_k += g_k (P - O_L) in place, band by band through one reused band
-    buffer, with P first moment-matched to O_L."""
-    detail = match_moments(p, o_l) - o_l
+def inject_detail(fused: np.ndarray, detail: np.ndarray, gains: np.ndarray) -> None:
+    """F_k += g_k D in place, band by band through one reused band buffer:
+    the additive injection of the CS methods and of MTF-GLP."""
     scaled = np.empty_like(detail)
-    for band, gain in zip(fused, g):
+    for band, gain in zip(fused, gains):
         band += np.multiply(detail, gain, out=scaled)
 
 
@@ -145,7 +145,7 @@ def _gs_inject(
     if var == 0.0:
         raise ValueError("intensity component has zero variance")
     _, cov = upsampled_moments(y_h, ratio, "bicubic")
-    _inject(fused, p, o_l, cov @ w / var)
+    inject_detail(fused, match_moments(p, o_l) - o_l, cov @ w / var)
     return SpectralImage._adopt(pan.height, pan.width, fused, y_h.wavelengths)
 
 
@@ -159,7 +159,8 @@ def fuse_pca(y_h: SpectralImage, pan: SpectralImage, ratio: int) -> SpectralImag
     fused, p = _interpolated(y_h, pan, ratio)
     _, cov = upsampled_moments(y_h, ratio, "bicubic")
     l0 = _principal_axes(cov, y_h.data)[1][0]
-    _inject(fused, p, l0 @ fused, l0)
+    o_l = l0 @ fused
+    inject_detail(fused, match_moments(p, o_l) - o_l, l0)
     return SpectralImage._adopt(pan.height, pan.width, fused, y_h.wavelengths)
 
 

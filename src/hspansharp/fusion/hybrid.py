@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..imgcore import SpectralImage
+from ..imgcore import DynamicRange, SpectralImage
 from ..resample import upsample_data
 from ..sensorsim import check_pair, pan_values, separable
 from .cs import energy_knee, pca_transform
@@ -106,7 +106,7 @@ def fuse_gfpca(y_h: SpectralImage, pan: SpectralImage, ratio: int) -> SpectralIm
     transform = pca_transform(y_h)
     scores = transform.forward(y_h.data)
     p = default_component_count(transform.variances)
-    span = float(y_h.data.max() - y_h.data.min())
+    span = DynamicRange.spanning(y_h.data).span
     tau = _mad_sigma(scores[p:].ravel()) if p < y_h.bands else 0.0
 
     def upsampled(components: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ import numpy as np
 from ..imgcore import DynamicRange, SpectralImage
 from ..resample import upsample, upsample_data, upsampled_moments
 from ..sensorsim import blur, blur_downsample, check_pair, kernel_from_mtf, pan_values
+from .cs import inject_detail
 
 __all__ = [
     "box_lowpass",
@@ -69,7 +70,7 @@ def _equalized_fusion(
 
     The detail is added to the interpolated bands in place, one band at a
     time, through reused band buffers. Additive injection adds the equal
-    scale_k (P - P_L) in one scaled pass. HPM keeps the difference
+    scale_k (P - P_L) through `cs.inject_detail`. HPM keeps the difference
     P_eq^k - P_L,eq^k: where P_L,eq^k nears zero its gain (~1e3 on real
     scenes) magnifies any change in the rounding of that divisor, so the
     detail is rounded as the divisor is. std(Y^k) and mean(Y^k) of the
@@ -89,15 +90,12 @@ def _equalized_fusion(
     stds = np.sqrt(np.maximum(np.diagonal(cov), 0.0))
     scales = stds / pl_std if pl_std > std_floor else np.zeros_like(stds)
     fused = upsample_data(y_h, ratio, "bicubic")
-    detail = np.empty_like(p)
     if gains == "additive":
-        p_high = p - p_l
-        for band, scale in zip(fused, scales):
-            band += np.multiply(p_high, scale, out=detail)
+        inject_detail(fused, p - p_l, scales)
     else:
         p_centred = p - p_mean
         pl_centred = p_l - p_mean
-        pl_eq, gain = np.empty_like(p), np.empty_like(p)
+        detail, pl_eq, gain = np.empty_like(p), np.empty_like(p), np.empty_like(p)
         for band, scale, band_mean in zip(fused, scales, means):
             np.multiply(pl_centred, scale, out=pl_eq)
             pl_eq += band_mean

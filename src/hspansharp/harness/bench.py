@@ -27,7 +27,7 @@ from ..sensorsim import (
 )
 from .config import RunConfig
 from .envi import load_raster, save_raster
-from .registry import MethodContext, get_method
+from .registry import MethodContext, get_method, method_names
 from .scene import synth_scene
 from .. import __version__
 
@@ -36,6 +36,7 @@ __all__ = [
     "BenchmarkReport",
     "reference_scene",
     "wald_inputs",
+    "run_method",
     "run_wald",
     "percentile_spectrum",
     "emit_report",
@@ -56,7 +57,6 @@ class BenchmarkReport:
     results: tuple[MethodResult, ...]
     truth: SpectralImage
     y_h: SpectralImage
-    pan: SpectralImage
 
 
 def _snr_std(rms, snr_db):
@@ -74,7 +74,7 @@ def reference_scene(config: RunConfig) -> SpectralImage:
 
 def wald_inputs(
     truth: SpectralImage, config: RunConfig
-) -> tuple[SpectralImage, SpectralImage, SensorModel, DynamicRange]:
+) -> tuple[SpectralImage, SpectralImage, SensorModel]:
     """Degrade the reference into the observed pair under
     `sensorsim.assumed_model`, with the noise standard deviations that
     `snr-db` gives each image (none when unset)."""
@@ -90,47 +90,57 @@ def wald_inputs(
         y_h = add_gaussian_noise(y_h, model.hs_noise_std, config.seed)
     if model.pan_noise_std > 0:
         pan = add_gaussian_noise(pan, model.pan_noise_std, config.seed + 1)
-    return y_h, pan, model, DynamicRange.spanning(y_h.data)
+    return y_h, pan, model
 
 
-def _method_seed(seed: int, index: int) -> int:
+def run_method(
+    config: RunConfig, name: str, y_h: SpectralImage, pan: SpectralImage,
+    model: SensorModel, seed: int,
+) -> SpectralImage:
+    """Fuse the observed pair with method `name` under `model`: the one
+    step every command runs a method through. The dynamic range spans Y_H;
+    the gain, the subspace dimension and the method's parameters come from
+    `config`. The method is looked up in `REGISTRY` at each call, so a
+    rebound entry runs."""
+    ctx = MethodContext(
+        y_h=y_h,
+        pan=pan,
+        model=model,
+        range=DynamicRange.spanning(y_h.data),
+        gnyq=config.gnyq,
+        seed=seed,
+        subspace_dim=config.subspace_dim,
+        params=config.method_params.get(name),
+    )
+    return get_method(name)(ctx)
+
+
+def _method_seed(seed: int, name: str) -> int:
+    """The seed of method `name` in a run seeded `seed`: from its place in
+    the registry, so that it does not depend on which other methods run."""
+    index = method_names().index(name)
     return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
 
 
-def run_wald(config: RunConfig, truth: SpectralImage | None = None) -> BenchmarkReport:
+def run_wald(config: RunConfig) -> BenchmarkReport:
     """Run every selected method on the degraded pair; one method failing
     does not abort the rest."""
     config = config.validate()
-    if truth is None:
-        truth = reference_scene(config)
-    y_h, pan, model, rng = wald_inputs(truth, config)
+    truth = reference_scene(config)
+    y_h, pan, model = wald_inputs(truth, config)
     reference = Reference(truth)
     results = []
-    for index, name in enumerate(config.selected_methods()):
-        ctx = MethodContext(
-            y_h=y_h,
-            pan=pan,
-            model=model,
-            range=rng,
-            gnyq=config.gnyq,
-            seed=_method_seed(config.seed, index),
-            subspace_dim=config.subspace_dim,
-            params=config.method_params.get(name),
-        )
-        method = get_method(name)
+    for name in config.selected_methods():
+        seed = _method_seed(config.seed, name)
         try:
-            if config.timing == "wall":
-                start = time.perf_counter()
-                fused = method(ctx)
-                elapsed = time.perf_counter() - start
-            else:
-                fused = method(ctx)
-                elapsed = 0.0
+            start = time.perf_counter()
+            fused = run_method(config, name, y_h, pan, model, seed)
+            elapsed = time.perf_counter() - start if config.timing == "wall" else 0.0
             report = compute_report(fused, reference, 1.0 / config.ratio, elapsed)
             results.append(MethodResult(name, report, fused))
         except Exception as exc:
             results.append(MethodResult(name, None, None, error=str(exc)))
-    return BenchmarkReport(config, tuple(results), truth, y_h, pan)
+    return BenchmarkReport(config, tuple(results), truth, y_h)
 
 
 def percentile_spectrum(
@@ -156,7 +166,7 @@ def _safe_name(name: str) -> str:
     return "".join(ch if ch.isalnum() else "_" for ch in name.lower())
 
 
-def emit_report(report: BenchmarkReport, output_dir: str | None = None) -> dict:
+def emit_report(report: BenchmarkReport) -> dict:
     """Write report.csv, report.json, spectra.csv, and per-method RMSE map
     rasters; returns the artifact paths.
 
@@ -164,7 +174,7 @@ def emit_report(report: BenchmarkReport, output_dir: str | None = None) -> dict:
     are identical across repeated runs of the same configuration.
     """
     config = report.config
-    out_dir = config.output_dir if output_dir is None else output_dir
+    out_dir = config.output_dir
     os.makedirs(out_dir, exist_ok=True)
 
     rows = ["method,CC,SAM,RMSE,ERGAS,time_s"]

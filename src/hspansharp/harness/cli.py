@@ -13,13 +13,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..imgcore import DynamicRange
 from ..metrics import compute_report
 from ..sensorsim import GNYQ, assumed_model, pair_ratio
-from .bench import emit_report, run_wald, wald_inputs
+from .bench import emit_report, run_method, run_wald, wald_inputs
 from .config import RunConfig, apply_overrides, parse_config
 from .envi import load_raster, save_raster
-from .registry import MethodContext, get_method, method_names
+from .registry import method_names
 from .scene import synth_scene
 
 __all__ = ["build_parser", "main", "entry"]
@@ -34,6 +33,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Options that set a `RunConfig` field default to that field's default.
+    defaults = RunConfig()
     parser = _Parser(
         prog="hspansharp",
         description="Hyperspectral pansharpening toolkit",
@@ -42,21 +43,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate a synthetic reference scene")
     p_synth.add_argument("--out", required=True, help="output raster base path")
-    p_synth.add_argument("--height", type=int, default=100)
-    p_synth.add_argument("--width", type=int, default=100)
-    p_synth.add_argument("--bands", type=int, default=40)
-    p_synth.add_argument("--endmembers", type=int, default=3)
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--height", type=int, default=defaults.height)
+    p_synth.add_argument("--width", type=int, default=defaults.width)
+    p_synth.add_argument("--bands", type=int, default=defaults.bands)
+    p_synth.add_argument("--endmembers", type=int, default=defaults.endmembers)
+    p_synth.add_argument("--seed", type=int, default=defaults.seed)
     p_synth.add_argument("--dtype", choices=("float32", "float64"), default="float64")
 
     p_deg = sub.add_parser("degrade", help="degrade a reference into HS + PAN")
     p_deg.add_argument("--truth", required=True, help="reference raster")
     p_deg.add_argument("--out-hs", required=True)
     p_deg.add_argument("--out-pan", required=True)
-    p_deg.add_argument("--ratio", type=int, default=5)
+    p_deg.add_argument("--ratio", type=int, default=defaults.ratio)
     p_deg.add_argument("--gnyq", type=float, default=GNYQ)
     p_deg.add_argument("--snr-db", type=float, default=None)
-    p_deg.add_argument("--seed", type=int, default=0)
+    p_deg.add_argument("--seed", type=int, default=defaults.seed)
     p_deg.add_argument("--dtype", choices=("float32", "float64"), default="float64")
 
     p_fuse = sub.add_parser("fuse", help="fuse an HS + PAN pair with one method")
@@ -65,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuse.add_argument("--pan", required=True)
     p_fuse.add_argument("--out", required=True)
     p_fuse.add_argument("--gnyq", type=float, default=GNYQ)
-    p_fuse.add_argument("--seed", type=int, default=0)
+    p_fuse.add_argument("--seed", type=int, default=defaults.seed)
     p_fuse.add_argument("--subspace-dim", type=int, default=None)
     p_fuse.add_argument(
         "--set",
@@ -80,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="score a fused raster against a reference")
     p_eval.add_argument("--fused", required=True)
     p_eval.add_argument("--truth", required=True)
-    p_eval.add_argument("--ratio", type=int, default=5, help="resolution ratio")
+    p_eval.add_argument("--ratio", type=int, default=defaults.ratio, help="resolution ratio")
 
     p_bench = sub.add_parser("bench", help="run the Wald-protocol benchmark")
     p_bench.add_argument("--config", default=None, help="config file path")
@@ -114,7 +115,7 @@ def _cmd_degrade(args) -> int:
         snr_db=args.snr_db,
         seed=args.seed,
     ).validate()
-    y_h, pan, _, _ = wald_inputs(truth, config)
+    y_h, pan, _ = wald_inputs(truth, config)
     save_raster(args.out_hs, y_h, args.dtype)
     save_raster(args.out_pan, pan, args.dtype)
     print(f"wrote {args.out_hs} ({y_h.bands} bands) and {args.out_pan} (PAN)")
@@ -133,18 +134,8 @@ def _cmd_fuse(args) -> int:
     y_h = load_raster(args.hs)
     pan = load_raster(args.pan)
     model = assumed_model(pair_ratio(y_h, pan), y_h.bands, y_h.wavelengths, config.gnyq)
-    ctx = MethodContext(
-        y_h=y_h,
-        pan=pan,
-        model=model,
-        range=DynamicRange.spanning(y_h.data),
-        gnyq=config.gnyq,
-        seed=args.seed,
-        subspace_dim=config.subspace_dim,
-        params=config.method_params.get(args.method),
-    )
     try:
-        fused = get_method(args.method)(ctx)
+        fused = run_method(config, args.method, y_h, pan, model, args.seed)
     except Exception as exc:
         print(f"error: method {args.method} failed: {exc}", file=sys.stderr)
         return 2

@@ -34,7 +34,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MethodContext:
-    """Everything a fusion method may draw on for one benchmark run."""
+    """Everything a fusion method may draw on; `bench.run_method` builds it."""
 
     y_h: SpectralImage
     pan: SpectralImage

@@ -385,7 +385,7 @@ class TestBayesNaiveSolve:
         # The Cholesky-reduced p x p pencil solve gives the same fused
         # coefficients as scipy's generalized eigh, through every sigma round.
         config = RunConfig(height=12 * ratio, width=12 * ratio, seed=ratio, ratio=ratio)
-        y_h, pan, model, _ = wald_inputs(reference_scene(config), config)
+        y_h, pan, model = wald_inputs(reference_scene(config), config)
         basis = learn_subspace(y_h, default_subspace_dim(y_h))
         got = bayes_naive_solve(y_h, pan, model, basis).U
         monkeypatch.setattr(bayes, "_generalized_eigh", scipy.linalg.eigh)

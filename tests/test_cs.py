@@ -3,12 +3,12 @@ import pytest
 
 from hspansharp.fusion.cs import (
     PcaTransform,
-    _inject,
     _principal_axes,
     fuse_gs,
     fuse_gsa,
     fuse_pca,
     gsa_weights,
+    inject_detail,
     match_moments,
     pca_transform,
 )
@@ -86,7 +86,8 @@ class TestCsFuse:
 
     def inject(self, y, pan, w, g):
         fused = np.array(y.data)
-        _inject(fused, pan.data[0], np.asarray(w) @ y.data, np.asarray(g, dtype=float))
+        o_l = np.asarray(w) @ y.data
+        inject_detail(fused, match_moments(pan.data[0], o_l) - o_l, np.asarray(g, dtype=float))
         return fused
 
     def test_matches_direct_formula(self):

@@ -18,7 +18,8 @@ CONFIG = RunConfig(height=20, width=20, bands=11, ratio=2).validate()
 
 @pytest.fixture(scope="module")
 def context():
-    y_h, pan, model, rng = wald_inputs(reference_scene(CONFIG), CONFIG)
+    y_h, pan, model = wald_inputs(reference_scene(CONFIG), CONFIG)
+    rng = DynamicRange.spanning(y_h.data)
     return MethodContext(y_h, pan, model, rng, CONFIG.gnyq, CONFIG.seed)
 
 

@@ -1,10 +1,13 @@
 """Synthetic scenes, run configuration, the benchmark loop, report
 artifacts, and the command line."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from hspansharp.harness.bench import (
     emit_report,
     percentile_spectrum,
     reference_scene,
+    run_method,
     run_wald,
     wald_inputs,
 )
@@ -300,12 +304,11 @@ class TestRegistry:
     def test_pan_one_row_short_rejected(self, name):
         config = small_config()
         truth = synth_scene(0, 3, 20, 20, 11)
-        y_h, pan, model, bounds = wald_inputs(truth, config)
+        y_h, pan, model = wald_inputs(truth, config)
         short = SpectralImage(19, 20, pan.data[:, :-20])
-        ctx = MethodContext(y_h, short, model, bounds, config.gnyq, seed=0)
         message = "PAN dims 19x20 are not 2 times the Y_H dims 10x10"
         with pytest.raises(ValueError, match=message):
-            get_method(name)(ctx)
+            run_method(config, name, y_h, short, model, 0)
 
 
 class TestPercentileSpectrum:
@@ -350,7 +353,7 @@ class TestWaldInputs:
     def test_shapes_and_model(self):
         config = small_config()
         truth = reference_scene(config)
-        y_h, pan, model, bounds = wald_inputs(truth, config)
+        y_h, pan, model = wald_inputs(truth, config)
         assert (y_h.height, y_h.width, y_h.bands) == (10, 10, 11)
         assert (pan.height, pan.width, pan.bands) == (20, 20, 1)
         assert model.ratio == 2
@@ -358,27 +361,25 @@ class TestWaldInputs:
         want = assumed_model(2, truth.bands, truth.wavelengths, config.gnyq)
         assert model.blur == want.blur
         np.testing.assert_array_equal(model.spectral_response, want.spectral_response)
-        assert bounds.lo == y_h.data.min()
-        assert bounds.hi == y_h.data.max()
 
     def test_noiseless_by_default(self):
         config = small_config()
         truth = reference_scene(config)
-        y_h, pan, model, _ = wald_inputs(truth, config)
+        y_h, pan, model = wald_inputs(truth, config)
         assert not model.hs_noise_std.any()
         assert model.pan_noise_std == 0.0
-        y_h2, pan2, _, _ = wald_inputs(truth, config)
+        y_h2, pan2, _ = wald_inputs(truth, config)
         assert np.array_equal(y_h.data, y_h2.data)
         assert np.array_equal(pan.data, pan2.data)
 
     def test_snr_sets_noise(self):
         config = small_config(snr_db=30.0)
         truth = reference_scene(config)
-        y_h, pan, model, _ = wald_inputs(truth, config)
+        y_h, pan, model = wald_inputs(truth, config)
         assert (model.hs_noise_std > 0).all()
         assert model.pan_noise_std > 0
         clean_cfg = small_config()
-        clean, clean_pan, _, _ = wald_inputs(truth, clean_cfg)
+        clean, clean_pan, _ = wald_inputs(truth, clean_cfg)
         assert not np.array_equal(y_h.data, clean.data)
         # SNR definition: noise std is signal rms scaled by 10^(-snr/20)
         rms = np.sqrt((clean.data**2).mean(axis=1))
@@ -388,6 +389,35 @@ class TestWaldInputs:
         truth = synth_scene(0, 3, 9, 9, 8)
         with pytest.raises(ValueError):
             wald_inputs(truth, small_config())
+
+
+class TestRunMethod:
+    def test_context_comes_from_the_config(self, monkeypatch):
+        # The range spans Y_H, the seed is the one given, and the method is
+        # looked up when called, so a rebound registry entry runs.
+        seen = []
+        monkeypatch.setitem(REGISTRY, "CNMF", lambda ctx: seen.append(ctx) or ctx.y_h)
+        config = small_config(
+            gnyq=0.45, subspace_dim=4, method_params={"CNMF": {"outer_iters": 3}}
+        )
+        y_h, pan, model = wald_inputs(reference_scene(config), config)
+        assert run_method(config, "CNMF", y_h, pan, model, 17) is y_h
+        (ctx,) = seen
+        assert ctx.y_h is y_h and ctx.pan is pan and ctx.model is model
+        assert ctx.range == DynamicRange.spanning(y_h.data)
+        assert (ctx.gnyq, ctx.seed, ctx.subspace_dim) == (0.45, 17, 4)
+        assert ctx.params == {"outer_iters": 3}
+
+    def test_only_bench_builds_a_method_context(self):
+        package = Path(__file__).resolve().parents[1] / "src" / "hspansharp"
+        builders = set()
+        for path in package.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    if getattr(func, "id", getattr(func, "attr", None)) == "MethodContext":
+                        builders.add(path.relative_to(package).as_posix())
+        assert builders == {"harness/bench.py"}
 
 
 class TestRunWald:
@@ -450,20 +480,20 @@ class TestEmitReport:
     def test_no_methods_header_only(self, tmp_path):
         # A config names at least one method, so the empty report is built
         # directly.
-        config = small_config()
+        config = small_config(output_dir=str(tmp_path))
         truth = synth_scene(0, 3, 20, 20, 11)
-        y_h, pan, _, _ = wald_inputs(truth, config)
-        report = bench.BenchmarkReport(config, (), truth, y_h, pan)
-        paths = emit_report(report, str(tmp_path))
+        y_h, _, _ = wald_inputs(truth, config)
+        report = bench.BenchmarkReport(config, (), truth, y_h)
+        paths = emit_report(report)
         lines = open(paths["csv"]).read().splitlines()
         assert lines == ["method,CC,SAM,RMSE,ERGAS,time_s"]
         spectra = open(paths["spectra"]).read().splitlines()
         assert spectra == ["method,percentile,pixel,band,reference,estimate"]
 
     def test_one_method_artifacts(self, tmp_path):
-        config = small_config(methods=("SFIM",), timing="off")
+        config = small_config(methods=("SFIM",), timing="off", output_dir=str(tmp_path))
         report = run_wald(config)
-        paths = emit_report(report, str(tmp_path))
+        paths = emit_report(report)
 
         lines = open(paths["csv"]).read().splitlines()
         assert len(lines) == 2
@@ -491,10 +521,12 @@ class TestEmitReport:
 
     def test_failed_method_row_is_nan(self, tmp_path):
         config = small_config(
-            methods=("CNMF",), method_params={"CNMF": {"endmembers": 99}}
+            methods=("CNMF",),
+            method_params={"CNMF": {"endmembers": 99}},
+            output_dir=str(tmp_path),
         )
         report = run_wald(config)
-        paths = emit_report(report, str(tmp_path))
+        paths = emit_report(report)
         lines = open(paths["csv"]).read().splitlines()
         assert lines[1] == "CNMF,nan,nan,nan,nan,nan"
         payload = json.loads(open(paths["json"]).read())
@@ -771,6 +803,29 @@ class TestCli:
         assert "subspace-dim must be at least 1" in capsys.readouterr().err
         assert calls == [] and not os.path.exists(out + ".dat")
 
+    # The least argv of each command that reads RunConfig values, and the
+    # options it shares with RunConfig fields.
+    MINIMAL_ARGV = {
+        "synth": (["--out", "o"], {"height", "width", "bands", "endmembers", "seed"}),
+        "degrade": (
+            ["--truth", "t", "--out-hs", "h", "--out-pan", "p"],
+            {"ratio", "gnyq", "snr_db", "seed"},
+        ),
+        "fuse": (
+            ["--method", "PCA", "--hs", "h", "--pan", "p", "--out", "o"],
+            {"gnyq", "seed", "subspace_dim"},
+        ),
+        "eval": (["--fused", "f", "--truth", "t"], {"ratio"}),
+    }
+
+    @pytest.mark.parametrize("command", sorted(MINIMAL_ARGV))
+    def test_option_defaults_are_the_config_defaults(self, command):
+        argv, shared = self.MINIMAL_ARGV[command]
+        args = cli.build_parser().parse_args([command, *argv])
+        assert {f.name for f in fields(RunConfig)} & set(vars(args)) == shared
+        for name in shared:
+            assert getattr(args, name) == getattr(RunConfig(), name), name
+
     def bench_config(self, tmp_path, name="bench.cfg", extra=""):
         cfg = tmp_path / name
         cfg.write_text(
@@ -795,6 +850,23 @@ class TestCli:
         assert main(["bench", "--config", cfg, "--output-dir", out_dir]) == 2
         lines = open(os.path.join(out_dir, "report.csv")).read().splitlines()
         assert any(line.startswith("CNMF,nan") for line in lines)
+
+    def test_bench_row_does_not_depend_on_the_other_methods(self, tmp_path):
+        # A method's seed comes from its place in the registry, not in the
+        # selection, so CNMF scores the same beside HySure alone as in the
+        # full run.
+        rows = {}
+        for label, extra in (("all", []), ("two", ["--set", "methods=HySure,CNMF"])):
+            out_dir = str(tmp_path / label)
+            argv = ["bench", "--output-dir", out_dir, "--set", "timing=off",
+                    "--set", "snr-db=30", "--set", "height=40", "--set", "width=40",
+                    "--set", "bands=20", "--set", "ratio=4", *extra]
+            assert main(argv) == 0
+            with open(os.path.join(out_dir, "report.csv"), encoding="ascii") as fh:
+                rows[label] = {line.split(",")[0]: line for line in fh.read().splitlines()}
+        assert list(rows["two"]) == ["method", "HySure", "CNMF"]
+        assert rows["two"]["CNMF"] == rows["all"]["CNMF"]
+        assert rows["two"]["HySure"] == rows["all"]["HySure"]
 
     def test_bench_timing_off_is_byte_identical(self, tmp_path):
         cfg = self.bench_config(tmp_path)

@@ -19,6 +19,7 @@ import pytest
 from hspansharp.harness.bench import reference_scene, wald_inputs
 from hspansharp.harness.config import RunConfig
 from hspansharp.harness.registry import MethodContext, get_method
+from hspansharp.imgcore import DynamicRange
 from hspansharp.metrics import Reference, compute_report
 
 METHODS = ["SFIM", "MTF-GLP", "MTF-GLP-HPM", "GS", "GSA", "PCA", "GFPCA"]
@@ -35,7 +36,8 @@ def truth():
 
 @pytest.fixture(scope="module")
 def context(truth):
-    y_h, pan, model, rng = wald_inputs(truth, CONFIG)
+    y_h, pan, model = wald_inputs(truth, CONFIG)
+    rng = DynamicRange.spanning(y_h.data)
     return MethodContext(y_h, pan, model, rng, CONFIG.gnyq, CONFIG.seed)
 
 
