@@ -155,7 +155,7 @@ def _interpolated_coefficients(
     y_h: SpectralImage, basis: SubspaceBasis, ratio: int
 ) -> np.ndarray:
     """Bicubically interpolated Y_H projected onto the subspace (p x n)."""
-    return basis.H.T @ upsample_data(y_h, ratio, "bicubic")
+    return basis.H.T @ upsample_data(y_h, ratio)
 
 
 def default_bayes_priors(

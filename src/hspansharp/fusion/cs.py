@@ -4,16 +4,15 @@ All three share the same injection skeleton: a spectrally weighted intensity
 O_L = w^T Y is formed from the interpolated hyperspectral bands, the PAN
 image is moment-matched to it, and the detail (P - O_L) is injected with
 per-band gains g. PCA is the case w = g = the first principal loading.
-The band covariance of the interpolated bands, which GS and GSA gains and
-the PCA loading need, comes from the low-resolution bands
+`working_cube` is the one front end of these methods and of the MRA ones:
+the PAN and pair checks, the interpolated bands, and their band means and
+covariance, which come from the low-resolution bands
 (`resample.upsampled_moments`), so only O_L and the injection pass over the
 interpolated cube. The sign rule of principal axes (`signed_axes`) and the
 energy knee (`energy_knee`) of every method live here.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,12 +21,12 @@ from ..resample import upsample_data, upsampled_moments
 from ..sensorsim import BlurKernel, blur_downsample, check_pair, pan_values
 
 __all__ = [
-    "PcaTransform",
     "pca_transform",
     "signed_axes",
     "energy_knee",
     "match_moments",
     "inject_detail",
+    "working_cube",
     "fuse_pca",
     "fuse_gs",
     "gsa_weights",
@@ -39,43 +38,16 @@ __all__ = [
 _RIDGE = 1e-8
 
 
-@dataclass(frozen=True)
-class PcaTransform:
-    """Orthonormal loadings (rows = components, descending variance) plus the
-    band means removed before projection."""
-
-    loadings: np.ndarray
-    band_means: np.ndarray
-    variances: np.ndarray
-
-    def __post_init__(self):
-        L = np.asarray(self.loadings, dtype=np.float64).copy()
-        mu = np.asarray(self.band_means, dtype=np.float64).ravel().copy()
-        var = np.asarray(self.variances, dtype=np.float64).ravel().copy()
-        if L.shape[0] != L.shape[1] or L.shape[0] != mu.size or var.size != mu.size:
-            raise ValueError("loadings must be square with matching means")
-        if not np.allclose(L @ L.T, np.eye(L.shape[0]), rtol=0, atol=1e-10):
-            raise ValueError("loadings must be orthonormal")
-        if (np.diff(var) > 1e-10 * max(var.max(initial=0.0), 1.0)).any():
-            raise ValueError("component variances must be nonincreasing")
-        for arr in (L, mu, var):
-            arr.flags.writeable = False
-        object.__setattr__(self, "loadings", L)
-        object.__setattr__(self, "band_means", mu)
-        object.__setattr__(self, "variances", var)
-
-    def forward(self, data: np.ndarray) -> np.ndarray:
-        return self.loadings @ (data - self.band_means[:, np.newaxis])
-
-
-def pca_transform(img: SpectralImage) -> PcaTransform:
-    """Principal components of the band covariance (population normalization),
-    each loading row signed so its largest-magnitude entry is positive."""
+def pca_transform(img: SpectralImage):
+    """Principal components of the band covariance (population normalization):
+    the band means, the component variances in descending order, and the
+    orthonormal loadings as rows, each signed so its largest-magnitude entry
+    is positive. The scores of data X are loadings @ (X - means)."""
     data = img.data
     mu = data.mean(axis=1)
     centered = data - mu[:, np.newaxis]
     evals, loadings = _principal_axes((centered @ centered.T) / img.pixels, data)
-    return PcaTransform(loadings, mu, evals)
+    return mu, evals, loadings
 
 
 def signed_axes(axes: np.ndarray) -> np.ndarray:
@@ -125,28 +97,27 @@ def inject_detail(fused: np.ndarray, detail: np.ndarray, gains: np.ndarray) -> N
         band += np.multiply(detail, gain, out=scaled)
 
 
-def _interpolated(y_h: SpectralImage, pan: SpectralImage, ratio: int):
-    """Y_H interpolated to the PAN grid as a fresh writable array, and the PAN
-    values."""
-    ratio = int(ratio)
+def working_cube(y_h: SpectralImage, pan: SpectralImage, ratio: int):
+    """The front end of SFIM, MTF-GLP, MTF-GLP-HPM, GS, GSA and PCA: after the
+    PAN and pair checks, Y_H interpolated to the PAN grid as a fresh writable
+    bands x pixels array, the PAN values, and that array's band means and
+    covariance (`upsampled_moments`)."""
     p = pan_values(pan)
-    check_pair(y_h, pan, ratio)
-    return upsample_data(y_h, ratio, "bicubic"), p
+    ratio = check_pair(y_h, pan, ratio)
+    means, cov = upsampled_moments(y_h, ratio)
+    return upsample_data(y_h, ratio), p, means, cov
 
 
 def _gs_inject(
-    y_h: SpectralImage, pan: SpectralImage, ratio: int, w: np.ndarray
-) -> SpectralImage:
-    """GS injection with intensity weights w and gains
-    cov(Y^k, O_L) / var(O_L), where cov(Y, O_L) = C w."""
-    fused, p = _interpolated(y_h, pan, ratio)
+    fused: np.ndarray, p: np.ndarray, cov: np.ndarray, w: np.ndarray
+) -> None:
+    """GS injection into the working cube in place, with intensity weights w
+    and gains cov(Y^k, O_L) / var(O_L), where cov(Y, O_L) = C w."""
     o_l = w @ fused
     var = o_l.var()
     if var == 0.0:
         raise ValueError("intensity component has zero variance")
-    _, cov = upsampled_moments(y_h, ratio, "bicubic")
     inject_detail(fused, match_moments(p, o_l) - o_l, cov @ w / var)
-    return SpectralImage._adopt(pan.height, pan.width, fused, y_h.wavelengths)
 
 
 def fuse_pca(y_h: SpectralImage, pan: SpectralImage, ratio: int) -> SpectralImage:
@@ -156,8 +127,7 @@ def fuse_pca(y_h: SpectralImage, pan: SpectralImage, ratio: int) -> SpectralImag
     PCA after the substitution adds l_0 (match(P, s_0) - s_0) to Y, and
     shifting s_0 by l_0^T mean(Y) leaves that difference unchanged.
     """
-    fused, p = _interpolated(y_h, pan, ratio)
-    _, cov = upsampled_moments(y_h, ratio, "bicubic")
+    fused, p, _, cov = working_cube(y_h, pan, ratio)
     l0 = _principal_axes(cov, y_h.data)[1][0]
     o_l = l0 @ fused
     inject_detail(fused, match_moments(p, o_l) - o_l, l0)
@@ -166,7 +136,9 @@ def fuse_pca(y_h: SpectralImage, pan: SpectralImage, ratio: int) -> SpectralImag
 
 def fuse_gs(y_h: SpectralImage, pan: SpectralImage, ratio: int) -> SpectralImage:
     """Gram-Schmidt sharpening: uniform intensity weights, covariance gains."""
-    return _gs_inject(y_h, pan, ratio, np.full(y_h.bands, 1.0 / y_h.bands))
+    fused, p, _, cov = working_cube(y_h, pan, ratio)
+    _gs_inject(fused, p, cov, np.full(y_h.bands, 1.0 / y_h.bands))
+    return SpectralImage._adopt(pan.height, pan.width, fused, y_h.wavelengths)
 
 
 def gsa_weights(y_h_matrix: np.ndarray, pan_low: np.ndarray) -> np.ndarray:
@@ -189,7 +161,7 @@ def fuse_gsa(
 ) -> SpectralImage:
     """GS Adaptive: intensity weights regressed against the PAN degraded to
     the hyperspectral grid, then the usual GS injection."""
-    check_pair(y_h, pan, int(ratio))
+    fused, p, _, cov = working_cube(y_h, pan, ratio)
     pan_low = blur_downsample(pan, blur, ratio)
-    w = gsa_weights(y_h.data, pan_low.data[0])
-    return _gs_inject(y_h, pan, ratio, w)
+    _gs_inject(fused, p, cov, gsa_weights(y_h.data, pan_low.data[0]))
+    return SpectralImage._adopt(pan.height, pan.width, fused, y_h.wavelengths)

@@ -100,27 +100,26 @@ def fuse_gfpca(y_h: SpectralImage, pan: SpectralImage, ratio: int) -> SpectralIm
     radius is the ratio, eps = 1e-4 (value span of Y_H)^2, and the threshold
     is the MAD noise scale of the trailing components.
     """
-    ratio = int(ratio)
     guide = pan_values(pan).reshape(pan.height, pan.width)
-    check_pair(y_h, pan, ratio)
-    transform = pca_transform(y_h)
-    scores = transform.forward(y_h.data)
-    p = default_component_count(transform.variances)
+    ratio = check_pair(y_h, pan, ratio)
+    band_means, variances, loadings = pca_transform(y_h)
+    scores = loadings @ (y_h.data - band_means[:, np.newaxis])
+    p = default_component_count(variances)
     span = DynamicRange.spanning(y_h.data).span
     tau = _mad_sigma(scores[p:].ravel()) if p < y_h.bands else 0.0
 
     def upsampled(components: np.ndarray) -> np.ndarray:
         low = SpectralImage(y_h.height, y_h.width, components)
-        return upsample_data(low, ratio, "bicubic")
+        return upsample_data(low, ratio)
 
     leading = upsampled(scores[:p]).reshape(p, pan.height, pan.width)
     filtered = guided_filter_plane(leading, guide, ratio, 1e-4 * span**2).reshape(p, -1)
     # Interpolation and the inverse PCA are linear, so the trailing
     # components and the band means go back to band space at low resolution
     # and are interpolated once, into the cube the leading term is added to.
-    trailing = transform.loadings[p:].T @ soft_threshold(scores[p:], tau)
-    fused = upsampled(trailing + transform.band_means[:, np.newaxis])
-    weights = transform.loadings[:p].T
+    trailing = loadings[p:].T @ soft_threshold(scores[p:], tau)
+    fused = upsampled(trailing + band_means[:, np.newaxis])
+    weights = loadings[:p].T
     term = np.empty((_BAND_BLOCK, fused.shape[1]))
     for start in range(0, y_h.bands, _BAND_BLOCK):
         block = fused[start:start + _BAND_BLOCK]

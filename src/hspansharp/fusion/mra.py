@@ -13,9 +13,9 @@ from functools import partial
 import numpy as np
 
 from ..imgcore import DynamicRange, SpectralImage
-from ..resample import upsample, upsample_data, upsampled_moments
-from ..sensorsim import blur, blur_downsample, check_pair, kernel_from_mtf, pan_values
-from .cs import inject_detail
+from ..resample import upsample
+from ..sensorsim import blur, blur_downsample, check_ratio, kernel_from_mtf
+from .cs import inject_detail, working_cube
 
 __all__ = [
     "box_lowpass",
@@ -41,7 +41,7 @@ def _hpm_gain(
 
 def box_lowpass(pan: SpectralImage, ratio: int) -> SpectralImage:
     """Normalized (2 ratio + 1)^2 box mean with mirror boundaries."""
-    width = 2 * int(ratio) + 1
+    width = 2 * check_ratio(ratio) + 1
     out = blur(pan.to_cube(), np.full(width, 1.0 / width))
     return pan.with_data(out.reshape(pan.bands, -1))
 
@@ -50,7 +50,7 @@ def glp_lowpass(pan: SpectralImage, ratio: int, gnyq: float) -> SpectralImage:
     """Single GLP stage: MTF-matched blur, decimate, interpolate back."""
     kernel = kernel_from_mtf(ratio, gnyq)
     low = blur_downsample(pan, kernel, ratio)
-    return upsample(low, ratio, "bicubic")
+    return upsample(low, ratio)
 
 
 def _equalized_fusion(
@@ -73,23 +73,18 @@ def _equalized_fusion(
     scale_k (P - P_L) through `cs.inject_detail`. HPM keeps the difference
     P_eq^k - P_L,eq^k: where P_L,eq^k nears zero its gain (~1e3 on real
     scenes) magnifies any change in the rounding of that divisor, so the
-    detail is rounded as the divisor is. std(Y^k) and mean(Y^k) of the
-    interpolated bands come from the low-resolution bands
-    (`upsampled_moments`).
+    detail is rounded as the divisor is. The interpolated bands, std(Y^k) and
+    mean(Y^k) come from `cs.working_cube`.
     """
-    ratio = int(ratio)
-    p = pan_values(pan)
-    check_pair(y_h, pan, ratio)
+    fused, p, means, cov = working_cube(y_h, pan, ratio)
     p_l = lowpass(pan).data[0]
     p_mean = p.mean()
     pl_std = p_l.std()
     # Filtering a constant PAN leaves rounding dust with std ~ eps |P|;
     # treat anything at that level as flat instead of dividing by it.
     std_floor = 1e-12 * max(np.abs(p_l).max(), np.abs(p).max())
-    means, cov = upsampled_moments(y_h, ratio, "bicubic")
     stds = np.sqrt(np.maximum(np.diagonal(cov), 0.0))
     scales = stds / pl_std if pl_std > std_floor else np.zeros_like(stds)
-    fused = upsample_data(y_h, ratio, "bicubic")
     if gains == "additive":
         inject_detail(fused, p - p_l, scales)
     else:

@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from ..metrics import compute_report
-from ..sensorsim import GNYQ, assumed_model, pair_ratio
+from ..sensorsim import GNYQ, assumed_model, check_ratio, pair_ratio
 from .bench import emit_report, run_method, run_wald, wald_inputs
 from .config import RunConfig, apply_overrides, parse_config
 from .envi import load_raster, save_raster
@@ -145,11 +145,10 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if args.ratio < 1:
-        raise ValueError(f"ratio must be a positive integer, got {args.ratio}")
+    ratio = check_ratio(args.ratio)
     fused = load_raster(args.fused)
     truth = load_raster(args.truth)
-    report = compute_report(fused, truth, 1.0 / args.ratio)
+    report = compute_report(fused, truth, 1.0 / ratio)
     scalars = report.scalars()
     print("CC,SAM,RMSE,ERGAS")
     print(",".join("%.17g" % scalars[k] for k in ("CC", "SAM", "RMSE", "ERGAS")))

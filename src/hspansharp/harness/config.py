@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 
-from ..sensorsim import GNYQ
+from ..sensorsim import GNYQ, check_gnyq
 from .registry import method_names, resolve_params
 
 __all__ = ["RunConfig", "parse_config", "apply_overrides"]
@@ -101,8 +101,7 @@ class RunConfig:
             raise ValueError("ratio must be at least 2 for fusion runs")
         if self.input is None and (self.height % self.ratio or self.width % self.ratio):
             raise ValueError("scene dims must be divisible by the ratio")
-        if not 0.0 < self.gnyq < 1.0:
-            raise ValueError("gnyq must lie strictly between 0 and 1")
+        check_gnyq(self.gnyq)
         if self.snr_db is not None and self.snr_db <= 0:
             raise ValueError("snr-db must be positive when set")
         if self.subspace_dim is not None and self.subspace_dim < 1:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .imgcore import SpectralImage
-from .sensorsim import default_phase, separable, stencil_matrix
+from .sensorsim import check_ratio, default_phase, separable, stencil_matrix
 
 __all__ = ["upsample", "upsample_data", "upsampled_moments"]
 
@@ -56,8 +56,7 @@ def _axis_matrix(n_in: int, ratio: int, method: str) -> np.ndarray:
 
 def _axis_matrices(img: SpectralImage, ratio: int, method: str):
     """The row and column interpolation matrices of `img` grown by `ratio`."""
-    if ratio < 1:
-        raise ValueError("ratio must be a positive integer")
+    ratio = check_ratio(ratio)
     if method not in ("bilinear", "bicubic"):
         raise ValueError(f"unknown interpolation method: {method!r}")
     return (
@@ -72,7 +71,7 @@ def upsample_data(img: SpectralImage, ratio: int, method: str = "bicubic") -> np
 
     method is "bilinear" or "bicubic" (Catmull-Rom, a = -0.5).
     """
-    rows, cols = _axis_matrices(img, int(ratio), method)
+    rows, cols = _axis_matrices(img, ratio, method)
     return separable(rows, img.to_cube(), cols).reshape(img.bands, -1)
 
 
@@ -87,7 +86,7 @@ def upsampled_moments(
     and K sum to one, the centred interpolated band is R Z_k K^T with
     Z_k = Y_k - m_k, so the covariance is <Z_j, (R^T R) Z_k (K^T K)> / N.
     """
-    rows, cols = _axis_matrices(img, int(ratio), method)
+    rows, cols = _axis_matrices(img, ratio, method)
     count = rows.shape[0] * cols.shape[0]
     cube = img.to_cube()
     row_sums, col_sums = (m.sum(axis=0, keepdims=True) for m in (rows, cols))
@@ -103,7 +102,7 @@ def upsample(img: SpectralImage, ratio: int, method: str = "bicubic") -> Spectra
 
     method is "bilinear" or "bicubic" (Catmull-Rom, a = -0.5).
     """
-    ratio = int(ratio)
+    ratio = check_ratio(ratio)
     return SpectralImage._adopt(
         img.height * ratio,
         img.width * ratio,

@@ -9,7 +9,9 @@ B_h X B_w^T and `degrade` (the Wald observation operator X B S) keeps only
 the decimated rows of each matrix.
 
 `pan_values`, `check_pair` and `pair_ratio` are the checks on an observed
-(Y_H, PAN) pair that every method and command shares.
+(Y_H, PAN) pair that every method and command shares. `check_ratio` is the
+one rule for a resolution ratio (a positive integer; nothing is truncated)
+and `check_gnyq` the one rule for an MTF gain.
 
 `assumed_model` alone decides the model every method is fused under: the
 MTF-matched blur, the default PAN response and no known noise.
@@ -21,6 +23,7 @@ only on the band of nonzero weights each block of output rows reads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +45,8 @@ __all__ = [
     "default_pan_response",
     "PAN_WINDOW",
     "GNYQ",
+    "check_ratio",
+    "check_gnyq",
     "default_phase",
     "stencil_matrix",
     "pan_values",
@@ -112,9 +117,7 @@ class SensorModel:
     pan_noise_std: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "ratio", int(self.ratio))
-        if self.ratio < 1:
-            raise ValueError("ratio must be a positive integer")
+        object.__setattr__(self, "ratio", check_ratio(self.ratio))
         resp = np.atleast_2d(np.asarray(self.spectral_response, dtype=np.float64))
         if (resp < 0).any():
             raise ValueError("spectral response weights must be nonnegative")
@@ -135,6 +138,21 @@ class SensorModel:
         object.__setattr__(self, "pan_noise_std", float(self.pan_noise_std))
         if self.pan_noise_std < 0:
             raise ValueError("noise standard deviations must be nonnegative")
+
+
+def check_ratio(ratio) -> int:
+    """`ratio` as an int, or a ValueError unless it is a Python or numpy
+    integer of at least 1. A bool or a float (2.0 too) is refused, never
+    truncated."""
+    if isinstance(ratio, bool) or not isinstance(ratio, (int, np.integer)) or ratio < 1:
+        raise ValueError(f"ratio must be a positive integer, got {ratio!r}")
+    return operator.index(ratio)
+
+
+def check_gnyq(gnyq: float) -> None:
+    """Raise unless the MTF gain at Nyquist lies strictly between 0 and 1."""
+    if not 0.0 < gnyq < 1.0:
+        raise ValueError("gnyq must lie strictly between 0 and 1")
 
 
 def default_phase(ratio: int) -> int:
@@ -170,21 +188,22 @@ def pan_values(pan: SpectralImage) -> np.ndarray:
     return pan.data[0]
 
 
-def check_pair(y_h: SpectralImage, pan: SpectralImage, ratio: int) -> None:
-    """Raise unless the PAN grid is `ratio` times the Y_H grid on both axes."""
+def check_pair(y_h: SpectralImage, pan: SpectralImage, ratio: int) -> int:
+    """The `check_ratio` ratio, or an error unless the PAN grid is `ratio`
+    times the Y_H grid on both axes."""
+    ratio = check_ratio(ratio)
     if (pan.height, pan.width) != (y_h.height * ratio, y_h.width * ratio):
         raise ValueError(
             f"PAN dims {pan.height}x{pan.width} are not {ratio} times"
             f" the Y_H dims {y_h.height}x{y_h.width}"
         )
+    return ratio
 
 
 def pair_ratio(y_h: SpectralImage, pan: SpectralImage) -> int:
     """The integer ratio of the PAN grid to the Y_H grid, the same on both
     axes, or `check_pair`'s error."""
-    ratio = max(pan.height // y_h.height, 1)
-    check_pair(y_h, pan, ratio)
-    return ratio
+    return check_pair(y_h, pan, max(pan.height // y_h.height, 1))
 
 
 def kernel_from_mtf(ratio: int, gnyq: float = GNYQ) -> BlurKernel:
@@ -193,12 +212,8 @@ def kernel_from_mtf(ratio: int, gnyq: float = GNYQ) -> BlurKernel:
 
     Taps are truncated at +-ceil(4 sigma) and renormalized.
     """
-    if not 0.0 < gnyq < 1.0:
-        raise ValueError(f"gnyq must lie in (0, 1), got {gnyq}")
-    ratio = int(ratio)
-    if ratio < 1:
-        raise ValueError("ratio must be a positive integer")
-    sigma = ratio * np.sqrt(-2.0 * np.log(gnyq)) / np.pi
+    check_gnyq(gnyq)
+    sigma = check_ratio(ratio) * np.sqrt(-2.0 * np.log(gnyq)) / np.pi
     radius = int(np.ceil(4.0 * sigma))
     k = np.arange(-radius, radius + 1, dtype=np.float64)
     taps = np.exp(-(k**2) / (2.0 * sigma**2))
@@ -219,6 +234,7 @@ def degrade_axis(n: int, taps: np.ndarray, ratio: int) -> np.ndarray:
     reading sample i + radius - j as mirrored by `stencil_matrix` (valid
     also when n is below the kernel radius)."""
     taps = np.asarray(taps, dtype=np.float64)
+    ratio = check_ratio(ratio)
     kept = np.arange(default_phase(ratio), n, ratio)
     offsets = taps.size // 2 - np.arange(taps.size)
     return stencil_matrix(kept[:, np.newaxis] + offsets, taps, n)
@@ -271,9 +287,7 @@ def degrade(cube: np.ndarray, taps: np.ndarray, ratio: int) -> np.ndarray:
 def blur_downsample(img: SpectralImage, kernel: BlurKernel, ratio: int) -> SpectralImage:
     """Blur each band with the separable kernel, then keep every ratio-th
     sample starting at `default_phase(ratio)` on both axes."""
-    ratio = int(ratio)
-    if ratio < 1:
-        raise ValueError("ratio must be a positive integer")
+    ratio = check_ratio(ratio)
     if img.height % ratio or img.width % ratio:
         raise ValueError(
             f"dims {img.height}x{img.width} not divisible by ratio {ratio}"

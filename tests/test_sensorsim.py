@@ -7,9 +7,13 @@ import numpy as np
 import pytest
 from scipy.ndimage import convolve1d
 
-from hspansharp.fusion.hybrid import _axis_window_mean
-from hspansharp.imgcore import SpectralImage
-from hspansharp.resample import _axis_matrix
+from hspansharp.fusion.cs import fuse_gs, fuse_gsa, fuse_pca
+from hspansharp.fusion.hybrid import _axis_window_mean, fuse_gfpca
+from hspansharp.fusion.mra import box_lowpass, fuse_mtf_glp, fuse_mtf_glp_hpm, fuse_sfim
+from hspansharp.harness.cli import main
+from hspansharp.harness.config import RunConfig
+from hspansharp.imgcore import DynamicRange, SpectralImage
+from hspansharp.resample import _axis_matrix, upsample, upsample_data
 from hspansharp.sensorsim import (
     GNYQ,
     BlurKernel,
@@ -20,6 +24,7 @@ from hspansharp.sensorsim import (
     blur_downsample,
     default_pan_response,
     default_phase,
+    degrade,
     degrade_axis,
     kernel_from_mtf,
     separable,
@@ -176,6 +181,102 @@ class TestAssumedModel:
             assert isinstance(value, ast.Name) and value.id == "GNYQ", where
 
 
+def src_trees(subpackage=""):
+    """(path relative to the package, parsed module) of every module of
+    `hspansharp` under `subpackage`."""
+    package = Path(__file__).resolve().parents[1] / "src" / "hspansharp"
+    return [
+        (path.relative_to(package).as_posix(), ast.parse(path.read_text()))
+        for path in sorted((package / subpackage).rglob("*.py"))
+    ]
+
+
+# Every public entry point that takes a resolution ratio, as a call of the
+# ratio alone on a 3-band 4x4 Y_H and its 8x8 PAN (a ratio-2 pair).
+_Y_H = SpectralImage(4, 4, np.random.default_rng(3).uniform(0.1, 1.0, (3, 16)))
+_PAN = SpectralImage(8, 8, np.random.default_rng(4).uniform(0.1, 1.0, (1, 64)))
+_RANGE = DynamicRange(0.0, 2.0)
+RATIO_TAKERS = {
+    "kernel_from_mtf": lambda r: kernel_from_mtf(r),
+    "SensorModel": lambda r: SensorModel(r, BlurKernel.impulse(), np.full((1, 3), 1 / 3)),
+    "blur_downsample": lambda r: blur_downsample(_PAN, BlurKernel.impulse(), r),
+    "degrade": lambda r: degrade(_PAN.to_cube(), np.ones(1), r),
+    "upsample": lambda r: upsample(_Y_H, r),
+    "upsample_data": lambda r: upsample_data(_Y_H, r),
+    "box_lowpass": lambda r: box_lowpass(_PAN, r),
+    "fuse_sfim": lambda r: fuse_sfim(_Y_H, _PAN, r, _RANGE),
+    "fuse_mtf_glp": lambda r: fuse_mtf_glp(_Y_H, _PAN, r, GNYQ, _RANGE),
+    "fuse_mtf_glp_hpm": lambda r: fuse_mtf_glp_hpm(_Y_H, _PAN, r, GNYQ, _RANGE),
+    "fuse_gs": lambda r: fuse_gs(_Y_H, _PAN, r),
+    "fuse_gsa": lambda r: fuse_gsa(_Y_H, _PAN, r, kernel_from_mtf(2)),
+    "fuse_pca": lambda r: fuse_pca(_Y_H, _PAN, r),
+    "fuse_gfpca": lambda r: fuse_gfpca(_Y_H, _PAN, r),
+}
+
+
+class TestCheckRatio:
+    """A ratio is a positive integer everywhere, refused and never truncated,
+    with one message written once, in `sensorsim.check_ratio`."""
+
+    @pytest.mark.parametrize("ratio", [2.5, 2.0, True, 0], ids=["2.5", "2.0", "True", "0"])
+    @pytest.mark.parametrize("taker", [*RATIO_TAKERS, "eval"])
+    def test_bad_ratio_is_refused(self, taker, ratio, capsys):
+        message = f"ratio must be a positive integer, got {ratio!r}"
+        if taker != "eval":
+            with pytest.raises(ValueError) as caught:
+                RATIO_TAKERS[taker](ratio)
+            assert str(caught.value) == message
+            return
+        argv = ["eval", "--fused", "f", "--truth", "t", "--ratio", str(ratio)]
+        if ratio == 0:
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+            return
+        # argparse refuses what is not an int before the command runs.
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        assert "invalid int value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("taker", RATIO_TAKERS)
+    def test_numpy_integer_is_accepted(self, taker):
+        assert RATIO_TAKERS[taker](np.int64(2)) is not None
+
+    def test_numpy_integer_comes_back_as_int(self):
+        model = SensorModel(np.int64(2), BlurKernel.impulse(), np.full((1, 3), 1 / 3))
+        assert type(model.ratio) is int and model.ratio == 2
+
+    def test_message_has_one_home(self):
+        homes = {
+            where
+            for where, tree in src_trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and "ratio must be a positive integer" in node.value
+        }
+        assert homes == {"sensorsim.py"}
+
+    def test_no_ratio_is_cast_to_int(self):
+        casts = [
+            (where, ast.unparse(node))
+            for where, tree in src_trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "int"
+            and node.args and ast.unparse(node.args[0]).endswith("ratio")
+        ]
+        assert casts == []
+
+    def test_fusion_names_no_interpolation_kernel(self):
+        # Every method interpolates with `upsample_data`'s default, bicubic.
+        named = [
+            where
+            for where, tree in src_trees("fusion")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value == "bicubic"
+        ]
+        assert named == []
+
+
 class TestKernelFromMtf:
     @pytest.mark.parametrize("ratio", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("gnyq", [0.2, 0.3, 0.5])
@@ -197,6 +298,14 @@ class TestKernelFromMtf:
             kernel_from_mtf(5, 1.0)
         with pytest.raises(ValueError):
             kernel_from_mtf(0, 0.3)
+
+    @pytest.mark.parametrize("gnyq", [0.0, 1.0, 1.5, -0.3])
+    def test_gain_rule_has_one_message(self, gnyq):
+        message = "gnyq must lie strictly between 0 and 1"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            kernel_from_mtf(5, gnyq)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RunConfig(gnyq=gnyq).validate()
 
 
 class TestBlur:
