@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..imgcore import DynamicRange, SpectralImage
+from ..imgcore import DynamicRange, SpectralImage, is_integer
 from ..resample import upsample_data
 from ..sensorsim import (
     BlurKernel,
@@ -76,9 +76,8 @@ class SubspaceBasis:
 def learn_subspace(y_h: SpectralImage, p: int) -> SubspaceBasis:
     """Top-p left singular vectors of Y_H, sign-fixed so each column's
     largest-magnitude entry is positive."""
-    p = int(p)
-    if not 1 <= p <= y_h.bands:
-        raise ValueError(f"subspace dim {p} out of range for {y_h.bands} bands")
+    if not (is_integer(p) and 1 <= p <= y_h.bands):
+        raise ValueError(f"subspace dim {p!r} out of range for {y_h.bands} bands")
     left, _, _ = np.linalg.svd(y_h.data, full_matrices=False)
     return SubspaceBasis(signed_axes(left[:, :p]))
 
@@ -207,6 +206,8 @@ def bayes_naive_solve(
     the orthogonal spatial transform leaves unchanged, ending with a final
     coefficient solve.
     """
+    if not (is_integer(sigma_rounds) and sigma_rounds >= 0):
+        raise ValueError(f"sigma_rounds must be an integer >= 0, got {sigma_rounds!r}")
     ratio = model.ratio
     check_pair(y_h, pan, ratio)
     if priors is None:
@@ -301,8 +302,8 @@ class HySureParams:
             raise ValueError("lambda_m and admm_mu must be positive")
         if self.lambda_phi < 0 or self.tol < 0:
             raise ValueError("lambda_phi and tol must be nonnegative")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+        if not (is_integer(self.max_iters) and self.max_iters >= 1):
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
 
 def default_hysure_params(
@@ -576,9 +577,11 @@ def estimate_sensor(
     with R rows projected nonnegative (normalized to unit sum on return)
     and the taps kept symmetric with unit sum.
     """
-    kernel_support = int(kernel_support)
-    if kernel_support < 1 or kernel_support % 2 != 1:
-        raise ValueError("kernel support must be a positive odd width")
+    width, rounds = kernel_support, max_alternations
+    if not (is_integer(width) and width >= 1 and width % 2 == 1):
+        raise ValueError(f"kernel support must be a positive odd width, got {width!r}")
+    if not (is_integer(rounds) and rounds >= 1):
+        raise ValueError(f"max_alternations must be an integer >= 1, got {rounds!r}")
     if lambda_b < 0 or lambda_r < 0:
         raise ValueError("regularization weights must be nonnegative")
     ratio = pair_ratio(y_h, y_m)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..imgcore import SpectralImage
+from ..imgcore import SpectralImage, is_integer
 from ..resample import upsample_data
 from ..sensorsim import SensorModel, check_pair, degrade
 from .cs import signed_axes
@@ -75,9 +75,8 @@ def vca(y: np.ndarray, p: int, seed: int = 0) -> np.ndarray:
     if y.ndim != 2:
         raise ValueError("data must be a bands x pixels matrix")
     m, n = y.shape
-    p = int(p)
-    if not 1 <= p <= min(m, n):
-        raise ValueError(f"endmember count {p} out of range for {m}x{n} data")
+    if not (is_integer(p) and 1 <= p <= min(m, n)):
+        raise ValueError(f"endmember count {p!r} out of range for {m}x{n} data")
     if (y < 0).any():
         raise ValueError("data must be nonnegative")
     left, sing, _ = np.linalg.svd(y, full_matrices=False)
@@ -216,8 +215,9 @@ def cnmf_solve(
     Traced objectives include the sum-to-one penalty row, which is the
     quantity the multiplicative updates provably never increase.
     """
-    if outer_iters < 1 or inner_iters < 1:
-        raise ValueError("iteration budgets must be positive")
+    for budget in (outer_iters, inner_iters):
+        if not (is_integer(budget) and budget >= 1):
+            raise ValueError(f"iteration budgets must be integers >= 1, got {budget!r}")
     ratio = model.ratio
     check_pair(y_h, pan, ratio)
     data_h = np.maximum(y_h.data, 0.0)

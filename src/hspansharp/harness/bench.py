@@ -9,6 +9,7 @@ be disabled (`timing = off`) to make report bytes reproducible run to run.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import time
 from dataclasses import dataclass, replace
@@ -228,7 +229,9 @@ def emit_report(report: BenchmarkReport) -> dict:
     }
     json_path = os.path.join(out_dir, "report.json")
     with open(json_path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        # A numpy integer, which `RunConfig` accepts, is written as an int.
+        json.dump(payload, fh, indent=2, sort_keys=True, default=operator.index)
+        fh.write("\n")
 
     map_paths = {}
     for res in report.results:

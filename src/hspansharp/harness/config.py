@@ -8,8 +8,8 @@ overrides. There is one grammar: each file line is read as the CLI pair
 parses every pair. `--set` pairs are applied on top of the file, and
 `fuse --set` uses the same grammar. `RunConfig.validate` checks every value
 before any method runs: each field's type, each range, and for a method
-parameter that the method reads the key and that the value has the key's
-type (see `registry.PARAMS`).
+parameter that the method reads the key and that the value is a
+nonnegative integer (see `registry.resolve_params`).
 
 The reference scene comes either from `input` (a raster path) or from the
 synthetic-scene fields. The sensor model is `sensorsim.assumed_model` at
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 
+from ..imgcore import is_integer
 from ..sensorsim import GNYQ, check_gnyq
 from .registry import method_names, resolve_params
 
@@ -30,13 +31,8 @@ __all__ = ["RunConfig", "parse_config", "apply_overrides"]
 _TIMING_MODES = ("wall", "off")
 
 
-def _is_int(value) -> bool:
-    # bool is an int subclass, but `true` is no count.
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_real(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
+    return is_integer(value) or isinstance(value, float)
 
 
 def _is_text(value) -> bool:
@@ -54,7 +50,7 @@ def _is_names(value) -> bool:
 # The test and description of each field annotation, less any `| None`: a
 # field whose default is None may also be None.
 _KINDS = {
-    "int": (_is_int, "an integer"),
+    "int": (is_integer, "an integer"),
     "float": (_is_real, "a number"),
     "str": (_is_text, "a non-empty string"),
     "tuple[float, ...]": (_is_reals, "a list of numbers"),
@@ -135,12 +131,7 @@ class RunConfig:
 
 
 def _coerce(text: str):
-    low = text.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no"):
-        return False
-    if low in ("none", "null", ""):
+    if text.lower() in ("none", "null", ""):
         return None
     try:
         return int(text)

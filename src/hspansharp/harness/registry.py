@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..imgcore import DynamicRange, SpectralImage
+from ..imgcore import DynamicRange, SpectralImage, is_integer
 from ..sensorsim import SensorModel
 from ..fusion.bayes import (
     default_subspace_dim,
@@ -127,26 +127,22 @@ REGISTRY = {
 }
 
 
-# The parameters each method reads from `MethodContext.params`, as
-# (type, default), the only defaults the fuse functions run with; a method
-# not listed reads none. A default of None means "unset" and may also be
-# given. CNMF's endmember count of None means the subspace dimension, at
-# least 2. CNMF runs 300 inner iterations: the multiplicative updates are
-# slow and `cnmf_solve`'s default of 100 leaves visible residual.
+# The parameters each method reads from `MethodContext.params`, with the
+# only defaults the fuse functions run with; a method not listed reads none.
+# Every parameter is a nonnegative integer. A default of None means "unset"
+# and may also be given. CNMF's endmember count of None means the subspace
+# dimension, at least 2. CNMF runs 300 inner iterations: the multiplicative
+# updates are slow and `cnmf_solve`'s default of 100 leaves visible residual.
 PARAMS = {
-    "CNMF": {
-        "endmembers": (int, None),
-        "outer_iters": (int, 2),
-        "inner_iters": (int, 300),
-    },
-    "BayesNaive": {"sigma_rounds": (int, 5)},
+    "CNMF": {"endmembers": None, "outer_iters": 2, "inner_iters": 300},
+    "BayesNaive": {"sigma_rounds": 5},
 }
 
 
 def resolve_params(name: str, given: dict | None) -> dict:
     """`given` over the defaults of the parameters `name` reads. A key the
-    method does not read, or a value not of the key's type, raises
-    ValueError."""
+    method does not read, or a value that is no integer (`imgcore.is_integer`)
+    or is negative, raises ValueError."""
     accepted = PARAMS.get(name, {})
     given = given or {}
     unknown = sorted(set(given) - set(accepted))
@@ -156,17 +152,16 @@ def resolve_params(name: str, given: dict | None) -> dict:
             f"method {name} does not read parameter {unknown[0].replace('_', '-')!r}"
             f" (accepted: {shown})"
         )
-    resolved = {key: default for key, (_, default) in accepted.items()}
+    resolved = dict(accepted)
     for key, value in given.items():
-        kind, default = accepted[key]
-        # bool is an int subclass, but `true` is no count.
-        if not (value is None and default is None) and (
-            isinstance(value, bool) or not isinstance(value, kind)
-        ):
+        nullable = accepted[key] is None
+        where = f"method {name} parameter {key.replace('_', '-')!r}"
+        if not (is_integer(value) or (value is None and nullable)):
             raise ValueError(
-                f"method {name} parameter {key.replace('_', '-')!r} must be"
-                f" {kind.__name__}{' or none' if default is None else ''}, got {value!r}"
+                f"{where} must be int{' or none' if nullable else ''}, got {value!r}"
             )
+        if value is not None and value < 0:
+            raise ValueError(f"{where} must not be negative, got {value!r}")
         resolved[key] = value
     return resolved
 

@@ -13,11 +13,19 @@ array in place and skips the copy.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SpectralImage", "DynamicRange"]
+__all__ = ["SpectralImage", "DynamicRange", "is_integer"]
+
+
+def is_integer(value) -> bool:
+    """The one integer rule for every size, count, budget and seed: true for
+    a Python or numpy integer, false for a bool (`True` is no count) and for
+    any float, 2.0 included. What fails it is refused, never truncated."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _readonly_f64(values) -> np.ndarray:
@@ -107,11 +115,11 @@ class SpectralImage:
     def _settle(self, data: np.ndarray) -> None:
         """Validate the fields and store `data`, a read-only C-ordered
         float64 array."""
-        h, w = int(self.height), int(self.width)
-        object.__setattr__(self, "height", h)
-        object.__setattr__(self, "width", w)
-        if h <= 0 or w <= 0:
-            raise ValueError(f"image dims must be positive, got {h}x{w}")
+        h, w = self.height, self.width
+        if not (is_integer(h) and is_integer(w) and h > 0 and w > 0):
+            raise ValueError(f"image dims must be positive integers, got {h!r}x{w!r}")
+        object.__setattr__(self, "height", operator.index(h))
+        object.__setattr__(self, "width", operator.index(w))
         if data.ndim != 2:
             raise ValueError("image data must be a 2-D bands x pixels matrix")
         if data.shape[1] != h * w:

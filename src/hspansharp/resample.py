@@ -102,10 +102,7 @@ def upsample(img: SpectralImage, ratio: int, method: str = "bicubic") -> Spectra
 
     method is "bilinear" or "bicubic" (Catmull-Rom, a = -0.5).
     """
-    ratio = check_ratio(ratio)
+    data = upsample_data(img, ratio, method)
     return SpectralImage._adopt(
-        img.height * ratio,
-        img.width * ratio,
-        upsample_data(img, ratio, method),
-        img.wavelengths,
+        img.height * ratio, img.width * ratio, data, img.wavelengths
     )

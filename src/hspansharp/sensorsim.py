@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imgcore import SpectralImage
+from .imgcore import SpectralImage, is_integer
 
 __all__ = [
     "BlurKernel",
@@ -141,10 +141,9 @@ class SensorModel:
 
 
 def check_ratio(ratio) -> int:
-    """`ratio` as an int, or a ValueError unless it is a Python or numpy
-    integer of at least 1. A bool or a float (2.0 too) is refused, never
-    truncated."""
-    if isinstance(ratio, bool) or not isinstance(ratio, (int, np.integer)) or ratio < 1:
+    """`ratio` as an int, or a ValueError unless it is an integer
+    (`imgcore.is_integer`) of at least 1."""
+    if not is_integer(ratio) or ratio < 1:
         raise ValueError(f"ratio must be a positive integer, got {ratio!r}")
     return operator.index(ratio)
 
@@ -318,6 +317,8 @@ def add_gaussian_noise(img: SpectralImage, std_per_band, seed: int) -> SpectralI
     Substreams are seeded from (seed, band index) so serial and band-parallel
     execution produce identical samples. A zero std leaves a band untouched.
     """
+    if not is_integer(seed) or seed < 0:
+        raise ValueError(f"noise seed must be a nonnegative integer, got {seed!r}")
     stds = np.asarray(std_per_band, dtype=np.float64).ravel()
     if stds.size == 1:
         stds = np.full(img.bands, stds[0])
@@ -329,7 +330,7 @@ def add_gaussian_noise(img: SpectralImage, std_per_band, seed: int) -> SpectralI
     for k in range(img.bands):
         if stds[k] == 0.0:
             continue
-        rng = np.random.default_rng([int(seed), k])
+        rng = np.random.default_rng([operator.index(seed), k])
         data[k] += stds[k] * rng.standard_normal(img.pixels)
     return img.with_data(data)
 

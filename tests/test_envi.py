@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hspansharp.imgcore import SpectralImage
+from hspansharp.harness.cli import main
 from hspansharp.harness.envi import load_raster, raster_paths, save_raster
 
 
@@ -260,3 +261,47 @@ class TestErrorPaths:
     def test_missing_files_raise(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_raster(str(tmp_path / "absent"))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+class TestNonFinitePayload:
+    """A payload holding a NaN or an infinity is refused on load, and the
+    commands that read it exit 1 without writing anything."""
+
+    MESSAGE = "image contains non-finite samples"
+
+    def poisoned(self, tmp_path, name, img, dtype, value):
+        """Base path of `img` saved as `dtype` with one payload sample
+        overwritten by `value`."""
+        base = str(tmp_path / name)
+        _, dat = save_raster(base, img, dtype)
+        payload = np.fromfile(dat, dtype="<f4" if dtype == "float32" else "<f8")
+        payload[1] = value
+        payload.tofile(dat)
+        return base
+
+    def test_load_refuses(self, tmp_path, dtype, value):
+        base = self.poisoned(tmp_path, "x", make_image(10), dtype, value)
+        with pytest.raises(ValueError, match=f"^{self.MESSAGE}$"):
+            load_raster(base)
+
+    def test_eval_exits_one(self, tmp_path, capsys, dtype, value):
+        truth = str(tmp_path / "truth")
+        save_raster(truth, make_image(11))
+        fused = self.poisoned(tmp_path, "fused", make_image(12), dtype, value)
+        assert main(["eval", "--fused", fused, "--truth", truth, "--ratio", "2"]) == 1
+        assert capsys.readouterr() == ("", f"error: {self.MESSAGE}\n")
+
+    def test_fuse_exits_one(self, tmp_path, capsys, dtype, value):
+        rng = np.random.default_rng(13)
+        hs_img = SpectralImage(2, 2, rng.uniform(0.1, 1.0, (3, 4)))
+        hs = self.poisoned(tmp_path, "hs", hs_img, dtype, value)
+        pan = str(tmp_path / "pan")
+        save_raster(pan, SpectralImage(4, 4, rng.uniform(0.1, 1.0, (1, 16))))
+        out = str(tmp_path / "out")
+        argv = ["fuse", "--method", "GS", "--hs", hs, "--pan", pan, "--out", out,
+                "--dtype", dtype]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {self.MESSAGE}\n")
+        assert not any(tmp_path.glob("out*"))

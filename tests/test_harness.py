@@ -519,6 +519,17 @@ class TestEmitReport:
         assert rmse_map.bands == 1
         assert rmse_map.height == config.height
 
+    def test_numpy_integers_are_echoed_as_ints(self, tmp_path):
+        # `RunConfig` takes numpy integers as integers; the echo is plain JSON.
+        config = small_config(
+            seed=np.int64(3), methods=("CNMF",), timing="off", output_dir=str(tmp_path),
+            method_params={"CNMF": {"inner_iters": np.int64(2)}},
+        )
+        payload = json.loads(open(emit_report(run_wald(config))["json"]).read())
+        assert payload["config"]["seed"] == 3
+        assert payload["config"]["method_params"] == {"CNMF": {"inner_iters": 2}}
+        assert payload["errors"] == {}
+
     def test_failed_method_row_is_nan(self, tmp_path):
         config = small_config(
             methods=("CNMF",),
@@ -706,6 +717,7 @@ class TestCli:
         [
             ("CNMF.endmembers=2.7", "parameter 'endmembers' must be int or none, got 2.7"),
             ("CNMF.inner-iters=abc", "parameter 'inner-iters' must be int, got 'abc'"),
+            ("BayesNaive.sigma-rounds=-1", "parameter 'sigma-rounds' must not be negative"),
         ],
     )
     @pytest.mark.parametrize("command", ["bench", "fuse"])
@@ -733,6 +745,7 @@ class TestCli:
             ("height=abc", "height must be an integer, got 'abc'"),
             ("snr-db=abc", "snr-db must be a number, got 'abc'"),
             ("seed=1.5", "seed must be an integer, got 1.5"),
+            ("seed=true", "seed must be an integer, got 'true'"),
             ("ratio=2.5", "ratio must be an integer, got 2.5"),
             ("subspace-dim=0", "subspace-dim must be at least 1"),
             ("seed=-1", "seed must be nonnegative"),

@@ -2,12 +2,22 @@ import numpy as np
 import pytest
 
 from hspansharp.harness.scene import synth_scene
-from hspansharp.imgcore import DynamicRange, SpectralImage
+from hspansharp.imgcore import DynamicRange, SpectralImage, is_integer
 
 
 def make_img(bands=3, height=2, width=4, seed=0):
     rng = np.random.default_rng(seed)
     return SpectralImage(height, width, rng.uniform(size=(bands, height * width)))
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [(3, True), (0, True), (-2, True), (np.int64(3), True), (np.uint8(3), True),
+     (True, False), (np.bool_(True), False), (2.0, False), (np.float64(2), False),
+     ("2", False), (None, False)],
+)
+def test_is_integer(value, expected):
+    assert is_integer(value) is expected
 
 
 class TestDynamicRange:

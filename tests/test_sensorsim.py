@@ -7,6 +7,13 @@ import numpy as np
 import pytest
 from scipy.ndimage import convolve1d
 
+from hspansharp.fusion.bayes import (
+    HySureParams,
+    bayes_naive_solve,
+    estimate_sensor,
+    learn_subspace,
+)
+from hspansharp.fusion.cnmf import cnmf_solve, vca
 from hspansharp.fusion.cs import fuse_gs, fuse_gsa, fuse_pca
 from hspansharp.fusion.hybrid import _axis_window_mean, fuse_gfpca
 from hspansharp.fusion.mra import box_lowpass, fuse_mtf_glp, fuse_mtf_glp_hpm, fuse_sfim
@@ -275,6 +282,80 @@ class TestCheckRatio:
             if isinstance(node, ast.Constant) and node.value == "bicubic"
         ]
         assert named == []
+
+
+# Every entry point that takes a size, count, budget or seed other than a
+# ratio, as a call of that integer alone on the ratio-2 pair above.
+_MODEL = assumed_model(2, 3, None, GNYQ)
+INTEGER_TAKERS = {
+    "SpectralImage height": lambda v: SpectralImage(v, 1, np.ones((1, 3))),
+    "SpectralImage width": lambda v: SpectralImage(1, v, np.ones((1, 3))),
+    "learn_subspace": lambda v: learn_subspace(_Y_H, v),
+    "vca": lambda v: vca(_Y_H.data, v),
+    "estimate_sensor support": lambda v: estimate_sensor(_Y_H, _PAN, v),
+    "estimate_sensor max_alternations": lambda v: estimate_sensor(
+        _Y_H, _PAN, 1, max_alternations=v
+    ),
+    "cnmf_solve outer_iters": lambda v: cnmf_solve(
+        _Y_H, _PAN, _MODEL, 2, outer_iters=v, inner_iters=1
+    ),
+    "cnmf_solve inner_iters": lambda v: cnmf_solve(
+        _Y_H, _PAN, _MODEL, 2, outer_iters=1, inner_iters=v
+    ),
+    "HySureParams": lambda v: HySureParams(max_iters=v),
+    "bayes_naive_solve": lambda v: bayes_naive_solve(
+        _Y_H, _PAN, _MODEL, learn_subspace(_Y_H, 2), sigma_rounds=v
+    ),
+    "add_gaussian_noise": lambda v: add_gaussian_noise(_Y_H, 0.1, v),
+}
+
+
+class TestIntegerRule:
+    """Sizes, counts, budgets and seeds follow `imgcore.is_integer`: a float
+    or a bool is refused with a message that names it, never truncated."""
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True], ids=["2.5", "2.0", "True"])
+    @pytest.mark.parametrize("taker", INTEGER_TAKERS)
+    def test_bad_integer_is_refused(self, taker, value):
+        with pytest.raises(ValueError) as caught:
+            INTEGER_TAKERS[taker](value)
+        assert repr(value) in str(caught.value)
+
+    @pytest.mark.parametrize("taker", INTEGER_TAKERS)
+    def test_numpy_integer_is_accepted(self, taker):
+        assert INTEGER_TAKERS[taker](np.int64(3)) is not None
+
+    @pytest.mark.parametrize(
+        "taker, value",
+        [("estimate_sensor max_alternations", 0), ("bayes_naive_solve", -1),
+         ("add_gaussian_noise", -1)],
+    )
+    def test_budget_below_range_is_refused(self, taker, value):
+        # Zero alternations returned the uniform start and -1 sigma rounds
+        # the prior mean, each without an error.
+        with pytest.raises(ValueError, match=f"got {value}$"):
+            INTEGER_TAKERS[taker](value)
+
+    def test_no_name_is_cast_to_int(self):
+        casts = [
+            (where, ast.unparse(node))
+            for where, tree in src_trees()
+            if where in ("imgcore.py", "sensorsim.py") or where.startswith("fusion/")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "int"
+            and node.args and isinstance(node.args[0], (ast.Name, ast.Attribute))
+        ]
+        assert casts == []
+
+    def test_bool_is_told_apart_only_in_imgcore(self):
+        homes = [
+            where
+            for where, tree in src_trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "isinstance"
+            and any(getattr(n, "id", "") == "bool" for n in ast.walk(node.args[-1]))
+        ]
+        assert homes == ["imgcore.py"]
 
 
 class TestKernelFromMtf:
