@@ -12,7 +12,9 @@ import json
 import operator
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -46,10 +48,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MethodResult:
+    """One method's scores and its `(q, pixel, reference, estimate)`
+    percentile spectra, one per `config.percentiles` entry; a failed method
+    has neither. The fused image is not kept: `fused` runs the method's step
+    again on each access, so a caller that needs it twice should keep it."""
+
     name: str
     report: QualityReport | None
-    fused: SpectralImage | None
+    spectra: tuple = ()
     error: str | None = None
+    step: Callable[[], SpectralImage] | None = field(default=None, repr=False)
+
+    @property
+    def fused(self) -> SpectralImage | None:
+        return None if self.step is None else self.step()
 
 
 @dataclass(frozen=True)
@@ -125,23 +137,39 @@ def _method_seed(seed: int, name: str) -> int:
 
 def run_wald(config: RunConfig) -> BenchmarkReport:
     """Run every selected method on the degraded pair; one method failing
-    does not abort the rest."""
+    does not abort the rest. One fused image is held at a time."""
     config = config.validate()
     truth = reference_scene(config)
     y_h, pan, model = wald_inputs(truth, config)
     reference = Reference(truth)
-    results = []
-    for name in config.selected_methods():
-        seed = _method_seed(config.seed, name)
-        try:
-            start = time.perf_counter()
-            fused = run_method(config, name, y_h, pan, model, seed)
-            elapsed = time.perf_counter() - start if config.timing == "wall" else 0.0
-            report = compute_report(fused, reference, 1.0 / config.ratio, elapsed)
-            results.append(MethodResult(name, report, fused))
-        except Exception as exc:
-            results.append(MethodResult(name, None, None, error=str(exc)))
-    return BenchmarkReport(config, tuple(results), truth, y_h)
+    results = tuple(
+        _scored(config, name, y_h, pan, model, reference)
+        for name in config.selected_methods()
+    )
+    return BenchmarkReport(config, results, truth, y_h)
+
+
+def _scored(
+    config: RunConfig, name: str, y_h: SpectralImage, pan: SpectralImage,
+    model: SensorModel, reference: Reference,
+) -> MethodResult:
+    """Run method `name` and score its image against `reference`, keeping
+    the scores and the percentile spectra; the image is dropped on return."""
+    step = partial(
+        run_method, config, name, y_h, pan, model, _method_seed(config.seed, name)
+    )
+    try:
+        start = time.perf_counter()
+        fused = step()
+        elapsed = time.perf_counter() - start if config.timing == "wall" else 0.0
+        report = compute_report(fused, reference, 1.0 / config.ratio, elapsed)
+        spectra = tuple(
+            (q,) + percentile_spectrum(fused, reference.image, report.rmse_map, q)
+            for q in config.percentiles
+        )
+    except Exception as exc:
+        return MethodResult(name, None, error=str(exc))
+    return MethodResult(name, report, spectra, step=step)
 
 
 def percentile_spectrum(
@@ -197,12 +225,7 @@ def emit_report(report: BenchmarkReport) -> dict:
     with open(csv_path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(rows) + "\n")
 
-    spectra = [
-        (res, q) + percentile_spectrum(res.fused, report.truth, res.report.rmse_map, q)
-        for res in report.results
-        if res.report is not None
-        for q in config.percentiles
-    ]
+    spectra = [(res,) + spectrum for res in report.results for spectrum in res.spectra]
     spectra_path = os.path.join(out_dir, "spectra.csv")
     with open(spectra_path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("method,percentile,pixel,band,reference,estimate\n")

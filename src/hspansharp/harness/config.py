@@ -8,8 +8,8 @@ overrides. There is one grammar: each file line is read as the CLI pair
 parses every pair. `--set` pairs are applied on top of the file, and
 `fuse --set` uses the same grammar. `RunConfig.validate` checks every value
 before any method runs: each field's type, each range, and for a method
-parameter that the method reads the key and that the value is a
-nonnegative integer (see `registry.resolve_params`).
+parameter that the method reads the key and that the value is a positive
+integer, or 0 where the method allows it (see `registry.resolve_params`).
 
 The reference scene comes either from `input` (a raster path) or from the
 synthetic-scene fields. The sensor model is `sensorsim.assumed_model` at

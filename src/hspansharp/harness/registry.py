@@ -129,20 +129,24 @@ REGISTRY = {
 
 # The parameters each method reads from `MethodContext.params`, with the
 # only defaults the fuse functions run with; a method not listed reads none.
-# Every parameter is a nonnegative integer. A default of None means "unset"
-# and may also be given. CNMF's endmember count of None means the subspace
+# Every parameter is a positive integer, except BayesNaive's `sigma_rounds`,
+# which may be 0 (`_ZERO_ALLOWED`). A default of None means "unset" and may
+# also be given. CNMF's endmember count of None means the subspace
 # dimension, at least 2. CNMF runs 300 inner iterations: the multiplicative
 # updates are slow and `cnmf_solve`'s default of 100 leaves visible residual.
 PARAMS = {
     "CNMF": {"endmembers": None, "outer_iters": 2, "inner_iters": 300},
     "BayesNaive": {"sigma_rounds": 5},
 }
+# The parameters that may be 0: BayesNaive may solve once under its initial
+# prior covariance, without refitting it.
+_ZERO_ALLOWED = {("BayesNaive", "sigma_rounds")}
 
 
 def resolve_params(name: str, given: dict | None) -> dict:
     """`given` over the defaults of the parameters `name` reads. A key the
-    method does not read, or a value that is no integer (`imgcore.is_integer`)
-    or is negative, raises ValueError."""
+    method does not read, or a value that is no integer (`imgcore.is_integer`),
+    is negative, or is 0 outside `_ZERO_ALLOWED`, raises ValueError."""
     accepted = PARAMS.get(name, {})
     given = given or {}
     unknown = sorted(set(given) - set(accepted))
@@ -162,6 +166,8 @@ def resolve_params(name: str, given: dict | None) -> dict:
             )
         if value is not None and value < 0:
             raise ValueError(f"{where} must not be negative, got {value!r}")
+        if value == 0 and (name, key) not in _ZERO_ALLOWED:
+            raise ValueError(f"{where} must be at least 1, got 0")
         resolved[key] = value
     return resolved
 

@@ -93,7 +93,7 @@ def synth_scene_factors(
         abundances[j, site] = 1.0
 
     wavelengths = np.linspace(_WAVELENGTH_LO, _WAVELENGTH_HI, bands)
-    image = SpectralImage(height, width, spectra @ abundances, wavelengths)
+    image = SpectralImage._adopt(height, width, spectra @ abundances, wavelengths)
     return SceneFactors(image, spectra, abundances, tuple(int(s) for s in sites))
 
 

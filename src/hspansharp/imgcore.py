@@ -6,7 +6,8 @@ products and spatial operators reshape to (bands, height, width).
 
 The constructor copies its data into a read-only array. Code that has just
 created a C-ordered float64 array and will not write it again (a fusion
-method's working cube, an interpolation product, a raster payload) hands it
+method's working cube, an interpolation product, a raster payload, a
+synthetic scene, a degraded or noisy observation) hands it
 over with the private `SpectralImage._adopt` instead, which freezes that
 array in place and skips the copy.
 """

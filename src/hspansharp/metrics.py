@@ -6,7 +6,8 @@ total sample count, and ERGAS is the resolution-weighted relative RMSE.
 
 Every metric takes the reference either as an image or as a `Reference`
 prepared from it once, which holds the reference-side sums that scoring
-several estimates against one reference would otherwise recompute.
+several estimates against one reference would otherwise recompute, and the
+one working array those scores share.
 """
 
 from __future__ import annotations
@@ -49,8 +50,10 @@ class Reference:
     """Reference-side sums shared by every report scored against `image`.
 
     Holds the band means, the centred reference with its per-band sums and
-    sums of squares, the per-pixel sum of squares, and the mask of bands that
-    are constant up to rounding (`flat`), which CC leaves out of its mean.
+    sums of squares, the per-pixel sum of squares, the mask of bands that
+    are constant up to rounding (`flat`), which CC leaves out of its mean,
+    and `work`, the one cube-sized scratch array of every metric scored
+    against it (so one metric runs against a `Reference` at a time).
     """
 
     def __init__(self, image: SpectralImage):
@@ -67,6 +70,7 @@ class Reference:
         )
         self.pixel_ss = np.einsum("kj,kj->j", x, x)
         self.flat = self.band_ss <= _rounding_floor(x)
+        self.work = np.empty_like(x)
 
 
 def _prepared(x: SpectralImage | Reference) -> Reference:
@@ -113,8 +117,7 @@ def cc(xhat: SpectralImage, x: SpectralImage | Reference) -> float:
     where the reference varies, or a reference with no varying band, raises.
     """
     ref = _prepared(x)
-    a = _paired(xhat, ref)
-    return _cc(np.empty_like(a), a, ref)
+    return _cc(ref.work, _paired(xhat, ref), ref)
 
 
 def _sam(a: np.ndarray, ref: Reference) -> float:
@@ -151,8 +154,7 @@ def _squared_errors(
 
 def _errors(xhat: SpectralImage, x: SpectralImage | Reference):
     ref = _prepared(x)
-    a = _paired(xhat, ref)
-    return _squared_errors(np.empty_like(a), a, ref) + (ref,)
+    return _squared_errors(ref.work, _paired(xhat, ref), ref) + (ref,)
 
 
 def rmse(xhat: SpectralImage, x: SpectralImage | Reference) -> float:
@@ -206,15 +208,15 @@ def compute_report(
     d: float,
     wall_time_s: float = 0.0,
 ) -> QualityReport:
-    """Every metric from one shape check and one working array, which holds
-    the difference for the squared errors and then the centred estimate for
-    CC. Pass a `Reference` to share the reference-side sums across reports."""
+    """Every metric from one shape check and the reference's working array,
+    which holds the difference for the squared errors and then the centred
+    estimate for CC. Pass a `Reference` to share the reference-side sums and
+    the working array across reports."""
     ref = _prepared(x)
     a = _paired(xhat, ref)
-    work = np.empty_like(a)
-    band_mse, pixel_mse = _squared_errors(work, a, ref)
+    band_mse, pixel_mse = _squared_errors(ref.work, a, ref)
     return QualityReport(
-        cc=_cc(work, a, ref),
+        cc=_cc(ref.work, a, ref),
         sam_deg=_sam(a, ref),
         rmse=float(np.sqrt(band_mse.mean())),
         ergas=_ergas(band_mse, ref, d),

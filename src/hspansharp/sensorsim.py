@@ -292,7 +292,7 @@ def blur_downsample(img: SpectralImage, kernel: BlurKernel, ratio: int) -> Spect
             f"dims {img.height}x{img.width} not divisible by ratio {ratio}"
         )
     dec = degrade(img.to_cube(), kernel.taps, ratio)
-    return SpectralImage(
+    return SpectralImage._adopt(
         img.height // ratio,
         img.width // ratio,
         dec.reshape(img.bands, -1),
@@ -332,7 +332,7 @@ def add_gaussian_noise(img: SpectralImage, std_per_band, seed: int) -> SpectralI
             continue
         rng = np.random.default_rng([operator.index(seed), k])
         data[k] += stds[k] * rng.standard_normal(img.pixels)
-    return img.with_data(data)
+    return SpectralImage._adopt(img.height, img.width, data, img.wavelengths)
 
 
 def default_pan_response(bands: int, wavelengths=None) -> np.ndarray:

@@ -33,7 +33,7 @@ from hspansharp.harness.registry import (
     method_names,
 )
 from hspansharp.harness.scene import synth_scene, synth_scene_factors
-from hspansharp.metrics import Reference
+from hspansharp.metrics import Reference, compute_report
 from hspansharp.sensorsim import (
     GNYQ,
     SensorModel,
@@ -278,6 +278,11 @@ inner-iters = 50
 
 
 class TestRegistry:
+    def test_zero_sigma_rounds_is_valid(self):
+        # BayesNaive may solve once under its initial prior covariance.
+        config = apply_overrides(RunConfig(), ["BayesNaive.sigma-rounds=0"]).validate()
+        assert config.method_params == {"BayesNaive": {"sigma_rounds": 0}}
+
     def test_presentation_order(self):
         assert method_names() == (
             "SFIM",
@@ -475,6 +480,31 @@ class TestRunWald:
         report = run_wald(config)
         assert report.results[0].report.scalars()["time_s"] == 0.0
 
+    def test_rerun_image_scores_as_recorded(self):
+        # The run keeps no image: `fused` runs the method's step again.
+        config = small_config(timing="off")
+        report = run_wald(config)
+        assert [r.name for r in report.results] == list(method_names())
+        for r in report.results:
+            assert r.error is None, f"{r.name}: {r.error}"
+            fused = r.fused
+            again = compute_report(fused, report.truth, 1.0 / config.ratio)
+            assert again.scalars() == r.report.scalars(), r.name
+            assert [s[0] for s in r.spectra] == list(config.percentiles)
+            for q, pixel, ref, est in r.spectra:
+                want = percentile_spectrum(fused, report.truth, r.report.rmse_map, q)
+                assert pixel == want[0]
+                assert np.array_equal(ref, want[1]) and np.array_equal(est, want[2])
+
+    def test_failed_method_keeps_no_image_or_spectra(self):
+        config = small_config(
+            methods=("CNMF",), method_params={"CNMF": {"endmembers": 99}}
+        )
+        (result,) = run_wald(config).results
+        assert result.error
+        assert result.fused is None
+        assert result.spectra == ()
+
 
 class TestEmitReport:
     def test_no_methods_header_only(self, tmp_path):
@@ -529,6 +559,22 @@ class TestEmitReport:
         assert payload["config"]["seed"] == 3
         assert payload["config"]["method_params"] == {"CNMF": {"inner_iters": 2}}
         assert payload["errors"] == {}
+
+    def test_spectra_rows_only_for_scored_methods(self, tmp_path):
+        config = small_config(
+            methods=("PCA", "CNMF", "SFIM"),
+            method_params={"CNMF": {"endmembers": 99}},
+            timing="off",
+            output_dir=str(tmp_path),
+        )
+        paths = emit_report(run_wald(config))
+        rows = open(paths["spectra"]).read().splitlines()[1:]
+        per_method = len(config.percentiles) * config.bands
+        names = [row.split(",")[0] for row in rows]
+        assert names == ["PCA"] * per_method + ["SFIM"] * per_method
+        payload = json.loads(open(paths["json"]).read())
+        assert set(payload["percentile_spectra"]) == {"PCA", "SFIM"}
+        assert set(payload["errors"]) == {"CNMF"}
 
     def test_failed_method_row_is_nan(self, tmp_path):
         config = small_config(
@@ -718,6 +764,9 @@ class TestCli:
             ("CNMF.endmembers=2.7", "parameter 'endmembers' must be int or none, got 2.7"),
             ("CNMF.inner-iters=abc", "parameter 'inner-iters' must be int, got 'abc'"),
             ("BayesNaive.sigma-rounds=-1", "parameter 'sigma-rounds' must not be negative"),
+            ("CNMF.outer-iters=0", "parameter 'outer-iters' must be at least 1, got 0"),
+            ("CNMF.inner-iters=0", "parameter 'inner-iters' must be at least 1, got 0"),
+            ("CNMF.endmembers=0", "parameter 'endmembers' must be at least 1, got 0"),
         ],
     )
     @pytest.mark.parametrize("command", ["bench", "fuse"])

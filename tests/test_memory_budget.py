@@ -9,14 +9,20 @@ guided filter's component stack for GFPCA, and band-sized temporaries. Band
 statistics of the interpolated cube come from the low-resolution cube, so no
 centred copy of the working cube is made.
 
-Scoring against a prepared reference forms one working array per report.
+Scoring against a prepared reference uses the reference's one working
+array, so a report forms no cube-sized array of its own.
+
+A whole Wald run holds one fused cube at a time: it keeps each method's
+scores and percentile spectra, not its image, so its peak stays near that of
+its costliest method run alone (with the reference, its prepared sums and
+the degraded pair) and does not grow with the number of methods.
 """
 
 import tracemalloc
 
 import pytest
 
-from hspansharp.harness.bench import reference_scene, wald_inputs
+from hspansharp.harness.bench import reference_scene, run_wald, wald_inputs
 from hspansharp.harness.config import RunConfig
 from hspansharp.harness.registry import MethodContext, get_method
 from hspansharp.imgcore import DynamicRange
@@ -26,6 +32,9 @@ METHODS = ["SFIM", "MTF-GLP", "MTF-GLP-HPM", "GS", "GSA", "PCA", "GFPCA"]
 # Peak traced bytes over the output cube's bytes.
 BUDGET = 1.75
 REPORT_BUDGET = 1.5
+# Peak traced bytes of a ten-method `run_wald` over the reference cube's
+# bytes.
+RUN_BUDGET = 6.0
 CONFIG = RunConfig(height=160, width=160, bands=60, ratio=4).validate()
 
 
@@ -65,3 +74,17 @@ def test_report_peak_within_budget(context, truth):
         tracemalloc.stop()
     ratio = peak / truth.data.nbytes
     assert ratio <= REPORT_BUDGET, f"compute_report peaked at {ratio:.2f}x the cube"
+
+
+def test_run_peak_within_budget(truth):
+    run_wald(CONFIG)  # warm: one-off tables and imports are not counted
+    tracemalloc.start()
+    try:
+        report = run_wald(CONFIG)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.results) == 10
+    assert all(r.error is None for r in report.results)
+    ratio = peak / truth.data.nbytes
+    assert ratio < RUN_BUDGET, f"run_wald peaked at {ratio:.2f}x the cube"
