@@ -21,12 +21,30 @@ import numpy as np
 
 __all__ = ["SpectralImage", "DynamicRange", "is_integer"]
 
+# Samples per block of the finiteness check: its one bool buffer stays small
+# beside any cube.
+_FINITE_BLOCK = 1 << 16
+
 
 def is_integer(value) -> bool:
     """The one integer rule for every size, count, budget and seed: true for
     a Python or numpy integer, false for a bool (`True` is no count) and for
     any float, 2.0 included. What fails it is refused, never truncated."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _all_finite(data: np.ndarray) -> bool:
+    """`np.isfinite(data).all()` for a C-ordered array, checked block by
+    block through one reused bool buffer instead of a bool copy of `data`."""
+    flat = data.reshape(-1)
+    ok = np.empty(min(flat.size, _FINITE_BLOCK), dtype=bool)
+    for start in range(0, flat.size, _FINITE_BLOCK):
+        block = flat[start : start + _FINITE_BLOCK]
+        part = ok[: block.size]
+        np.isfinite(block, out=part)
+        if not part.all():
+            return False
+    return True
 
 
 def _readonly_f64(values) -> np.ndarray:
@@ -127,7 +145,7 @@ class SpectralImage:
             raise ValueError(
                 f"data has {data.shape[1]} pixels but dims give {h * w}"
             )
-        if not np.isfinite(data).all():
+        if not _all_finite(data):
             raise ValueError("image contains non-finite samples")
         object.__setattr__(self, "data", data)
         if self.wavelengths is not None:

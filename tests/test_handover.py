@@ -2,6 +2,8 @@
 without a copy must still be read-only, must share no memory with their
 inputs, and must still be checked for non-finite samples."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,24 @@ class TestAdopt:
         data[0, 3] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             SpectralImage._adopt(2, 2, data)
+
+    @pytest.mark.parametrize("where", [0, 99_999, 200_000, -1])
+    def test_non_finite_found_anywhere_in_a_large_cube(self, where):
+        for bad in (np.nan, -np.inf):
+            data = np.ones((4, 100 * 700))
+            data.reshape(-1)[where] = bad
+            with pytest.raises(ValueError, match="image contains non-finite samples"):
+                SpectralImage._adopt(100, 700, data)
+
+    def test_finiteness_check_copies_no_cube(self):
+        data = np.ones((16, 256 * 256))  # 8 MiB
+        tracemalloc.start()
+        try:
+            SpectralImage._adopt(256, 256, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < data.nbytes / 16, f"adopting peaked at {peak} bytes"
 
     @pytest.mark.parametrize(
         "data",

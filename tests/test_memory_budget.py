@@ -9,8 +9,9 @@ guided filter's component stack for GFPCA, and band-sized temporaries. Band
 statistics of the interpolated cube come from the low-resolution cube, so no
 centred copy of the working cube is made.
 
-Scoring against a prepared reference uses the reference's one working
-array, so a report forms no cube-sized array of its own.
+Scoring walks the pixels in strips through a few strip-sized buffers, so a
+report forms no cube-sized array, and a prepared reference holds only band-
+and pixel-sized sums beside its image.
 
 A whole Wald run holds one fused cube at a time: it keeps each method's
 scores and percentile spectra, not its image, so its peak stays near that of
@@ -31,10 +32,12 @@ from hspansharp.metrics import Reference, compute_report
 METHODS = ["SFIM", "MTF-GLP", "MTF-GLP-HPM", "GS", "GSA", "PCA", "GFPCA"]
 # Peak traced bytes over the output cube's bytes.
 BUDGET = 1.75
-REPORT_BUDGET = 1.5
+REPORT_BUDGET = 0.5
+# Bytes a `Reference` keeps beyond its image, over the image's bytes.
+REFERENCE_BUDGET = 0.05
 # Peak traced bytes of a ten-method `run_wald` over the reference cube's
 # bytes.
-RUN_BUDGET = 6.0
+RUN_BUDGET = 4.0
 CONFIG = RunConfig(height=160, width=160, bands=60, ratio=4).validate()
 
 
@@ -74,6 +77,18 @@ def test_report_peak_within_budget(context, truth):
         tracemalloc.stop()
     ratio = peak / truth.data.nbytes
     assert ratio <= REPORT_BUDGET, f"compute_report peaked at {ratio:.2f}x the cube"
+
+
+def test_reference_holds_only_band_and_pixel_sums(truth):
+    tracemalloc.start()
+    try:
+        reference = Reference(truth)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert reference.image is truth
+    ratio = held / truth.data.nbytes
+    assert ratio <= REFERENCE_BUDGET, f"a Reference holds {ratio:.3f}x the cube"
 
 
 def test_run_peak_within_budget(truth):

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from hspansharp.imgcore import SpectralImage
 from hspansharp.metrics import (
+    _STRIP,
     Reference,
     _rounding_floor,
     cc,
@@ -27,6 +28,30 @@ def img_pair(seed, bands=4, height=5, width=6):
 
 
 class TestAgainstOracles:
+    # Pixel counts at the edges of the strips the metrics are summed over.
+    EDGES = [1, _STRIP - 1, _STRIP, _STRIP + 1, 3 * _STRIP + 7]
+
+    @pytest.mark.parametrize("pixels", EDGES)
+    def test_every_metric_at_strip_edges(self, pixels):
+        xhat, x = img_pair(pixels, bands=5, height=1, width=pixels)
+        assert sam(xhat, x) == pytest.approx(
+            oracle_sam(xhat.data, x.data), rel=1e-12
+        )
+        assert rmse(xhat, x) == pytest.approx(
+            oracle_rmse(xhat.data, x.data), rel=1e-12
+        )
+        assert ergas(xhat, x, 0.25) == pytest.approx(
+            oracle_ergas(xhat.data, x.data, 0.25), rel=1e-12
+        )
+        if pixels == 1:
+            # One pixel: every band is constant, so no correlation exists.
+            with pytest.raises(ValueError, match="every reference band"):
+                cc(xhat, x)
+        else:
+            assert cc(xhat, x) == pytest.approx(
+                oracle_cc(xhat.data, x.data), rel=1e-12
+            )
+
     @pytest.mark.parametrize("seed", range(5))
     def test_cc(self, seed):
         xhat, x = img_pair(seed)
@@ -64,6 +89,14 @@ class TestIdealValues:
         assert sam(x, x) == 0.0
         assert rmse(x, x) == 0.0
         assert ergas(x, x, 0.25) == 0.0
+
+    def test_identical_images_hit_ideals_exactly_across_strips(self):
+        # The estimate's sums and the prepared reference's come from separate
+        # walks over several strips; equal images must still give equal sums.
+        _, x = img_pair(3, height=1, width=3 * _STRIP + 7)
+        ref = Reference(x)
+        rep = compute_report(x, ref, 0.25)
+        assert (rep.cc, rep.sam_deg, rep.rmse, rep.ergas) == (1.0, 0.0, 0.0, 0.0)
 
     def test_anticorrelated_cc(self):
         x = SpectralImage(1, 4, np.array([[1.0, 2.0, 3.0, 4.0]]))
@@ -139,8 +172,11 @@ class TestErrorCases:
 
     def test_ergas_rejects_bad_d_and_zero_mean(self):
         xhat, x = img_pair(1)
-        with pytest.raises(ValueError):
-            ergas(xhat, x, 0.0)
+        for d in (0.0, -0.25, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="finite and positive"):
+                ergas(xhat, x, d)
+            with pytest.raises(ValueError, match="finite and positive"):
+                compute_report(xhat, x, d)
         zero = SpectralImage(1, 2, np.array([[1.0, -1.0]]))
         near = zero.with_data(np.array([[1.0, -0.9]]))
         with pytest.raises(ValueError):
@@ -177,6 +213,30 @@ class TestCcRoundingRule:
         )
         assert abs(shuffled - cc(xhat, x)) <= 1e-14
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_flat_mask_is_the_rule_read_in_full(self, seed):
+        # The largest magnitudes are read only for bands that could be within
+        # the floor; the mask must be the one the full read gives.
+        rng = np.random.default_rng(seed)
+        n = 3 * _STRIP + 7
+        rows = [
+            rng.uniform(0.2, 1.0, n),
+            0.1 + rng.normal(0.0, 1e-17, n),
+            0.4 + rng.normal(0.0, 5e-16, n),
+            0.4 + rng.normal(0.0, 1.5e-15, n),
+            0.4 + rng.normal(0.0, 5e-15, n),
+            np.full(n, -3.0),
+            np.zeros(n),
+            rng.choice([-1.0, 1.0], n),
+            1e-300 * rng.uniform(size=n),
+        ]
+        x = SpectralImage(1, n, np.array(rows))
+        ref = Reference(x)
+        peak = np.abs(x.data).max(axis=1)
+        want = ref.band_ss <= _rounding_floor(peak, n)
+        np.testing.assert_array_equal(ref.flat, want)
+        assert want[1] and not want[0] and not want[4]
+
     def test_estimate_rounding_band_raises_where_reference_varies(self):
         xhat, x = img_pair(5)
         data = xhat.data.copy()
@@ -204,6 +264,19 @@ class TestComputeReport:
         scalars = rep.scalars()
         assert set(scalars) == {"CC", "SAM", "RMSE", "ERGAS", "time_s"}
 
+    @pytest.mark.parametrize("pixels", TestAgainstOracles.EDGES)
+    def test_fields_match_individual_metrics_at_strip_edges(self, pixels):
+        xhat, x = img_pair(pixels, bands=5, height=1, width=pixels)
+        if pixels == 1:
+            with pytest.raises(ValueError, match="every reference band"):
+                compute_report(xhat, x, 0.25)
+            return
+        rep = compute_report(xhat, Reference(x), 0.25)
+        assert rep.cc == cc(xhat, x)
+        assert rep.sam_deg == sam(xhat, x)
+        assert rep.rmse == rmse(xhat, x)
+        assert rep.ergas == ergas(xhat, x, 0.25)
+
     def test_prepared_reference_gives_same_report(self):
         xhat, x = img_pair(6)
         reference = Reference(x)
@@ -224,7 +297,8 @@ def varies_past_rounding(x):
     """Every band's centred sum of squares clears cc's rounding floor by a
     margin, so no reordering of the sums can put it on the other side."""
     centred = x - x.mean(axis=1, keepdims=True)
-    return bool(((centred**2).sum(axis=1) > 4.0 * _rounding_floor(x)).all())
+    floor = _rounding_floor(np.abs(x).max(axis=1), x.shape[1])
+    return bool(((centred**2).sum(axis=1) > 4.0 * floor).all())
 
 
 class TestProperties:
