@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..imgcore import DynamicRange, SpectralImage, is_integer
+from ..imgcore import BandStream, DynamicRange, SpectralImage, is_integer
 from ..resample import upsample_data
 from ..sensorsim import (
     BlurKernel,
@@ -38,11 +38,13 @@ __all__ = [
     "default_bayes_priors",
     "BayesNaiveResult",
     "bayes_naive_solve",
+    "bayes_naive_stream",
     "fuse_bayes_naive",
     "vtv",
     "default_hysure_params",
     "HysureResult",
     "hysure_solve",
+    "hysure_stream",
     "fuse_hysure",
     "estimate_sensor",
 ]
@@ -249,6 +251,18 @@ def bayes_naive_solve(
     return BayesNaiveResult(U=U, sigma=sigma)
 
 
+def bayes_naive_stream(
+    y_h: SpectralImage,
+    pan: SpectralImage,
+    model: SensorModel,
+    basis: SubspaceBasis,
+    sigma_rounds: int,
+) -> BandStream:
+    """H U from `bayes_naive_solve` under the default priors."""
+    result = bayes_naive_solve(y_h, pan, model, basis, sigma_rounds=sigma_rounds)
+    return BandStream.product(pan.height, pan.width, basis.H, result.U, y_h.wavelengths)
+
+
 def fuse_bayes_naive(
     y_h: SpectralImage,
     pan: SpectralImage,
@@ -256,11 +270,8 @@ def fuse_bayes_naive(
     basis: SubspaceBasis,
     sigma_rounds: int,
 ) -> SpectralImage:
-    """H U from `bayes_naive_solve` under the default priors."""
-    result = bayes_naive_solve(y_h, pan, model, basis, sigma_rounds=sigma_rounds)
-    return SpectralImage._adopt(
-        pan.height, pan.width, basis.H @ result.U, y_h.wavelengths
-    )
+    """`bayes_naive_stream` as one image."""
+    return bayes_naive_stream(y_h, pan, model, basis, sigma_rounds).image()
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +484,26 @@ def hysure_solve(
     )
 
 
+def hysure_stream(
+    y_h: SpectralImage,
+    pan: SpectralImage,
+    basis: SubspaceBasis,
+    model: SensorModel,
+    rng: DynamicRange,
+) -> BandStream:
+    """Variational fusion under `default_hysure_params`, clipped to the
+    dynamic range."""
+    params = default_hysure_params(y_h, pan, basis, model)
+    result = hysure_solve(y_h, pan, basis, model, params)
+    fused = BandStream.product(pan.height, pan.width, basis.H, result.U, y_h.wavelengths)
+
+    def fill(start, stop, out):
+        fused.fill(start, stop, out)
+        np.clip(out, rng.lo, rng.hi, out=out)
+
+    return fused.refill(fill)
+
+
 def fuse_hysure(
     y_h: SpectralImage,
     pan: SpectralImage,
@@ -480,13 +511,8 @@ def fuse_hysure(
     model: SensorModel,
     rng: DynamicRange,
 ) -> SpectralImage:
-    """Variational fusion under `default_hysure_params`, clipped to the
-    dynamic range."""
-    params = default_hysure_params(y_h, pan, basis, model)
-    result = hysure_solve(y_h, pan, basis, model, params)
-    fused = basis.H @ result.U
-    np.clip(fused, rng.lo, rng.hi, out=fused)
-    return SpectralImage._adopt(pan.height, pan.width, fused, y_h.wavelengths)
+    """`hysure_stream` as one image."""
+    return hysure_stream(y_h, pan, basis, model, rng).image()
 
 
 # ---------------------------------------------------------------------------

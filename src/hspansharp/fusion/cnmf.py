@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..imgcore import SpectralImage, is_integer
+from ..imgcore import BandStream, SpectralImage, is_integer
 from ..resample import upsample_data
 from ..sensorsim import SensorModel, check_pair, degrade
 from .cs import signed_axes
@@ -24,6 +24,7 @@ __all__ = [
     "vca",
     "nmf_update_spectra",
     "cnmf_solve",
+    "cnmf_stream",
     "fuse_cnmf",
 ]
 
@@ -280,6 +281,23 @@ def cnmf_solve(
     )
 
 
+def cnmf_stream(
+    y_h: SpectralImage,
+    pan: SpectralImage,
+    model: SensorModel,
+    p: int,
+    outer_iters: int,
+    inner_iters: int,
+    seed: int = 0,
+) -> BandStream:
+    """Fused image H U from the coupled factorization."""
+    result = cnmf_solve(y_h, pan, model, p, outer_iters, inner_iters, seed)
+    ends = result.endmembers
+    return BandStream.product(
+        pan.height, pan.width, ends.spectra, ends.abundances, y_h.wavelengths
+    )
+
+
 def fuse_cnmf(
     y_h: SpectralImage,
     pan: SpectralImage,
@@ -289,7 +307,5 @@ def fuse_cnmf(
     inner_iters: int,
     seed: int = 0,
 ) -> SpectralImage:
-    """Fused image H U from the coupled factorization."""
-    result = cnmf_solve(y_h, pan, model, p, outer_iters, inner_iters, seed)
-    fused = result.endmembers.spectra @ result.endmembers.abundances
-    return SpectralImage._adopt(pan.height, pan.width, fused, y_h.wavelengths)
+    """`cnmf_stream` as one image."""
+    return cnmf_stream(y_h, pan, model, p, outer_iters, inner_iters, seed).image()

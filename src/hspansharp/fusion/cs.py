@@ -4,20 +4,22 @@ All three share the same injection skeleton: a spectrally weighted intensity
 O_L = w^T Y is formed from the interpolated hyperspectral bands, the PAN
 image is moment-matched to it, and the detail (P - O_L) is injected with
 per-band gains g. PCA is the case w = g = the first principal loading.
-`working_cube` is the one front end of these methods and of the MRA ones:
-the PAN and pair checks, the interpolated bands, and their band means and
-covariance, which come from the low-resolution bands
-(`resample.upsampled_moments`), so only O_L and the injection pass over the
-interpolated cube. The sign rule of principal axes (`signed_axes`) and the
-energy knee (`energy_knee`) of every method live here.
+`front_end` is the one front end of these methods and of the MRA ones:
+the PAN and pair checks, the interpolated bands as an `imgcore.BandStream`,
+and their band means and covariance, which come from the low-resolution
+bands (`resample.upsampled_moments`). Interpolation is linear, so O_L is
+the interpolated w^T Y_H, and each method's output is formed one band
+block at a time: the block is interpolated and its detail injected in
+place. The sign rule of principal axes (`signed_axes`) and the energy knee
+(`energy_knee`) of every method live here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..imgcore import SpectralImage
-from ..resample import upsample_data, upsampled_moments
+from ..imgcore import BandStream, SpectralImage
+from ..resample import upsample_bands, upsample_data, upsampled_moments
 from ..sensorsim import BlurKernel, blur_downsample, check_pair, pan_values
 
 __all__ = [
@@ -26,10 +28,14 @@ __all__ = [
     "energy_knee",
     "match_moments",
     "inject_detail",
-    "working_cube",
+    "injected",
+    "front_end",
+    "pca_stream",
     "fuse_pca",
+    "gs_stream",
     "fuse_gs",
     "gsa_weights",
+    "gsa_stream",
     "fuse_gsa",
 ]
 
@@ -97,48 +103,72 @@ def inject_detail(fused: np.ndarray, detail: np.ndarray, gains: np.ndarray) -> N
         band += np.multiply(detail, gain, out=scaled)
 
 
-def working_cube(y_h: SpectralImage, pan: SpectralImage, ratio: int):
+def injected(bands: BandStream, detail: np.ndarray, gains: np.ndarray) -> BandStream:
+    """`bands` with g_k D added to band k (`inject_detail`) in each block."""
+
+    def fill(start, stop, out):
+        bands.fill(start, stop, out)
+        inject_detail(out, detail, gains[start:stop])
+
+    return bands.refill(fill)
+
+
+def front_end(y_h: SpectralImage, pan: SpectralImage, ratio: int):
     """The front end of SFIM, MTF-GLP, MTF-GLP-HPM, GS, GSA and PCA: after the
-    PAN and pair checks, Y_H interpolated to the PAN grid as a fresh writable
-    bands x pixels array, the PAN values, and that array's band means and
-    covariance (`upsampled_moments`)."""
+    PAN and pair checks, Y_H interpolated to the PAN grid as a `BandStream`,
+    the PAN values, and the interpolated bands' means and covariance
+    (`upsampled_moments`)."""
     p = pan_values(pan)
     ratio = check_pair(y_h, pan, ratio)
     means, cov = upsampled_moments(y_h, ratio)
-    return upsample_data(y_h, ratio), p, means, cov
+    return upsample_bands(y_h, ratio), p, means, cov
 
 
-def _gs_inject(
-    fused: np.ndarray, p: np.ndarray, cov: np.ndarray, w: np.ndarray
-) -> None:
-    """GS injection into the working cube in place, with intensity weights w
-    and gains cov(Y^k, O_L) / var(O_L), where cov(Y, O_L) = C w."""
-    o_l = w @ fused
+def _intensity(y_h: SpectralImage, ratio: int, w: np.ndarray) -> np.ndarray:
+    """O_L = w^T Y of the interpolated bands, formed as the interpolated
+    w^T Y_H: one band interpolated instead of a pass over the cube."""
+    low = SpectralImage(y_h.height, y_h.width, w @ y_h.data)
+    return upsample_data(low, ratio)[0]
+
+
+def _gs_stream(y_h: SpectralImage, ratio: int, front, w: np.ndarray) -> BandStream:
+    """GS injection into the `front_end` bands with intensity weights w and
+    gains cov(Y^k, O_L) / var(O_L), where cov(Y, O_L) = C w."""
+    bands, p, _, cov = front
+    o_l = _intensity(y_h, ratio, w)
     var = o_l.var()
     if var == 0.0:
         raise ValueError("intensity component has zero variance")
-    inject_detail(fused, match_moments(p, o_l) - o_l, cov @ w / var)
+    return injected(bands, match_moments(p, o_l) - o_l, cov @ w / var)
 
 
-def fuse_pca(y_h: SpectralImage, pan: SpectralImage, ratio: int) -> SpectralImage:
+def pca_stream(y_h: SpectralImage, pan: SpectralImage, ratio: int) -> BandStream:
     """Substitute the first principal component by the moment-matched PAN.
 
     This is the CS injection with w = g = the first loading l_0: inverting the
     PCA after the substitution adds l_0 (match(P, s_0) - s_0) to Y, and
     shifting s_0 by l_0^T mean(Y) leaves that difference unchanged.
     """
-    fused, p, _, cov = working_cube(y_h, pan, ratio)
+    bands, p, _, cov = front_end(y_h, pan, ratio)
     l0 = _principal_axes(cov, y_h.data)[1][0]
-    o_l = l0 @ fused
-    inject_detail(fused, match_moments(p, o_l) - o_l, l0)
-    return SpectralImage._adopt(pan.height, pan.width, fused, y_h.wavelengths)
+    o_l = _intensity(y_h, ratio, l0)
+    return injected(bands, match_moments(p, o_l) - o_l, l0)
+
+
+def fuse_pca(y_h: SpectralImage, pan: SpectralImage, ratio: int) -> SpectralImage:
+    """`pca_stream` as one image."""
+    return pca_stream(y_h, pan, ratio).image()
+
+
+def gs_stream(y_h: SpectralImage, pan: SpectralImage, ratio: int) -> BandStream:
+    """Gram-Schmidt sharpening: uniform intensity weights, covariance gains."""
+    front = front_end(y_h, pan, ratio)
+    return _gs_stream(y_h, ratio, front, np.full(y_h.bands, 1.0 / y_h.bands))
 
 
 def fuse_gs(y_h: SpectralImage, pan: SpectralImage, ratio: int) -> SpectralImage:
-    """Gram-Schmidt sharpening: uniform intensity weights, covariance gains."""
-    fused, p, _, cov = working_cube(y_h, pan, ratio)
-    _gs_inject(fused, p, cov, np.full(y_h.bands, 1.0 / y_h.bands))
-    return SpectralImage._adopt(pan.height, pan.width, fused, y_h.wavelengths)
+    """`gs_stream` as one image."""
+    return gs_stream(y_h, pan, ratio).image()
 
 
 def gsa_weights(y_h_matrix: np.ndarray, pan_low: np.ndarray) -> np.ndarray:
@@ -156,12 +186,18 @@ def gsa_weights(y_h_matrix: np.ndarray, pan_low: np.ndarray) -> np.ndarray:
     return np.linalg.solve(gram, rhs)
 
 
+def gsa_stream(
+    y_h: SpectralImage, pan: SpectralImage, ratio: int, blur: BlurKernel
+) -> BandStream:
+    """GS Adaptive: intensity weights regressed against the PAN degraded to
+    the hyperspectral grid, then the usual GS injection."""
+    front = front_end(y_h, pan, ratio)
+    pan_low = blur_downsample(pan, blur, ratio)
+    return _gs_stream(y_h, ratio, front, gsa_weights(y_h.data, pan_low.data[0]))
+
+
 def fuse_gsa(
     y_h: SpectralImage, pan: SpectralImage, ratio: int, blur: BlurKernel
 ) -> SpectralImage:
-    """GS Adaptive: intensity weights regressed against the PAN degraded to
-    the hyperspectral grid, then the usual GS injection."""
-    fused, p, _, cov = working_cube(y_h, pan, ratio)
-    pan_low = blur_downsample(pan, blur, ratio)
-    _gs_inject(fused, p, cov, gsa_weights(y_h.data, pan_low.data[0]))
-    return SpectralImage._adopt(pan.height, pan.width, fused, y_h.wavelengths)
+    """`gsa_stream` as one image."""
+    return gsa_stream(y_h, pan, ratio, blur).image()

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..imgcore import DynamicRange, SpectralImage
-from ..resample import upsample_data
+from ..imgcore import BandStream, DynamicRange, SpectralImage
+from ..resample import upsample_bands, upsample_data
 from ..sensorsim import check_pair, pan_values, separable
 from .cs import energy_knee, pca_transform
 
@@ -22,6 +22,7 @@ __all__ = [
     "guided_filter_plane",
     "soft_threshold",
     "default_component_count",
+    "gfpca_stream",
     "fuse_gfpca",
 ]
 
@@ -30,7 +31,7 @@ __all__ = [
 _ENERGY = 0.995
 _MAX_COMPONENTS = 10
 
-# Bands per GEMM when GFPCA adds the filtered components back.
+# Bands per GEMM when GFPCA adds the filtered components back to a block.
 _BAND_BLOCK = 8
 
 
@@ -91,7 +92,7 @@ def default_component_count(variances: np.ndarray) -> int:
     return energy_knee(variances, _ENERGY, _MAX_COMPONENTS)
 
 
-def fuse_gfpca(y_h: SpectralImage, pan: SpectralImage, ratio: int) -> SpectralImage:
+def gfpca_stream(y_h: SpectralImage, pan: SpectralImage, ratio: int) -> BandStream:
     """PCA-decorrelate Y_H, guided-filter the first p upsampled components
     against the PAN, soft-threshold and interpolate the rest, then invert the
     PCA at the PAN scale.
@@ -108,21 +109,32 @@ def fuse_gfpca(y_h: SpectralImage, pan: SpectralImage, ratio: int) -> SpectralIm
     span = DynamicRange.spanning(y_h.data).span
     tau = _mad_sigma(scores[p:].ravel()) if p < y_h.bands else 0.0
 
-    def upsampled(components: np.ndarray) -> np.ndarray:
-        low = SpectralImage(y_h.height, y_h.width, components)
-        return upsample_data(low, ratio)
-
-    leading = upsampled(scores[:p]).reshape(p, pan.height, pan.width)
+    leading = upsample_data(SpectralImage(y_h.height, y_h.width, scores[:p]), ratio)
+    leading = leading.reshape(p, pan.height, pan.width)
     filtered = guided_filter_plane(leading, guide, ratio, 1e-4 * span**2).reshape(p, -1)
     # Interpolation and the inverse PCA are linear, so the trailing
-    # components and the band means go back to band space at low resolution
-    # and are interpolated once, into the cube the leading term is added to.
+    # components and the band means go back to band space at low resolution,
+    # and each block of that cube is interpolated before the leading term
+    # is added to it.
     trailing = loadings[p:].T @ soft_threshold(scores[p:], tau)
-    fused = upsampled(trailing + band_means[:, np.newaxis])
+    low = SpectralImage(
+        y_h.height, y_h.width, trailing + band_means[:, np.newaxis], y_h.wavelengths
+    )
+    bands = upsample_bands(low, ratio)
     weights = loadings[:p].T
-    term = np.empty((_BAND_BLOCK, fused.shape[1]))
-    for start in range(0, y_h.bands, _BAND_BLOCK):
-        block = fused[start:start + _BAND_BLOCK]
-        np.matmul(weights[start:start + _BAND_BLOCK], filtered, out=term[:len(block)])
-        block += term[:len(block)]
-    return SpectralImage._adopt(pan.height, pan.width, fused, y_h.wavelengths)
+    term = np.empty((_BAND_BLOCK, filtered.shape[1]))
+
+    def fill(start, stop, out):
+        bands.fill(start, stop, out)
+        for at in range(0, stop - start, _BAND_BLOCK):
+            block = out[at : at + _BAND_BLOCK]
+            part = term[: len(block)]
+            np.matmul(weights[start + at : start + at + len(block)], filtered, out=part)
+            block += part
+
+    return bands.refill(fill)
+
+
+def fuse_gfpca(y_h: SpectralImage, pan: SpectralImage, ratio: int) -> SpectralImage:
+    """`gfpca_stream` as one image."""
+    return gfpca_stream(y_h, pan, ratio).image()

@@ -12,16 +12,19 @@ from functools import partial
 
 import numpy as np
 
-from ..imgcore import DynamicRange, SpectralImage
+from ..imgcore import BandStream, DynamicRange, SpectralImage
 from ..resample import upsample
 from ..sensorsim import blur, blur_downsample, check_ratio, kernel_from_mtf
-from .cs import inject_detail, working_cube
+from .cs import front_end, injected
 
 __all__ = [
     "box_lowpass",
     "glp_lowpass",
+    "sfim_stream",
     "fuse_sfim",
+    "mtf_glp_stream",
     "fuse_mtf_glp",
+    "mtf_glp_hpm_stream",
     "fuse_mtf_glp_hpm",
 ]
 
@@ -53,14 +56,14 @@ def glp_lowpass(pan: SpectralImage, ratio: int, gnyq: float) -> SpectralImage:
     return upsample(low, ratio)
 
 
-def _equalized_fusion(
+def _equalized_stream(
     y_h: SpectralImage,
     pan: SpectralImage,
     lowpass,
     ratio: int,
     rng: DynamicRange,
     gains: str,
-) -> SpectralImage:
+) -> BandStream:
     """Shared SFIM / MTF-GLP body: the low-pass PAN P_L = lowpass(pan), then
     per-band PAN equalization and injection.
 
@@ -68,15 +71,15 @@ def _equalized_fusion(
     map is applied to P_L so the detail scales consistently. A constant PAN
     has std(P_L) = 0 and maps to a zero-detail injection.
 
-    The detail is added to the interpolated bands in place, one band at a
-    time, through reused band buffers. Additive injection adds the equal
-    scale_k (P - P_L) through `cs.inject_detail`. HPM keeps the difference
+    The detail is added to each block of interpolated bands in place, one
+    band at a time, through reused band buffers. Additive injection adds the
+    equal scale_k (P - P_L) through `cs.injected`. HPM keeps the difference
     P_eq^k - P_L,eq^k: where P_L,eq^k nears zero its gain (~1e3 on real
     scenes) magnifies any change in the rounding of that divisor, so the
-    detail is rounded as the divisor is. The interpolated bands, std(Y^k) and
-    mean(Y^k) come from `cs.working_cube`.
+    detail is rounded as the divisor is. The interpolated bands, std(Y^k)
+    and mean(Y^k) come from `cs.front_end`.
     """
-    fused, p, means, cov = working_cube(y_h, pan, ratio)
+    bands, p, means, cov = front_end(y_h, pan, ratio)
     p_l = lowpass(pan).data[0]
     p_mean = p.mean()
     pl_std = p_l.std()
@@ -86,12 +89,14 @@ def _equalized_fusion(
     stds = np.sqrt(np.maximum(np.diagonal(cov), 0.0))
     scales = stds / pl_std if pl_std > std_floor else np.zeros_like(stds)
     if gains == "additive":
-        inject_detail(fused, p - p_l, scales)
-    else:
-        p_centred = p - p_mean
-        pl_centred = p_l - p_mean
+        return injected(bands, p - p_l, scales)
+    p_centred = p - p_mean
+    pl_centred = p_l - p_mean
+
+    def fill(start, stop, out):
+        bands.fill(start, stop, out)
         detail, pl_eq, gain = np.empty_like(p), np.empty_like(p), np.empty_like(p)
-        for band, scale, band_mean in zip(fused, scales, means):
+        for band, scale, band_mean in zip(out, scales[start:stop], means[start:stop]):
             np.multiply(pl_centred, scale, out=pl_eq)
             pl_eq += band_mean
             np.multiply(p_centred, scale, out=detail)
@@ -100,15 +105,35 @@ def _equalized_fusion(
             detail *= _hpm_gain(band, pl_eq, rng, gain)
             band += detail
             np.clip(band, rng.lo, rng.hi, out=band)
-    return SpectralImage._adopt(pan.height, pan.width, fused, y_h.wavelengths)
+
+    return bands.refill(fill)
+
+
+def sfim_stream(
+    y_h: SpectralImage, pan: SpectralImage, ratio: int, rng: DynamicRange
+) -> BandStream:
+    """Smoothing-filter-based intensity modulation: box low-pass, HPM gains."""
+    lowpass = partial(box_lowpass, ratio=ratio)
+    return _equalized_stream(y_h, pan, lowpass, ratio, rng, "hpm")
 
 
 def fuse_sfim(
     y_h: SpectralImage, pan: SpectralImage, ratio: int, rng: DynamicRange
 ) -> SpectralImage:
-    """Smoothing-filter-based intensity modulation: box low-pass, HPM gains."""
-    lowpass = partial(box_lowpass, ratio=ratio)
-    return _equalized_fusion(y_h, pan, lowpass, ratio, rng, "hpm")
+    """`sfim_stream` as one image."""
+    return sfim_stream(y_h, pan, ratio, rng).image()
+
+
+def mtf_glp_stream(
+    y_h: SpectralImage,
+    pan: SpectralImage,
+    ratio: int,
+    gnyq: float,
+    rng: DynamicRange,
+) -> BandStream:
+    """MTF-matched GLP detail with additive injection."""
+    lowpass = partial(glp_lowpass, ratio=ratio, gnyq=gnyq)
+    return _equalized_stream(y_h, pan, lowpass, ratio, rng, "additive")
 
 
 def fuse_mtf_glp(
@@ -118,9 +143,20 @@ def fuse_mtf_glp(
     gnyq: float,
     rng: DynamicRange,
 ) -> SpectralImage:
-    """MTF-matched GLP detail with additive injection."""
+    """`mtf_glp_stream` as one image."""
+    return mtf_glp_stream(y_h, pan, ratio, gnyq, rng).image()
+
+
+def mtf_glp_hpm_stream(
+    y_h: SpectralImage,
+    pan: SpectralImage,
+    ratio: int,
+    gnyq: float,
+    rng: DynamicRange,
+) -> BandStream:
+    """MTF-matched GLP detail with high-pass-modulation gains."""
     lowpass = partial(glp_lowpass, ratio=ratio, gnyq=gnyq)
-    return _equalized_fusion(y_h, pan, lowpass, ratio, rng, "additive")
+    return _equalized_stream(y_h, pan, lowpass, ratio, rng, "hpm")
 
 
 def fuse_mtf_glp_hpm(
@@ -130,6 +166,5 @@ def fuse_mtf_glp_hpm(
     gnyq: float,
     rng: DynamicRange,
 ) -> SpectralImage:
-    """MTF-matched GLP detail with high-pass-modulation gains."""
-    lowpass = partial(glp_lowpass, ratio=ratio, gnyq=gnyq)
-    return _equalized_fusion(y_h, pan, lowpass, ratio, rng, "hpm")
+    """`mtf_glp_hpm_stream` as one image."""
+    return mtf_glp_hpm_stream(y_h, pan, ratio, gnyq, rng).image()

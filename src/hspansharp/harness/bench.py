@@ -108,13 +108,18 @@ def wald_inputs(
 
 def run_method(
     config: RunConfig, name: str, y_h: SpectralImage, pan: SpectralImage,
-    model: SensorModel, seed: int,
-) -> SpectralImage:
+    model: SensorModel, seed: int, sink=None,
+):
     """Fuse the observed pair with method `name` under `model`: the one
     step every command runs a method through. The dynamic range spans Y_H;
     the gain, the subspace dimension and the method's parameters come from
     `config`. The method is looked up in `REGISTRY` at each call, so a
-    rebound entry runs."""
+    rebound entry runs.
+
+    Without `sink` the fused `SpectralImage` is returned. With it, the
+    method hands `sink` its image block by block (`MethodContext.sink`) and
+    what `sink` returns is returned; an entry that returns its image whole
+    has that image handed to `sink`."""
     ctx = MethodContext(
         y_h=y_h,
         pan=pan,
@@ -124,8 +129,12 @@ def run_method(
         seed=seed,
         subspace_dim=config.subspace_dim,
         params=config.method_params.get(name),
+        sink=sink,
     )
-    return get_method(name)(ctx)
+    result = get_method(name)(ctx)
+    if sink is not None and isinstance(result, SpectralImage):
+        return sink(result)
+    return result
 
 
 def _method_seed(seed: int, name: str) -> int:

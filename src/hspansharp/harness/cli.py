@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from ..metrics import compute_report
 from ..sensorsim import GNYQ, assumed_model, check_ratio, pair_ratio
@@ -134,12 +135,14 @@ def _cmd_fuse(args) -> int:
     y_h = load_raster(args.hs)
     pan = load_raster(args.pan)
     model = assumed_model(pair_ratio(y_h, pan), y_h.bands, y_h.wavelengths, config.gnyq)
+    # The method's bands are written block by block as they are formed; a
+    # failure at any point leaves no output raster behind.
+    sink = partial(save_raster, args.out, dtype=args.dtype)
     try:
-        fused = run_method(config, args.method, y_h, pan, model, args.seed)
+        hdr, dat = run_method(config, args.method, y_h, pan, model, args.seed, sink)
     except Exception as exc:
         print(f"error: method {args.method} failed: {exc}", file=sys.stderr)
         return 2
-    hdr, dat = save_raster(args.out, fused, args.dtype)
     print(f"wrote {hdr} and {dat}")
     return 0
 

@@ -3,16 +3,18 @@
 A raster is a `<base>.hdr` text header plus a `<base>.dat` band-sequential
 payload in little-endian float32 or float64. Headers are written with a
 fixed key order and float formatting so identical images always produce
-identical bytes.
+identical bytes. `save_raster` is the one writer, of whole images and of
+images formed block by block (`imgcore.BandStream`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import numpy as np
 
-from ..imgcore import SpectralImage
+from ..imgcore import BandStream, SpectralImage
 
 __all__ = ["load_raster", "save_raster", "raster_paths"]
 
@@ -121,8 +123,20 @@ def load_raster(path: str) -> SpectralImage:
     return SpectralImage._adopt(lines, samples, data, wavelengths)
 
 
-def save_raster(path: str, img: SpectralImage, dtype: str = "float64") -> tuple[str, str]:
-    """Write the header/payload pair; returns their paths."""
+def _drop(path: str) -> None:
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(path)
+
+
+def save_raster(
+    path: str, img: SpectralImage | BandStream, dtype: str = "float64"
+) -> tuple[str, str]:
+    """Write the header/payload pair; returns their paths.
+
+    A `BandStream` is written block by block through `checked_blocks`, so
+    one block of the image is held at a time. The payload is written first
+    and the header last; if anything fails once the payload is opened,
+    neither file is left behind."""
     if dtype not in _CODE_FOR:
         raise ValueError(f"unsupported dtype {dtype!r} (need float32 or float64)")
     hdr_path, dat_path = raster_paths(path)
@@ -145,13 +159,25 @@ def save_raster(path: str, img: SpectralImage, dtype: str = "float64") -> tuple[
         parts.append("wavelength = { %s }" % listed)
     header = "\n".join(parts) + "\n"
 
-    with open(hdr_path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(header)
-    # One band at a time through one buffer, so a float32 write converts
-    # without a second copy of the whole image.
+    blocks = [img.data] if isinstance(img, SpectralImage) else img.checked_blocks()
+    # A block in the file's type is written as it is; otherwise one band at
+    # a time goes through one buffer, so a float32 write converts without a
+    # second copy of the block.
     band = np.empty(img.pixels, dtype=_DTYPE_CODES[code])
-    with open(dat_path, "wb") as fh:
-        for values in img.data:
-            band[...] = values
-            fh.write(band)
+    fh = open(dat_path, "wb")
+    try:
+        with fh:
+            for block in blocks:
+                if block.dtype == band.dtype:
+                    fh.write(block)
+                    continue
+                for values in block:
+                    band[...] = values
+                    fh.write(band)
+        with open(hdr_path, "w", encoding="ascii", newline="\n") as out:
+            out.write(header)
+    except BaseException:
+        _drop(hdr_path)
+        _drop(dat_path)
+        raise
     return hdr_path, dat_path

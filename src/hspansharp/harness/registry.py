@@ -1,26 +1,29 @@
 """Uniform access to the fusion methods for the benchmark harness.
 
-Every method is exposed as a callable taking a `MethodContext` and
-returning the fused image; the registry preserves a fixed presentation
-order so reports are stable.
+Every method is exposed as a callable taking a `MethodContext`. It forms
+the method's image as an `imgcore.BandStream` and returns the whole image,
+or, when the context has a `sink`, hands the stream to the sink and returns
+what the sink returns. The registry preserves a fixed presentation order
+so reports are stable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from ..imgcore import DynamicRange, SpectralImage, is_integer
+from ..imgcore import BandStream, DynamicRange, SpectralImage, is_integer
 from ..sensorsim import SensorModel
 from ..fusion.bayes import (
+    bayes_naive_stream,
     default_subspace_dim,
-    fuse_bayes_naive,
-    fuse_hysure,
+    hysure_stream,
     learn_subspace,
 )
-from ..fusion.cnmf import fuse_cnmf
-from ..fusion.cs import fuse_gs, fuse_gsa, fuse_pca
-from ..fusion.hybrid import fuse_gfpca
-from ..fusion.mra import fuse_mtf_glp, fuse_mtf_glp_hpm, fuse_sfim
+from ..fusion.cnmf import cnmf_stream
+from ..fusion.cs import gs_stream, gsa_stream, pca_stream
+from ..fusion.hybrid import gfpca_stream
+from ..fusion.mra import mtf_glp_hpm_stream, mtf_glp_stream, sfim_stream
 
 __all__ = [
     "MethodContext",
@@ -34,7 +37,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MethodContext:
-    """Everything a fusion method may draw on; `bench.run_method` builds it."""
+    """Everything a fusion method may draw on; `bench.run_method` builds it.
+    `sink`, when set, takes the method's `BandStream` in place of the whole
+    image (`envi.save_raster` writes it block by block)."""
 
     y_h: SpectralImage
     pan: SpectralImage
@@ -44,6 +49,7 @@ class MethodContext:
     seed: int
     subspace_dim: int | None = None
     params: dict | None = None
+    sink: Callable[[BandStream], object] | None = None
 
     @property
     def ratio(self) -> int:
@@ -55,38 +61,45 @@ class MethodContext:
         return default_subspace_dim(self.y_h)
 
 
-def _run_sfim(ctx: MethodContext) -> SpectralImage:
-    return fuse_sfim(ctx.y_h, ctx.pan, ctx.ratio, ctx.range)
+def _emit(ctx: MethodContext, stream: BandStream):
+    """The whole image, or what `ctx.sink` returns for the stream."""
+    return stream.image() if ctx.sink is None else ctx.sink(stream)
 
 
-def _run_mtf_glp(ctx: MethodContext) -> SpectralImage:
-    return fuse_mtf_glp(ctx.y_h, ctx.pan, ctx.ratio, ctx.gnyq, ctx.range)
+def _run_sfim(ctx: MethodContext):
+    return _emit(ctx, sfim_stream(ctx.y_h, ctx.pan, ctx.ratio, ctx.range))
 
 
-def _run_mtf_glp_hpm(ctx: MethodContext) -> SpectralImage:
-    return fuse_mtf_glp_hpm(ctx.y_h, ctx.pan, ctx.ratio, ctx.gnyq, ctx.range)
+def _run_mtf_glp(ctx: MethodContext):
+    return _emit(ctx, mtf_glp_stream(ctx.y_h, ctx.pan, ctx.ratio, ctx.gnyq, ctx.range))
 
 
-def _run_gs(ctx: MethodContext) -> SpectralImage:
-    return fuse_gs(ctx.y_h, ctx.pan, ctx.ratio)
+def _run_mtf_glp_hpm(ctx: MethodContext):
+    return _emit(
+        ctx, mtf_glp_hpm_stream(ctx.y_h, ctx.pan, ctx.ratio, ctx.gnyq, ctx.range)
+    )
 
 
-def _run_gsa(ctx: MethodContext) -> SpectralImage:
-    return fuse_gsa(ctx.y_h, ctx.pan, ctx.ratio, ctx.model.blur)
+def _run_gs(ctx: MethodContext):
+    return _emit(ctx, gs_stream(ctx.y_h, ctx.pan, ctx.ratio))
 
 
-def _run_pca(ctx: MethodContext) -> SpectralImage:
-    return fuse_pca(ctx.y_h, ctx.pan, ctx.ratio)
+def _run_gsa(ctx: MethodContext):
+    return _emit(ctx, gsa_stream(ctx.y_h, ctx.pan, ctx.ratio, ctx.model.blur))
 
 
-def _run_gfpca(ctx: MethodContext) -> SpectralImage:
-    return fuse_gfpca(ctx.y_h, ctx.pan, ctx.ratio)
+def _run_pca(ctx: MethodContext):
+    return _emit(ctx, pca_stream(ctx.y_h, ctx.pan, ctx.ratio))
 
 
-def _run_cnmf(ctx: MethodContext) -> SpectralImage:
+def _run_gfpca(ctx: MethodContext):
+    return _emit(ctx, gfpca_stream(ctx.y_h, ctx.pan, ctx.ratio))
+
+
+def _run_cnmf(ctx: MethodContext):
     p = resolve_params("CNMF", ctx.params)
     endmembers = p["endmembers"]
-    return fuse_cnmf(
+    stream = cnmf_stream(
         ctx.y_h,
         ctx.pan,
         ctx.model,
@@ -95,22 +108,24 @@ def _run_cnmf(ctx: MethodContext) -> SpectralImage:
         inner_iters=p["inner_iters"],
         seed=ctx.seed,
     )
+    return _emit(ctx, stream)
 
 
-def _run_bayes_naive(ctx: MethodContext) -> SpectralImage:
+def _run_bayes_naive(ctx: MethodContext):
     basis = learn_subspace(ctx.y_h, ctx.dim())
-    return fuse_bayes_naive(
+    stream = bayes_naive_stream(
         ctx.y_h,
         ctx.pan,
         ctx.model,
         basis,
         sigma_rounds=resolve_params("BayesNaive", ctx.params)["sigma_rounds"],
     )
+    return _emit(ctx, stream)
 
 
-def _run_hysure(ctx: MethodContext) -> SpectralImage:
+def _run_hysure(ctx: MethodContext):
     basis = learn_subspace(ctx.y_h, ctx.dim())
-    return fuse_hysure(ctx.y_h, ctx.pan, basis, ctx.model, rng=ctx.range)
+    return _emit(ctx, hysure_stream(ctx.y_h, ctx.pan, basis, ctx.model, rng=ctx.range))
 
 
 REGISTRY = {

@@ -5,25 +5,36 @@ raster-scan (row-major) order, so spectral operators are plain matrix
 products and spatial operators reshape to (bands, height, width).
 
 The constructor copies its data into a read-only array. Code that has just
-created a C-ordered float64 array and will not write it again (a fusion
-method's working cube, an interpolation product, a raster payload, a
-synthetic scene, a degraded or noisy observation) hands it
+created a C-ordered float64 array and will not write it again (a fused
+image formed by `BandStream.image`, a raster payload, a synthetic scene, a
+degraded or noisy observation) hands it
 over with the private `SpectralImage._adopt` instead, which freezes that
 array in place and skips the copy.
+
+A fusion method produces its image as a `BandStream`: a front end that has
+done every check and every image-wide statistic, and a kernel that writes
+any block of bands into a caller's buffer. `BandStream.image` runs the
+kernel block by block into one array and adopts it;
+`BandStream.checked_blocks` runs it through one reused block buffer, so a
+writer holds one block of the image at a time.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
-__all__ = ["SpectralImage", "DynamicRange", "is_integer"]
+__all__ = ["SpectralImage", "DynamicRange", "BandStream", "is_integer"]
 
 # Samples per block of the finiteness check: its one bool buffer stays small
 # beside any cube.
 _FINITE_BLOCK = 1 << 16
+# Float64 bytes of one band block of a `BandStream`: a block holds as many
+# whole bands as fit, at least one. A 100 x 100 x 40 cube is one block.
+_BLOCK_BYTES = 1 << 22
 
 
 def is_integer(value) -> bool:
@@ -183,3 +194,66 @@ class SpectralImage:
             and np.array_equal(self.data, other.data)
         )
 
+
+@dataclass(frozen=True)
+class BandStream:
+    """An image formed block by block: `fill(start, stop, out)` writes bands
+    [start, stop) into `out`, a writable C-ordered float64 (stop - start) x
+    pixels array, and may be called for the blocks in any order. The
+    geometry and wavelengths are those of the image it forms."""
+
+    height: int
+    width: int
+    bands: int
+    fill: Callable[[int, int, np.ndarray], None]
+    wavelengths: tuple | None = None
+
+    @classmethod
+    def product(cls, height, width, spectra, coeffs, wavelengths=None) -> "BandStream":
+        """The image spectra @ coeffs (bands x p times p x pixels), one block
+        of rows of `spectra` at a time."""
+
+        def fill(start, stop, out):
+            np.matmul(spectra[start:stop], coeffs, out=out)
+
+        return cls(height, width, spectra.shape[0], fill, wavelengths)
+
+    @property
+    def pixels(self) -> int:
+        return self.height * self.width
+
+    def refill(self, fill) -> "BandStream":
+        """Same image geometry and wavelengths, another kernel."""
+        return replace(self, fill=fill)
+
+    @property
+    def block_bands(self) -> int:
+        """Bands per block: as many whole bands as fit `_BLOCK_BYTES` of
+        float64, at least one."""
+        return max(1, _BLOCK_BYTES // (8 * self.pixels))
+
+    def blocks(self) -> list[tuple[int, int]]:
+        """(start, stop) of each band block in order, the last one possibly
+        partial."""
+        step = self.block_bands
+        return [(start, min(start + step, self.bands)) for start in range(0, self.bands, step)]
+
+    def image(self) -> SpectralImage:
+        """The whole image, each block written in place into one array that
+        is adopted once."""
+        data = np.empty((self.bands, self.pixels))
+        for start, stop in self.blocks():
+            self.fill(start, stop, data[start:stop])
+        return SpectralImage._adopt(self.height, self.width, data, self.wavelengths)
+
+    def checked_blocks(self):
+        """Each block in turn, in one reused buffer that holds the next block
+        once the caller asks for it; a block with a non-finite sample raises
+        as `SpectralImage` does."""
+        buffer = np.empty((min(self.block_bands, self.bands), self.pixels))
+        for start, stop in self.blocks():
+            block = buffer[: stop - start]
+            self.fill(start, stop, block)
+            if not _all_finite(block):
+                raise ValueError("image contains non-finite samples")
+            yield block

@@ -9,9 +9,11 @@ which also builds the blur of `sensorsim.degrade_axis`. Each axis is one
 (n * ratio) x n interpolation matrix M, so `upsample` is M_h X M_w^T,
 applied by `sensorsim.separable` (the one place a pair of axis matrices is
 applied) on the four nonzero weights of each row.
-`upsample_data` returns that product as a fresh writable array, for the
-fusion methods that inject detail into it in place and hand it to
-`SpectralImage` without a copy.
+`upsample_bands` forms that product one block of bands at a time into a
+caller's buffer (an `imgcore.BandStream`), for the fusion methods that
+inject detail into each block in place; `upsample_data` returns it whole
+as a fresh writable array, for the small stacks the methods interpolate
+in full (a few components, abundances or coefficient planes).
 
 Every row of M sums to one, so interpolation maps a constant to itself and
 commutes with centring. `upsampled_moments` uses that to give the band means
@@ -22,10 +24,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .imgcore import SpectralImage
+from .imgcore import BandStream, SpectralImage
 from .sensorsim import check_ratio, default_phase, separable, stencil_matrix
 
-__all__ = ["upsample", "upsample_data", "upsampled_moments"]
+__all__ = ["upsample", "upsample_bands", "upsample_data", "upsampled_moments"]
 
 # Catmull-Rom bicubic parameter.
 _BICUBIC_A = -0.5
@@ -50,7 +52,7 @@ def _axis_matrix(n_in: int, ratio: int, method: str) -> np.ndarray:
         weights = np.stack([1.0 - t, t], axis=1)
     else:
         offsets = np.array([-1, 0, 1, 2])
-        weights = np.stack([_cubic_weight(t - o) for o in offsets], axis=1)
+        weights = _cubic_weight(t[:, np.newaxis] - offsets)
     return stencil_matrix(base[:, np.newaxis] + offsets, weights, n_in)
 
 
@@ -73,6 +75,19 @@ def upsample_data(img: SpectralImage, ratio: int, method: str = "bicubic") -> np
     """
     rows, cols = _axis_matrices(img, ratio, method)
     return separable(rows, img.to_cube(), cols).reshape(img.bands, -1)
+
+
+def upsample_bands(img: SpectralImage, ratio: int, method: str = "bicubic") -> BandStream:
+    """`upsample(img, ratio, method)` as a `BandStream`: each block of bands
+    is interpolated straight into the caller's buffer."""
+    rows, cols = _axis_matrices(img, ratio, method)
+    cube = img.to_cube()
+    height, width = rows.shape[0], cols.shape[0]
+
+    def fill(start, stop, out):
+        separable(rows, cube[start:stop], cols, out.reshape(stop - start, height, width))
+
+    return BandStream(height, width, img.bands, fill, img.wavelengths)
 
 
 def upsampled_moments(
@@ -102,7 +117,4 @@ def upsample(img: SpectralImage, ratio: int, method: str = "bicubic") -> Spectra
 
     method is "bilinear" or "bicubic" (Catmull-Rom, a = -0.5).
     """
-    data = upsample_data(img, ratio, method)
-    return SpectralImage._adopt(
-        img.height * ratio, img.width * ratio, data, img.wavelengths
-    )
+    return upsample_bands(img, ratio, method).image()

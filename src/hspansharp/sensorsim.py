@@ -239,9 +239,12 @@ def degrade_axis(n: int, taps: np.ndarray, ratio: int) -> np.ndarray:
     return stencil_matrix(kept[:, np.newaxis] + offsets, taps, n)
 
 
-def separable(rows: np.ndarray, stack: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def separable(
+    rows: np.ndarray, stack: np.ndarray, cols: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """rows @ stack @ cols.T over the last two axes of `stack`, as a fresh
-    array; leading axes are planes.
+    array or written into `out`, a C-ordered float64 array of the result's
+    shape; leading axes are planes.
 
     The row product runs in blocks of `_ROW_BLOCK` output rows, and each
     block multiplies only the span of input rows its nonzero weights read,
@@ -250,17 +253,19 @@ def separable(rows: np.ndarray, stack: np.ndarray, cols: np.ndarray) -> np.ndarr
     `stack` and the row product has fewer rows.
     """
     if rows.shape[0] > stack.shape[-2]:
-        return _row_product(rows, _column_product(stack, cols))
-    return _column_product(_row_product(rows, stack), cols)
+        return _row_product(rows, _column_product(stack, cols), out)
+    return _column_product(_row_product(rows, stack), cols, out)
 
 
-def _column_product(stack: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    flat = stack.reshape(-1, stack.shape[-1]) @ cols.T
-    return flat.reshape(stack.shape[:-1] + cols.shape[:1])
+def _column_product(stack: np.ndarray, cols: np.ndarray, out=None) -> np.ndarray:
+    shape = stack.shape[:-1] + cols.shape[:1]
+    flat = None if out is None else out.reshape(-1, shape[-1])
+    return np.matmul(stack.reshape(-1, stack.shape[-1]), cols.T, out=flat).reshape(shape)
 
 
-def _row_product(rows: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    out = np.empty(stack.shape[:-2] + (rows.shape[0], stack.shape[-1]))
+def _row_product(rows: np.ndarray, stack: np.ndarray, out=None) -> np.ndarray:
+    if out is None:
+        out = np.empty(stack.shape[:-2] + (rows.shape[0], stack.shape[-1]))
     reads = rows != 0
     for start in range(0, rows.shape[0], _ROW_BLOCK):
         block = slice(start, start + _ROW_BLOCK)

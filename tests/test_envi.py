@@ -1,11 +1,13 @@
 """Raster header/payload I/O."""
 
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from hspansharp.imgcore import SpectralImage
+from hspansharp import imgcore
+from hspansharp.imgcore import BandStream, SpectralImage
 from hspansharp.harness.cli import main
 from hspansharp.harness.envi import load_raster, raster_paths, save_raster
 
@@ -96,6 +98,105 @@ class TestBandByBandWrite:
         finally:
             tracemalloc.stop()
         assert peak <= 0.01 * img.data.nbytes
+
+
+# A 2 x 3 raster of two bands with wavelengths, and its header lines
+# before the data type.
+GOLDEN_VALUES = [0.5, -1.25, 3.0, 1e-3, 2.0**-30, 7.0, 0.1, -0.0, 1e6, 2.5, -3.75, 4.0]
+GOLDEN_HEADER = (
+    "ENVI\n"
+    "description = { hspansharp raster }\n"
+    "samples = 3\n"
+    "lines = 2\n"
+    "bands = 2\n"
+    "header offset = 0\n"
+    "file type = ENVI Standard\n"
+)
+
+
+def golden_image():
+    return SpectralImage(2, 3, np.reshape(GOLDEN_VALUES, (2, 6)), (0.45, 0.6512345678901234))
+
+
+def as_stream(img):
+    """`img` as a `BandStream` that copies its bands."""
+
+    def fill(start, stop, out):
+        out[...] = img.data[start:stop]
+
+    return BandStream(img.height, img.width, img.bands, fill, img.wavelengths)
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("dtype, code, fmt", [("float32", 4, "<12f"), ("float64", 5, "<12d")])
+    @pytest.mark.parametrize("streamed", [False, True], ids=["image", "stream"])
+    def test_header_and_payload_bytes(self, tmp_path, dtype, code, fmt, streamed):
+        img = golden_image()
+        hdr, dat = save_raster(str(tmp_path / "g"), as_stream(img) if streamed else img, dtype)
+        with open(hdr, "rb") as fh:
+            assert fh.read() == (
+                GOLDEN_HEADER
+                + f"data type = {code}\n"
+                "interleave = bsq\n"
+                "byte order = 0\n"
+                "wavelength = { 0.45000000000000001, 0.65123456789012335 }\n"
+            ).encode("ascii")
+        with open(dat, "rb") as fh:
+            assert fh.read() == struct.pack(fmt, *GOLDEN_VALUES)
+
+
+class TestStreamWrite:
+    @pytest.fixture
+    def two_band_blocks(self, monkeypatch):
+        # Blocks of two bands: 5 bands of 4 x 5 are written as 2, 2 and 1.
+        monkeypatch.setattr(imgcore, "_BLOCK_BYTES", 2 * 20 * 8)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_blocks_write_the_image_bytes(self, tmp_path, two_band_blocks, dtype):
+        img = SpectralImage(4, 5, np.random.default_rng(9).normal(size=(5, 20)))
+        stream = as_stream(img)
+        assert stream.blocks() == [(0, 2), (2, 4), (4, 5)]
+        _, whole = save_raster(str(tmp_path / "whole"), img, dtype)
+        _, blocked = save_raster(str(tmp_path / "blocked"), stream, dtype)
+        with open(whole, "rb") as fa, open(blocked, "rb") as fb:
+            assert fa.read() == fb.read()
+        assert stream.image() == img
+
+    def test_non_finite_block_leaves_no_raster(self, tmp_path, two_band_blocks):
+        img = SpectralImage(4, 5, np.random.default_rng(10).normal(size=(5, 20)))
+        base = str(tmp_path / "out")
+        save_raster(base, img)  # an earlier raster at the same path
+        filled = []
+
+        def fill(start, stop, out):
+            filled.append(start)
+            out[...] = img.data[start:stop]
+            if start == 2:
+                out[-1, -1] = np.nan
+
+        stream = BandStream(4, 5, 5, fill)
+        with pytest.raises(ValueError, match="^image contains non-finite samples$"):
+            save_raster(base, stream, "float32")
+        assert filled == [0, 2]
+        assert not any(tmp_path.iterdir())
+
+    def test_stream_write_holds_one_block(self, tmp_path):
+        # 120 bands of 100 x 100: 9.6 MB as float64, 80 kB per band.
+        rng = np.random.default_rng(11)
+        band = rng.uniform(size=10_000)
+
+        def fill(start, stop, out):
+            out[...] = band
+
+        stream = BandStream(100, 100, 120, fill)
+        (start, stop), *_ = stream.blocks()
+        tracemalloc.start()
+        try:
+            save_raster(str(tmp_path / "s"), stream, "float32")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (stop - start + 2) * band.nbytes
 
 
 class TestHeaderFormat:

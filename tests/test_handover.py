@@ -1,8 +1,12 @@
 """The handover of fresh arrays to `SpectralImage`: outputs that are adopted
 without a copy must still be read-only, must share no memory with their
-inputs, and must still be checked for non-finite samples."""
+inputs, and must still be checked for non-finite samples. Fusion methods
+hand over only through `imgcore.BandStream`, and rasters are written only
+by `envi.save_raster`."""
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +17,7 @@ from hspansharp.harness.config import RunConfig
 from hspansharp.harness.envi import load_raster, save_raster
 from hspansharp.harness.registry import MethodContext, get_method, method_names
 from hspansharp.imgcore import DynamicRange, SpectralImage
-from hspansharp.resample import upsample, upsample_data
+from hspansharp.resample import upsample, upsample_bands
 
 CONFIG = RunConfig(height=20, width=20, bands=11, ratio=2).validate()
 
@@ -75,15 +79,57 @@ def test_loaded_raster_is_read_only_and_unshared(tmp_path, dtype):
     ids=["sfim", "gs"],
 )
 def test_nan_in_working_cube_still_raises(context, monkeypatch, fuse):
-    # `cs.working_cube` is the one front end of both methods.
+    # `cs.front_end` is the one front end of both methods; the poison lands
+    # in the first block of interpolated bands.
     def poisoned(img, ratio, method="bicubic"):
-        out = upsample_data(img, ratio, method)
-        out[0, 0] = np.nan
-        return out
+        bands = upsample_bands(img, ratio, method)
 
-    monkeypatch.setattr(cs, "upsample_data", poisoned)
+        def fill(start, stop, out):
+            bands.fill(start, stop, out)
+            out[0, 0] = np.nan
+
+        return bands.refill(fill)
+
+    monkeypatch.setattr(cs, "upsample_bands", poisoned)
     with pytest.raises(ValueError, match="non-finite"):
         fuse(context.y_h, context.pan)
+
+
+def package_modules():
+    """(path relative to the package, parsed module) of every module of
+    `hspansharp`."""
+    package = Path(__file__).resolve().parents[1] / "src" / "hspansharp"
+    return [
+        (path.relative_to(package).as_posix(), ast.parse(path.read_text()))
+        for path in sorted(package.rglob("*.py"))
+    ]
+
+
+def test_no_fusion_module_adopts_an_array():
+    # Each method forms its image as a `BandStream`; `BandStream.image` is
+    # the one place a fused image is adopted.
+    adopting = {
+        where
+        for where, tree in package_modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_adopt"
+    }
+    assert adopting and not any(where.startswith("fusion/") for where in adopting)
+
+
+def test_only_envi_writes_binary_files():
+    # `save_raster` is the one writer of images and of streamed blocks.
+    writers = set()
+    for where, tree in package_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "tofile":
+                writers.add(where)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+                modes = [a.value for a in node.args[1:2] if isinstance(a, ast.Constant)]
+                modes += [k.value.value for k in node.keywords if k.arg == "mode"]
+                if any("b" in m and ("w" in m or "a" in m) for m in modes):
+                    writers.add(where)
+    assert writers == {"harness/envi.py"}
 
 
 class TestAdopt:

@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hspansharp import imgcore
+from hspansharp.fusion import cs
 from hspansharp.imgcore import DynamicRange, SpectralImage
 from hspansharp.harness import bench
 from hspansharp.harness.bench import (
@@ -642,12 +644,10 @@ class TestCli:
         assert not np.array_equal(load_raster(a).data, load_raster(b).data)
         assert not np.array_equal(load_raster(a).data, load_raster(c).data)
 
-    @pytest.mark.parametrize(
-        "method", ["SFIM", "MTF-GLP", "MTF-GLP-HPM", "GS", "GSA", "PCA", "GFPCA"]
-    )
-    def test_fuse_float32_writes_the_in_process_result(self, tmp_path, method):
-        # A non-square scene at ratio 4, float32 rasters as in the real-data
-        # path; the written payload is the method's output rounded once.
+    def fuse_scene(self, tmp_path, method, dtype):
+        """`fuse --dtype dtype` on a non-square scene at ratio 4 from float32
+        rasters, as in the real-data path; returns the written payload and
+        the context of the same call made in process on the same rasters."""
         p = {k: str(tmp_path / k) for k in ("truth", "hs", "pan", "out")}
         assert main(["synth", "--out", p["truth"], "--height", "48", "--width", "32",
                      "--bands", "24", "--seed", "3", "--dtype", "float32"]) == 0
@@ -655,7 +655,9 @@ class TestCli:
                      "--out-pan", p["pan"], "--ratio", "4", "--snr-db", "30",
                      "--seed", "3", "--dtype", "float32"]) == 0
         assert main(["fuse", "--method", method, "--hs", p["hs"], "--pan", p["pan"],
-                     "--out", p["out"], "--dtype", "float32"]) == 0
+                     "--out", p["out"], "--dtype", dtype]) == 0
+        assert load_raster(p["out"]).to_cube().shape == (24, 48, 32)
+        got = np.fromfile(p["out"] + ".dat", dtype=np.dtype(dtype).newbyteorder("<"))
         y_h, pan = load_raster(p["hs"]), load_raster(p["pan"])
         response = default_pan_response(y_h.bands, y_h.wavelengths)
         lo, hi = float(y_h.data.min()), float(y_h.data.max())
@@ -667,10 +669,84 @@ class TestCli:
             gnyq=0.3,
             seed=0,
         )
+        return got, ctx
+
+    @pytest.mark.parametrize("method", method_names())
+    def test_fuse_float32_writes_the_in_process_result(self, tmp_path, method):
+        # The written payload is the method's output rounded once.
+        got, ctx = self.fuse_scene(tmp_path, method, "float32")
         want = get_method(method)(ctx).data.astype("<f4")
-        got = np.fromfile(p["out"] + ".dat", dtype="<f4")
-        assert load_raster(p["out"]).to_cube().shape == (24, 48, 32)
         np.testing.assert_array_equal(got, want.ravel())
+
+    @pytest.mark.parametrize("method", method_names())
+    def test_fuse_float64_writes_the_in_process_result(self, tmp_path, method):
+        got, ctx = self.fuse_scene(tmp_path, method, "float64")
+        np.testing.assert_array_equal(got, get_method(method)(ctx).data.ravel())
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("method", method_names())
+    def test_fuse_in_band_blocks_writes_the_in_process_result(
+        self, tmp_path, monkeypatch, method, dtype
+    ):
+        # Blocks of 5 of the 24 bands, the last one partial, each written as
+        # it is formed; the in-process result is formed in one block.
+        real_save = cli.save_raster
+        starts = []
+
+        def recording_save(path, stream, dtype):
+            if isinstance(stream, SpectralImage):  # synth and degrade
+                return real_save(path, stream, dtype)
+            fill = stream.fill
+
+            def recorded(start, stop, out):
+                starts.append(start)
+                fill(start, stop, out)
+
+            return real_save(path, stream.refill(recorded), dtype)
+
+        monkeypatch.setattr(cli, "save_raster", recording_save)
+        with monkeypatch.context() as patch:
+            patch.setattr(imgcore, "_BLOCK_BYTES", 5 * 48 * 32 * 8)
+            got, ctx = self.fuse_scene(tmp_path, method, dtype)
+        assert starts == [0, 5, 10, 15, 20]
+        assert len(imgcore.BandStream(48, 32, 24, None).blocks()) == 1
+        want = get_method(method)(ctx).data.astype(dtype)
+        np.testing.assert_array_equal(got, want.ravel())
+
+    def test_fuse_failing_after_writing_began_exits_two_and_leaves_no_raster(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        hs, pan = str(tmp_path / "hs"), str(tmp_path / "pan")
+        rng = np.random.default_rng(14)
+        save_raster(hs, SpectralImage(4, 4, rng.uniform(0.1, 1.0, (6, 16))))
+        save_raster(pan, SpectralImage(8, 8, rng.uniform(0.1, 1.0, (1, 64))))
+        out = str(tmp_path / "out")
+        argv = ["fuse", "--method", "GS", "--hs", hs, "--pan", pan, "--out", out]
+        assert main(argv) == 0  # an earlier raster at the same path
+        capsys.readouterr()
+        # Blocks of 2 of the 6 bands; the second block holds a NaN.
+        monkeypatch.setattr(imgcore, "_BLOCK_BYTES", 2 * 64 * 8)
+        real_bands = cs.upsample_bands
+        filled = []
+
+        def poisoned(img, ratio, method="bicubic"):
+            bands = real_bands(img, ratio, method)
+
+            def fill(start, stop, out):
+                filled.append(start)
+                bands.fill(start, stop, out)
+                if start == 2:
+                    out[0, 0] = np.nan
+
+            return bands.refill(fill)
+
+        monkeypatch.setattr(cs, "upsample_bands", poisoned)
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: method GS failed: image contains non-finite samples\n"
+        )
+        assert filled == [0, 2]
+        assert not os.path.exists(out + ".hdr") and not os.path.exists(out + ".dat")
 
     def test_module_entry_point_runs(self):
         src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")

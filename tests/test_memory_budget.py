@@ -1,13 +1,21 @@
-"""Peak traced memory of the non-iterative fusion methods.
+"""Peak traced memory of the fusion methods, of scoring and of a Wald run.
 
-Each component-substitution, multiresolution and hybrid method interpolates
-into one working cube, injects its detail into it in place and hands that
-cube to the output image without a copy, so its traced peak stays within a
-small multiple of the output cube's bytes: the working cube, the
-interpolation's one-axis intermediate (a 1/ratio share of the cube), the
-guided filter's component stack for GFPCA, and band-sized temporaries. Band
-statistics of the interpolated cube come from the low-resolution cube, so no
-centred copy of the working cube is made.
+Each component-substitution, multiresolution and hybrid method forms its
+image one block of bands at a time (`imgcore.BandStream`): each block is
+interpolated into the caller's buffer and its detail injected in place.
+Whole, the image is formed block by block into one array adopted without a
+copy, so the traced peak stays within a small multiple of the output cube's
+bytes: the output cube, the interpolation's one-axis intermediate of a block
+(a 1/ratio share of it) and axis matrices, the guided filter's component
+stack for GFPCA, and band-sized temporaries. Band statistics and the
+intensity component come from the low-resolution cube, so no centred or
+weighted pass over the interpolated cube is made.
+
+Streamed to a raster (`run_method` with a sink, as `fuse` runs it), no
+output cube is held: one block of bands (at most `imgcore._BLOCK_BYTES`,
+a third of the cube here) goes through one reused buffer to the file. What
+is left is each method's own working state, which for GFPCA, BayesNaive and
+HySure passes the streamed budget on its own and is bounded separately.
 
 Scoring walks the pixels in strips through a few strip-sized buffers, so a
 report forms no cube-sized array, and a prepared reference holds only band-
@@ -20,12 +28,14 @@ the degraded pair) and does not grow with the number of methods.
 """
 
 import tracemalloc
+from functools import partial
 
 import pytest
 
-from hspansharp.harness.bench import reference_scene, run_wald, wald_inputs
+from hspansharp.harness.bench import reference_scene, run_method, run_wald, wald_inputs
 from hspansharp.harness.config import RunConfig
-from hspansharp.harness.registry import MethodContext, get_method
+from hspansharp.harness.envi import save_raster
+from hspansharp.harness.registry import MethodContext, get_method, method_names
 from hspansharp.imgcore import DynamicRange
 from hspansharp.metrics import Reference, compute_report
 
@@ -38,6 +48,15 @@ REFERENCE_BUDGET = 0.05
 # Peak traced bytes of a ten-method `run_wald` over the reference cube's
 # bytes.
 RUN_BUDGET = 4.0
+# Peak traced bytes of a `run_method` streamed to a float32 raster over the
+# output cube's bytes.
+STREAM_BUDGET = 0.5
+# The methods whose own working state passes STREAM_BUDGET at this config,
+# and the bound each is held to instead: GFPCA keeps its low-resolution band
+# cube, filtered components and an 8-band product buffer beside a block;
+# BayesNaive's prior mean is formed from the whole interpolated Y_H cube;
+# HySure's ADMM holds about 35 coefficient-sized arrays.
+STATE_BUDGET = {"GFPCA": 0.75, "BayesNaive": 1.35, "HySure": 1.8}
 CONFIG = RunConfig(height=160, width=160, bands=60, ratio=4).validate()
 
 
@@ -64,6 +83,22 @@ def test_peak_within_budget(context, name):
         tracemalloc.stop()
     ratio = peak / fused.data.nbytes
     assert ratio <= BUDGET, f"{name} peaked at {ratio:.2f}x the output"
+
+
+@pytest.mark.parametrize("name", method_names())
+def test_streamed_peak_within_budget(truth, tmp_path, name):
+    y_h, pan, model = wald_inputs(truth, CONFIG)
+    sink = partial(save_raster, str(tmp_path / "out"), dtype="float32")
+    run_method(CONFIG, name, y_h, pan, model, CONFIG.seed, sink)  # warm
+    tracemalloc.start()
+    try:
+        run_method(CONFIG, name, y_h, pan, model, CONFIG.seed, sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ratio = peak / truth.data.nbytes
+    budget = STATE_BUDGET.get(name, STREAM_BUDGET)
+    assert ratio <= budget, f"{name} streamed peaked at {ratio:.2f}x the output"
 
 
 def test_report_peak_within_budget(context, truth):

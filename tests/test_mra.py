@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hspansharp.fusion.mra import (
-    _equalized_fusion,
+    _equalized_stream,
     _hpm_gain,
     box_lowpass,
     fuse_mtf_glp,
@@ -183,7 +183,7 @@ class TestEqualizedFusion:
         p_l[0] = pan.data[0].mean()
         pan_low = SpectralImage(4, 4, p_l[np.newaxis, :])
         rng = DynamicRange(-2.0, 2.0)
-        got = _equalized_fusion(y_h, pan, lambda _: pan_low, 1, rng, "hpm")
+        got = _equalized_stream(y_h, pan, lambda _: pan_low, 1, rng, "hpm").image()
         want = oracle_equalized_fusion(data, pan.data[0], p_l, rng.lo, rng.hi, "hpm")
         np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
         assert pan.data[0, 0] != p_l[0]
