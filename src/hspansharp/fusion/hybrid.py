@@ -5,8 +5,8 @@ denoised by soft thresholding and interpolated.
 The guided filter's window means use windows clipped at the image border
 (not mirrored). Each is separable, so it is written per axis as a small
 banded matrix and the mean of any stack of planes z is rows @ z @ cols^T,
-applied by `sensorsim.separable` (the one place a pair of axis matrices is
-applied).
+applied by `sensorsim.separable_product` (the one place a pair of axis
+matrices is applied), planned once for all six means.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from ..imgcore import BandStream, DynamicRange, SpectralImage
 from ..resample import upsample_bands, upsample_data
-from ..sensorsim import check_pair, pan_values, separable
+from ..sensorsim import check_pair, pan_values, separable_product
 from .cs import energy_knee, pca_transform
 
 __all__ = [
@@ -50,9 +50,7 @@ def guided_filter_plane(
     last two axes; leading axes of `inp` and `guide` broadcast, so a
     (p, H, W) stack against one (H, W) guide filters every plane."""
     rows, cols = (_axis_window_mean(n, d) for n in inp.shape[-2:])
-
-    def mean(z):
-        return separable(rows, z, cols)
+    mean = separable_product(rows, cols)
 
     # The stack-sized terms are formed in place, in `a` and one work
     # array: a = cov(I, p) / (var(I) + eps), 0 where that divisor is not

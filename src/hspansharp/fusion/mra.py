@@ -31,15 +31,37 @@ __all__ = [
 # Relative magnitude below which the HPM divisor counts as zero.
 _DIV_GUARD = 1e-8
 
+_NO_VOXELS = np.empty(0, dtype=np.intp)
 
-def _hpm_gain(
-    band: np.ndarray, p_low: np.ndarray, rng: DynamicRange, out: np.ndarray
+
+def _guarded(
+    pl_eq: np.ndarray,
+    ends: tuple[float, float],
+    scale: float,
+    band_mean: float,
+    guard: float,
 ) -> np.ndarray:
-    """band / p_low into `out`, and 1 where |p_low| is below the guard."""
-    np.abs(p_low, out=out)
-    divide = out >= _DIV_GUARD * rng.span
-    out.fill(1.0)
-    return np.divide(band, p_low, out=out, where=divide)
+    """Indices of the voxels where |pl_eq| < guard, for pl_eq formed as
+    (P_L - mean(P)) scale + band_mean with scale >= 0, and `ends` the least
+    and greatest P_L - mean(P). Rounding is monotone, so those ends, mapped
+    the same way, are the least and greatest pl_eq; when both lie beyond
+    the guard on one side, `pl_eq` is not read."""
+    lo, hi = ends[0] * scale + band_mean, ends[1] * scale + band_mean
+    if lo >= guard or hi <= -guard:
+        return _NO_VOXELS
+    return np.flatnonzero(np.abs(pl_eq) < guard)
+
+
+def _modulate(
+    band: np.ndarray, p_eq: np.ndarray, pl_eq: np.ndarray, guarded: np.ndarray
+) -> None:
+    """band * p_eq / pl_eq into `band`, except at the indices `guarded`, which
+    get band + (p_eq - pl_eq). Overwrites `p_eq` and `pl_eq`."""
+    kept = band[guarded] + (p_eq[guarded] - pl_eq[guarded])
+    pl_eq[guarded] = 1.0
+    p_eq /= pl_eq
+    band *= p_eq
+    band[guarded] = kept
 
 
 def box_lowpass(pan: SpectralImage, ratio: int) -> SpectralImage:
@@ -68,16 +90,17 @@ def _equalized_stream(
     per-band PAN equalization and injection.
 
     P_eq^k = (P - mean(P)) std(Y^k) / std(P_L) + mean(Y^k); the same affine
-    map is applied to P_L so the detail scales consistently. A constant PAN
+    map gives P_L,eq^k, so the detail scales consistently. A constant PAN
     has std(P_L) = 0 and maps to a zero-detail injection.
 
-    The detail is added to each block of interpolated bands in place, one
-    band at a time, through reused band buffers. Additive injection adds the
-    equal scale_k (P - P_L) through `cs.injected`. HPM keeps the difference
-    P_eq^k - P_L,eq^k: where P_L,eq^k nears zero its gain (~1e3 on real
-    scenes) magnifies any change in the rounding of that divisor, so the
-    detail is rounded as the divisor is. The interpolated bands, std(Y^k)
-    and mean(Y^k) come from `cs.front_end`.
+    The detail goes into each block of interpolated bands in place, one band
+    at a time, through reused band buffers. Additive injection adds
+    scale_k (P - P_L) through `cs.injected`. HPM modulates each band,
+    F^k = Y^k P_eq^k / P_L,eq^k, clipped to `rng`. Where |P_L,eq^k| is below
+    `_DIV_GUARD` times the range span the gain is 1 instead,
+    F^k = Y^k + (P_eq^k - P_L,eq^k). The guard is exact, yet a band whose
+    P_L,eq^k range stays clear of it is not searched (`_guarded`). The
+    interpolated bands, std(Y^k) and mean(Y^k) come from `cs.front_end`.
     """
     bands, p, means, cov = front_end(y_h, pan, ratio)
     p_l = lowpass(pan).data[0]
@@ -92,18 +115,19 @@ def _equalized_stream(
         return injected(bands, p - p_l, scales)
     p_centred = p - p_mean
     pl_centred = p_l - p_mean
+    ends = (pl_centred.min(), pl_centred.max())
+    guard = _DIV_GUARD * rng.span
 
     def fill(start, stop, out):
         bands.fill(start, stop, out)
-        detail, pl_eq, gain = np.empty_like(p), np.empty_like(p), np.empty_like(p)
+        p_eq, pl_eq = np.empty_like(p), np.empty_like(p)
         for band, scale, band_mean in zip(out, scales[start:stop], means[start:stop]):
             np.multiply(pl_centred, scale, out=pl_eq)
             pl_eq += band_mean
-            np.multiply(p_centred, scale, out=detail)
-            detail += band_mean
-            detail -= pl_eq
-            detail *= _hpm_gain(band, pl_eq, rng, gain)
-            band += detail
+            np.multiply(p_centred, scale, out=p_eq)
+            p_eq += band_mean
+            guarded = _guarded(pl_eq, ends, scale, band_mean, guard)
+            _modulate(band, p_eq, pl_eq, guarded)
             np.clip(band, rng.lo, rng.hi, out=band)
 
     return bands.refill(fill)

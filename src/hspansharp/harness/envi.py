@@ -128,15 +128,25 @@ def _drop(path: str) -> None:
         os.remove(path)
 
 
+def _convert(band: np.ndarray, values: np.ndarray) -> None:
+    """`values` cast into `band`, or an error if a sample overflows it."""
+    try:
+        with np.errstate(over="raise"):
+            band[...] = values
+    except FloatingPointError:
+        raise ValueError(f"image holds samples beyond the {band.dtype} range") from None
+
+
 def save_raster(
     path: str, img: SpectralImage | BandStream, dtype: str = "float64"
 ) -> tuple[str, str]:
     """Write the header/payload pair; returns their paths.
 
     A `BandStream` is written block by block through `checked_blocks`, so
-    one block of the image is held at a time. The payload is written first
-    and the header last; if anything fails once the payload is opened,
-    neither file is left behind."""
+    one block of the image is held at a time. A sample beyond the range of
+    `dtype` is refused, not written as an infinity. The payload is written
+    first and the header last; if anything fails once the payload is
+    opened, neither file is left behind."""
     if dtype not in _CODE_FOR:
         raise ValueError(f"unsupported dtype {dtype!r} (need float32 or float64)")
     hdr_path, dat_path = raster_paths(path)
@@ -172,7 +182,7 @@ def save_raster(
                     fh.write(block)
                     continue
                 for values in block:
-                    band[...] = values
+                    _convert(band, values)
                     fh.write(band)
         with open(hdr_path, "w", encoding="ascii", newline="\n") as out:
             out.write(header)

@@ -10,10 +10,12 @@ which also builds the blur of `sensorsim.degrade_axis`. Each axis is one
 applied by `sensorsim.separable` (the one place a pair of axis matrices is
 applied) on the four nonzero weights of each row.
 `upsample_bands` forms that product one block of bands at a time into a
-caller's buffer (an `imgcore.BandStream`), for the fusion methods that
-inject detail into each block in place; `upsample_data` returns it whole
-as a fresh writable array, for the small stacks the methods interpolate
-in full (a few components, abundances or coefficient planes).
+caller's buffer (an `imgcore.BandStream`), through one
+`sensorsim.separable_product` planned for all blocks, for the fusion
+methods that inject detail into each block in place; `upsample_data`
+returns it whole as a fresh writable array, for the small stacks the
+methods interpolate in full (a few components, abundances or coefficient
+planes).
 
 Every row of M sums to one, so interpolation maps a constant to itself and
 commutes with centring. `upsampled_moments` uses that to give the band means
@@ -25,7 +27,13 @@ from __future__ import annotations
 import numpy as np
 
 from .imgcore import BandStream, SpectralImage
-from .sensorsim import check_ratio, default_phase, separable, stencil_matrix
+from .sensorsim import (
+    check_ratio,
+    default_phase,
+    separable,
+    separable_product,
+    stencil_matrix,
+)
 
 __all__ = ["upsample", "upsample_bands", "upsample_data", "upsampled_moments"]
 
@@ -83,9 +91,10 @@ def upsample_bands(img: SpectralImage, ratio: int, method: str = "bicubic") -> B
     rows, cols = _axis_matrices(img, ratio, method)
     cube = img.to_cube()
     height, width = rows.shape[0], cols.shape[0]
+    interpolate = separable_product(rows, cols)
 
     def fill(start, stop, out):
-        separable(rows, cube[start:stop], cols, out.reshape(stop - start, height, width))
+        interpolate(cube[start:stop], out.reshape(stop - start, height, width))
 
     return BandStream(height, width, img.bands, fill, img.wavelengths)
 

@@ -16,9 +16,10 @@ and `check_gnyq` the one rule for an MTF gain.
 `assumed_model` alone decides the model every method is fused under: the
 MTF-matched blur, the default PAN response and no known noise.
 
-`separable` is the one place where a pair of per-axis matrices is applied,
-here and in `resample`, the guided filter and BayesNaive. It spends work
-only on the band of nonzero weights each block of output rows reads.
+`separable_product` (and `separable`, one application of it) is the one
+place where a pair of per-axis matrices is applied, here and in `resample`,
+the guided filter and BayesNaive. On both axes it spends work only on the
+band of nonzero weights each block of outputs reads.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "assumed_model",
     "degrade_axis",
     "separable",
+    "separable_product",
     "blur",
     "degrade",
     "blur_downsample",
@@ -58,8 +60,8 @@ __all__ = [
 # One PCG64 substream per band, seeded from (scene seed, band index).
 NOISE_ALGORITHM = "pcg64-per-band"
 
-# Output rows per block of `separable`'s row product.
-_ROW_BLOCK = 32
+# Output rows, or output columns, per block of `separable`'s products.
+_BLOCK = 32
 
 # Visible wavelength window (micrometers) of the default PAN response.
 PAN_WINDOW = (0.48, 0.69)
@@ -244,33 +246,64 @@ def separable(
 ) -> np.ndarray:
     """rows @ stack @ cols.T over the last two axes of `stack`, as a fresh
     array or written into `out`, a C-ordered float64 array of the result's
-    shape; leading axes are planes.
+    shape; leading axes are planes. It is `separable_product(rows, cols)`
+    applied once."""
+    return separable_product(rows, cols)(stack, out)
 
-    The row product runs in blocks of `_ROW_BLOCK` output rows, and each
-    block multiplies only the span of input rows its nonzero weights read,
-    so a banded matrix costs its band and a dense one a plain product. The
-    column product is one flat GEMM over all planes, taken on whichever of
-    `stack` and the row product has fewer rows.
+
+def separable_product(rows: np.ndarray, cols: np.ndarray):
+    """The map (stack, out=None) -> `separable(rows, stack, cols, out)`,
+    for a pair of matrices applied to many stacks.
+
+    Both products are banded by one rule (`_bands`), planned once here:
+    blocks of `_BLOCK` output rows, or output columns, each multiply only
+    the span of input rows, or columns, that their nonzero weights read. So
+    a banded matrix costs its band and a dense one a plain product. The
+    column product runs over all planes at once, on whichever of the stack
+    and the row product has fewer rows.
     """
-    if rows.shape[0] > stack.shape[-2]:
-        return _row_product(rows, _column_product(stack, cols), out)
-    return _column_product(_row_product(rows, stack), cols, out)
+    row_bands, col_bands = _bands(rows), _bands(cols)
+
+    def apply(stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if rows.shape[0] > stack.shape[-2]:
+            between = _column_product(stack, cols, col_bands)
+            return _row_product(rows, between, row_bands, out)
+        between = _row_product(rows, stack, row_bands)
+        return _column_product(between, cols, col_bands, out)
+
+    return apply
 
 
-def _column_product(stack: np.ndarray, cols: np.ndarray, out=None) -> np.ndarray:
-    shape = stack.shape[:-1] + cols.shape[:1]
-    flat = None if out is None else out.reshape(-1, shape[-1])
-    return np.matmul(stack.reshape(-1, stack.shape[-1]), cols.T, out=flat).reshape(shape)
-
-
-def _row_product(rows: np.ndarray, stack: np.ndarray, out=None) -> np.ndarray:
-    if out is None:
-        out = np.empty(stack.shape[:-2] + (rows.shape[0], stack.shape[-1]))
-    reads = rows != 0
-    for start in range(0, rows.shape[0], _ROW_BLOCK):
-        block = slice(start, start + _ROW_BLOCK)
+def _bands(matrix: np.ndarray) -> list[tuple[slice, slice]]:
+    """(block, span) pairs covering the rows of `matrix`: each block of
+    `_BLOCK` rows and the span of columns holding its nonzero weights (empty
+    when it has none). Adjacent blocks with the same span are one block."""
+    reads = matrix != 0
+    pairs = []
+    for start in range(0, matrix.shape[0], _BLOCK):
+        block = slice(start, min(start + _BLOCK, matrix.shape[0]))
         used = np.flatnonzero(reads[block].any(axis=0))
         span = slice(used[0], used[-1] + 1) if used.size else slice(0, 0)
+        if pairs and pairs[-1][1] == span:
+            block = slice(pairs.pop()[0].start, block.stop)
+        pairs.append((block, span))
+    return pairs
+
+
+def _column_product(stack, cols, bands, out=None) -> np.ndarray:
+    shape = stack.shape[:-1] + cols.shape[:1]
+    if out is None:
+        out = np.empty(shape)
+    flat, result = stack.reshape(-1, stack.shape[-1]), out.reshape(-1, shape[-1])
+    for block, span in bands:
+        np.matmul(flat[:, span], cols[block, span].T, out=result[:, block])
+    return out
+
+
+def _row_product(rows, stack, bands, out=None) -> np.ndarray:
+    if out is None:
+        out = np.empty(stack.shape[:-2] + (rows.shape[0], stack.shape[-1]))
+    for block, span in bands:
         np.matmul(rows[block, span], stack[..., span, :], out=out[..., block, :])
     return out
 

@@ -199,6 +199,52 @@ class TestStreamWrite:
         assert peak <= (stop - start + 2) * band.nbytes
 
 
+@pytest.mark.parametrize("value", [1e39, -1e39])
+class TestFloat32Overflow:
+    """A finite float64 sample beyond the float32 range is refused, not
+    written as an infinity that `load_raster` would then refuse."""
+
+    MESSAGE = "^image holds samples beyond the float32 range$"
+
+    def image(self, value):
+        data = np.random.default_rng(15).normal(size=(3, 20))
+        data[1, 7] = value
+        return SpectralImage(4, 5, data)
+
+    def test_image_write_refused_and_leaves_no_raster(self, tmp_path, value):
+        base = str(tmp_path / "out")
+        save_raster(base, make_image(16))  # an earlier raster at the same path
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            save_raster(base, self.image(value), "float32")
+        assert not any(tmp_path.iterdir())
+
+    def test_stream_write_refused_and_leaves_no_raster(self, tmp_path, value):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            save_raster(str(tmp_path / "out"), as_stream(self.image(value)), "float32")
+        assert not any(tmp_path.iterdir())
+
+    def test_float64_write_keeps_the_sample(self, tmp_path, value):
+        base = str(tmp_path / "out")
+        save_raster(base, self.image(value), "float64")
+        assert load_raster(base).data[1, 7] == value
+
+    def test_fuse_exits_two_and_leaves_no_raster(self, tmp_path, capsys, value):
+        # Inputs of the size of `value` fuse to float64 samples of that size.
+        rng = np.random.default_rng(17)
+        scale = value
+        hs, pan = str(tmp_path / "hs"), str(tmp_path / "pan")
+        save_raster(hs, SpectralImage(4, 4, scale * rng.uniform(0.5, 1.0, (6, 16))))
+        save_raster(pan, SpectralImage(8, 8, scale * rng.uniform(0.5, 1.0, (1, 64))))
+        out = str(tmp_path / "out")
+        argv = ["fuse", "--method", "GS", "--hs", hs, "--pan", pan, "--out", out]
+        assert main(argv + ["--dtype", "float32"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: method GS failed: image holds samples beyond the float32 range\n"
+        )
+        assert not any(tmp_path.glob("out*"))
+        assert main(argv + ["--dtype", "float64"]) == 0
+
+
 class TestHeaderFormat:
     def test_single_value_header_contents(self, tmp_path):
         img = SpectralImage(1, 1, np.array([[7.0]], dtype=np.float64))

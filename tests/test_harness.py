@@ -644,19 +644,20 @@ class TestCli:
         assert not np.array_equal(load_raster(a).data, load_raster(b).data)
         assert not np.array_equal(load_raster(a).data, load_raster(c).data)
 
-    def fuse_scene(self, tmp_path, method, dtype):
-        """`fuse --dtype dtype` on a non-square scene at ratio 4 from float32
-        rasters, as in the real-data path; returns the written payload and
-        the context of the same call made in process on the same rasters."""
+    def fuse_scene(self, tmp_path, method, dtype, ratio=4, width=32):
+        """`fuse --dtype dtype` on a non-square 48 x `width` scene at `ratio`
+        from float32 rasters, as in the real-data path; returns the written
+        payload and the context of the same call made in process on the
+        same rasters."""
         p = {k: str(tmp_path / k) for k in ("truth", "hs", "pan", "out")}
-        assert main(["synth", "--out", p["truth"], "--height", "48", "--width", "32",
+        assert main(["synth", "--out", p["truth"], "--height", "48", "--width", str(width),
                      "--bands", "24", "--seed", "3", "--dtype", "float32"]) == 0
         assert main(["degrade", "--truth", p["truth"], "--out-hs", p["hs"],
-                     "--out-pan", p["pan"], "--ratio", "4", "--snr-db", "30",
+                     "--out-pan", p["pan"], "--ratio", str(ratio), "--snr-db", "30",
                      "--seed", "3", "--dtype", "float32"]) == 0
         assert main(["fuse", "--method", method, "--hs", p["hs"], "--pan", p["pan"],
                      "--out", p["out"], "--dtype", dtype]) == 0
-        assert load_raster(p["out"]).to_cube().shape == (24, 48, 32)
+        assert load_raster(p["out"]).to_cube().shape == (24, 48, width)
         got = np.fromfile(p["out"] + ".dat", dtype=np.dtype(dtype).newbyteorder("<"))
         y_h, pan = load_raster(p["hs"]), load_raster(p["pan"])
         response = default_pan_response(y_h.bands, y_h.wavelengths)
@@ -664,17 +665,23 @@ class TestCli:
         ctx = MethodContext(
             y_h=y_h,
             pan=pan,
-            model=SensorModel(4, kernel_from_mtf(4, 0.3), response[np.newaxis, :]),
+            model=SensorModel(ratio, kernel_from_mtf(ratio, 0.3), response[np.newaxis, :]),
             range=DynamicRange(lo, hi if hi > lo else lo + 1.0),
             gnyq=0.3,
             seed=0,
         )
         return got, ctx
 
-    @pytest.mark.parametrize("method", method_names())
-    def test_fuse_float32_writes_the_in_process_result(self, tmp_path, method):
+    # At ratio 3 the scene is 48 x 36: the output's second column block
+    # begins inside the interpolation and filter stencils.
+    @pytest.mark.parametrize(
+        "method, ratio, width",
+        [pytest.param(m, 4, 32, id=m) for m in method_names()]
+        + [pytest.param(m, 3, 36, id=f"{m}-ratio3") for m in method_names()],
+    )
+    def test_fuse_float32_writes_the_in_process_result(self, tmp_path, method, ratio, width):
         # The written payload is the method's output rounded once.
-        got, ctx = self.fuse_scene(tmp_path, method, "float32")
+        got, ctx = self.fuse_scene(tmp_path, method, "float32", ratio, width)
         want = get_method(method)(ctx).data.astype("<f4")
         np.testing.assert_array_equal(got, want.ravel())
 

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hspansharp.fusion.mra import (
     _equalized_stream,
-    _hpm_gain,
+    _guarded,
+    _modulate,
     box_lowpass,
     fuse_mtf_glp,
     fuse_mtf_glp_hpm,
@@ -73,20 +77,55 @@ class TestGlpLowpass:
 
 
 class TestHpmGain:
+    # The HPM gain Y / P_L,eq is applied as Y P_eq / P_L,eq (`_modulate`),
+    # and 1 on the voxels `_guarded` finds below the divisor guard.
+    NONE = np.empty(0, dtype=np.intp)
+
     def test_hand_value(self):
-        # gain = Y / P_L = 3 / 1.5 = 2
-        out = np.empty(1)
-        gain = _hpm_gain(np.array([3.0]), np.array([1.5]), DynamicRange(0.0, 10.0), out)
-        assert gain is out
-        assert gain[0] == 2.0
+        # gain = Y / P_L,eq = 3 / 1.5 = 2, so F = 2 P_eq = 6
+        band = np.array([3.0])
+        _modulate(band, np.array([3.0]), np.array([1.5]), self.NONE)
+        assert band[0] == 6.0
 
     def test_guard_on_vanishing_lowpass(self):
-        # The guard is 1e-8 of the span 10: |P_L| = 5e-8 falls below it and
-        # gets unit gain instead of a division; 2e-7 lies above and divides.
-        rng = DynamicRange(0.0, 10.0)
-        gain = _hpm_gain(np.array([3.0, 3.0]), np.array([5e-8, 2e-7]), rng, np.empty(2))
-        assert gain[0] == 1.0
-        assert gain[1] == pytest.approx(3.0 / 2e-7)
+        # The guard is 1e-8 of the span 10: |P_L,eq| = 5e-8 falls below it
+        # and gets unit gain, F = Y + (P_eq - P_L,eq); 2e-7 lies above and
+        # divides.
+        guard = 1e-8 * DynamicRange(0.0, 10.0).span
+        pl_eq = np.array([5e-8, 2e-7])
+        guarded = _guarded(pl_eq, (5e-8, 2e-7), 1.0, 0.0, guard)
+        np.testing.assert_array_equal(guarded, [0])
+        band = np.array([3.0, 3.0])
+        _modulate(band, np.array([1.0, 1.0]), pl_eq, guarded)
+        assert band[0] == 3.0 + (1.0 - 5e-8)
+        assert band[1] == pytest.approx(3.0 / 2e-7)
+
+    def test_band_clear_of_the_guard_is_not_searched(self):
+        # The ends of P_L,eq, here 1 +- 0.05 or -1 +- 0.05, decide alone:
+        # the buffer, zero throughout, is not read unless they reach the guard.
+        pl_eq = np.zeros(3)
+        for band_mean in (1.0, -1.0):
+            assert _guarded(pl_eq, (-0.5, 0.5), 0.1, band_mean, 1e-3).size == 0
+        np.testing.assert_array_equal(_guarded(pl_eq, (-0.5, 0.5), 0.1, 0.0, 1e-3), [0, 1, 2])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        centred=arrays(np.float64, st.integers(1, 40), elements=st.floats(-1e3, 1e3)),
+        scale=st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+        near=st.integers(0, 39),
+        offset=st.floats(-3.0, 3.0),
+        guard=st.floats(1e-12, 1e-2),
+    )
+    def test_range_test_never_skips_a_guarded_voxel(self, centred, scale, near, offset, guard):
+        # P_L,eq is formed as the stream forms it, with its mean chosen to put
+        # one voxel within a few guards of zero; the range test must find
+        # exactly the voxels a full search finds.
+        product = centred * scale
+        band_mean = -product[near % centred.size] + offset * guard
+        pl_eq = product + band_mean
+        ends = (centred.min(), centred.max())
+        got = _guarded(pl_eq, ends, scale, band_mean, guard)
+        np.testing.assert_array_equal(got, np.flatnonzero(np.abs(pl_eq) < guard))
 
 
 class TestConstantPanFixedPoint:
@@ -171,12 +210,26 @@ class TestEqualizedFusion:
             assert at_bound.any() and not at_bound.all()
 
     def test_hpm_divisor_guard_matches_loop_oracle(self):
-        # Band 0 has mean exactly 0 and P_L equals mean(P) at pixel 0, so
-        # P_L,eq^0 vanishes there and the guard sets the gain to 1 while
-        # the detail is nonzero. Ratio 1 keeps the bands as given.
+        # One block of bands that the guard treats differently; ratio 1
+        # keeps the bands as given.
+        # - band 0 has mean exactly 0 and P_L equals mean(P) at pixel 0, so
+        #   P_L,eq^0 vanishes there and the gain is 1 while the detail is not
+        #   zero; its range straddles the guard;
+        # - band 1 is positive and band 2 negative throughout, both clear of
+        #   the guard;
+        # - band 3 crosses zero with no voxel below the guard;
+        # - bands 4 and 5 have zero variance (scale 0); band 5 is all zero,
+        #   so every voxel is guarded.
         rng_gen = np.random.default_rng(23)
         band0 = np.tile([0.5, -0.5, 0.25, -0.25], 4)
-        data = np.vstack([band0, rng_gen.uniform(0.1, 1.0, 16)])
+        data = np.vstack([
+            band0,
+            rng_gen.uniform(0.1, 1.0, 16),
+            rng_gen.uniform(-1.0, -0.5, 16),
+            rng_gen.uniform(-0.2, 0.8, 16),
+            np.full(16, 0.3),
+            np.zeros(16),
+        ])
         y_h = SpectralImage(4, 4, data)
         pan = random_img(1, 4, 4, seed=24)
         p_l = rng_gen.uniform(0.1, 1.0, 16)
@@ -190,6 +243,18 @@ class TestEqualizedFusion:
         scale = band0.std() / p_l.std()
         gain_one = band0[0] + scale * (pan.data[0, 0] - p_l[0])
         assert got.data[0, 0] == pytest.approx(gain_one, abs=1e-12)
+        np.testing.assert_array_equal(got.data[4:], data[4:])
+        # The bands fall in the cases above.
+        guard = 1e-8 * rng.span
+        scales = data.std(axis=1) / p_l.std()
+        means = data.mean(axis=1, keepdims=True)
+        pl_eq = (p_l - pan.data[0].mean()) * scales[:, np.newaxis] + means
+        assert abs(pl_eq[0, 0]) < guard < pl_eq[0].max()
+        assert pl_eq[1].min() > guard and pl_eq[2].max() < -guard
+        assert pl_eq[3].min() < 0.0 < pl_eq[3].max() and np.abs(pl_eq[3]).min() > guard
+        assert scales[4] == scales[5] == 0.0 and not pl_eq[5].any()
+        at_bound = (got.data == rng.lo) | (got.data == rng.hi)
+        assert at_bound.any() and not at_bound.all()
 
     def test_pan_dims_validated(self):
         y_h = random_img(2, 4, 4)

@@ -486,9 +486,11 @@ class TestBlur:
 
 def axis_pairs(family):
     """(rows, cols) pairs of one family of per-axis matrices the package
-    builds. Heights and widths fall below and between multiples of the
-    32-row block, and below the blur radius and the window width."""
-    sizes = [(5, 3), (31, 70), (70, 45), (1, 7)]
+    builds. Heights and widths, in and out, fall below, above and between
+    multiples of the 32-sample block of either product, and below the blur
+    radius and the window width. The eigenbases are dense, as in
+    BayesNaive's transforms."""
+    sizes = [(5, 3), (31, 70), (70, 45), (1, 7), (33, 97)]
     pairs = []
     for h, w in sizes:
         if family in ("bilinear", "bicubic"):
@@ -530,6 +532,37 @@ class TestSeparable:
             scale = np.abs(want).max(initial=0.0)
             np.testing.assert_allclose(got, want, rtol=0, atol=4 * eps * scale)
             assert not np.shares_memory(got, z)
+
+    @pytest.mark.parametrize("expanding", [False, True])
+    def test_out_is_written_in_place(self, expanding):
+        # Either order of the two products; `out` starts as NaN, so every
+        # sample must be written.
+        rng = np.random.default_rng(3)
+        if expanding:
+            rows, cols = _axis_matrix(13, 3, "bicubic"), _axis_matrix(23, 3, "bicubic")
+        else:
+            taps = kernel_from_mtf(3, 0.3).taps
+            rows, cols = degrade_axis(39, taps, 3), degrade_axis(69, taps, 3)
+        z = rng.uniform(-1.0, 1.0, (2, rows.shape[1], cols.shape[1]))
+        out = np.full((2, rows.shape[0], cols.shape[0]), np.nan)
+        assert separable(rows, z, cols, out) is out
+        np.testing.assert_array_equal(out, separable(rows, z, cols))
+        want = rows @ z @ cols.T
+        eps = np.finfo(np.float64).eps
+        np.testing.assert_allclose(out, want, rtol=0, atol=4 * eps * np.abs(want).max())
+
+    def test_columns_without_weights_give_zeros(self):
+        # Column blocks whose outputs read nothing multiply an empty span,
+        # also into an `out` that held other values.
+        rng = np.random.default_rng(4)
+        rows = rng.uniform(size=(9, 6))
+        cols = rng.uniform(size=(100, 40))
+        cols[10:80] = 0.0
+        z = rng.uniform(size=(2, 6, 40))
+        out = np.full((2, 9, 100), np.nan)
+        separable(rows, z, cols, out)
+        np.testing.assert_array_equal(out[..., 10:80], 0.0)
+        np.testing.assert_allclose(out, rows @ z @ cols.T, rtol=1e-14, atol=0)
 
     def test_rows_without_weights_give_zeros(self):
         # Blocks whose rows read nothing multiply an empty span.
