@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..imgcore import BandStream, DynamicRange, SpectralImage, is_integer
-from ..resample import upsample_data
+from ..resample import interpolate
 from ..sensorsim import (
     BlurKernel,
     SensorModel,
@@ -104,12 +104,14 @@ def _noise_weights(model: SensorModel) -> tuple[np.ndarray, float]:
 
 
 def _residuals(
-    x: np.ndarray, y_h: SpectralImage, pan: SpectralImage, model: SensorModel
+    U: np.ndarray, basis: SubspaceBasis, y_h: SpectralImage, pan: SpectralImage,
+    model: SensorModel,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The misfits (Y_H - X B S, P - R X) of a bands x pixels image X on the
-    PAN grid under the sensor model."""
-    low = degrade(x.reshape(-1, pan.height, pan.width), model.blur.taps, model.ratio)
-    return y_h.data - low.reshape(y_h.bands, -1), pan.data - model.spectral_response @ x
+    """The misfits (Y_H - H U B S, P - R H U) of p x pixels coefficients U on
+    the PAN grid under the sensor model, formed without the image H U."""
+    low = degrade(U.reshape(-1, pan.height, pan.width), model.blur.taps, model.ratio)
+    resid_h = y_h.data - basis.H @ low.reshape(basis.p, -1)
+    return resid_h, pan.data - (model.spectral_response @ basis.H) @ U
 
 
 def negative_log_posterior(
@@ -121,9 +123,8 @@ def negative_log_posterior(
 ) -> float:
     """0.5||L_H^-1/2 (Y_H - HUBS)||^2 + 0.5||L_M^-1/2 (Y_M - RHU)||^2, with
     unit weights where a noise std is zero."""
-    x = basis.H @ np.asarray(U, dtype=np.float64)
     wh, wm = _noise_weights(model)
-    resid_h, resid_m = _residuals(x, y_h, y_m, model)
+    resid_h, resid_m = _residuals(np.asarray(U, dtype=np.float64), basis, y_h, y_m, model)
     resid_h *= wh[:, np.newaxis]
     resid_m *= wm
     return 0.5 * float((resid_h**2).sum()) + 0.5 * float((resid_m**2).sum())
@@ -155,8 +156,10 @@ class BayesNaivePriors:
 def _interpolated_coefficients(
     y_h: SpectralImage, basis: SubspaceBasis, ratio: int
 ) -> np.ndarray:
-    """Bicubically interpolated Y_H projected onto the subspace (p x n)."""
-    return basis.H.T @ upsample_data(y_h, ratio)
+    """Bicubically interpolated Y_H projected onto the subspace (p x n), formed
+    as the interpolated projection H^T Y_H, p planes in place of the bands."""
+    planes = (basis.H.T @ y_h.data).reshape(basis.p, y_h.height, y_h.width)
+    return interpolate(planes, ratio).reshape(basis.p, -1)
 
 
 def default_bayes_priors(
@@ -328,7 +331,7 @@ def default_hysure_params(
     """
     check_pair(y_h, pan, model.ratio)
     u0 = _interpolated_coefficients(y_h, basis, model.ratio)
-    resid_h, resid_m = _residuals(basis.H @ u0, y_h, pan, model)
+    resid_h, resid_m = _residuals(u0, basis, y_h, pan, model)
     noise_floor = 0.5 * y_h.pixels * float((model.hs_noise_std**2).sum())
     noise_floor += 0.5 * pan.pixels * model.pan_noise_std**2
     data_scale = 0.5 * float((resid_h**2).sum()) + 0.5 * float((resid_m**2).sum())

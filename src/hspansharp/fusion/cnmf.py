@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..imgcore import BandStream, SpectralImage, is_integer
-from ..resample import upsample_data
+from ..resample import interpolate
 from ..sensorsim import SensorModel, check_pair, degrade
 from .cs import signed_axes
 
@@ -259,8 +259,9 @@ def cnmf_solve(
         hs_traces.append(np.array(trace))
 
         if abund_high is None:
-            low_img = SpectralImage(y_h.height, y_h.width, abund_low)
-            abund_high = np.maximum(upsample_data(low_img, ratio, "bilinear"), 0.0)
+            planes = abund_low.reshape(-1, y_h.height, y_h.width)
+            abund_high = interpolate(planes, ratio, "bilinear").reshape(p, -1)
+            np.maximum(abund_high, 0.0, out=abund_high)
         # The PAN loop updates only the abundances, so H^T Y and H^T H of the
         # stacked PAN spectra are formed once per loop.
         hp_aug = _augment(response @ spectra)

@@ -19,8 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..imgcore import BandStream, SpectralImage
-from ..resample import upsample_bands, upsample_data, upsampled_moments
-from ..sensorsim import BlurKernel, blur_downsample, check_pair, pan_values
+from ..resample import interpolate, upsample_bands, upsampled_moments
+from ..sensorsim import BlurKernel, check_pair, degrade, pan_values
 
 __all__ = [
     "pca_transform",
@@ -127,8 +127,7 @@ def front_end(y_h: SpectralImage, pan: SpectralImage, ratio: int):
 def _intensity(y_h: SpectralImage, ratio: int, w: np.ndarray) -> np.ndarray:
     """O_L = w^T Y of the interpolated bands, formed as the interpolated
     w^T Y_H: one band interpolated instead of a pass over the cube."""
-    low = SpectralImage(y_h.height, y_h.width, w @ y_h.data)
-    return upsample_data(low, ratio)[0]
+    return interpolate((w @ y_h.data).reshape(y_h.height, y_h.width), ratio).ravel()
 
 
 def _gs_stream(y_h: SpectralImage, ratio: int, front, w: np.ndarray) -> BandStream:
@@ -192,8 +191,8 @@ def gsa_stream(
     """GS Adaptive: intensity weights regressed against the PAN degraded to
     the hyperspectral grid, then the usual GS injection."""
     front = front_end(y_h, pan, ratio)
-    pan_low = blur_downsample(pan, blur, ratio)
-    return _gs_stream(y_h, ratio, front, gsa_weights(y_h.data, pan_low.data[0]))
+    pan_low = degrade(pan.to_cube(), blur.taps, ratio)
+    return _gs_stream(y_h, ratio, front, gsa_weights(y_h.data, pan_low))
 
 
 def fuse_gsa(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..imgcore import BandStream, DynamicRange, SpectralImage
-from ..resample import upsample_bands, upsample_data
+from ..resample import interpolate, upsample_bands
 from ..sensorsim import check_pair, pan_values, separable_product
 from .cs import energy_knee, pca_transform
 
@@ -107,8 +107,7 @@ def gfpca_stream(y_h: SpectralImage, pan: SpectralImage, ratio: int) -> BandStre
     span = DynamicRange.spanning(y_h.data).span
     tau = _mad_sigma(scores[p:].ravel()) if p < y_h.bands else 0.0
 
-    leading = upsample_data(SpectralImage(y_h.height, y_h.width, scores[:p]), ratio)
-    leading = leading.reshape(p, pan.height, pan.width)
+    leading = interpolate(scores[:p].reshape(p, y_h.height, y_h.width), ratio)
     filtered = guided_filter_plane(leading, guide, ratio, 1e-4 * span**2).reshape(p, -1)
     # Interpolation and the inverse PCA are linear, so the trailing
     # components and the band means go back to band space at low resolution,

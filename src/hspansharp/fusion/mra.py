@@ -4,17 +4,17 @@ injection.
 
 Each method builds a low-pass PAN P_L, equalizes the PAN to every band
 against the P_L statistics, and injects the band detail G_k (P - P_L).
+The low-passes act on arrays (`sensorsim.degrade`, `resample.interpolate`),
+and the GLP's blurs with the sensor model's `BlurKernel`.
 """
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from ..imgcore import BandStream, DynamicRange, SpectralImage
-from ..resample import upsample
-from ..sensorsim import blur, blur_downsample, check_ratio, kernel_from_mtf
+from ..resample import interpolate
+from ..sensorsim import BlurKernel, check_ratio, degrade, kernel_from_mtf
 from .cs import front_end, injected
 
 __all__ = [
@@ -64,30 +64,25 @@ def _modulate(
     band[guarded] = kept
 
 
-def box_lowpass(pan: SpectralImage, ratio: int) -> SpectralImage:
-    """Normalized (2 ratio + 1)^2 box mean with mirror boundaries."""
+def box_lowpass(stack: np.ndarray, ratio: int) -> np.ndarray:
+    """Normalized (2 ratio + 1)^2 box mean of every plane of `stack`, with
+    mirror boundaries."""
     width = 2 * check_ratio(ratio) + 1
-    out = blur(pan.to_cube(), np.full(width, 1.0 / width))
-    return pan.with_data(out.reshape(pan.bands, -1))
+    return degrade(stack, np.full(width, 1.0 / width), 1)
 
 
-def glp_lowpass(pan: SpectralImage, ratio: int, gnyq: float) -> SpectralImage:
-    """Single GLP stage: MTF-matched blur, decimate, interpolate back."""
-    kernel = kernel_from_mtf(ratio, gnyq)
-    low = blur_downsample(pan, kernel, ratio)
-    return upsample(low, ratio)
+def glp_lowpass(stack: np.ndarray, ratio: int, blur: BlurKernel) -> np.ndarray:
+    """Single GLP stage on every plane of `stack`: blur with `blur`, decimate,
+    interpolate back."""
+    return interpolate(degrade(stack, blur.taps, ratio), ratio)
 
 
 def _equalized_stream(
-    y_h: SpectralImage,
-    pan: SpectralImage,
-    lowpass,
-    ratio: int,
-    rng: DynamicRange,
-    gains: str,
+    front, p_l: np.ndarray, rng: DynamicRange, gains: str
 ) -> BandStream:
-    """Shared SFIM / MTF-GLP body: the low-pass PAN P_L = lowpass(pan), then
-    per-band PAN equalization and injection.
+    """Shared SFIM / MTF-GLP body: per-band PAN equalization against the
+    low-pass PAN P_L (`p_l`, on the PAN grid) and injection into the
+    `cs.front_end` bands `front`.
 
     P_eq^k = (P - mean(P)) std(Y^k) / std(P_L) + mean(Y^k); the same affine
     map gives P_L,eq^k, so the detail scales consistently. A constant PAN
@@ -102,8 +97,8 @@ def _equalized_stream(
     P_L,eq^k range stays clear of it is not searched (`_guarded`). The
     interpolated bands, std(Y^k) and mean(Y^k) come from `cs.front_end`.
     """
-    bands, p, means, cov = front_end(y_h, pan, ratio)
-    p_l = lowpass(pan).data[0]
+    bands, p, means, cov = front
+    p_l = p_l.reshape(p.shape)
     p_mean = p.mean()
     pl_std = p_l.std()
     # Filtering a constant PAN leaves rounding dust with std ~ eps |P|;
@@ -137,8 +132,8 @@ def sfim_stream(
     y_h: SpectralImage, pan: SpectralImage, ratio: int, rng: DynamicRange
 ) -> BandStream:
     """Smoothing-filter-based intensity modulation: box low-pass, HPM gains."""
-    lowpass = partial(box_lowpass, ratio=ratio)
-    return _equalized_stream(y_h, pan, lowpass, ratio, rng, "hpm")
+    front = front_end(y_h, pan, ratio)
+    return _equalized_stream(front, box_lowpass(pan.to_cube(), ratio), rng, "hpm")
 
 
 def fuse_sfim(
@@ -152,12 +147,12 @@ def mtf_glp_stream(
     y_h: SpectralImage,
     pan: SpectralImage,
     ratio: int,
-    gnyq: float,
+    blur: BlurKernel,
     rng: DynamicRange,
 ) -> BandStream:
-    """MTF-matched GLP detail with additive injection."""
-    lowpass = partial(glp_lowpass, ratio=ratio, gnyq=gnyq)
-    return _equalized_stream(y_h, pan, lowpass, ratio, rng, "additive")
+    """GLP detail under the sensor blur `blur`, with additive injection."""
+    front = front_end(y_h, pan, ratio)
+    return _equalized_stream(front, glp_lowpass(pan.to_cube(), ratio, blur), rng, "additive")
 
 
 def fuse_mtf_glp(
@@ -167,20 +162,20 @@ def fuse_mtf_glp(
     gnyq: float,
     rng: DynamicRange,
 ) -> SpectralImage:
-    """`mtf_glp_stream` as one image."""
-    return mtf_glp_stream(y_h, pan, ratio, gnyq, rng).image()
+    """`mtf_glp_stream` under `kernel_from_mtf(ratio, gnyq)`, as one image."""
+    return mtf_glp_stream(y_h, pan, ratio, kernel_from_mtf(ratio, gnyq), rng).image()
 
 
 def mtf_glp_hpm_stream(
     y_h: SpectralImage,
     pan: SpectralImage,
     ratio: int,
-    gnyq: float,
+    blur: BlurKernel,
     rng: DynamicRange,
 ) -> BandStream:
-    """MTF-matched GLP detail with high-pass-modulation gains."""
-    lowpass = partial(glp_lowpass, ratio=ratio, gnyq=gnyq)
-    return _equalized_stream(y_h, pan, lowpass, ratio, rng, "hpm")
+    """GLP detail under the sensor blur `blur`, with HPM gains."""
+    front = front_end(y_h, pan, ratio)
+    return _equalized_stream(front, glp_lowpass(pan.to_cube(), ratio, blur), rng, "hpm")
 
 
 def fuse_mtf_glp_hpm(
@@ -190,5 +185,5 @@ def fuse_mtf_glp_hpm(
     gnyq: float,
     rng: DynamicRange,
 ) -> SpectralImage:
-    """`mtf_glp_hpm_stream` as one image."""
-    return mtf_glp_hpm_stream(y_h, pan, ratio, gnyq, rng).image()
+    """`mtf_glp_hpm_stream` under `kernel_from_mtf(ratio, gnyq)`, as one image."""
+    return mtf_glp_hpm_stream(y_h, pan, ratio, kernel_from_mtf(ratio, gnyq), rng).image()

@@ -118,8 +118,7 @@ def run_method(
 
     Without `sink` the fused `SpectralImage` is returned. With it, the
     method hands `sink` its image block by block (`MethodContext.sink`) and
-    what `sink` returns is returned; an entry that returns its image whole
-    has that image handed to `sink`."""
+    what `sink` returns is returned."""
     ctx = MethodContext(
         y_h=y_h,
         pan=pan,
@@ -131,10 +130,7 @@ def run_method(
         params=config.method_params.get(name),
         sink=sink,
     )
-    result = get_method(name)(ctx)
-    if sink is not None and isinstance(result, SpectralImage):
-        return sink(result)
-    return result
+    return get_method(name)(ctx)
 
 
 def _method_seed(seed: int, name: str) -> int:

@@ -38,8 +38,9 @@ __all__ = [
 @dataclass(frozen=True)
 class MethodContext:
     """Everything a fusion method may draw on; `bench.run_method` builds it.
-    `sink`, when set, takes the method's `BandStream` in place of the whole
-    image (`envi.save_raster` writes it block by block)."""
+    No method reads `gnyq`: the blur is `model.blur`. `sink`, when set,
+    takes the method's `BandStream` in place of the whole image
+    (`envi.save_raster` writes it block by block)."""
 
     y_h: SpectralImage
     pan: SpectralImage
@@ -71,13 +72,13 @@ def _run_sfim(ctx: MethodContext):
 
 
 def _run_mtf_glp(ctx: MethodContext):
-    return _emit(ctx, mtf_glp_stream(ctx.y_h, ctx.pan, ctx.ratio, ctx.gnyq, ctx.range))
+    stream = mtf_glp_stream(ctx.y_h, ctx.pan, ctx.ratio, ctx.model.blur, ctx.range)
+    return _emit(ctx, stream)
 
 
 def _run_mtf_glp_hpm(ctx: MethodContext):
-    return _emit(
-        ctx, mtf_glp_hpm_stream(ctx.y_h, ctx.pan, ctx.ratio, ctx.gnyq, ctx.range)
-    )
+    stream = mtf_glp_hpm_stream(ctx.y_h, ctx.pan, ctx.ratio, ctx.model.blur, ctx.range)
+    return _emit(ctx, stream)
 
 
 def _run_gs(ctx: MethodContext):

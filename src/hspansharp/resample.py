@@ -12,10 +12,9 @@ applied) on the four nonzero weights of each row.
 `upsample_bands` forms that product one block of bands at a time into a
 caller's buffer (an `imgcore.BandStream`), through one
 `sensorsim.separable_product` planned for all blocks, for the fusion
-methods that inject detail into each block in place; `upsample_data`
-returns it whole as a fresh writable array, for the small stacks the
-methods interpolate in full (a few components, abundances or coefficient
-planes).
+methods that inject detail into each block in place. `interpolate` is the
+array form, as `sensorsim.degrade` is, for the small stacks of planes the
+methods interpolate in full (an intensity, components or coefficients).
 
 Every row of M sums to one, so interpolation maps a constant to itself and
 commutes with centring. `upsampled_moments` uses that to give the band means
@@ -35,7 +34,7 @@ from .sensorsim import (
     stencil_matrix,
 )
 
-__all__ = ["upsample", "upsample_bands", "upsample_data", "upsampled_moments"]
+__all__ = ["interpolate", "upsample", "upsample_bands", "upsampled_moments"]
 
 # Catmull-Rom bicubic parameter.
 _BICUBIC_A = -0.5
@@ -64,31 +63,29 @@ def _axis_matrix(n_in: int, ratio: int, method: str) -> np.ndarray:
     return stencil_matrix(base[:, np.newaxis] + offsets, weights, n_in)
 
 
-def _axis_matrices(img: SpectralImage, ratio: int, method: str):
-    """The row and column interpolation matrices of `img` grown by `ratio`."""
+def _axis_matrices(height: int, width: int, ratio: int, method: str):
+    """The row and column interpolation matrices of a height x width plane
+    grown by `ratio`."""
     ratio = check_ratio(ratio)
     if method not in ("bilinear", "bicubic"):
         raise ValueError(f"unknown interpolation method: {method!r}")
-    return (
-        _axis_matrix(img.height, ratio, method),
-        _axis_matrix(img.width, ratio, method),
-    )
+    return _axis_matrix(height, ratio, method), _axis_matrix(width, ratio, method)
 
 
-def upsample_data(img: SpectralImage, ratio: int, method: str = "bicubic") -> np.ndarray:
-    """`upsample(img, ratio, method).data` as a fresh, writable bands x pixels
-    array that shares no memory with `img`.
+def interpolate(stack: np.ndarray, ratio: int, method: str = "bicubic") -> np.ndarray:
+    """Every plane of `stack` (its last two axes) grown by an integer factor,
+    as a fresh writable array; leading axes are planes.
 
     method is "bilinear" or "bicubic" (Catmull-Rom, a = -0.5).
     """
-    rows, cols = _axis_matrices(img, ratio, method)
-    return separable(rows, img.to_cube(), cols).reshape(img.bands, -1)
+    rows, cols = _axis_matrices(*stack.shape[-2:], ratio, method)
+    return separable(rows, stack, cols)
 
 
 def upsample_bands(img: SpectralImage, ratio: int, method: str = "bicubic") -> BandStream:
     """`upsample(img, ratio, method)` as a `BandStream`: each block of bands
     is interpolated straight into the caller's buffer."""
-    rows, cols = _axis_matrices(img, ratio, method)
+    rows, cols = _axis_matrices(img.height, img.width, ratio, method)
     cube = img.to_cube()
     height, width = rows.shape[0], cols.shape[0]
     interpolate = separable_product(rows, cols)
@@ -103,14 +100,14 @@ def upsampled_moments(
     img: SpectralImage, ratio: int, method: str = "bicubic"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Band means and population band covariance of
-    `upsample_data(img, ratio, method)`, computed on the grid of `img`.
+    `upsample(img, ratio, method)`, computed on the grid of `img`.
 
     With R, K the row and column matrices and N the interpolated pixel
     count, band k's mean is m_k = (1^T R) Y_k (K^T 1) / N. As the rows of R
     and K sum to one, the centred interpolated band is R Z_k K^T with
     Z_k = Y_k - m_k, so the covariance is <Z_j, (R^T R) Z_k (K^T K)> / N.
     """
-    rows, cols = _axis_matrices(img, ratio, method)
+    rows, cols = _axis_matrices(img.height, img.width, ratio, method)
     count = rows.shape[0] * cols.shape[0]
     cube = img.to_cube()
     row_sums, col_sums = (m.sum(axis=0, keepdims=True) for m in (rows, cols))

@@ -4,9 +4,10 @@ synthesis, and seeded per-band Gaussian noise.
 All spatial filtering uses symmetric (mirror) boundary extension, defined
 once by `stencil_matrix`, which builds every per-axis matrix of mirrored
 taps, so that constant images are preserved exactly. The separable blur is
-written per axis as a small matrix (`degrade_axis`), so `blur` is
-B_h X B_w^T and `degrade` (the Wald observation operator X B S) keeps only
-the decimated rows of each matrix.
+written per axis as a small matrix (`degrade_axis`), and `degrade` (the
+Wald observation operator X B S, the blur B_h X B_w^T alone at ratio 1)
+keeps only the decimated rows of each matrix. The methods call it on
+arrays; `blur_downsample` is its image form, for the commands.
 
 `pan_values`, `check_pair` and `pair_ratio` are the checks on an observed
 (Y_H, PAN) pair that every method and command shares. `check_ratio` is the
@@ -14,7 +15,8 @@ one rule for a resolution ratio (a positive integer; nothing is truncated)
 and `check_gnyq` the one rule for an MTF gain.
 
 `assumed_model` alone decides the model every method is fused under: the
-MTF-matched blur, the default PAN response and no known noise.
+MTF-matched blur, the default PAN response and no known noise. Every
+method that models the sensor's blur reads the model's `blur`.
 
 `separable_product` (and `separable`, one application of it) is the one
 place where a pair of per-axis matrices is applied, here and in `resample`,
@@ -39,7 +41,6 @@ __all__ = [
     "degrade_axis",
     "separable",
     "separable_product",
-    "blur",
     "degrade",
     "blur_downsample",
     "synth_pan",
@@ -306,12 +307,6 @@ def _row_product(rows, stack, bands, out=None) -> np.ndarray:
     for block, span in bands:
         np.matmul(rows[block, span], stack[..., span, :], out=out[..., block, :])
     return out
-
-
-def blur(cube: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Separable symmetric-boundary convolution over the two spatial axes:
-    `degrade` with nothing decimated."""
-    return degrade(cube, taps, 1)
 
 
 def degrade(cube: np.ndarray, taps: np.ndarray, ratio: int) -> np.ndarray:

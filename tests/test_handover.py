@@ -117,6 +117,27 @@ def test_no_fusion_module_adopts_an_array():
     assert adopting and not any(where.startswith("fusion/") for where in adopting)
 
 
+def test_fusion_calls_the_spatial_operators_on_arrays():
+    # The methods interpolate and degrade arrays (`resample.interpolate`,
+    # `sensorsim.degrade`); the image forms serve the commands and the
+    # criteria, and no method wraps a scratch array in an image to call them.
+    image_forms = {"upsample", "blur_downsample"}
+    named = set()
+    for where, tree in package_modules():
+        if not where.startswith("fusion/"):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias):
+                name = node.name.rsplit(".", 1)[-1]
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if name in image_forms:
+                named.add((where, name))
+    assert named == set()
+
+
 def test_only_envi_writes_binary_files():
     # `save_raster` is the one writer of images and of streamed blocks.
     writers = set()

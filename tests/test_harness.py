@@ -6,7 +6,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +14,7 @@ import pytest
 
 from hspansharp import imgcore
 from hspansharp.fusion import cs
+from hspansharp.fusion.mra import fuse_mtf_glp, fuse_mtf_glp_hpm
 from hspansharp.imgcore import DynamicRange, SpectralImage
 from hspansharp.harness import bench
 from hspansharp.harness.bench import (
@@ -258,7 +259,7 @@ inner-iters = 50
 
         def capture(ctx):
             seen.append(ctx.params)
-            return ctx.y_h
+            return ctx.sink(ctx.y_h)
 
         monkeypatch.setitem(REGISTRY, "CNMF", capture)
         hs, pan = tiny_pair(tmp_path)
@@ -414,6 +415,34 @@ class TestRunMethod:
         assert ctx.range == DynamicRange.spanning(y_h.data)
         assert (ctx.gnyq, ctx.seed, ctx.subspace_dim) == (0.45, 17, 4)
         assert ctx.params == {"outer_iters": 3}
+
+    @pytest.mark.parametrize(
+        "name, fuse",
+        [("MTF-GLP", fuse_mtf_glp), ("MTF-GLP-HPM", fuse_mtf_glp_hpm)],
+        ids=["MTF-GLP", "MTF-GLP-HPM"],
+    )
+    def test_glp_fuses_under_the_model_blur(self, name, fuse):
+        # A model built at gain 0.45 under a config of gain 0.3: the GLP
+        # methods follow the model's blur, as GSA and the solvers do.
+        config = small_config(gnyq=0.3)
+        y_h, pan, model = wald_inputs(reference_scene(config), config)
+        model = replace(model, blur=kernel_from_mtf(config.ratio, 0.45))
+        got = run_method(config, name, y_h, pan, model, 0)
+        rng = DynamicRange.spanning(y_h.data)
+        assert got == fuse(y_h, pan, config.ratio, 0.45, rng)
+        assert got != fuse(y_h, pan, config.ratio, 0.3, rng)
+
+    def test_registry_reads_no_gain(self):
+        # Every registry entry takes its blur from `ctx.model`, so none can
+        # fuse under a blur other than the model's.
+        path = Path(__file__).resolve().parents[1] / "src" / "hspansharp" / "harness"
+        tree = ast.parse((path / "registry.py").read_text())
+        reads = [
+            ast.unparse(node)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "gnyq"
+        ]
+        assert reads == []
 
     def test_only_bench_builds_a_method_context(self):
         package = Path(__file__).resolve().parents[1] / "src" / "hspansharp"
@@ -921,7 +950,7 @@ class TestCli:
     def test_fuse_runs_under_the_assumed_model(self, tmp_path, monkeypatch, extra):
         # fuse knows no noise: zero stds, so BayesNaive weighs every band alike.
         seen = []
-        monkeypatch.setitem(REGISTRY, "PCA", lambda ctx: seen.append(ctx) or ctx.y_h)
+        monkeypatch.setitem(REGISTRY, "PCA", lambda ctx: seen.append(ctx) or ctx.sink(ctx.y_h))
         hs, pan = tiny_pair(tmp_path)
         argv = ["fuse", "--method", "PCA", "--hs", hs, "--pan", pan,
                 "--out", str(tmp_path / "out"), *extra]

@@ -54,9 +54,11 @@ STREAM_BUDGET = 0.5
 # The methods whose own working state passes STREAM_BUDGET at this config,
 # and the bound each is held to instead: GFPCA keeps its low-resolution band
 # cube, filtered components and an 8-band product buffer beside a block;
-# BayesNaive's prior mean is formed from the whole interpolated Y_H cube;
+# BayesNaive keeps its coefficient fields, the data term and the prior mean
+# in the spatial eigenbasis, each p planes on the PAN grid (its prior mean is
+# the interpolated projection H^T Y_H, so no interpolated cube is formed);
 # HySure's ADMM holds about 35 coefficient-sized arrays.
-STATE_BUDGET = {"GFPCA": 0.75, "BayesNaive": 1.35, "HySure": 1.8}
+STATE_BUDGET = {"GFPCA": 0.75, "BayesNaive": 0.6, "HySure": 1.8}
 CONFIG = RunConfig(height=160, width=160, bands=60, ratio=4).validate()
 
 

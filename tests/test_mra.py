@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from hspansharp.fusion.cs import front_end
 from hspansharp.fusion.mra import (
     _equalized_stream,
     _guarded,
@@ -16,6 +17,7 @@ from hspansharp.fusion.mra import (
 )
 from hspansharp.imgcore import DynamicRange, SpectralImage
 from hspansharp.resample import upsample
+from hspansharp.sensorsim import kernel_from_mtf
 
 from oracles import oracle_blur_cube, oracle_equalized_fusion
 
@@ -32,29 +34,26 @@ class TestBoxLowpass:
         pan = random_img(1, 6, 5, seed=1)
         ratio = 2
         taps = np.full(2 * ratio + 1, 1.0 / (2 * ratio + 1))
-        got = box_lowpass(pan, ratio)
+        got = box_lowpass(pan.to_cube(), ratio)
         want = oracle_blur_cube(pan.to_cube(), taps)
-        np.testing.assert_allclose(got.to_cube(), want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_interior_impulse_response(self):
         data = np.zeros((1, 49))
         data[0, 3 * 7 + 3] = 1.0
-        pan = SpectralImage(7, 7, data)
-        out = box_lowpass(pan, 1).to_cube()[0]
+        out = box_lowpass(data.reshape(7, 7), 1)
         np.testing.assert_allclose(out[2:5, 2:5], 1.0 / 9.0, rtol=0, atol=1e-15)
         assert out[0, 0] == 0.0
 
     def test_constant_preserved(self):
-        pan = SpectralImage(6, 6, np.full((1, 36), 0.3))
-        out = box_lowpass(pan, 2)
-        np.testing.assert_allclose(out.data, 0.3, rtol=0, atol=1e-12)
+        out = box_lowpass(np.full((1, 6, 6), 0.3), 2)
+        np.testing.assert_allclose(out, 0.3, rtol=0, atol=1e-12)
 
 
 class TestGlpLowpass:
     def test_constant_preserved_exactly(self):
-        pan = SpectralImage(8, 8, np.full((1, 64), 1.25))
-        out = glp_lowpass(pan, 2, 0.3)
-        np.testing.assert_allclose(out.data, 1.25, rtol=0, atol=1e-12)
+        out = glp_lowpass(np.full((1, 8, 8), 1.25), 2, kernel_from_mtf(2, 0.3))
+        np.testing.assert_allclose(out, 1.25, rtol=0, atol=1e-12)
 
     def test_output_grid_nyquist_stripes_removed(self):
         # Columns alternating 0/1 sit at the Nyquist frequency of the
@@ -63,8 +62,7 @@ class TestGlpLowpass:
         # alternation at the frame, so amplitude is measured away from it.
         height, width = 20, 40
         cols = np.tile(np.arange(width) % 2, (height, 1)).astype(np.float64)
-        pan = SpectralImage(height, width, cols.reshape(1, -1))
-        out = glp_lowpass(pan, 2, 0.3).to_cube()[0]
+        out = glp_lowpass(cols, 2, kernel_from_mtf(2, 0.3))
         interior = out[:, 10:-10]
         amplitude = np.abs(interior - 0.5).max()
         assert amplitude <= 0.35 * 0.5
@@ -72,8 +70,8 @@ class TestGlpLowpass:
 
     def test_geometry_preserved(self):
         pan = random_img(1, 10, 10, seed=2)
-        out = glp_lowpass(pan, 5, 0.3)
-        assert (out.height, out.width) == (10, 10)
+        out = glp_lowpass(pan.to_cube(), 5, kernel_from_mtf(5, 0.3))
+        assert out.shape == (1, 10, 10)
 
 
 class TestHpmGain:
@@ -186,19 +184,20 @@ class TestEqualizedFusion:
         pan = random_img(1, 15, 12, seed=22)
         ratio = 3
         rng = DynamicRange(0.3, 0.7)
+        glp = glp_lowpass(pan.to_cube(), ratio, kernel_from_mtf(ratio, 0.3))
         if name == "sfim":
             got = fuse_sfim(y_h, pan, ratio, rng)
-            pan_low, gains = box_lowpass(pan, ratio), "hpm"
+            pan_low, gains = box_lowpass(pan.to_cube(), ratio), "hpm"
         elif name == "mtf_glp":
             got = fuse_mtf_glp(y_h, pan, ratio, 0.3, rng)
-            pan_low, gains = glp_lowpass(pan, ratio, 0.3), "additive"
+            pan_low, gains = glp, "additive"
         else:
             got = fuse_mtf_glp_hpm(y_h, pan, ratio, 0.3, rng)
-            pan_low, gains = glp_lowpass(pan, ratio, 0.3), "hpm"
+            pan_low, gains = glp, "hpm"
         want = oracle_equalized_fusion(
             upsample(y_h, ratio, "bicubic").data,
             pan.data[0],
-            pan_low.data[0],
+            pan_low.ravel(),
             rng.lo,
             rng.hi,
             gains,
@@ -234,9 +233,8 @@ class TestEqualizedFusion:
         pan = random_img(1, 4, 4, seed=24)
         p_l = rng_gen.uniform(0.1, 1.0, 16)
         p_l[0] = pan.data[0].mean()
-        pan_low = SpectralImage(4, 4, p_l[np.newaxis, :])
         rng = DynamicRange(-2.0, 2.0)
-        got = _equalized_stream(y_h, pan, lambda _: pan_low, 1, rng, "hpm").image()
+        got = _equalized_stream(front_end(y_h, pan, 1), p_l, rng, "hpm").image()
         want = oracle_equalized_fusion(data, pan.data[0], p_l, rng.lo, rng.hi, "hpm")
         np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
         assert pan.data[0, 0] != p_l[0]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hspansharp.imgcore import SpectralImage
-from hspansharp.resample import _axis_matrix, upsample, upsample_data, upsampled_moments
+from hspansharp.resample import _axis_matrix, interpolate, upsample, upsampled_moments
 from hspansharp.sensorsim import BlurKernel, blur_downsample, default_phase
 
 from oracles import oracle_upsample
@@ -80,23 +80,30 @@ class TestUpsample:
 
     def test_invalid_args(self):
         img = ramp_img(1, 2, 2)
-        for fn in (upsample, upsample_data, upsampled_moments):
+        for fn, arg in ((upsample, img), (interpolate, img.to_cube()), (upsampled_moments, img)):
             with pytest.raises(ValueError):
-                fn(img, 0)
+                fn(arg, 0)
             with pytest.raises(ValueError):
-                fn(img, 2, method="nearest")
+                fn(arg, 2, method="nearest")
 
 
 class TestUpsampleData:
+    # `interpolate`, the array form the fusion methods call, is the data of
+    # `upsample`, the image form, bit for bit.
     @pytest.mark.parametrize("method", ["bilinear", "bicubic"])
-    @pytest.mark.parametrize("ratio", [1, 2, 3])
+    @pytest.mark.parametrize("ratio", [1, 2, 3, 4, 5])
     def test_fresh_writable_copy_of_upsample(self, ratio, method):
-        img = ramp_img(3, 4, 5)
-        got = upsample_data(img, ratio, method)
-        np.testing.assert_array_equal(got, upsample(img, ratio, method).data)
-        assert got.shape == (3, 20 * ratio * ratio)
-        assert got.flags.writeable
-        assert not np.shares_memory(got, img.data)
+        # 33 x 97 crosses the 32-output block of `separable`'s products on
+        # both axes.
+        rng = np.random.default_rng(ratio)
+        for img in (ramp_img(3, 4, 5), SpectralImage(33, 97, rng.uniform(size=(2, 33 * 97)))):
+            got = interpolate(img.to_cube(), ratio, method)
+            assert got.shape == (img.bands, img.height * ratio, img.width * ratio)
+            np.testing.assert_array_equal(
+                got.reshape(img.bands, -1), upsample(img, ratio, method).data
+            )
+            assert got.flags.writeable
+            assert not np.shares_memory(got, img.data)
 
 
 class TestUpsampledMoments:
@@ -120,7 +127,7 @@ class TestUpsampledMoments:
             height, width, rng.uniform(0.1, 1.0, (4, height * width)) + np.arange(4)[:, None]
         )
         means, cov = upsampled_moments(img, ratio, method)
-        formed = upsample_data(img, ratio, method)
+        formed = upsample(img, ratio, method).data
         want_cov = np.cov(formed, bias=True)
         np.testing.assert_allclose(
             means, formed.mean(axis=1), rtol=0, atol=1e-12 * np.abs(formed).max()

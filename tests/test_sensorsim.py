@@ -20,14 +20,13 @@ from hspansharp.fusion.mra import box_lowpass, fuse_mtf_glp, fuse_mtf_glp_hpm, f
 from hspansharp.harness.cli import main
 from hspansharp.harness.config import RunConfig
 from hspansharp.imgcore import DynamicRange, SpectralImage
-from hspansharp.resample import _axis_matrix, upsample, upsample_data
+from hspansharp.resample import _axis_matrix, interpolate, upsample
 from hspansharp.sensorsim import (
     GNYQ,
     BlurKernel,
     SensorModel,
     add_gaussian_noise,
     assumed_model,
-    blur,
     blur_downsample,
     default_pan_response,
     default_phase,
@@ -209,8 +208,8 @@ RATIO_TAKERS = {
     "blur_downsample": lambda r: blur_downsample(_PAN, BlurKernel.impulse(), r),
     "degrade": lambda r: degrade(_PAN.to_cube(), np.ones(1), r),
     "upsample": lambda r: upsample(_Y_H, r),
-    "upsample_data": lambda r: upsample_data(_Y_H, r),
-    "box_lowpass": lambda r: box_lowpass(_PAN, r),
+    "interpolate": lambda r: interpolate(_Y_H.to_cube(), r),
+    "box_lowpass": lambda r: box_lowpass(_PAN.to_cube(), r),
     "fuse_sfim": lambda r: fuse_sfim(_Y_H, _PAN, r, _RANGE),
     "fuse_mtf_glp": lambda r: fuse_mtf_glp(_Y_H, _PAN, r, GNYQ, _RANGE),
     "fuse_mtf_glp_hpm": lambda r: fuse_mtf_glp_hpm(_Y_H, _PAN, r, GNYQ, _RANGE),
@@ -274,7 +273,7 @@ class TestCheckRatio:
         assert casts == []
 
     def test_fusion_names_no_interpolation_kernel(self):
-        # Every method interpolates with `upsample_data`'s default, bicubic.
+        # Every method interpolates with `interpolate`'s default, bicubic.
         named = [
             where
             for where, tree in src_trees("fusion")
@@ -393,11 +392,12 @@ class TestBlur:
     @pytest.mark.parametrize("shape", [(1, 1), (1, 4), (2, 3), (5, 7), (9, 4)])
     @pytest.mark.parametrize("ratio", [2, 3, 4, 5, 6])
     def test_matches_loop_oracle(self, ratio, shape):
-        # Most of these grids are smaller than the kernel radius.
+        # The blur is `degrade` at ratio 1. Most of these grids are smaller
+        # than the kernel radius.
         cube = random_img(2, *shape, seed=ratio).to_cube()
         taps = kernel_from_mtf(ratio, 0.3).taps
         np.testing.assert_allclose(
-            blur(cube, taps), oracle_blur_cube(cube, taps), rtol=0, atol=1e-12
+            degrade(cube, taps, 1), oracle_blur_cube(cube, taps), rtol=0, atol=1e-12
         )
 
     @pytest.mark.parametrize(
