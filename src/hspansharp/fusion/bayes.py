@@ -4,7 +4,8 @@ spectral response.
 
 The unknown image is modeled as X = H U with H an orthonormal spectral
 basis learned from the hyperspectral data, so optimization runs over the
-low-dimensional coefficient rows U.
+low-dimensional coefficient rows U. HySure's ADMM holds its splitting and
+its scaled dual as two stacked arrays.
 """
 
 from __future__ import annotations
@@ -281,24 +282,26 @@ def fuse_bayes_naive(
 # Vector total variation and the HySure ADMM solver (cyclic boundary model).
 
 
-def _tv_of_diffs(dh: np.ndarray, dv: np.ndarray) -> float:
-    return float(np.sqrt((dh**2 + dv**2).sum(axis=0)).sum())
+def _differences(planes: np.ndarray) -> np.ndarray:
+    """The periodic forward differences x[i + 1] - x[i] of a stack of planes
+    along the width (D_h) and the height (D_v), stacked as (D_h, D_v)."""
+    return np.stack([np.roll(planes, -1, axis=-1), np.roll(planes, -1, axis=-2)]) - planes
 
 
-def _periodic_diff(cube: np.ndarray, axis: int, adjoint: bool = False) -> np.ndarray:
-    """Forward difference x[i + 1] - x[i] along `axis` with wrap-around, or
-    its adjoint x[i - 1] - x[i]."""
-    return np.roll(cube, 1 if adjoint else -1, axis=axis) - cube
+def _differences_adjoint(pair: np.ndarray) -> np.ndarray:
+    """(D_h^T, D_v^T) applied to the two stacks of `pair`: x[i - 1] - x[i]."""
+    return np.stack([np.roll(pair[0], 1, axis=-1), np.roll(pair[1], 1, axis=-2)]) - pair
 
 
-def _vtv_array(cube: np.ndarray) -> float:
-    return _tv_of_diffs(_periodic_diff(cube, 2), _periodic_diff(cube, 1))
+def _joint_norms(pair: np.ndarray) -> np.ndarray:
+    """Per-pixel norm of the differences `pair` jointly over its planes."""
+    return np.sqrt((pair[0] ** 2 + pair[1] ** 2).sum(axis=0))
 
 
 def vtv(img: SpectralImage) -> float:
     """Isotropic vector total variation with periodic differences: the sum
     over pixels of the joint gradient norm across all bands."""
-    return _vtv_array(img.to_cube())
+    return float(_joint_norms(_differences(img.to_cube())).sum())
 
 
 @dataclass(frozen=True)
@@ -336,7 +339,7 @@ def default_hysure_params(
     noise_floor += 0.5 * pan.pixels * model.pan_noise_std**2
     data_scale = 0.5 * float((resid_h**2).sum()) + 0.5 * float((resid_m**2).sum())
     reducible = max(data_scale - noise_floor, 0.05 * data_scale)
-    tv0 = _vtv_array(u0.reshape(basis.p, pan.height, pan.width))
+    tv0 = vtv(SpectralImage(pan.height, pan.width, u0))
     lam = 5e-3 * reducible / max(tv0, 1e-12)
     return HySureParams(lambda_phi=max(lam, 1e-12))
 
@@ -373,15 +376,17 @@ def hysure_solve(
         + lambda_phi VTV(U)
 
     with cyclic convolution B diagonalized in the frequency domain and the
-    decimation handled by a site mask. Three splittings: the blurred image,
-    and the two periodic difference fields.
+    decimation handled by a site mask. The splitting V of A U = (B U, D_h U,
+    D_v U) and the scaled dual D are each one stacked array. A rising
+    objective (which reads A U, not V) doubles the penalty, halves D so the
+    multipliers are unchanged, and retries the U step alone; an accepted
+    step sets V to the prox of A U - D and D to D - (A U - V), in place.
 
     U is real, so the frequency domain is the real half spectrum
-    (rfft2/irfft2). Each iteration takes four transforms: two forward ones
-    for the right-hand side (the blurred splitting is transformed alone so
-    that B^T is a multiply), and two inverse ones giving U and B U from the
-    one solved spectrum. The objective reuses B U and the difference
-    fields the iteration computed instead of transforming again.
+    (rfft2/irfft2). Each U step takes four transforms: two forward ones for
+    the right-hand side (the blurred splitting is transformed alone so that
+    B^T is a multiply), and two inverse ones giving U and B U from the one
+    solved spectrum.
     """
     ratio = model.ratio
     h, w = pan.height, pan.width
@@ -406,75 +411,59 @@ def hysure_solve(
     hty = (H.T @ y_h.data).reshape(p, y_h.height, y_h.width)
     pan_term = lam_m * (rh.T @ pan.data).reshape(p, h, w)
 
-    def objective(u, ub, uh, uv):
-        resid_h = y_h.data - H @ ub[sites].reshape(p, -1)
+    def objective(u, au):
+        resid_h = y_h.data - H @ au[0][sites].reshape(p, -1)
         resid_m = pan.data - rh @ u.reshape(p, -1)
         return (
             0.5 * float((resid_h**2).sum())
             + 0.5 * lam_m * float((resid_m**2).sum())
-            + lam_phi * _tv_of_diffs(uh, uv)
+            + lam_phi * float(_joint_norms(au[1:]).sum())
         )
 
-    u = _interpolated_coefficients(y_h, basis, ratio).reshape(p, h, w)
-    v1 = np.fft.irfft2(np.fft.rfft2(u) * fb, s=(h, w))
-    v2 = _periodic_diff(u, 2)
-    v3 = _periodic_diff(u, 1)
-    d1 = np.zeros_like(v1)
-    d2 = np.zeros_like(v2)
-    d3 = np.zeros_like(v3)
-    trace = [objective(u, v1, v2, v3)]
-    converged = False
-    iterations = 0
-    escalations = 0
+    def forward(u, u_hat):
+        """A U, stacked, from U and its half spectrum."""
+        ub = np.fft.irfft2(u_hat * fb, s=(h, w))
+        return np.concatenate([ub[np.newaxis], _differences(u)])
 
-    def iterate(v1, v2, v3, d1, d2, d3, mu):
-        rhs_hat = np.fft.rfft2(
-            pan_term
-            + mu * _periodic_diff(v2 + d2, 2, adjoint=True)
-            + mu * _periodic_diff(v3 + d3, 1, adjoint=True)
-        ) + mu * fb_conj * np.fft.rfft2(v1 + d1)
+    def u_step():
+        adj = _differences_adjoint(v[1:] + d[1:])
+        rhs_hat = np.fft.rfft2(pan_term + mu * adj[0] + mu * adj[1])
+        rhs_hat += mu * fb_conj * np.fft.rfft2(v[0] + d[0])
         z = evecs.T @ rhs_hat.reshape(p, -1)
         z /= evals[:, np.newaxis] + mu * psi[np.newaxis, :]
         u_hat = (evecs @ z).reshape((p,) + fb.shape)
         u = np.fft.irfft2(u_hat, s=(h, w))
-        ub = np.fft.irfft2(u_hat * fb, s=(h, w))
+        return u, forward(u, u_hat)
 
-        nu1 = ub - d1
-        v1 = nu1.copy()
-        v1[sites] = (hty + mu * nu1[sites]) / (1.0 + mu)
-
-        uh, uv = _periodic_diff(u, 2), _periodic_diff(u, 1)
-        nu2 = uh - d2
-        nu3 = uv - d3
-        norms = np.sqrt((nu2**2 + nu3**2).sum(axis=0, keepdims=True))
-        shrink = np.maximum(0.0, 1.0 - (lam_phi / mu) / np.where(norms > 0, norms, 1.0))
-        shrink = np.where(norms > 0, shrink, 0.0)
-        v2 = shrink * nu2
-        v3 = shrink * nu3
-
-        value = objective(u, ub, uh, uv)
-        state = (u, v1, v2, v3, d1 - (ub - v1), d2 - (uh - v2), d3 - (uv - v3))
-        return state, value
+    u = _interpolated_coefficients(y_h, basis, ratio).reshape(p, h, w)
+    v = forward(u, np.fft.rfft2(u))
+    d = np.zeros_like(v)
+    trace = [objective(u, v)]
+    converged = False
+    iterations = 0
+    escalations = 0
 
     for iterations in range(1, params.max_iters + 1):
-        # A rising objective means the penalty is too weak for this problem:
-        # roll back, double it (rescaling the scaled duals so the underlying
-        # multipliers are unchanged), and retry. Keeps the recorded trace
-        # non-increasing without altering the fixed points.
         while True:
-            state, value = iterate(v1, v2, v3, d1, d2, d3, mu)
+            u_next, au = u_step()
+            value = objective(u_next, au)
             if value <= trace[-1] * (1.0 + 1e-9) or escalations >= 30:
                 break
             mu *= 2.0
-            d1 /= 2.0
-            d2 /= 2.0
-            d3 /= 2.0
+            d /= 2.0
             escalations += 1
-        u_prev = u
-        u, v1, v2, v3, d1, d2, d3 = state
+
+        np.subtract(au, d, out=v)
+        v[0][sites] = (hty + mu * v[0][sites]) / (1.0 + mu)
+        norms = _joint_norms(v[1:])
+        shrink = np.maximum(0.0, 1.0 - (lam_phi / mu) / np.where(norms > 0, norms, 1.0))
+        v[1:] *= np.where(norms > 0, shrink, 0.0)
+        au -= v
+        d -= au
 
         trace.append(value)
-        change = np.linalg.norm(u - u_prev) / max(np.linalg.norm(u_prev), 1e-30)
+        change = np.linalg.norm(u_next - u) / max(np.linalg.norm(u), 1e-30)
+        u = u_next
         if change < params.tol:
             converged = True
             break

@@ -77,37 +77,34 @@ def glp_lowpass(stack: np.ndarray, ratio: int, blur: BlurKernel) -> np.ndarray:
     return interpolate(degrade(stack, blur.taps, ratio), ratio)
 
 
-def _equalized_stream(
-    front, p_l: np.ndarray, rng: DynamicRange, gains: str
-) -> BandStream:
-    """Shared SFIM / MTF-GLP body: per-band PAN equalization against the
-    low-pass PAN P_L (`p_l`, on the PAN grid) and injection into the
-    `cs.front_end` bands `front`.
-
-    P_eq^k = (P - mean(P)) std(Y^k) / std(P_L) + mean(Y^k); the same affine
-    map gives P_L,eq^k, so the detail scales consistently. A constant PAN
-    has std(P_L) = 0 and maps to a zero-detail injection.
-
-    The detail goes into each block of interpolated bands in place, one band
-    at a time, through reused band buffers. Additive injection adds
-    scale_k (P - P_L) through `cs.injected`. HPM modulates each band,
-    F^k = Y^k P_eq^k / P_L,eq^k, clipped to `rng`. Where |P_L,eq^k| is below
-    `_DIV_GUARD` times the range span the gain is 1 instead,
-    F^k = Y^k + (P_eq^k - P_L,eq^k). The guard is exact, yet a band whose
-    P_L,eq^k range stays clear of it is not searched (`_guarded`). The
-    interpolated bands, std(Y^k) and mean(Y^k) come from `cs.front_end`.
-    """
-    bands, p, means, cov = front
+def _detail_scales(front, p_l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The low-pass PAN P_L (`p_l`) shaped as the PAN values, and the scales
+    std(Y^k) / std(P_L) of the `cs.front_end` bands `front`: equalized,
+    P_eq^k = (P - mean(P)) scale_k + mean(Y^k), and P_L,eq^k likewise. A
+    constant PAN has std(P_L) = 0 and maps to zero scales."""
+    _, p, _, cov = front
     p_l = p_l.reshape(p.shape)
-    p_mean = p.mean()
     pl_std = p_l.std()
     # Filtering a constant PAN leaves rounding dust with std ~ eps |P|;
     # treat anything at that level as flat instead of dividing by it.
     std_floor = 1e-12 * max(np.abs(p_l).max(), np.abs(p).max())
     stds = np.sqrt(np.maximum(np.diagonal(cov), 0.0))
     scales = stds / pl_std if pl_std > std_floor else np.zeros_like(stds)
-    if gains == "additive":
-        return injected(bands, p - p_l, scales)
+    return p_l, scales
+
+
+def _hpm_stream(front, p_l: np.ndarray, rng: DynamicRange) -> BandStream:
+    """SFIM / MTF-GLP-HPM body: each `cs.front_end` band of `front` is
+    modulated against the low-pass PAN P_L (`p_l`, on the PAN grid),
+    F^k = Y^k P_eq^k / P_L,eq^k (`_detail_scales`), clipped to `rng`, in
+    place, one band at a time through reused band buffers. Where |P_L,eq^k|
+    is below `_DIV_GUARD` times the range span the gain is 1 instead,
+    F^k = Y^k + (P_eq^k - P_L,eq^k). The guard is exact, yet a band whose
+    P_L,eq^k range stays clear of it is not searched (`_guarded`).
+    """
+    bands, p, means, _ = front
+    p_l, scales = _detail_scales(front, p_l)
+    p_mean = p.mean()
     p_centred = p - p_mean
     pl_centred = p_l - p_mean
     ends = (pl_centred.min(), pl_centred.max())
@@ -133,7 +130,7 @@ def sfim_stream(
 ) -> BandStream:
     """Smoothing-filter-based intensity modulation: box low-pass, HPM gains."""
     front = front_end(y_h, pan, ratio)
-    return _equalized_stream(front, box_lowpass(pan.to_cube(), ratio), rng, "hpm")
+    return _hpm_stream(front, box_lowpass(pan.to_cube(), ratio), rng)
 
 
 def fuse_sfim(
@@ -144,15 +141,13 @@ def fuse_sfim(
 
 
 def mtf_glp_stream(
-    y_h: SpectralImage,
-    pan: SpectralImage,
-    ratio: int,
-    blur: BlurKernel,
-    rng: DynamicRange,
+    y_h: SpectralImage, pan: SpectralImage, ratio: int, blur: BlurKernel
 ) -> BandStream:
-    """GLP detail under the sensor blur `blur`, with additive injection."""
+    """GLP detail under the sensor blur `blur`, injected additively: band k
+    gains scale_k (P - P_L) (`_detail_scales`, `cs.injected`)."""
     front = front_end(y_h, pan, ratio)
-    return _equalized_stream(front, glp_lowpass(pan.to_cube(), ratio, blur), rng, "additive")
+    p_l, scales = _detail_scales(front, glp_lowpass(pan.to_cube(), ratio, blur))
+    return injected(front[0], front[1] - p_l, scales)
 
 
 def fuse_mtf_glp(
@@ -162,8 +157,9 @@ def fuse_mtf_glp(
     gnyq: float,
     rng: DynamicRange,
 ) -> SpectralImage:
-    """`mtf_glp_stream` under `kernel_from_mtf(ratio, gnyq)`, as one image."""
-    return mtf_glp_stream(y_h, pan, ratio, kernel_from_mtf(ratio, gnyq), rng).image()
+    """`mtf_glp_stream` under `kernel_from_mtf(ratio, gnyq)`, as one image.
+    Additive injection does not clip, so `rng` is not read."""
+    return mtf_glp_stream(y_h, pan, ratio, kernel_from_mtf(ratio, gnyq)).image()
 
 
 def mtf_glp_hpm_stream(
@@ -175,7 +171,7 @@ def mtf_glp_hpm_stream(
 ) -> BandStream:
     """GLP detail under the sensor blur `blur`, with HPM gains."""
     front = front_end(y_h, pan, ratio)
-    return _equalized_stream(front, glp_lowpass(pan.to_cube(), ratio, blur), rng, "hpm")
+    return _hpm_stream(front, glp_lowpass(pan.to_cube(), ratio, blur), rng)
 
 
 def fuse_mtf_glp_hpm(

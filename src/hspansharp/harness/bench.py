@@ -145,6 +145,7 @@ def run_wald(config: RunConfig) -> BenchmarkReport:
     does not abort the rest. One fused image is held at a time."""
     config = config.validate()
     truth = reference_scene(config)
+    config.check_bands(truth.bands)
     y_h, pan, model = wald_inputs(truth, config)
     reference = Reference(truth)
     results = tuple(

@@ -133,6 +133,7 @@ def _cmd_fuse(args) -> int:
     base = RunConfig(gnyq=args.gnyq, subspace_dim=args.subspace_dim)
     config = apply_overrides(base, pairs)
     y_h = load_raster(args.hs)
+    config.check_bands(y_h.bands)
     pan = load_raster(args.pan)
     model = assumed_model(pair_ratio(y_h, pan), y_h.bands, y_h.wavelengths, config.gnyq)
     # The method's bands are written block by block as they are formed; a

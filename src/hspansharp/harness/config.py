@@ -10,6 +10,7 @@ parses every pair. `--set` pairs are applied on top of the file, and
 before any method runs: each field's type, each range, and for a method
 parameter that the method reads the key and that the value is a positive
 integer, or 0 where the method allows it (see `registry.resolve_params`).
+`RunConfig.check_bands` then refuses sizes above the Y_H band count.
 
 The reference scene comes either from `input` (a raster path) or from the
 synthetic-scene fields. The sensor model is `sensorsim.assumed_model` at
@@ -116,6 +117,17 @@ class RunConfig:
             if not 0.0 < q <= 100.0:
                 raise ValueError("percentiles must lie in (0, 100]")
         return self
+
+    def check_bands(self, bands: int) -> None:
+        """Refuse a subspace dimension or CNMF endmember count above the
+        `bands` of Y_H; both commands call this before any method runs."""
+        endmembers = self.method_params.get("CNMF", {}).get("endmembers")
+        for where, size in (
+            ("subspace-dim", self.subspace_dim),
+            ("method CNMF parameter 'endmembers'", endmembers),
+        ):
+            if size is not None and size > bands:
+                raise ValueError(f"{where} must be at most the {bands} Y_H bands, got {size}")
 
     def selected_methods(self) -> tuple[str, ...]:
         return method_names() if self.methods is None else self.methods

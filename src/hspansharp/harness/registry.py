@@ -72,8 +72,7 @@ def _run_sfim(ctx: MethodContext):
 
 
 def _run_mtf_glp(ctx: MethodContext):
-    stream = mtf_glp_stream(ctx.y_h, ctx.pan, ctx.ratio, ctx.model.blur, ctx.range)
-    return _emit(ctx, stream)
+    return _emit(ctx, mtf_glp_stream(ctx.y_h, ctx.pan, ctx.ratio, ctx.model.blur))
 
 
 def _run_mtf_glp_hpm(ctx: MethodContext):

@@ -372,3 +372,120 @@ def oracle_cnmf_loops(
                 break
         pan_traces.append(np.array(trace))
     return spectra, abund_low, abund_high, hs_traces, pan_traces
+
+
+def oracle_hysure_loop(
+    data_h: np.ndarray,
+    data_p: np.ndarray,
+    basis: np.ndarray,
+    response: np.ndarray,
+    u0: np.ndarray,
+    fb: np.ndarray,
+    ratio: int,
+    phase: int,
+    lambda_m: float,
+    lambda_phi: float,
+    admm_mu: float,
+    tol: float,
+    max_iters: int,
+):
+    """HySure's ADMM loop with three named splittings (the blurred image and
+    the two periodic difference fields), three scaled duals, and a rollback:
+    each step returns its whole state, and a step whose objective rises is
+    discarded, the penalty doubled, the duals halved and the whole step
+    retried. `u0` (p x height x width) is the initial coefficient field and
+    `fb` the half spectrum (rfft2) of the cyclic blur. Returns U (p x
+    pixels), the objective trace, the iterations, whether the relative
+    change of U fell below `tol`, and the number of penalty doublings."""
+    p, h, w = u0.shape
+    mu = admm_mu
+
+    def diff(cube, axis, adjoint=False):
+        return np.roll(cube, 1 if adjoint else -1, axis=axis) - cube
+
+    def tv(dh, dv):
+        return float(np.sqrt((dh**2 + dv**2).sum(axis=0)).sum())
+
+    fb_conj = np.conj(fb)
+    mh = np.exp(2j * np.pi * np.fft.rfftfreq(w))[np.newaxis, :] - 1.0
+    mv = np.exp(2j * np.pi * np.fft.fftfreq(h))[:, np.newaxis] - 1.0
+    psi = (np.abs(fb) ** 2 + np.abs(mh) ** 2 + np.abs(mv) ** 2).ravel()
+
+    rh = response @ basis
+    evals, evecs = np.linalg.eigh(lambda_m * (rh.T @ rh))
+    evals = np.maximum(evals, 0.0)
+
+    sites = (slice(None), slice(phase, None, ratio), slice(phase, None, ratio))
+    hty = (basis.T @ data_h).reshape(p, h // ratio, w // ratio)
+    pan_term = lambda_m * (rh.T @ data_p).reshape(p, h, w)
+
+    def objective(u, ub, uh, uv):
+        resid_h = data_h - basis @ ub[sites].reshape(p, -1)
+        resid_m = data_p - rh @ u.reshape(p, -1)
+        return (
+            0.5 * float((resid_h**2).sum())
+            + 0.5 * lambda_m * float((resid_m**2).sum())
+            + lambda_phi * tv(uh, uv)
+        )
+
+    u = u0
+    v1 = np.fft.irfft2(np.fft.rfft2(u) * fb, s=(h, w))
+    v2 = diff(u, 2)
+    v3 = diff(u, 1)
+    d1 = np.zeros_like(v1)
+    d2 = np.zeros_like(v2)
+    d3 = np.zeros_like(v3)
+    trace = [objective(u, v1, v2, v3)]
+    converged = False
+    iterations = 0
+    escalations = 0
+
+    def iterate(v1, v2, v3, d1, d2, d3, mu):
+        rhs_hat = np.fft.rfft2(
+            pan_term
+            + mu * diff(v2 + d2, 2, adjoint=True)
+            + mu * diff(v3 + d3, 1, adjoint=True)
+        ) + mu * fb_conj * np.fft.rfft2(v1 + d1)
+        z = evecs.T @ rhs_hat.reshape(p, -1)
+        z /= evals[:, np.newaxis] + mu * psi[np.newaxis, :]
+        u_hat = (evecs @ z).reshape((p,) + fb.shape)
+        u = np.fft.irfft2(u_hat, s=(h, w))
+        ub = np.fft.irfft2(u_hat * fb, s=(h, w))
+
+        nu1 = ub - d1
+        v1 = nu1.copy()
+        v1[sites] = (hty + mu * nu1[sites]) / (1.0 + mu)
+
+        uh, uv = diff(u, 2), diff(u, 1)
+        nu2 = uh - d2
+        nu3 = uv - d3
+        norms = np.sqrt((nu2**2 + nu3**2).sum(axis=0, keepdims=True))
+        shrink = np.maximum(0.0, 1.0 - (lambda_phi / mu) / np.where(norms > 0, norms, 1.0))
+        shrink = np.where(norms > 0, shrink, 0.0)
+        v2 = shrink * nu2
+        v3 = shrink * nu3
+
+        value = objective(u, ub, uh, uv)
+        state = (u, v1, v2, v3, d1 - (ub - v1), d2 - (uh - v2), d3 - (uv - v3))
+        return state, value
+
+    for iterations in range(1, max_iters + 1):
+        while True:
+            state, value = iterate(v1, v2, v3, d1, d2, d3, mu)
+            if value <= trace[-1] * (1.0 + 1e-9) or escalations >= 30:
+                break
+            mu *= 2.0
+            d1 /= 2.0
+            d2 /= 2.0
+            d3 /= 2.0
+            escalations += 1
+        u_prev = u
+        u, v1, v2, v3, d1, d2, d3 = state
+
+        trace.append(value)
+        change = np.linalg.norm(u - u_prev) / max(np.linalg.norm(u_prev), 1e-30)
+        if change < tol:
+            converged = True
+            break
+
+    return u.reshape(p, -1), np.array(trace), iterations, converged, escalations

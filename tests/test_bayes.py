@@ -1,6 +1,8 @@
 """Subspace estimation, the Gaussian-prior solver, the variational solver,
 and blind sensor estimation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -36,7 +38,12 @@ from hspansharp.fusion.bayes import (
     vtv,
 )
 
-from oracles import oracle_bayes_naive_system, oracle_blur_downsample, oracle_vtv
+from oracles import (
+    oracle_bayes_naive_system,
+    oracle_blur_downsample,
+    oracle_hysure_loop,
+    oracle_vtv,
+)
 
 
 def random_basis(bands, p, seed):
@@ -616,6 +623,58 @@ class TestHysureSolve:
         bad = SpectralImage(18, 18, np.zeros((1, 324)))
         with pytest.raises(ValueError):
             hysure_solve(y_h, bad, basis, model, HySureParams(max_iters=2))
+
+
+def wald_hysure_case(seed, snr_db, **changes):
+    """A default-size Wald pair (100 x 100 x 40, ratio 5) with the basis and
+    parameters `hysure_stream` would use, `changes` applied to them."""
+    config = RunConfig(seed=seed, snr_db=snr_db).validate()
+    y_h, pan, model = wald_inputs(reference_scene(config), config)
+    basis = learn_subspace(y_h, default_subspace_dim(y_h))
+    params = default_hysure_params(y_h, pan, basis, model)
+    return y_h, pan, basis, model, replace(params, **changes)
+
+
+def noisy_hysure_case(**changes):
+    y_h, pan, basis, model = TestHysureSolve().make_noisy_scene()
+    return y_h, pan, basis, model, HySureParams(**changes)
+
+
+def ratio_one_hysure_case():
+    y_h, pan, basis, model, _ = ratio_one_instance()
+    params = HySureParams(lambda_m=1.0, lambda_phi=0.0, admm_mu=0.01, tol=0.0, max_iters=300)
+    return y_h, pan, basis, model, params
+
+
+class TestHysureLoopOracle:
+    @pytest.mark.parametrize(
+        "case, stops, escalates",
+        [
+            (lambda: wald_hysure_case(0, None), "early", True),
+            (lambda: noisy_hysure_case(), "early", False),
+            (ratio_one_hysure_case, "budget", True),
+            (lambda: wald_hysure_case(0, 30.0, max_iters=20), "budget", True),
+        ],
+        ids=["wald-escalates", "tol-1e-4", "ratio-1", "whole-budget"],
+    )
+    def test_bit_identical_to_rollback_loop(self, case, stops, escalates):
+        y_h, pan, basis, model, params = case()
+        result = hysure_solve(y_h, pan, basis, model, params)
+        ratio, (h, w) = model.ratio, (pan.height, pan.width)
+        u0 = bayes._interpolated_coefficients(y_h, basis, ratio).reshape(basis.p, h, w)
+        U, trace, iterations, converged, escalations = oracle_hysure_loop(
+            y_h.data, pan.data, basis.H, model.spectral_response, u0,
+            bayes._cyclic_kernel_rfft(model.blur.taps, h, w), ratio,
+            default_phase(ratio), params.lambda_m, params.lambda_phi,
+            params.admm_mu, params.tol, params.max_iters,
+        )
+        np.testing.assert_array_equal(result.U, U)
+        np.testing.assert_array_equal(result.objective_trace, trace)
+        assert (result.iterations, result.converged) == (iterations, converged)
+        # Each case takes the path it is named for.
+        assert converged == (stops == "early")
+        assert (iterations == params.max_iters) == (stops == "budget")
+        assert (escalations > 0) == escalates
 
 
 class TestEstimateSensor:

@@ -138,6 +138,24 @@ def test_fusion_calls_the_spatial_operators_on_arrays():
     assert named == set()
 
 
+def test_periodic_differences_have_one_home():
+    # HySure's periodic boundary lives in bayes' difference helpers: the
+    # solver, `vtv` and `default_hysure_params` call them, and no other code
+    # shifts an array cyclically.
+    rolling = set()
+    for where, tree in package_modules():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            named = {getattr(n, "attr", None) or getattr(n, "id", None) for n in ast.walk(node)}
+            if "roll" in named:
+                rolling.add((where, node.name))
+    assert rolling == {
+        ("fusion/bayes.py", "_differences"),
+        ("fusion/bayes.py", "_differences_adjoint"),
+    }
+
+
 def test_only_envi_writes_binary_files():
     # `save_raster` is the one writer of images and of streamed blocks.
     writers = set()

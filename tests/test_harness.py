@@ -48,6 +48,9 @@ from hspansharp.sensorsim import (
 from oracles import oracle_cc
 
 SMALL = dict(height=20, width=20, bands=11, endmembers=3, ratio=2)
+# CNMF parameters in range that fail inside the method: the 3-endmember
+# scenes here have rank 3, so VCA cannot find 4 endmembers.
+FAILING_CNMF = {"CNMF": {"endmembers": 4}}
 
 
 def tiny_pair(tmp_path):
@@ -477,7 +480,7 @@ class TestRunWald:
     def test_failure_is_isolated(self):
         config = small_config(
             methods=("PCA", "CNMF"),
-            method_params={"CNMF": {"endmembers": 99}},
+            method_params=FAILING_CNMF,
         )
         report = run_wald(config)
         by_name = {r.name: r for r in report.results}
@@ -497,7 +500,7 @@ class TestRunWald:
         monkeypatch.setattr(bench, "compute_report", counting)
         config = small_config(
             methods=("PCA", "CNMF", "SFIM"),
-            method_params={"CNMF": {"endmembers": 99}},
+            method_params=FAILING_CNMF,
         )
         report = run_wald(config)
         scored = [r for r in report.results if r.report is not None]
@@ -529,7 +532,7 @@ class TestRunWald:
 
     def test_failed_method_keeps_no_image_or_spectra(self):
         config = small_config(
-            methods=("CNMF",), method_params={"CNMF": {"endmembers": 99}}
+            methods=("CNMF",), method_params=FAILING_CNMF
         )
         (result,) = run_wald(config).results
         assert result.error
@@ -594,7 +597,7 @@ class TestEmitReport:
     def test_spectra_rows_only_for_scored_methods(self, tmp_path):
         config = small_config(
             methods=("PCA", "CNMF", "SFIM"),
-            method_params={"CNMF": {"endmembers": 99}},
+            method_params=FAILING_CNMF,
             timing="off",
             output_dir=str(tmp_path),
         )
@@ -610,7 +613,7 @@ class TestEmitReport:
     def test_failed_method_row_is_nan(self, tmp_path):
         config = small_config(
             methods=("CNMF",),
-            method_params={"CNMF": {"endmembers": 99}},
+            method_params=FAILING_CNMF,
             output_dir=str(tmp_path),
         )
         report = run_wald(config)
@@ -879,6 +882,9 @@ class TestCli:
             ("CNMF.outer-iters=0", "parameter 'outer-iters' must be at least 1, got 0"),
             ("CNMF.inner-iters=0", "parameter 'inner-iters' must be at least 1, got 0"),
             ("CNMF.endmembers=0", "parameter 'endmembers' must be at least 1, got 0"),
+            # Y_H has 40 bands under `bench` and 3 under `fuse`.
+            ("CNMF.endmembers=41", "parameter 'endmembers' must be at most the"),
+            ("subspace-dim=41", "subspace-dim must be at most the"),
         ],
     )
     @pytest.mark.parametrize("command", ["bench", "fuse"])
@@ -893,8 +899,11 @@ class TestCli:
             argv = ["bench", "--output-dir", out, "--set", pair]
         else:
             hs, pan = tiny_pair(tmp_path)
+            # `fuse` takes the subspace dimension as an option of its own.
+            key, _, value = pair.partition("=")
+            given = ["--subspace-dim", value] if key == "subspace-dim" else ["--set", pair]
             argv = ["fuse", "--method", "CNMF", "--hs", hs, "--pan", pan,
-                    "--out", out, "--set", pair]
+                    "--out", out, *given]
         assert main(argv) == 1
         assert message in capsys.readouterr().err
         assert calls == []
@@ -1018,7 +1027,7 @@ class TestCli:
 
     def test_bench_partial_failure_exits_two(self, tmp_path):
         cfg = self.bench_config(
-            tmp_path, extra="methods = PCA, CNMF\n[CNMF]\nendmembers = 99\n"
+            tmp_path, extra="methods = PCA, CNMF\n[CNMF]\nendmembers = 4\n"
         )
         out_dir = str(tmp_path / "out")
         assert main(["bench", "--config", cfg, "--output-dir", out_dir]) == 2

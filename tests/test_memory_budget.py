@@ -57,8 +57,10 @@ STREAM_BUDGET = 0.5
 # BayesNaive keeps its coefficient fields, the data term and the prior mean
 # in the spatial eigenbasis, each p planes on the PAN grid (its prior mean is
 # the interpolated projection H^T Y_H, so no interpolated cube is formed);
-# HySure's ADMM holds about 35 coefficient-sized arrays.
-STATE_BUDGET = {"GFPCA": 0.75, "BayesNaive": 0.6, "HySure": 1.8}
+# HySure's ADMM holds U, the stacked splitting V, the scaled dual D and the
+# stacked A U (three coefficient fields each), with the U step's spectra and
+# the objective's residuals beside them.
+STATE_BUDGET = {"GFPCA": 0.75, "BayesNaive": 0.6, "HySure": 1.37}
 CONFIG = RunConfig(height=160, width=160, bands=60, ratio=4).validate()
 
 
