@@ -7,6 +7,13 @@ The guided filter's window means use windows clipped at the image border
 banded matrix and the mean of any stack of planes z is rows @ z @ cols^T,
 applied by `sensorsim.separable_product` (the one place a pair of axis
 matrices is applied), planned once for all six means.
+
+GFPCA's image is W F + interp(L): W the leading loadings, F the filtered
+components on the PAN grid, and L the trailing components and band means
+taken back to band space at low resolution (interpolation and the inverse
+PCA are linear). Each block is written as its rows of W times F, and L's
+bands are interpolated one at a time through one band buffer and added to
+it, as `cs.inject_detail` adds its detail.
 """
 
 from __future__ import annotations
@@ -30,9 +37,6 @@ __all__ = [
 # and there are at most this many of them.
 _ENERGY = 0.995
 _MAX_COMPONENTS = 10
-
-# Bands per GEMM when GFPCA adds the filtered components back to a block.
-_BAND_BLOCK = 8
 
 
 def _axis_window_mean(n: int, d: int) -> np.ndarray:
@@ -109,25 +113,19 @@ def gfpca_stream(y_h: SpectralImage, pan: SpectralImage, ratio: int) -> BandStre
 
     leading = interpolate(scores[:p].reshape(p, y_h.height, y_h.width), ratio)
     filtered = guided_filter_plane(leading, guide, ratio, 1e-4 * span**2).reshape(p, -1)
-    # Interpolation and the inverse PCA are linear, so the trailing
-    # components and the band means go back to band space at low resolution,
-    # and each block of that cube is interpolated before the leading term
-    # is added to it.
     trailing = loadings[p:].T @ soft_threshold(scores[p:], tau)
     low = SpectralImage(
         y_h.height, y_h.width, trailing + band_means[:, np.newaxis], y_h.wavelengths
     )
     bands = upsample_bands(low, ratio)
     weights = loadings[:p].T
-    term = np.empty((_BAND_BLOCK, filtered.shape[1]))
 
     def fill(start, stop, out):
-        bands.fill(start, stop, out)
-        for at in range(0, stop - start, _BAND_BLOCK):
-            block = out[at : at + _BAND_BLOCK]
-            part = term[: len(block)]
-            np.matmul(weights[start + at : start + at + len(block)], filtered, out=part)
-            block += part
+        np.matmul(weights[start:stop], filtered, out=out)
+        band = np.empty((1, out.shape[1]))
+        for k, row in enumerate(out, start):
+            bands.fill(k, k + 1, band)
+            row += band[0]
 
     return bands.refill(fill)
 

@@ -21,6 +21,7 @@ run is noiseless.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from ..imgcore import is_integer
@@ -99,8 +100,10 @@ class RunConfig:
         if self.input is None and (self.height % self.ratio or self.width % self.ratio):
             raise ValueError("scene dims must be divisible by the ratio")
         check_gnyq(self.gnyq)
-        if self.snr_db is not None and self.snr_db <= 0:
-            raise ValueError("snr-db must be positive when set")
+        if self.snr_db is not None and not 0 < self.snr_db < math.inf:
+            raise ValueError(
+                f"snr-db must be positive and finite when set, got {self.snr_db!r}"
+            )
         if self.subspace_dim is not None and self.subspace_dim < 1:
             raise ValueError("subspace-dim must be at least 1 when set")
         if self.timing not in _TIMING_MODES:

@@ -102,10 +102,12 @@ def load_raster(path: str) -> SpectralImage:
 
     dtype = _DTYPE_CODES[dtype_code]
     expected = bands * lines * samples
-    held = max(os.path.getsize(dat_path) - offset, 0) // dtype.itemsize
-    if held != expected:
+    size = max(os.path.getsize(dat_path) - offset, 0)
+    if size != expected * dtype.itemsize:
         raise ValueError(
-            f"{dat_path}: payload holds {held} values, header implies {expected}"
+            f"{dat_path}: payload holds {size // dtype.itemsize} values ({size} bytes "
+            f"past header offset {offset}), header implies {expected} "
+            f"({expected * dtype.itemsize} bytes)"
         )
     raw = np.fromfile(dat_path, dtype=dtype, offset=offset)
 

@@ -152,6 +152,8 @@ class SpectralImage:
         object.__setattr__(self, "width", operator.index(w))
         if data.ndim != 2:
             raise ValueError("image data must be a 2-D bands x pixels matrix")
+        if data.shape[0] == 0:
+            raise ValueError("image must have at least one band")
         if data.shape[1] != h * w:
             raise ValueError(
                 f"data has {data.shape[1]} pixels but dims give {h * w}"

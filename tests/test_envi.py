@@ -1,5 +1,6 @@
 """Raster header/payload I/O."""
 
+import os
 import struct
 import tracemalloc
 
@@ -358,6 +359,36 @@ class TestErrorPaths:
         open(dat, "wb").write(raw[:-8])
         with pytest.raises(ValueError, match="59.*60"):
             load_raster(hdr)
+
+    @pytest.mark.parametrize(
+        "dtype, extra", [("float32", 1), ("float32", 3), ("float64", 3), ("float64", 7)]
+    )
+    def test_partial_trailing_value_rejected(self, tmp_path, dtype, extra):
+        # A payload whose byte count is no whole number of values loaded,
+        # its stray trailing bytes dropped.
+        hdr, dat = save_raster(str(tmp_path / "p"), make_image(8), dtype=dtype)
+        size = 60 * np.dtype(dtype).itemsize
+        open(dat, "ab").write(b"\x00" * extra)
+        want = f"60 values \\({size + extra} bytes.*{size} bytes"
+        with pytest.raises(ValueError, match=want):
+            load_raster(hdr)
+
+    def test_zero_bands_rejected(self, tmp_path, capsys):
+        # Loaded as a (0, N) image, it made `fuse` fail later with a message
+        # about the spectral response.
+        (hdr, dat), _ = self.write_pair(tmp_path)
+        text = open(hdr).read().replace("bands = 3", "bands = 0")
+        open(hdr, "w").write(text)
+        open(dat, "wb").close()
+        with pytest.raises(ValueError, match="image must have at least one band"):
+            load_raster(hdr)
+        pan = SpectralImage(8, 10, np.random.default_rng(2).uniform(0.1, 1.0, (1, 80)))
+        save_raster(str(tmp_path / "pan"), pan)
+        argv = ["fuse", "--method", "GSA", "--hs", hdr, "--pan", str(tmp_path / "pan"),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert "image must have at least one band" in capsys.readouterr().err
+        assert not any(name.startswith("out") for name in os.listdir(tmp_path))
 
     def with_offset(self, tmp_path, offset, cut=0):
         """The pair rewritten so that its payload starts `offset` bytes into

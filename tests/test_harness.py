@@ -163,6 +163,8 @@ class TestRunConfig:
             dict(method_params=None),
             dict(subspace_dim=0),
             dict(seed=-1),
+            dict(snr_db=float("nan")),
+            dict(snr_db=float("inf")),
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -914,6 +916,10 @@ class TestCli:
         [
             ("height=abc", "height must be an integer, got 'abc'"),
             ("snr-db=abc", "snr-db must be a number, got 'abc'"),
+            # A NaN reached the noise and failed as a non-finite image; an
+            # infinity ran noiseless and wrote `Infinity` into report.json.
+            ("snr-db=nan", "snr-db must be positive and finite when set, got nan"),
+            ("snr-db=inf", "snr-db must be positive and finite when set, got inf"),
             ("seed=1.5", "seed must be an integer, got 1.5"),
             ("seed=true", "seed must be an integer, got 'true'"),
             ("ratio=2.5", "ratio must be an integer, got 2.5"),
@@ -940,6 +946,17 @@ class TestCli:
         assert err.startswith("error: ") and message in err
         assert calls == []
         assert os.listdir(tmp_path) == ["bench.cfg"]
+
+    @pytest.mark.parametrize("snr_db", ["nan", "inf", "0"])
+    def test_degrade_bad_snr_returns_one_before_writing(self, tmp_path, capsys, snr_db):
+        truth, hs, pan = (str(tmp_path / name) for name in ("truth", "hs", "pan"))
+        save_raster(truth, SpectralImage(4, 4, np.full((3, 16), 0.5)))
+        argv = ["degrade", "--truth", truth, "--out-hs", hs, "--out-pan", pan,
+                "--ratio", "2", "--snr-db", snr_db]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: snr-db must be positive and finite when set")
+        assert sorted(os.listdir(tmp_path)) == ["truth.dat", "truth.hdr"]
 
     @pytest.mark.parametrize("gnyq", ["0", "1", "1.5", "-0.3"])
     def test_fuse_bad_gnyq_returns_one_before_reading_rasters(

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -78,6 +81,12 @@ class TestSpectralImage:
         with pytest.raises(ValueError):
             SpectralImage(2, 2, data)
 
+    def test_rejects_zero_bands(self):
+        with pytest.raises(ValueError, match="at least one band"):
+            SpectralImage(2, 2, np.empty((0, 4)))
+        with pytest.raises(ValueError, match="at least one band"):
+            SpectralImage._adopt(2, 2, np.empty((0, 4)))
+
     def test_rejects_3d_data(self):
         with pytest.raises(ValueError):
             SpectralImage(2, 2, np.zeros((1, 2, 2)))
@@ -123,3 +132,18 @@ class TestSpectralImage:
         assert a != SpectralImage(a.width, a.height, a.data)
         assert a != "not an image"
 
+
+def test_fusion_sets_no_block_size_of_its_own():
+    # Bands per block come only from `BandStream.block_bands`: no module
+    # under `fusion/` binds a block or chunk size at module level.
+    fusion = Path(__file__).resolve().parents[1] / "src" / "hspansharp" / "fusion"
+    sizes = [
+        (path.name, target.id)
+        for path in sorted(fusion.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+        and any(word in target.id.upper() for word in ("BLOCK", "CHUNK"))
+    ]
+    assert sizes == []

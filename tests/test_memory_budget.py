@@ -2,7 +2,9 @@
 
 Each component-substitution, multiresolution and hybrid method forms its
 image one block of bands at a time (`imgcore.BandStream`): each block is
-interpolated into the caller's buffer and its detail injected in place.
+interpolated into the caller's buffer and its detail injected in place
+(GFPCA writes its components' product into the block first and adds the
+interpolated bands to it one at a time).
 Whole, the image is formed block by block into one array adopted without a
 copy, so the traced peak stays within a small multiple of the output cube's
 bytes: the output cube, the interpolation's one-axis intermediate of a block
@@ -14,8 +16,11 @@ weighted pass over the interpolated cube is made.
 Streamed to a raster (`run_method` with a sink, as `fuse` runs it), no
 output cube is held: one block of bands (at most `imgcore._BLOCK_BYTES`,
 a third of the cube here) goes through one reused buffer to the file. What
-is left is each method's own working state, which for GFPCA, BayesNaive and
-HySure passes the streamed budget on its own and is bounded separately.
+is left is each method's own working state. GFPCA's, its low-resolution band
+cube and filtered components, fits beside a block, as it writes the
+components' product straight into each block and adds the interpolated bands
+through one band buffer; that of BayesNaive and HySure passes the streamed
+budget on its own and is bounded separately.
 
 Scoring walks the pixels in strips through a few strip-sized buffers, so a
 report forms no cube-sized array, and a prepared reference holds only band-
@@ -41,7 +46,7 @@ from hspansharp.metrics import Reference, compute_report
 
 METHODS = ["SFIM", "MTF-GLP", "MTF-GLP-HPM", "GS", "GSA", "PCA", "GFPCA"]
 # Peak traced bytes over the output cube's bytes.
-BUDGET = 1.75
+BUDGET = 1.3
 REPORT_BUDGET = 0.5
 # Bytes a `Reference` keeps beyond its image, over the image's bytes.
 REFERENCE_BUDGET = 0.05
@@ -52,15 +57,14 @@ RUN_BUDGET = 4.0
 # output cube's bytes.
 STREAM_BUDGET = 0.5
 # The methods whose own working state passes STREAM_BUDGET at this config,
-# and the bound each is held to instead: GFPCA keeps its low-resolution band
-# cube, filtered components and an 8-band product buffer beside a block;
-# BayesNaive keeps its coefficient fields, the data term and the prior mean
-# in the spatial eigenbasis, each p planes on the PAN grid (its prior mean is
-# the interpolated projection H^T Y_H, so no interpolated cube is formed);
+# and the bound each is held to instead: BayesNaive keeps its coefficient
+# fields, the data term and the prior mean in the spatial eigenbasis, each p
+# planes on the PAN grid (its prior mean is the interpolated projection
+# H^T Y_H, so no interpolated cube is formed);
 # HySure's ADMM holds U, the stacked splitting V, the scaled dual D and the
 # stacked A U (three coefficient fields each), with the U step's spectra and
 # the objective's residuals beside them.
-STATE_BUDGET = {"GFPCA": 0.75, "BayesNaive": 0.6, "HySure": 1.37}
+STATE_BUDGET = {"BayesNaive": 0.6, "HySure": 1.37}
 CONFIG = RunConfig(height=160, width=160, bands=60, ratio=4).validate()
 
 
