@@ -19,7 +19,7 @@ from ..resample import interpolate
 from ..sensorsim import (
     BlurKernel,
     SensorModel,
-    check_pair,
+    check_model_pair,
     default_phase,
     degrade,
     degrade_axis,
@@ -214,8 +214,7 @@ def bayes_naive_solve(
     """
     if not (is_integer(sigma_rounds) and sigma_rounds >= 0):
         raise ValueError(f"sigma_rounds must be an integer >= 0, got {sigma_rounds!r}")
-    ratio = model.ratio
-    check_pair(y_h, pan, ratio)
+    ratio = check_model_pair(y_h, pan, model)
     if priors is None:
         priors = default_bayes_priors(y_h, basis, ratio)
     H = basis.H
@@ -332,7 +331,7 @@ def default_hysure_params(
     expected noise energy (which no estimate can remove), so the weight
     tracks the reducible misfit rather than the noise floor.
     """
-    check_pair(y_h, pan, model.ratio)
+    check_model_pair(y_h, pan, model)
     u0 = _interpolated_coefficients(y_h, basis, model.ratio)
     resid_h, resid_m = _residuals(u0, basis, y_h, pan, model)
     noise_floor = 0.5 * y_h.pixels * float((model.hs_noise_std**2).sum())
@@ -388,9 +387,8 @@ def hysure_solve(
     B^T is a multiply), and two inverse ones giving U and B U from the one
     solved spectrum.
     """
-    ratio = model.ratio
+    ratio = check_model_pair(y_h, pan, model)
     h, w = pan.height, pan.width
-    check_pair(y_h, pan, ratio)
     p = basis.p
     H = basis.H
     phase = default_phase(ratio)

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..imgcore import BandStream, SpectralImage, is_integer
 from ..resample import interpolate
-from ..sensorsim import SensorModel, check_pair, degrade
+from ..sensorsim import SensorModel, check_model_pair, degrade
 from .cs import signed_axes
 
 __all__ = [
@@ -219,13 +219,10 @@ def cnmf_solve(
     for budget in (outer_iters, inner_iters):
         if not (is_integer(budget) and budget >= 1):
             raise ValueError(f"iteration budgets must be integers >= 1, got {budget!r}")
-    ratio = model.ratio
-    check_pair(y_h, pan, ratio)
+    ratio = check_model_pair(y_h, pan, model)
     data_h = np.maximum(y_h.data, 0.0)
     data_p = np.maximum(pan.data, 0.0)
     response = model.spectral_response
-    if response.shape != (pan.bands, y_h.bands):
-        raise ValueError("spectral response dims disagree with the images")
 
     spectra = vca(data_h, p, seed)
     # Nonnegative per-pixel unmixing against the VCA spectra seeds the

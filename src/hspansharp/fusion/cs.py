@@ -3,15 +3,16 @@
 All three share the same injection skeleton: a spectrally weighted intensity
 O_L = w^T Y is formed from the interpolated hyperspectral bands, the PAN
 image is moment-matched to it, and the detail (P - O_L) is injected with
-per-band gains g. PCA is the case w = g = the first principal loading.
-`front_end` is the one front end of these methods and of the MRA ones:
-the PAN and pair checks, the interpolated bands as an `imgcore.BandStream`,
-and their band means and covariance, which come from the low-resolution
-bands (`resample.upsampled_moments`). Interpolation is linear, so O_L is
-the interpolated w^T Y_H, and each method's output is formed one band
-block at a time: the block is interpolated and its detail injected in
-place. The sign rule of principal axes (`signed_axes`) and the energy knee
-(`energy_knee`) of every method live here.
+gains C w / var(O_L), C the interpolated bands' covariance (`_gs_stream`).
+They differ only in w; PCA's is the first principal loading. Interpolation
+is linear, so O_L is the interpolated w^T Y_H, and C w comes from that one
+low-resolution plane (`resample.upsampled_moments`). `front_end` is the one
+front end of these methods and of the MRA ones: the PAN and pair checks,
+the interpolated bands as an `imgcore.BandStream` and the PAN values. Each
+method's output is formed one band block at a time: the block is
+interpolated and its detail injected in place. The sign rule of principal
+axes (`signed_axes`) and the energy knee (`energy_knee`) of every method
+live here.
 """
 
 from __future__ import annotations
@@ -116,42 +117,33 @@ def injected(bands: BandStream, detail: np.ndarray, gains: np.ndarray) -> BandSt
 def front_end(y_h: SpectralImage, pan: SpectralImage, ratio: int):
     """The front end of SFIM, MTF-GLP, MTF-GLP-HPM, GS, GSA and PCA: after the
     PAN and pair checks, Y_H interpolated to the PAN grid as a `BandStream`,
-    the PAN values, and the interpolated bands' means and covariance
-    (`upsampled_moments`)."""
+    and the PAN values."""
     p = pan_values(pan)
-    ratio = check_pair(y_h, pan, ratio)
-    means, cov = upsampled_moments(y_h, ratio)
-    return upsample_bands(y_h, ratio), p, means, cov
-
-
-def _intensity(y_h: SpectralImage, ratio: int, w: np.ndarray) -> np.ndarray:
-    """O_L = w^T Y of the interpolated bands, formed as the interpolated
-    w^T Y_H: one band interpolated instead of a pass over the cube."""
-    return interpolate((w @ y_h.data).reshape(y_h.height, y_h.width), ratio).ravel()
+    return upsample_bands(y_h, check_pair(y_h, pan, ratio)), p
 
 
 def _gs_stream(y_h: SpectralImage, ratio: int, front, w: np.ndarray) -> BandStream:
     """GS injection into the `front_end` bands with intensity weights w and
-    gains cov(Y^k, O_L) / var(O_L), where cov(Y, O_L) = C w."""
-    bands, p, _, cov = front
-    o_l = _intensity(y_h, ratio, w)
+    gains cov(Y^k, O_L) / var(O_L) = C w / var(O_L), from the plane w^T Y_H."""
+    bands, p = front
+    o_l = interpolate((w @ y_h.data).reshape(y_h.height, y_h.width), ratio).ravel()
     var = o_l.var()
     if var == 0.0:
         raise ValueError("intensity component has zero variance")
-    return injected(bands, match_moments(p, o_l) - o_l, cov @ w / var)
+    cov_w = upsampled_moments(y_h, ratio, w[:, np.newaxis])[1][:, 0]
+    return injected(bands, match_moments(p, o_l) - o_l, cov_w / var)
 
 
 def pca_stream(y_h: SpectralImage, pan: SpectralImage, ratio: int) -> BandStream:
     """Substitute the first principal component by the moment-matched PAN.
 
-    This is the CS injection with w = g = the first loading l_0: inverting the
-    PCA after the substitution adds l_0 (match(P, s_0) - s_0) to Y, and
-    shifting s_0 by l_0^T mean(Y) leaves that difference unchanged.
+    This is the GS injection with w = the first loading l_0 of C, whose gains
+    C l_0 / var(O_L) are l_0: the inverse PCA adds l_0 (match(P, s_0) - s_0)
+    to Y, which shifting s_0 by l_0^T mean(Y) leaves unchanged.
     """
-    bands, p, _, cov = front_end(y_h, pan, ratio)
-    l0 = _principal_axes(cov, y_h.data)[1][0]
-    o_l = _intensity(y_h, ratio, l0)
-    return injected(bands, match_moments(p, o_l) - o_l, l0)
+    front = front_end(y_h, pan, ratio)
+    l0 = _principal_axes(upsampled_moments(y_h, ratio)[1], y_h.data)[1][0]
+    return _gs_stream(y_h, ratio, front, l0)
 
 
 def fuse_pca(y_h: SpectralImage, pan: SpectralImage, ratio: int) -> SpectralImage:

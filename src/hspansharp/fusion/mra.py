@@ -5,7 +5,8 @@ injection.
 Each method builds a low-pass PAN P_L, equalizes the PAN to every band
 against the P_L statistics, and injects the band detail G_k (P - P_L).
 The low-passes act on arrays (`sensorsim.degrade`, `resample.interpolate`),
-and the GLP's blurs with the sensor model's `BlurKernel`.
+and the GLP's blurs with the sensor model's `BlurKernel`. The band statistics
+come from the low-resolution bands (`resample.upsampled_moments`).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..imgcore import BandStream, DynamicRange, SpectralImage
-from ..resample import interpolate
+from ..resample import interpolate, upsampled_moments
 from ..sensorsim import BlurKernel, check_ratio, degrade, kernel_from_mtf
 from .cs import front_end, injected
 
@@ -77,12 +78,12 @@ def glp_lowpass(stack: np.ndarray, ratio: int, blur: BlurKernel) -> np.ndarray:
     return interpolate(degrade(stack, blur.taps, ratio), ratio)
 
 
-def _detail_scales(front, p_l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The low-pass PAN P_L (`p_l`) shaped as the PAN values, and the scales
-    std(Y^k) / std(P_L) of the `cs.front_end` bands `front`: equalized,
-    P_eq^k = (P - mean(P)) scale_k + mean(Y^k), and P_L,eq^k likewise. A
-    constant PAN has std(P_L) = 0 and maps to zero scales."""
-    _, p, _, cov = front
+def _detail_scales(y_h: SpectralImage, ratio: int, p: np.ndarray, p_l: np.ndarray):
+    """P_L (`p_l`) shaped as the PAN values `p`, and the means and scales
+    std(Y^k) / std(P_L) of Y_H interpolated by `ratio`: equalized, P_eq^k =
+    (P - mean(P)) scale_k + mean(Y^k), and P_L,eq^k likewise. A constant PAN
+    has std(P_L) = 0 and maps to zero scales."""
+    means, cov = upsampled_moments(y_h, ratio)
     p_l = p_l.reshape(p.shape)
     pl_std = p_l.std()
     # Filtering a constant PAN leaves rounding dust with std ~ eps |P|;
@@ -90,10 +91,10 @@ def _detail_scales(front, p_l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     std_floor = 1e-12 * max(np.abs(p_l).max(), np.abs(p).max())
     stds = np.sqrt(np.maximum(np.diagonal(cov), 0.0))
     scales = stds / pl_std if pl_std > std_floor else np.zeros_like(stds)
-    return p_l, scales
+    return p_l, means, scales
 
 
-def _hpm_stream(front, p_l: np.ndarray, rng: DynamicRange) -> BandStream:
+def _hpm_stream(y_h, ratio, front, p_l: np.ndarray, rng: DynamicRange) -> BandStream:
     """SFIM / MTF-GLP-HPM body: each `cs.front_end` band of `front` is
     modulated against the low-pass PAN P_L (`p_l`, on the PAN grid),
     F^k = Y^k P_eq^k / P_L,eq^k (`_detail_scales`), clipped to `rng`, in
@@ -102,8 +103,8 @@ def _hpm_stream(front, p_l: np.ndarray, rng: DynamicRange) -> BandStream:
     F^k = Y^k + (P_eq^k - P_L,eq^k). The guard is exact, yet a band whose
     P_L,eq^k range stays clear of it is not searched (`_guarded`).
     """
-    bands, p, means, _ = front
-    p_l, scales = _detail_scales(front, p_l)
+    bands, p = front
+    p_l, means, scales = _detail_scales(y_h, ratio, p, p_l)
     p_mean = p.mean()
     p_centred = p - p_mean
     pl_centred = p_l - p_mean
@@ -130,7 +131,7 @@ def sfim_stream(
 ) -> BandStream:
     """Smoothing-filter-based intensity modulation: box low-pass, HPM gains."""
     front = front_end(y_h, pan, ratio)
-    return _hpm_stream(front, box_lowpass(pan.to_cube(), ratio), rng)
+    return _hpm_stream(y_h, ratio, front, box_lowpass(pan.to_cube(), ratio), rng)
 
 
 def fuse_sfim(
@@ -145,9 +146,10 @@ def mtf_glp_stream(
 ) -> BandStream:
     """GLP detail under the sensor blur `blur`, injected additively: band k
     gains scale_k (P - P_L) (`_detail_scales`, `cs.injected`)."""
-    front = front_end(y_h, pan, ratio)
-    p_l, scales = _detail_scales(front, glp_lowpass(pan.to_cube(), ratio, blur))
-    return injected(front[0], front[1] - p_l, scales)
+    bands, p = front_end(y_h, pan, ratio)
+    p_l = glp_lowpass(pan.to_cube(), ratio, blur)
+    p_l, _, scales = _detail_scales(y_h, ratio, p, p_l)
+    return injected(bands, p - p_l, scales)
 
 
 def fuse_mtf_glp(
@@ -171,7 +173,7 @@ def mtf_glp_hpm_stream(
 ) -> BandStream:
     """GLP detail under the sensor blur `blur`, with HPM gains."""
     front = front_end(y_h, pan, ratio)
-    return _hpm_stream(front, glp_lowpass(pan.to_cube(), ratio, blur), rng)
+    return _hpm_stream(y_h, ratio, front, glp_lowpass(pan.to_cube(), ratio, blur), rng)
 
 
 def fuse_mtf_glp_hpm(

@@ -15,7 +15,7 @@ import sys
 from functools import partial
 
 from ..metrics import compute_report
-from ..sensorsim import GNYQ, assumed_model, check_ratio, pair_ratio
+from ..sensorsim import GNYQ, assumed_model, check_ratio, pair_ratio, pan_values
 from .bench import emit_report, run_method, run_wald, wald_inputs
 from .config import RunConfig, apply_overrides, parse_config
 from .envi import load_raster, save_raster
@@ -125,22 +125,23 @@ def _cmd_degrade(args) -> int:
 
 def _cmd_fuse(args) -> int:
     # Bare keys name parameters of --method; the config grammar parses and
-    # checks every pair, and the gain and subspace dimension with them.
+    # checks every pair, and the gain, seed and subspace dimension with them.
     pairs = [
         pair if "." in pair.partition("=")[0] else f"{args.method}.{pair}"
         for pair in args.overrides
     ]
-    base = RunConfig(gnyq=args.gnyq, subspace_dim=args.subspace_dim)
+    base = RunConfig(gnyq=args.gnyq, seed=args.seed, subspace_dim=args.subspace_dim)
     config = apply_overrides(base, pairs)
     y_h = load_raster(args.hs)
     config.check_bands(y_h.bands)
     pan = load_raster(args.pan)
+    pan_values(pan)  # a PAN of more than one band is refused before any method
     model = assumed_model(pair_ratio(y_h, pan), y_h.bands, y_h.wavelengths, config.gnyq)
     # The method's bands are written block by block as they are formed; a
     # failure at any point leaves no output raster behind.
     sink = partial(save_raster, args.out, dtype=args.dtype)
     try:
-        hdr, dat = run_method(config, args.method, y_h, pan, model, args.seed, sink)
+        hdr, dat = run_method(config, args.method, y_h, pan, model, config.seed, sink)
     except Exception as exc:
         print(f"error: method {args.method} failed: {exc}", file=sys.stderr)
         return 2

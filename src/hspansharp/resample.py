@@ -18,7 +18,7 @@ methods interpolate in full (an intensity, components or coefficients).
 
 Every row of M sums to one, so interpolation maps a constant to itself and
 commutes with centring. `upsampled_moments` uses that to give the band means
-and covariance of the interpolated cube from the low-resolution cube alone.
+and covariance C, or only C w, of the interpolated cube from the input alone.
 """
 
 from __future__ import annotations
@@ -97,25 +97,31 @@ def upsample_bands(img: SpectralImage, ratio: int, method: str = "bicubic") -> B
 
 
 def upsampled_moments(
-    img: SpectralImage, ratio: int, method: str = "bicubic"
+    img: SpectralImage, ratio: int, weights: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Band means and population band covariance of
-    `upsample(img, ratio, method)`, computed on the grid of `img`.
+    """Band means of `upsample(img, ratio)` and its population band
+    covariance C, or C @ weights for a bands x m `weights`, on `img`'s grid.
 
     With R, K the row and column matrices and N the interpolated pixel
     count, band k's mean is m_k = (1^T R) Y_k (K^T 1) / N. As the rows of R
     and K sum to one, the centred interpolated band is R Z_k K^T with
-    Z_k = Y_k - m_k, so the covariance is <Z_j, (R^T R) Z_k (K^T K)> / N.
+    Z_k = Y_k - m_k, so C_jk = <Z_j, (R^T R) Z_k (K^T K)> / N. With
+    `weights` only the m planes W^T Z are spread, to S, and no centred cube
+    is formed: Z S^T = Y S^T - m (S 1)^T.
     """
-    rows, cols = _axis_matrices(img.height, img.width, ratio, method)
+    rows, cols = _axis_matrices(img.height, img.width, ratio, "bicubic")
     count = rows.shape[0] * cols.shape[0]
     cube = img.to_cube()
     row_sums, col_sums = (m.sum(axis=0, keepdims=True) for m in (rows, cols))
     means = separable(row_sums, cube, col_sums)[:, 0, 0] / count
-    centred = cube - means[:, np.newaxis, np.newaxis]
-    spread = separable(rows.T @ rows, centred, cols.T @ cols)
-    flat = centred.reshape(img.bands, -1)
-    return means, flat @ spread.reshape(img.bands, -1).T / count
+    if weights is None:
+        flat = planes = img.data - means[:, np.newaxis]
+    else:
+        flat, planes = img.data, weights.T @ img.data - (means @ weights)[:, np.newaxis]
+    spread = separable(rows.T @ rows, planes.reshape(-1, *cube.shape[1:]), cols.T @ cols)
+    spread = spread.reshape(len(planes), -1)
+    shift = 0.0 if weights is None else np.outer(means, spread.sum(axis=1))
+    return means, (flat @ spread.T - shift) / count
 
 
 def upsample(img: SpectralImage, ratio: int, method: str = "bicubic") -> SpectralImage:

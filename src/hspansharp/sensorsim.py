@@ -10,9 +10,11 @@ keeps only the decimated rows of each matrix. The methods call it on
 arrays; `blur_downsample` is its image form, for the commands.
 
 `pan_values`, `check_pair` and `pair_ratio` are the checks on an observed
-(Y_H, PAN) pair that every method and command shares. `check_ratio` is the
-one rule for a resolution ratio (a positive integer; nothing is truncated)
-and `check_gnyq` the one rule for an MTF gain.
+(Y_H, PAN) pair that every method and command shares, and `check_model_pair`
+the check, shared by the model-based solvers, that a pair fits a
+`SensorModel`. `check_ratio` is the one rule for a resolution ratio (a
+positive integer; nothing is truncated) and `check_gnyq` the one rule for an
+MTF gain.
 
 `assumed_model` alone decides the model every method is fused under: the
 MTF-matched blur, the default PAN response and no known noise. Every
@@ -54,6 +56,7 @@ __all__ = [
     "stencil_matrix",
     "pan_values",
     "check_pair",
+    "check_model_pair",
     "pair_ratio",
     "NOISE_ALGORITHM",
 ]
@@ -198,6 +201,19 @@ def check_pair(y_h: SpectralImage, pan: SpectralImage, ratio: int) -> int:
         raise ValueError(
             f"PAN dims {pan.height}x{pan.width} are not {ratio} times"
             f" the Y_H dims {y_h.height}x{y_h.width}"
+        )
+    return ratio
+
+
+def check_model_pair(y_h: SpectralImage, pan: SpectralImage, model: SensorModel) -> int:
+    """`check_pair` at the model's ratio, or an error unless the model's
+    spectral response has one row per PAN band and one column per Y_H band."""
+    ratio = check_pair(y_h, pan, model.ratio)
+    rows, cols = model.spectral_response.shape
+    if (rows, cols) != (pan.bands, y_h.bands):
+        raise ValueError(
+            f"spectral response is {rows}x{cols}, not {pan.bands}x{y_h.bands}"
+            " (PAN bands x Y_H bands)"
         )
     return ratio
 

@@ -227,7 +227,7 @@ class TestFuseGsa:
 
 
 class TestStatisticsFromLowResolution:
-    """GS and GSA gains and the PCA loading come from the low-resolution
+    """GS, GSA and PCA gains and the PCA loading come from the low-resolution
     cube; they must equal the values taken from the formed interpolated
     cube."""
 
@@ -245,9 +245,12 @@ class TestStatisticsFromLowResolution:
         pan = random_img(1, 4 * ratio, 3 * ratio, seed=50 + ratio)
         kernel = BlurKernel([0.25, 0.5, 0.25])
         w_gsa = gsa_weights(img.data, blur_downsample(pan, kernel, ratio).data[0])
+        # PCA is the GS injection with w the formed cube's first loading.
+        l0 = pca_transform(upsample(img, ratio, "bicubic"))[2][0]
         for got, w in (
             (fuse_gs(img, pan, ratio), np.full(5, 0.2)),
             (fuse_gsa(img, pan, ratio, kernel), w_gsa),
+            (fuse_pca(img, pan, ratio), l0),
         ):
             want = self.formed_cube_gs(img, pan, ratio, w)
             np.testing.assert_allclose(
@@ -257,7 +260,7 @@ class TestStatisticsFromLowResolution:
     @pytest.mark.parametrize("ratio", [2, 3, 4, 5])
     def test_pca_first_loading(self, ratio):
         img = random_img(6, 3, 5, seed=60 + ratio)
-        _, cov = upsampled_moments(img, ratio, "bicubic")
+        _, cov = upsampled_moments(img, ratio)
         got = _principal_axes(cov, img.data)[1][0]
         want = pca_transform(upsample(img, ratio, "bicubic"))[2][0]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

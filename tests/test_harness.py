@@ -990,6 +990,28 @@ class TestCli:
         np.testing.assert_array_equal(ctx.model.hs_noise_std, np.zeros(3))
         assert ctx.model.pan_noise_std == 0.0
 
+    @pytest.mark.parametrize("method", method_names())
+    def test_fuse_multi_band_pan_returns_one_before_any_method(self, tmp_path, capsys, method):
+        hs, _ = tiny_pair(tmp_path)
+        pan = str(tmp_path / "pan2")
+        save_raster(pan, SpectralImage(4, 4, np.random.default_rng(6).uniform(0.1, 1.0, (2, 16))))
+        out = str(tmp_path / "out")
+        argv = ["fuse", "--method", method, "--hs", hs, "--pan", pan, "--out", out]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: PAN image must hold a single band\n"
+        assert not os.path.exists(out + ".hdr") and not os.path.exists(out + ".dat")
+
+    @pytest.mark.parametrize("method", method_names())
+    def test_fuse_negative_seed_returns_one_before_any_method(self, tmp_path, capsys, method):
+        # The seed goes through `RunConfig`'s rule, as `bench`'s does.
+        hs, pan = tiny_pair(tmp_path)
+        out = str(tmp_path / "out")
+        argv = ["fuse", "--method", method, "--hs", hs, "--pan", pan, "--out", out,
+                "--seed", "-1"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: seed must be nonnegative\n"
+        assert not os.path.exists(out + ".hdr") and not os.path.exists(out + ".dat")
+
     def test_fuse_zero_subspace_dim_returns_one_before_any_method(
         self, tmp_path, capsys, monkeypatch
     ):

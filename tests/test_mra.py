@@ -234,7 +234,7 @@ class TestEqualizedFusion:
         p_l = rng_gen.uniform(0.1, 1.0, 16)
         p_l[0] = pan.data[0].mean()
         rng = DynamicRange(-2.0, 2.0)
-        got = _hpm_stream(front_end(y_h, pan, 1), p_l, rng).image()
+        got = _hpm_stream(y_h, 1, front_end(y_h, pan, 1), p_l, rng).image()
         want = oracle_equalized_fusion(data, pan.data[0], p_l, rng.lo, rng.hi, "hpm")
         np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
         assert pan.data[0, 0] != p_l[0]

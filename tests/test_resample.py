@@ -83,6 +83,7 @@ class TestUpsample:
         for fn, arg in ((upsample, img), (interpolate, img.to_cube()), (upsampled_moments, img)):
             with pytest.raises(ValueError):
                 fn(arg, 0)
+        for fn, arg in ((upsample, img), (interpolate, img.to_cube())):
             with pytest.raises(ValueError):
                 fn(arg, 2, method="nearest")
 
@@ -117,16 +118,21 @@ class TestUpsampledMoments:
         rows = _axis_matrix(n, ratio, method).sum(axis=1)
         np.testing.assert_allclose(rows, 1.0, rtol=0, atol=8 * np.finfo(float).eps)
 
-    @pytest.mark.parametrize("method", ["bilinear", "bicubic"])
+    @staticmethod
+    def moments_img(shape, ratio):
+        height, width = shape
+        rng = np.random.default_rng(ratio * 10 + height)
+        return SpectralImage(
+            height, width, rng.uniform(0.1, 1.0, (4, height * width)) + np.arange(4)[:, None]
+        )
+
+    # The moments are those of the bicubic cube `upsample` forms by default.
+    @pytest.mark.parametrize("method", ["bicubic"])
     @pytest.mark.parametrize("ratio", [2, 3, 4, 5])
     @pytest.mark.parametrize("shape", [(4, 7), (6, 3), (1, 5), (5, 1)])
     def test_match_formed_cube(self, shape, ratio, method):
-        height, width = shape
-        rng = np.random.default_rng(ratio * 10 + height)
-        img = SpectralImage(
-            height, width, rng.uniform(0.1, 1.0, (4, height * width)) + np.arange(4)[:, None]
-        )
-        means, cov = upsampled_moments(img, ratio, method)
+        img = self.moments_img(shape, ratio)
+        means, cov = upsampled_moments(img, ratio)
         formed = upsample(img, ratio, method).data
         want_cov = np.cov(formed, bias=True)
         np.testing.assert_allclose(
@@ -135,3 +141,16 @@ class TestUpsampledMoments:
         np.testing.assert_allclose(
             cov, want_cov, rtol=0, atol=1e-12 * np.abs(want_cov).max()
         )
+
+    @pytest.mark.parametrize("ratio", [2, 3, 4, 5])
+    @pytest.mark.parametrize("shape", [(4, 7), (6, 3), (1, 5), (5, 1)])
+    def test_weights_give_covariance_times_weights(self, shape, ratio):
+        # Spreading only the planes W^T Z gives C W, for one or more columns.
+        img = self.moments_img(shape, ratio)
+        means, cov = upsampled_moments(img, ratio)
+        weights = np.random.default_rng(ratio).uniform(-1.0, 1.0, (4, 3))
+        for w in (weights[:, :1], weights):
+            got_means, got = upsampled_moments(img, ratio, w)
+            np.testing.assert_array_equal(got_means, means)
+            want = cov @ w
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())

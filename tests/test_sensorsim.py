@@ -10,7 +10,9 @@ from scipy.ndimage import convolve1d
 from hspansharp.fusion.bayes import (
     HySureParams,
     bayes_naive_solve,
+    default_hysure_params,
     estimate_sensor,
+    hysure_solve,
     learn_subspace,
 )
 from hspansharp.fusion.cnmf import cnmf_solve, vca
@@ -307,6 +309,50 @@ INTEGER_TAKERS = {
     ),
     "add_gaussian_noise": lambda v: add_gaussian_noise(_Y_H, 0.1, v),
 }
+
+
+# Every model-based solver, as a call of the sensor model alone on the
+# ratio-2 pair above.
+MODEL_TAKERS = {
+    "cnmf_solve": lambda m: cnmf_solve(_Y_H, _PAN, m, 2, outer_iters=1, inner_iters=1),
+    "bayes_naive_solve": lambda m: bayes_naive_solve(_Y_H, _PAN, m, learn_subspace(_Y_H, 2)),
+    "hysure_solve": lambda m: hysure_solve(
+        _Y_H, _PAN, learn_subspace(_Y_H, 2), m, HySureParams(max_iters=1)
+    ),
+    "default_hysure_params": lambda m: default_hysure_params(
+        _Y_H, _PAN, learn_subspace(_Y_H, 2), m
+    ),
+}
+
+
+class TestModelPair:
+    """A pair that does not fit the sensor model's spectral response is
+    refused by every model-based solver with one message, written once, in
+    `sensorsim.check_model_pair`."""
+
+    @pytest.mark.parametrize(
+        "response, shape",
+        [(np.full((2, 3), 1 / 3), "2x3"), (np.full((1, 4), 1 / 4), "1x4")],
+        ids=["two-rows", "four-columns"],
+    )
+    @pytest.mark.parametrize("taker", MODEL_TAKERS)
+    def test_response_that_misses_the_pair_is_refused(self, taker, response, shape):
+        model = SensorModel(2, kernel_from_mtf(2), response)
+        with pytest.raises(ValueError) as caught:
+            MODEL_TAKERS[taker](model)
+        assert str(caught.value) == (
+            f"spectral response is {shape}, not 1x3 (PAN bands x Y_H bands)"
+        )
+
+    def test_message_has_one_home(self):
+        homes = {
+            where
+            for where, tree in src_trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and "spectral response is" in node.value
+        }
+        assert homes == {"sensorsim.py"}
 
 
 class TestIntegerRule:
