@@ -5,12 +5,17 @@ spectral response.
 The unknown image is modeled as X = H U with H an orthonormal spectral
 basis learned from the hyperspectral data, so optimization runs over the
 low-dimensional coefficient rows U. HySure's ADMM holds its splitting and
-its scaled dual as two stacked arrays.
+its scaled dual as two stacked arrays, and runs on one loop under either of
+two boundary models, each a small spatial basis: the cyclic one (real FFTs,
+`hysure_solve`'s default) or the reflect one that `sensorsim.degrade` blurs
+with (the orthonormal DCT-II of each axis and the banded blur), under which
+`hysure_stream`, and so the registry, fuses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -25,6 +30,7 @@ from ..sensorsim import (
     degrade_axis,
     pair_ratio,
     separable,
+    separable_product,
 )
 from .cs import energy_knee, signed_axes
 
@@ -278,18 +284,46 @@ def fuse_bayes_naive(
 
 
 # ---------------------------------------------------------------------------
-# Vector total variation and the HySure ADMM solver (cyclic boundary model).
+# Vector total variation and the HySure ADMM solver, under a cyclic or a
+# reflect boundary model.
 
 
-def _differences(planes: np.ndarray) -> np.ndarray:
+def _differences(planes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The periodic forward differences x[i + 1] - x[i] of a stack of planes
-    along the width (D_h) and the height (D_v), stacked as (D_h, D_v)."""
-    return np.stack([np.roll(planes, -1, axis=-1), np.roll(planes, -1, axis=-2)]) - planes
+    along the width (D_h) and the height (D_v), stacked as (D_h, D_v), as a
+    fresh array or written into `out`."""
+    rolled = np.stack([np.roll(planes, -1, axis=-1), np.roll(planes, -1, axis=-2)])
+    return np.subtract(rolled, planes, out=out)
 
 
 def _differences_adjoint(pair: np.ndarray) -> np.ndarray:
     """(D_h^T, D_v^T) applied to the two stacks of `pair`: x[i - 1] - x[i]."""
     return np.stack([np.roll(pair[0], 1, axis=-1), np.roll(pair[1], 1, axis=-2)]) - pair
+
+
+def _neumann_differences(planes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The forward differences x[i + 1] - x[i] along the width (D_h) and the
+    height (D_v), stacked as (D_h, D_v), with the last difference of each
+    line zero: the differences of the mirrored (reflect) extension. As a
+    fresh array or written into `out`."""
+    pair = np.empty((2,) + planes.shape) if out is None else out
+    np.subtract(planes[..., 1:], planes[..., :-1], out=pair[0][..., :-1])
+    np.subtract(planes[..., 1:, :], planes[..., :-1, :], out=pair[1][..., :-1, :])
+    pair[0][..., -1] = 0.0
+    pair[1][..., -1, :] = 0.0
+    return pair
+
+
+def _neumann_differences_adjoint(pair: np.ndarray) -> np.ndarray:
+    """The adjoints of `_neumann_differences` applied to the two stacks of
+    `pair`: y[i - 1] - y[i], each term present where its index is a
+    difference the pair holds (the last sample of a line is none)."""
+    out = np.zeros_like(pair)
+    out[0][..., 1:] = pair[0][..., :-1]
+    out[0][..., :-1] -= pair[0][..., :-1]
+    out[1][..., 1:, :] = pair[1][..., :-1, :]
+    out[1][..., :-1, :] -= pair[1][..., :-1, :]
+    return out
 
 
 def _joint_norms(pair: np.ndarray) -> np.ndarray:
@@ -351,6 +385,26 @@ class HysureResult:
     converged: bool
 
 
+@dataclass(frozen=True)
+class _SpatialBasis:
+    """HySure's boundary model: a transform of the coefficient planes in
+    which B^T B + D_h^T D_h + D_v^T D_v is diagonal, with its eigenvalues
+    `psi` (one per coefficient of a transformed plane), and the difference
+    pair D = (D_h, D_v) with its adjoint.
+
+    `rhs(s, b, mu)` is the transform of s + mu B^T b, `inverse` takes a
+    transformed stack back to planes, `blurred(u, u_hat, out)` writes B U
+    into `out` from U and its transform (None when it is not at hand), and
+    `differences(u, out)` writes D U into `out`."""
+
+    psi: np.ndarray
+    rhs: Callable
+    inverse: Callable
+    blurred: Callable
+    differences: Callable
+    differences_adjoint: Callable
+
+
 def _cyclic_kernel_rfft(taps: np.ndarray, height: int, width: int) -> np.ndarray:
     """Half spectrum (rfft2, height x (width // 2 + 1)) of the cyclic blur."""
     radius = taps.size // 2
@@ -362,31 +416,109 @@ def _cyclic_kernel_rfft(taps: np.ndarray, height: int, width: int) -> np.ndarray
     return np.fft.rfft2(grid)
 
 
+def _cyclic_basis(taps: np.ndarray, height: int, width: int) -> _SpatialBasis:
+    """Cyclic boundaries: the real half spectrum (rfft2/irfft2) diagonalizes
+    the cyclic blur and the periodic `_differences`. B^T is a multiply by
+    the conjugate spectrum, so the blurred splitting is transformed alone,
+    and B U comes from U's spectrum."""
+    fb = _cyclic_kernel_rfft(taps, height, width)
+    fb_conj = np.conj(fb)
+    mh = np.exp(2j * np.pi * np.fft.rfftfreq(width))[np.newaxis, :] - 1.0
+    mv = np.exp(2j * np.pi * np.fft.fftfreq(height))[:, np.newaxis] - 1.0
+    psi = np.abs(fb) ** 2 + np.abs(mh) ** 2 + np.abs(mv) ** 2
+
+    def rhs(s, b, mu):
+        rhs_hat = np.fft.rfft2(s)
+        rhs_hat += mu * fb_conj * np.fft.rfft2(b)
+        return rhs_hat
+
+    def inverse(u_hat):
+        return np.fft.irfft2(u_hat, s=(height, width))
+
+    def blurred(u, u_hat, out):
+        out[...] = inverse((np.fft.rfft2(u) if u_hat is None else u_hat) * fb)
+
+    return _SpatialBasis(psi, rhs, inverse, blurred, _differences, _differences_adjoint)
+
+
+def _dct_matrix(n: int) -> np.ndarray:
+    """The orthonormal DCT-II matrix of an n-sample line: row k holds
+    sqrt(2 / n) cos(pi k (2 j + 1) / (2 n)), row 0 scaled by 1 / sqrt(2)."""
+    k = np.arange(n)[:, np.newaxis]
+    j = np.arange(n)[np.newaxis, :]
+    matrix = np.sqrt(2.0 / n) * np.cos(np.pi * k * (2 * j + 1) / (2 * n))
+    matrix[0] /= np.sqrt(2.0)
+    return matrix
+
+
+def _reflect_basis(taps: np.ndarray, height: int, width: int) -> _SpatialBasis:
+    """Reflect boundaries, the model `sensorsim.degrade` blurs with: B is
+    the blur of `degrade_axis(n, taps, 1)` on both axes, symmetric for
+    symmetric taps, and the orthonormal DCT-II of each axis diagonalizes it
+    (Ng, Chan and Tang 1999) and the `_neumann_differences`, whose D^T D
+    has the eigenvalues 2 - 2 cos(pi k / n). B U is the banded product.
+    Every product is planned once here."""
+    ch, cw = _dct_matrix(height), _dct_matrix(width)
+    bh, bw = degrade_axis(height, taps, 1), degrade_axis(width, taps, 1)
+    blur_h = ((ch @ bh) * ch).sum(axis=1)
+    blur_w = ((cw @ bw) * cw).sum(axis=1)
+    diff_h = 2.0 - 2.0 * np.cos(np.pi * np.arange(width) / width)
+    diff_v = 2.0 - 2.0 * np.cos(np.pi * np.arange(height) / height)
+    psi = np.outer(blur_h, blur_w) ** 2 + diff_h[np.newaxis, :] + diff_v[:, np.newaxis]
+    to_dct = separable_product(ch, cw)
+    blur = separable_product(bh, bw)
+
+    def rhs(s, b, mu):
+        total = blur(b)
+        total *= mu
+        total += s
+        return to_dct(total)
+
+    return _SpatialBasis(
+        psi,
+        rhs,
+        separable_product(ch.T, cw.T),
+        lambda u, u_hat, out: blur(u, out),
+        _neumann_differences,
+        _neumann_differences_adjoint,
+    )
+
+
+_BOUNDARIES = {"cyclic": _cyclic_basis, "reflect": _reflect_basis}
+
+
 def hysure_solve(
     y_h: SpectralImage,
     pan: SpectralImage,
     basis: SubspaceBasis,
     model: SensorModel,
     params: HySureParams,
+    boundary: str = "cyclic",
 ) -> HysureResult:
     """SALSA/ADMM minimization of
 
         0.5 ||Y_H - H U B S||^2 + (lambda_m / 2) ||P - R H U||^2
         + lambda_phi VTV(U)
 
-    with cyclic convolution B diagonalized in the frequency domain and the
-    decimation handled by a site mask. The splitting V of A U = (B U, D_h U,
-    D_v U) and the scaled dual D are each one stacked array. A rising
-    objective (which reads A U, not V) doubles the penalty, halves D so the
-    multipliers are unchanged, and retries the U step alone; an accepted
-    step sets V to the prox of A U - D and D to D - (A U - V), in place.
+    with the decimation S handled by a site mask, and the blur B and the
+    differences of VTV under the `boundary` model: "cyclic" (the default),
+    diagonalized by the real half spectrum, or "reflect", the model
+    `sensorsim.degrade` blurs with, diagonalized by the DCT-II (see
+    `_cyclic_basis` and `_reflect_basis`). The splitting V of
+    A U = (B U, D_h U, D_v U) and the scaled dual D are each one stacked
+    array. A rising objective (which reads A U, not V) doubles the penalty,
+    halves D so the multipliers are unchanged, and retries the U step alone;
+    an accepted step sets V to the prox of A U - D and D to D - (A U - V),
+    in place.
 
-    U is real, so the frequency domain is the real half spectrum
-    (rfft2/irfft2). Each U step takes four transforms: two forward ones for
-    the right-hand side (the blurred splitting is transformed alone so that
-    B^T is a multiply), and two inverse ones giving U and B U from the one
-    solved spectrum.
+    Each U step transforms the right-hand side, divides by the eigenvalues,
+    and takes the solution back to U and B U. Under cyclic boundaries that
+    is four real FFTs (two forward, as B^T is a multiply on the blurred
+    splitting's spectrum, and two inverse from the one solved spectrum);
+    under reflect ones, a forward and an inverse DCT and one banded blur.
     """
+    if boundary not in _BOUNDARIES:
+        raise ValueError(f"boundary must be one of {sorted(_BOUNDARIES)}, got {boundary!r}")
     ratio = check_model_pair(y_h, pan, model)
     h, w = pan.height, pan.width
     p = basis.p
@@ -394,12 +526,7 @@ def hysure_solve(
     phase = default_phase(ratio)
     mu = params.admm_mu
     lam_m, lam_phi = params.lambda_m, params.lambda_phi
-
-    fb = _cyclic_kernel_rfft(model.blur.taps, h, w)
-    fb_conj = np.conj(fb)
-    mh = np.exp(2j * np.pi * np.fft.rfftfreq(w))[np.newaxis, :] - 1.0
-    mv = np.exp(2j * np.pi * np.fft.fftfreq(h))[:, np.newaxis] - 1.0
-    psi = (np.abs(fb) ** 2 + np.abs(mh) ** 2 + np.abs(mv) ** 2).ravel()
+    spatial = _BOUNDARIES[boundary](model.blur.taps, h, w)
 
     rh = model.spectral_response @ H
     evals, evecs = np.linalg.eigh(lam_m * (rh.T @ rh))
@@ -418,24 +545,31 @@ def hysure_solve(
             + lam_phi * float(_joint_norms(au[1:]).sum())
         )
 
-    def forward(u, u_hat):
-        """A U, stacked, from U and its half spectrum."""
-        ub = np.fft.irfft2(u_hat * fb, s=(h, w))
-        return np.concatenate([ub[np.newaxis], _differences(u)])
+    def forward(u, u_hat, out):
+        """A U, stacked into `out`, from U and its transform."""
+        spatial.blurred(u, u_hat, out[0])
+        spatial.differences(u, out[1:])
+
+    def solve():
+        """The transform of the U minimizing the augmented Lagrangian."""
+        adj = spatial.differences_adjoint(v[1:] + d[1:])
+        rhs_hat = spatial.rhs(pan_term + mu * adj[0] + mu * adj[1], v[0] + d[0], mu)
+        z = evecs.T @ rhs_hat.reshape(p, -1)
+        z /= evals[:, np.newaxis] + mu * spatial.psi.reshape(1, -1)
+        return (evecs @ z).reshape((p,) + spatial.psi.shape)
 
     def u_step():
-        adj = _differences_adjoint(v[1:] + d[1:])
-        rhs_hat = np.fft.rfft2(pan_term + mu * adj[0] + mu * adj[1])
-        rhs_hat += mu * fb_conj * np.fft.rfft2(v[0] + d[0])
-        z = evecs.T @ rhs_hat.reshape(p, -1)
-        z /= evals[:, np.newaxis] + mu * psi[np.newaxis, :]
-        u_hat = (evecs @ z).reshape((p,) + fb.shape)
-        u = np.fft.irfft2(u_hat, s=(h, w))
-        return u, forward(u, u_hat)
+        """That U, with A U written into `au`."""
+        u_hat = solve()
+        u = spatial.inverse(u_hat)
+        forward(u, u_hat, au)
+        return u
 
     u = _interpolated_coefficients(y_h, basis, ratio).reshape(p, h, w)
-    v = forward(u, np.fft.rfft2(u))
+    v = np.empty((3, p, h, w))
+    forward(u, None, v)
     d = np.zeros_like(v)
+    au = np.empty_like(v)
     trace = [objective(u, v)]
     converged = False
     iterations = 0
@@ -443,7 +577,7 @@ def hysure_solve(
 
     for iterations in range(1, params.max_iters + 1):
         while True:
-            u_next, au = u_step()
+            u_next = u_step()
             value = objective(u_next, au)
             if value <= trace[-1] * (1.0 + 1e-9) or escalations >= 30:
                 break
@@ -484,7 +618,7 @@ def hysure_stream(
     """Variational fusion under `default_hysure_params`, clipped to the
     dynamic range."""
     params = default_hysure_params(y_h, pan, basis, model)
-    result = hysure_solve(y_h, pan, basis, model, params)
+    result = hysure_solve(y_h, pan, basis, model, params, boundary="reflect")
     fused = BandStream.product(pan.height, pan.width, basis.H, result.U, y_h.wavelengths)
 
     def fill(start, stop, out):

@@ -22,8 +22,9 @@ method that models the sensor's blur reads the model's `blur`.
 
 `separable_product` (and `separable`, one application of it) is the one
 place where a pair of per-axis matrices is applied, here and in `resample`,
-the guided filter and BayesNaive. On both axes it spends work only on the
-band of nonzero weights each block of outputs reads.
+the guided filter, BayesNaive and HySure's reflect boundary model. On both
+axes it spends work only on the band of nonzero weights each block of
+outputs reads.
 """
 
 from __future__ import annotations

@@ -5,13 +5,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
 from scipy.linalg import solve_sylvester
 
 from hspansharp.fusion import bayes
-from hspansharp.harness.bench import reference_scene, wald_inputs
+from hspansharp.harness.bench import reference_scene, run_method, wald_inputs
 from hspansharp.harness.config import RunConfig
+from hspansharp.harness.scene import synth_scene
 from hspansharp.imgcore import DynamicRange, SpectralImage
+from hspansharp.metrics import ergas
 from hspansharp.resample import upsample
 from hspansharp.sensorsim import (
     SensorModel,
@@ -675,6 +678,113 @@ class TestHysureLoopOracle:
         assert converged == (stops == "early")
         assert (iterations == params.max_iters) == (stops == "budget")
         assert (escalations > 0) == escalates
+
+
+def neumann_difference_matrix(n):
+    """Dense D of one axis under the reflect boundary: row i reads
+    x[i + 1] - x[i], and the last row is zero."""
+    return np.vstack([np.diff(np.eye(n), axis=0), np.zeros((1, n))])
+
+
+class TestReflectBasis:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 25, 100])
+    def test_dct_matrix_matches_scipy(self, n):
+        want = scipy.fft.dct(np.eye(n), norm="ortho", axis=0)
+        np.testing.assert_allclose(bayes._dct_matrix(n), want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("ratio", [2, 3, 4, 5, 6])
+    def test_dct_diagonalizes_the_reflect_blur(self, ratio):
+        # Also where the line is shorter than the kernel, so taps mirror
+        # more than once.
+        taps = kernel_from_mtf(ratio).taps
+        radius = taps.size // 2
+        for n in [*range(1, 2 * radius + 4), 100]:
+            c = bayes._dct_matrix(n)
+            blur = c @ degrade_axis(n, taps, 1) @ c.T
+            off = blur - np.diag(np.diag(blur))
+            assert np.abs(off).max() <= 1e-13, n
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 100])
+    def test_neumann_gram_eigenvalues(self, n):
+        d = neumann_difference_matrix(n)
+        c = bayes._dct_matrix(n)
+        gram = c @ d.T @ d @ c.T
+        eigen = 2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)
+        np.testing.assert_allclose(np.diag(gram), eigen, rtol=0, atol=1e-13)
+        assert np.abs(gram - np.diag(np.diag(gram))).max() <= 1e-13
+
+    def test_neumann_differences_and_adjoint_are_the_dense_pair(self):
+        rng = np.random.default_rng(31)
+        h, w = 5, 7
+        planes = rng.normal(size=(3, h, w))
+        pair = rng.normal(size=(2, 3, h, w))
+        dh, dv = neumann_difference_matrix(w), neumann_difference_matrix(h)
+        got = bayes._neumann_differences(planes)
+        np.testing.assert_allclose(got[0], planes @ dh.T, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(got[1], dv @ planes, rtol=0, atol=1e-14)
+        adj = bayes._neumann_differences_adjoint(pair)
+        np.testing.assert_allclose(adj[0], pair[0] @ dh, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(adj[1], dv.T @ pair[1], rtol=0, atol=1e-14)
+
+
+class TestHysureReflect:
+    def test_matches_dense_least_squares(self):
+        # Criterion 08's oracle with the data blurred under reflect
+        # boundaries, the model `degrade` blurs with.
+        rng = np.random.default_rng(108)
+        h = w = 16
+        n = h * w
+        bands, p = 6, 2
+        q, _ = np.linalg.qr(rng.normal(size=(bands, p)))
+        basis = SubspaceBasis(q)
+        u_true = rng.uniform(0.2, 1.0, (p, n))
+        kernel = kernel_from_mtf(2, 0.5)
+        model = SensorModel(1, kernel, np.full((1, bands), 1.0 / bands))
+        blur_mat = np.kron(degrade_axis(h, kernel.taps, 1), degrade_axis(w, kernel.taps, 1))
+        y_h = SpectralImage(
+            h, w, q @ (u_true @ blur_mat.T) + 0.01 * rng.normal(size=(bands, n))
+        )
+        pan = SpectralImage(
+            h, w, model.spectral_response @ q @ u_true + 0.01 * rng.normal(size=(1, n))
+        )
+        rh = model.spectral_response @ q
+        u_opt = solve_sylvester(
+            rh.T @ rh, blur_mat.T @ blur_mat, q.T @ y_h.data @ blur_mat + rh.T @ pan.data
+        )
+        params = HySureParams(
+            lambda_m=1.0, lambda_phi=0.0, admm_mu=0.01, tol=0.0, max_iters=5000
+        )
+        result = hysure_solve(y_h, pan, basis, model, params, boundary="reflect")
+        rel = np.linalg.norm(result.U - u_opt) / np.linalg.norm(u_opt)
+        trace = result.objective_trace
+        worst_rise = float((np.diff(trace) / np.abs(trace[:-1])).max())
+        assert rel <= 1e-4
+        assert worst_rise <= 1e-7
+
+    def test_unknown_boundary_rejected(self):
+        y_h, pan, basis, model = TestHysureSolve().make_noisy_scene()
+        with pytest.raises(ValueError, match="boundary must be one of"):
+            hysure_solve(y_h, pan, basis, model, HySureParams(max_iters=2), boundary="wrap")
+
+    def test_registry_solves_in_the_wald_boundary_model(self):
+        # On a non-periodic crop, HySure as `bench` and `fuse` run it beats
+        # the same solve under the cyclic default.
+        config = RunConfig(height=40, width=40, ratio=4, snr_db=30.0).validate()
+        full = synth_scene(config.seed, config.endmembers, 50, 50, config.bands)
+        crop = full.to_cube()[:, :40, :40].reshape(full.bands, -1)
+        truth = SpectralImage(40, 40, crop, full.wavelengths)
+        y_h, pan, model = wald_inputs(truth, config)
+        fused = run_method(config, "HySure", y_h, pan, model, config.seed)
+
+        basis = learn_subspace(y_h, default_subspace_dim(y_h))
+        params = default_hysure_params(y_h, pan, basis, model)
+        cyclic = hysure_solve(y_h, pan, basis, model, params)
+        bounds = DynamicRange.spanning(y_h.data)
+        cyclic_img = SpectralImage(
+            40, 40, np.clip(basis.H @ cyclic.U, bounds.lo, bounds.hi), full.wavelengths
+        )
+        d = 1.0 / config.ratio
+        assert ergas(fused, truth, d) < ergas(cyclic_img, truth, d)
 
 
 class TestEstimateSensor:

@@ -156,6 +156,21 @@ def test_periodic_differences_have_one_home():
     }
 
 
+def test_fft_stays_in_the_cyclic_basis():
+    # Only HySure's cyclic boundary model transforms by FFT; the reflect
+    # model and everything else work on per-axis matrices.
+    transforming = set()
+    for where, tree in package_modules():
+        for node in tree.body:
+            named = {getattr(n, "attr", None) or getattr(n, "name", None) for n in ast.walk(node)}
+            if any(isinstance(name, str) and "fft" in name.split(".") for name in named):
+                transforming.add((where, getattr(node, "name", None)))
+    assert transforming == {
+        ("fusion/bayes.py", "_cyclic_kernel_rfft"),
+        ("fusion/bayes.py", "_cyclic_basis"),
+    }
+
+
 def test_only_envi_writes_binary_files():
     # `save_raster` is the one writer of images and of streamed blocks.
     writers = set()

@@ -61,10 +61,10 @@ STREAM_BUDGET = 0.5
 # fields, the data term and the prior mean in the spatial eigenbasis, each p
 # planes on the PAN grid (its prior mean is the interpolated projection
 # H^T Y_H, so no interpolated cube is formed);
-# HySure's ADMM holds U, the stacked splitting V, the scaled dual D and the
-# stacked A U (three coefficient fields each), with the U step's spectra and
-# the objective's residuals beside them.
-STATE_BUDGET = {"BayesNaive": 0.6, "HySure": 1.37}
+# HySure's ADMM holds U, the stacked splitting V, the scaled dual D and one
+# buffer for the stacked A U (three coefficient fields each), with the U
+# step's transforms and the objective's residuals beside them.
+STATE_BUDGET = {"BayesNaive": 0.6, "HySure": 1.08}
 CONFIG = RunConfig(height=160, width=160, bands=60, ratio=4).validate()
 
 
