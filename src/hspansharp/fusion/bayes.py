@@ -10,6 +10,10 @@ two boundary models, each a small spatial basis: the cyclic one (real FFTs,
 `hysure_solve`'s default) or the reflect one that `sensorsim.degrade` blurs
 with (the orthonormal DCT-II of each axis and the banded blur), under which
 `hysure_stream`, and so the registry, fuses.
+
+`estimate_sensor` recovers the spectral response and the blur taps from the
+observed pair by alternating two nonnegative least-squares steps, both
+solved by CNMF's Lawson-Hanson solver `cnmf.nnls_columns`.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from ..sensorsim import (
     separable,
     separable_product,
 )
+from .cnmf import _DELTA, nnls_columns
 from .cs import energy_knee, signed_axes
 
 __all__ = [
@@ -46,13 +51,11 @@ __all__ = [
     "BayesNaiveResult",
     "bayes_naive_solve",
     "bayes_naive_stream",
-    "fuse_bayes_naive",
     "vtv",
     "default_hysure_params",
     "HysureResult",
     "hysure_solve",
     "hysure_stream",
-    "fuse_hysure",
     "estimate_sensor",
 ]
 
@@ -270,17 +273,6 @@ def bayes_naive_stream(
     """H U from `bayes_naive_solve` under the default priors."""
     result = bayes_naive_solve(y_h, pan, model, basis, sigma_rounds=sigma_rounds)
     return BandStream.product(pan.height, pan.width, basis.H, result.U, y_h.wavelengths)
-
-
-def fuse_bayes_naive(
-    y_h: SpectralImage,
-    pan: SpectralImage,
-    model: SensorModel,
-    basis: SubspaceBasis,
-    sigma_rounds: int,
-) -> SpectralImage:
-    """`bayes_naive_stream` as one image."""
-    return bayes_naive_stream(y_h, pan, model, basis, sigma_rounds).image()
 
 
 # ---------------------------------------------------------------------------
@@ -628,20 +620,16 @@ def hysure_stream(
     return fused.refill(fill)
 
 
-def fuse_hysure(
-    y_h: SpectralImage,
-    pan: SpectralImage,
-    basis: SubspaceBasis,
-    model: SensorModel,
-    rng: DynamicRange,
-) -> SpectralImage:
-    """`hysure_stream` as one image."""
-    return hysure_stream(y_h, pan, basis, model, rng).image()
-
-
 # ---------------------------------------------------------------------------
 # Blind estimation of the blur taps and spectral response from an observed
 # (Y_H, Y_M) pair.
+
+
+# The estimator's smoothness weights on the taps and on each response row,
+# and the relative objective change at which its alternations stop.
+_LAMBDA_B = 1e-6
+_LAMBDA_R = 1e-6
+_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -649,13 +637,6 @@ class SensorEstimate:
     kernel: BlurKernel
     response: np.ndarray
     objective_trace: np.ndarray
-
-
-def _first_diff_gram(size: int) -> np.ndarray:
-    if size < 2:
-        return np.zeros((size, size))
-    d = np.diff(np.eye(size), axis=0)
-    return d.T @ d
 
 
 def _tap_matrix(support: int) -> np.ndarray:
@@ -675,12 +656,14 @@ def _solve_taps_one_axis(
     taps: np.ndarray,
     axis: int,
     ratio: int,
-    lambda_b: float,
 ) -> np.ndarray:
-    """Least-squares update of the shared symmetric taps along one axis,
-    holding the other axis's `degrade_axis` matrix at the current taps;
-    unit-sum enforced by eliminating the center tap. Solving along axis -2
-    is solving along axis -1 of the transposed images."""
+    """Nonnegative least-squares update of the shared symmetric taps along
+    one axis, holding the other axis's `degrade_axis` matrix at the current
+    taps, normalized to unit sum. The K + 1 tap parameters a (taps T a) are
+    the NNLS of the features (the image degraded once per column of T along
+    this axis) over the target, stacked on sqrt(lambda_b) D T over zeros and
+    the unit-sum row delta 1^T T over delta. Solving along axis -2 is
+    solving along axis -1 of the transposed images."""
     support = taps.size
     if support == 1:
         return np.array([1.0])
@@ -692,17 +675,14 @@ def _solve_taps_one_axis(
     # product with the basis axis matrices stacked.
     cols = np.concatenate([degrade_axis(width, t, ratio) for t in tap_map.T])
     low = separable(degrade_axis(height, taps, ratio), y_m_cube, cols)
-    feats = np.array([f.ravel() for f in np.split(low, tap_map.shape[1], axis=-1)])
-    design = feats[1:] - 2.0 * feats[0]
-    resid = target.ravel() - feats[0]
-    diff_gram = _first_diff_gram(support)
-    reduced = tap_map[:, 1:] - 2.0 * tap_map[:, [0]]
-    base = tap_map[:, 0]
-    gram = design @ design.T + lambda_b * (reduced.T @ diff_gram @ reduced)
-    rhs = design @ resid - lambda_b * (reduced.T @ diff_gram @ base)
-    coeffs = np.linalg.solve(gram, rhs)
-    full = tap_map @ np.concatenate([[1.0 - 2.0 * coeffs.sum()], coeffs])
-    full = np.maximum(full, 0.0)
+    feats = [f.ravel() for f in np.split(low, tap_map.shape[1], axis=-1)]
+    a = np.vstack([
+        np.column_stack(feats),
+        np.sqrt(_LAMBDA_B) * np.diff(tap_map, axis=0),
+        _DELTA * tap_map.sum(axis=0),
+    ])
+    b = np.concatenate([target.ravel(), np.zeros(support - 1), [_DELTA]])
+    full = tap_map @ nnls_columns(a, b[:, np.newaxis])[:, 0]
     total = full.sum()
     if total <= 0:
         raise ValueError("blur estimation collapsed to an empty kernel")
@@ -713,61 +693,61 @@ def estimate_sensor(
     y_h: SpectralImage,
     y_m: SpectralImage,
     kernel_support: int,
-    lambda_b: float = 1e-6,
-    lambda_r: float = 1e-6,
     max_alternations: int = 20,
-    tol: float = 1e-6,
 ) -> SensorEstimate:
     """Recover blur taps and spectral response from the observed pair by
-    alternating regularized least squares on
+    alternating nonnegative least squares (`cnmf.nnls_columns`) on
 
         || R Y_H - Y_M B S ||^2 + lambda_b |diff(taps)|^2
         + lambda_r |row diffs of R|^2
 
-    with R rows projected nonnegative (normalized to unit sum on return)
-    and the taps kept symmetric with unit sum.
+    with lambda_b = `_LAMBDA_B` and lambda_r = `_LAMBDA_R`. Each response row
+    is the NNLS of [Y_H^T; sqrt(lambda_r) D] over [target^T; 0], an exact
+    step, and the taps are kept symmetric with unit sum (see
+    `_solve_taps_one_axis`), taken only if the objective does not rise. The
+    rows of R are normalized to unit sum on return. The alternations stop
+    when the objective changes by at most `_TOL` of itself.
     """
     width, rounds = kernel_support, max_alternations
     if not (is_integer(width) and width >= 1 and width % 2 == 1):
         raise ValueError(f"kernel support must be a positive odd width, got {width!r}")
     if not (is_integer(rounds) and rounds >= 1):
         raise ValueError(f"max_alternations must be an integer >= 1, got {rounds!r}")
-    if lambda_b < 0 or lambda_r < 0:
-        raise ValueError("regularization weights must be nonnegative")
     ratio = pair_ratio(y_h, y_m)
     if y_h.data.std() == 0 or y_m.data.std() == 0:
         raise ValueError("degenerate (constant) input image")
     m_lambda = y_h.bands
     n_lambda = y_m.bands
     y_m_cube = y_m.to_cube()
-    gram_h = y_h.data @ y_h.data.T + lambda_r * _first_diff_gram(m_lambda)
+    smooth = np.sqrt(_LAMBDA_R) * np.diff(np.eye(m_lambda), axis=0)
+    response_design = np.vstack([y_h.data.T, smooth])
+    zeros = np.zeros((m_lambda - 1, n_lambda))
 
     taps = np.full(kernel_support, 1.0 / kernel_support)
     response = np.full((n_lambda, m_lambda), 1.0 / m_lambda)
 
     def objective(resp, t, low):
         resid = resp @ y_h.data - low
-        pen_b = lambda_b * float((np.diff(t) ** 2).sum())
-        pen_r = lambda_r * float((np.diff(resp, axis=1) ** 2).sum())
+        pen_b = _LAMBDA_B * float((np.diff(t) ** 2).sum())
+        pen_r = _LAMBDA_R * float((np.diff(resp, axis=1) ** 2).sum())
         return float((resid**2).sum()) + pen_b + pen_r
 
     target = degrade(y_m_cube, taps, ratio).reshape(n_lambda, -1)
     trace = [objective(response, taps, target)]
     for _ in range(max_alternations):
-        candidate = np.linalg.solve(gram_h, y_h.data @ target.T).T
-        candidate = np.maximum(candidate, 0.0)
-        if objective(candidate, taps, target) <= trace[-1]:
-            response = candidate
+        response = nnls_columns(response_design, np.vstack([target.T, zeros])).T
+        value = objective(response, taps, target)
 
         t2 = (response @ y_h.data).reshape(n_lambda, y_h.height, y_h.width)
-        new_taps = _solve_taps_one_axis(t2, y_m_cube, taps, -1, ratio, lambda_b)
-        new_taps = _solve_taps_one_axis(t2, y_m_cube, new_taps, -2, ratio, lambda_b)
+        new_taps = _solve_taps_one_axis(t2, y_m_cube, taps, -1, ratio)
+        new_taps = _solve_taps_one_axis(t2, y_m_cube, new_taps, -2, ratio)
         low = degrade(y_m_cube, new_taps, ratio).reshape(n_lambda, -1)
-        if objective(response, new_taps, low) <= objective(response, taps, target):
-            taps, target = new_taps, low
+        tap_value = objective(response, new_taps, low)
+        if tap_value <= value:
+            taps, target, value = new_taps, low, tap_value
 
-        trace.append(objective(response, taps, target))
-        if abs(trace[-2] - trace[-1]) <= tol * max(abs(trace[-2]), 1e-30):
+        trace.append(value)
+        if abs(trace[-2] - trace[-1]) <= _TOL * max(abs(trace[-2]), 1e-30):
             break
 
     sums = response.sum(axis=1)

@@ -5,6 +5,11 @@ endmember spectra: spectra come from the low-resolution data, abundances
 from the high-resolution PAN, coupled through the known sensor model.
 Abundance updates use the penalty-row augmentation that softly enforces
 sum-to-one columns.
+
+`nnls_columns`, the Lawson-Hanson solver that seeds the abundances, is the
+one nonnegative least-squares solver in the package: `bayes.estimate_sensor`
+solves its response rows and blur taps with it, and borrows `_DELTA` for
+its taps' unit-sum row.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ __all__ = [
     "nmf_update_spectra",
     "cnmf_solve",
     "cnmf_stream",
-    "fuse_cnmf",
+    "nnls_columns",
 ]
 
 # Added to each multiplicative update's denominator; also the floor of the
@@ -143,7 +148,7 @@ def _passive_solve(gram: np.ndarray, rhs: np.ndarray, passive: np.ndarray) -> np
     return np.linalg.solve(mats, vecs)[:, :, 0].T
 
 
-def _nnls_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def nnls_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """argmin ||a x - b_j||, x >= 0, for every column b_j of b at once.
 
     Lawson-Hanson active-set NNLS (Lawson & Hanson, Solving Least Squares
@@ -231,7 +236,7 @@ def cnmf_solve(
     h_aug = _augment(spectra)
     y_aug = _augment(data_h)
     p_aug = _augment(data_p)
-    abund_low = _nnls_columns(h_aug, y_aug)
+    abund_low = nnls_columns(h_aug, y_aug)
     # The spectra live in the top rows of h_aug, so each spectra update
     # rewrites them in place and h_aug serves the objective and the next
     # abundance step without restacking.
@@ -294,16 +299,3 @@ def cnmf_stream(
     return BandStream.product(
         pan.height, pan.width, ends.spectra, ends.abundances, y_h.wavelengths
     )
-
-
-def fuse_cnmf(
-    y_h: SpectralImage,
-    pan: SpectralImage,
-    model: SensorModel,
-    p: int,
-    outer_iters: int,
-    inner_iters: int,
-    seed: int = 0,
-) -> SpectralImage:
-    """`cnmf_stream` as one image."""
-    return cnmf_stream(y_h, pan, model, p, outer_iters, inner_iters, seed).image()

@@ -30,7 +30,6 @@ __all__ = [
     "soft_threshold",
     "default_component_count",
     "gfpca_stream",
-    "fuse_gfpca",
 ]
 
 # The leading components GFPCA filters explain this share of the variance,
@@ -128,8 +127,3 @@ def gfpca_stream(y_h: SpectralImage, pan: SpectralImage, ratio: int) -> BandStre
             row += band[0]
 
     return bands.refill(fill)
-
-
-def fuse_gfpca(y_h: SpectralImage, pan: SpectralImage, ratio: int) -> SpectralImage:
-    """`gfpca_stream` as one image."""
-    return gfpca_stream(y_h, pan, ratio).image()

@@ -17,7 +17,7 @@ from functools import partial
 from ..metrics import compute_report
 from ..sensorsim import GNYQ, assumed_model, check_ratio, pair_ratio, pan_values
 from .bench import emit_report, run_method, run_wald, wald_inputs
-from .config import RunConfig, apply_overrides, parse_config
+from .config import RunConfig, apply_overrides, check_fusion_ratio, parse_config
 from .envi import load_raster, save_raster
 from .registry import method_names
 from .scene import synth_scene
@@ -136,7 +136,9 @@ def _cmd_fuse(args) -> int:
     config.check_bands(y_h.bands)
     pan = load_raster(args.pan)
     pan_values(pan)  # a PAN of more than one band is refused before any method
-    model = assumed_model(pair_ratio(y_h, pan), y_h.bands, y_h.wavelengths, config.gnyq)
+    ratio = pair_ratio(y_h, pan)
+    check_fusion_ratio(ratio)
+    model = assumed_model(ratio, y_h.bands, y_h.wavelengths, config.gnyq)
     # The method's bands are written block by block as they are formed; a
     # failure at any point leaves no output raster behind.
     sink = partial(save_raster, args.out, dtype=args.dtype)

@@ -28,7 +28,7 @@ from ..imgcore import is_integer
 from ..sensorsim import GNYQ, check_gnyq
 from .registry import method_names, resolve_params
 
-__all__ = ["RunConfig", "parse_config", "apply_overrides"]
+__all__ = ["RunConfig", "check_fusion_ratio", "parse_config", "apply_overrides"]
 
 _TIMING_MODES = ("wall", "off")
 
@@ -95,8 +95,7 @@ class RunConfig:
             raise ValueError("scene dims must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.ratio < 2:
-            raise ValueError("ratio must be at least 2 for fusion runs")
+        check_fusion_ratio(self.ratio)
         if self.input is None and (self.height % self.ratio or self.width % self.ratio):
             raise ValueError("scene dims must be divisible by the ratio")
         check_gnyq(self.gnyq)
@@ -143,6 +142,13 @@ class RunConfig:
                 value = list(value)
             out[f.name] = value
         return out
+
+
+def check_fusion_ratio(ratio: int) -> None:
+    """Refuse a ratio below 2, a PAN on the Y_H grid: `bench` checks its
+    config's ratio and `fuse` the ratio of the pair it reads."""
+    if ratio < 2:
+        raise ValueError("ratio must be at least 2 for fusion runs")
 
 
 def _coerce(text: str):

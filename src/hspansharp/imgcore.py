@@ -21,6 +21,7 @@ writer holds one block of the image at a time.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -167,6 +168,8 @@ class SpectralImage:
                 raise ValueError(
                     f"{len(wl)} wavelengths for {data.shape[0]} bands"
                 )
+            if not all(math.isfinite(v) for v in wl):
+                raise ValueError("wavelengths must be finite")
             if any(b <= a for a, b in zip(wl, wl[1:])):
                 raise ValueError("wavelengths must be strictly increasing")
             object.__setattr__(self, "wavelengths", wl)

@@ -138,13 +138,17 @@ class SensorModel:
         stds = np.asarray(stds, dtype=np.float64).ravel().copy()
         if stds.size != bands:
             raise ValueError(f"{stds.size} noise stds for {bands} bands")
-        if (stds < 0).any():
-            raise ValueError("noise standard deviations must be nonnegative")
+        _check_noise_stds(stds)
         stds.flags.writeable = False
         object.__setattr__(self, "hs_noise_std", stds)
         object.__setattr__(self, "pan_noise_std", float(self.pan_noise_std))
-        if self.pan_noise_std < 0:
-            raise ValueError("noise standard deviations must be nonnegative")
+        _check_noise_stds(self.pan_noise_std)
+
+
+def _check_noise_stds(stds) -> None:
+    """Refuse a negative noise standard deviation among `stds`."""
+    if (np.asarray(stds) < 0).any():
+        raise ValueError("noise standard deviations must be nonnegative")
 
 
 def check_ratio(ratio) -> int:
@@ -374,8 +378,7 @@ def add_gaussian_noise(img: SpectralImage, std_per_band, seed: int) -> SpectralI
         stds = np.full(img.bands, stds[0])
     if stds.size != img.bands:
         raise ValueError(f"{stds.size} stds for {img.bands} bands")
-    if (stds < 0).any():
-        raise ValueError("noise standard deviations must be nonnegative")
+    _check_noise_stds(stds)
     data = np.array(img.data)
     for k in range(img.bands):
         if stds[k] == 0.0:

@@ -29,13 +29,13 @@ from hspansharp.fusion.bayes import (
     HySureParams,
     SubspaceBasis,
     bayes_naive_solve,
+    bayes_naive_stream,
     default_bayes_priors,
     default_hysure_params,
     default_subspace_dim,
     estimate_sensor,
-    fuse_bayes_naive,
-    fuse_hysure,
     hysure_solve,
+    hysure_stream,
     learn_subspace,
     negative_log_posterior,
     vtv,
@@ -448,7 +448,7 @@ class TestBayesNaiveSolve:
         y_h, pan, model, basis = self.make_generic()
         wavelengths = np.linspace(0.4, 0.9, y_h.bands)
         y_h = SpectralImage(y_h.height, y_h.width, y_h.data, wavelengths)
-        fused = fuse_bayes_naive(y_h, pan, model, basis, sigma_rounds=1)
+        fused = bayes_naive_stream(y_h, pan, model, basis, sigma_rounds=1).image()
         assert (fused.height, fused.width, fused.bands) == (
             pan.height,
             pan.width,
@@ -616,7 +616,7 @@ class TestHysureSolve:
         wavelengths = np.linspace(0.4, 0.9, y_h.bands)
         y_h = SpectralImage(y_h.height, y_h.width, y_h.data, wavelengths)
         bounds = DynamicRange(0.2, 0.6)
-        fused = fuse_hysure(y_h, pan, basis, model, rng=bounds)
+        fused = hysure_stream(y_h, pan, basis, model, rng=bounds).image()
         assert fused.data.min() >= bounds.lo
         assert fused.data.max() <= bounds.hi
         assert np.array_equal(fused.wavelengths, wavelengths)
@@ -828,18 +828,31 @@ class TestEstimateSensor:
         assert np.abs(rows - 1.0).max() <= 1e-12
         assert (estimate.response >= 0).all()
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_wald_pair_at_30db(self, seed):
+        # Criterion 09 on the pairs the bench makes: 120^2 x 60 at ratio 4,
+        # 3 endmembers, 30 dB. The response leaves its uniform start, and
+        # BayesNaive under the estimate scores within 2.5x the ERGAS it scores
+        # under the assumed model (1.02x, 2.04x and 0.91x on seeds 0-2).
+        config = RunConfig(
+            height=120, width=120, bands=60, ratio=4, seed=seed, snr_db=30.0
+        ).validate()
+        truth = reference_scene(config)
+        y_h, pan, model = wald_inputs(truth, config)
+        estimate = estimate_sensor(y_h, pan, model.blur.taps.size)
+        assert not np.allclose(estimate.response, 1.0 / y_h.bands)
+        blind = replace(model, blur=estimate.kernel, spectral_response=estimate.response)
+        scores = [
+            ergas(run_method(config, "BayesNaive", y_h, pan, m, 0), truth, 1.0 / config.ratio)
+            for m in (blind, model)
+        ]
+        assert scores[0] <= 2.5 * scores[1]
+
     @pytest.mark.parametrize("support", [0, -3, 4])
     def test_bad_support_rejected(self, support):
         y_h, y_m, _, _ = self.make_pair()
         with pytest.raises(ValueError):
             estimate_sensor(y_h, y_m, support)
-
-    def test_negative_weights_rejected(self):
-        y_h, y_m, _, _ = self.make_pair()
-        with pytest.raises(ValueError):
-            estimate_sensor(y_h, y_m, 3, lambda_b=-1.0)
-        with pytest.raises(ValueError):
-            estimate_sensor(y_h, y_m, 3, lambda_r=-1.0)
 
     def test_non_integer_ratio_rejected(self):
         y_h, y_m, _, _ = self.make_pair()

@@ -8,10 +8,10 @@ from hspansharp.fusion.cnmf import (
     Endmembers,
     _abundance_step,
     _augment,
-    _nnls_columns,
     cnmf_solve,
-    fuse_cnmf,
+    cnmf_stream,
     nmf_update_spectra,
+    nnls_columns,
     vca,
 )
 from hspansharp.harness.bench import reference_scene, wald_inputs
@@ -225,13 +225,13 @@ def bilinear_patch_scene(bands=10, ratio=5, n=40, seed=11):
 
 def loop_oracle_run(y_h, pan, model, p, outer_iters, inner_iters, seed, delta, tol):
     """`oracle_cnmf_loops` from cnmf_solve's initialization: VCA spectra and
-    NNLS abundances against the stacked penalty row, from `_nnls_columns`
+    NNLS abundances against the stacked penalty row, from `nnls_columns`
     (checked against scipy's NNLS in TestNnlsColumns)."""
     data_h = np.maximum(y_h.data, 0.0)
     spectra = vca(data_h, p, seed)
     stack = np.vstack([spectra, np.full((1, p), delta)])
     data_aug = np.vstack([data_h, np.full((1, y_h.pixels), delta)])
-    abund_low = _nnls_columns(stack, data_aug)
+    abund_low = nnls_columns(stack, data_aug)
     ratio = model.ratio
 
     def to_low(abund_high):
@@ -290,7 +290,7 @@ class TestCnmfLoopOracle:
             np.testing.assert_array_equal(got, want)
 
 
-def scipy_nnls_columns(a, b):
+def scipynnls_columns(a, b):
     return np.column_stack([nnls(a, b[:, j])[0] for j in range(b.shape[1])])
 
 
@@ -305,8 +305,8 @@ def assert_kkt(a, b, x):
 
 
 def assert_matches_scipy(a, b):
-    x = _nnls_columns(a, b)
-    want = scipy_nnls_columns(a, b)
+    x = nnls_columns(a, b)
+    want = scipynnls_columns(a, b)
     assert np.abs(x - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
     assert_kkt(a, b, x)
 
@@ -337,12 +337,12 @@ class TestNnlsColumns:
         m = int(rng.integers(3, 8))
         p = int(rng.integers(m + 1, 10))
         a, b = rng.standard_normal((m, p)), rng.standard_normal((m, 12))
-        x = _nnls_columns(a, b)
+        x = nnls_columns(a, b)
         assert ((x > 0).sum(axis=0) <= m).all()
         assert_kkt(a, b, x)
         np.testing.assert_allclose(
             np.linalg.norm(a @ x - b, axis=0),
-            np.linalg.norm(a @ scipy_nnls_columns(a, b) - b, axis=0),
+            np.linalg.norm(a @ scipynnls_columns(a, b) - b, axis=0),
             rtol=1e-10,
             atol=1e-12 * np.linalg.norm(b),
         )
@@ -350,7 +350,7 @@ class TestNnlsColumns:
     def test_single_coefficient(self):
         a = np.array([[1.0], [2.0], [2.0]])
         b = np.array([[3.0, -3.0, 0.0], [6.0, -1.0, 1.0], [0.0, -2.0, 1.0]])
-        np.testing.assert_allclose(_nnls_columns(a, b), [[15.0 / 9.0, 0.0, 4.0 / 9.0]])
+        np.testing.assert_allclose(nnls_columns(a, b), [[15.0 / 9.0, 0.0, 4.0 / 9.0]])
         assert_matches_scipy(a, b)
 
     def test_feasible_column_is_least_squares(self):
@@ -359,7 +359,7 @@ class TestNnlsColumns:
         want = np.array([0.5, 1.5, 2.0])
         b = a @ want + 1e-3 * rng.standard_normal(8)
         np.testing.assert_allclose(
-            _nnls_columns(a, b[:, np.newaxis])[:, 0],
+            nnls_columns(a, b[:, np.newaxis])[:, 0],
             np.linalg.lstsq(a, b, rcond=None)[0],
             rtol=1e-12,
         )
@@ -368,7 +368,7 @@ class TestNnlsColumns:
         rng = np.random.default_rng(8)
         a = rng.standard_normal((6, 4))
         b = np.column_stack([np.zeros(6), rng.standard_normal(6)])
-        x = _nnls_columns(a, b)
+        x = nnls_columns(a, b)
         np.testing.assert_array_equal(x[:, 0], 0.0)
         assert_matches_scipy(a, b)
 
@@ -376,7 +376,7 @@ class TestNnlsColumns:
 class TestFuseCnmf:
     def test_pure_patch_scene_recovered(self):
         truth, y_h, pan, model = bilinear_patch_scene()
-        fused = fuse_cnmf(y_h, pan, model, p=3, outer_iters=2, inner_iters=100)
+        fused = cnmf_stream(y_h, pan, model, p=3, outer_iters=2, inner_iters=100).image()
         assert (fused.bands, fused.height, fused.width) == (
             truth.bands,
             truth.height,
@@ -390,5 +390,5 @@ class TestFuseCnmf:
         truth, y_h, pan, model = low_rank_scene(seed=10)
         wl = tuple(0.4 + 0.01 * k for k in range(y_h.bands))
         y_h = SpectralImage(y_h.height, y_h.width, y_h.data, wl)
-        fused = fuse_cnmf(y_h, pan, model, p=3, outer_iters=2, inner_iters=20)
+        fused = cnmf_stream(y_h, pan, model, p=3, outer_iters=2, inner_iters=20).image()
         assert fused.wavelengths == wl

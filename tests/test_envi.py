@@ -432,6 +432,13 @@ class TestErrorPaths:
         with pytest.raises(ValueError, match="wavelength"):
             load_raster(hdr)
 
+    @pytest.mark.parametrize("listed", ["nan, 0.5, 0.6", "0.4, 0.5, inf"])
+    def test_non_finite_wavelength_refused(self, tmp_path, listed):
+        (hdr, _), _ = self.write_pair(tmp_path)
+        open(hdr, "a").write("wavelength = { %s }\n" % listed)
+        with pytest.raises(ValueError, match="wavelengths must be finite"):
+            load_raster(hdr)
+
     def test_save_rejects_unknown_dtype(self, tmp_path):
         with pytest.raises(ValueError, match="float32 or float64"):
             save_raster(str(tmp_path / "m"), make_image(9), dtype="int16")

@@ -1002,6 +1002,26 @@ class TestCli:
         assert not os.path.exists(out + ".hdr") and not os.path.exists(out + ".dat")
 
     @pytest.mark.parametrize("method", method_names())
+    def test_fuse_ratio_one_pair_returns_one_before_any_method(
+        self, tmp_path, capsys, monkeypatch, method
+    ):
+        # A PAN on the Y_H grid is refused with `bench`'s message for ratio 1.
+        calls = []
+        monkeypatch.setitem(REGISTRY, method, lambda ctx: calls.append(ctx))
+        rng = np.random.default_rng(7)
+        hs, pan, out = (str(tmp_path / name) for name in ("hs", "pan", "out"))
+        save_raster(hs, SpectralImage(20, 20, rng.uniform(0.1, 1.0, (40, 400))))
+        save_raster(pan, SpectralImage(20, 20, rng.uniform(0.1, 1.0, (1, 400))))
+        argv = ["fuse", "--method", method, "--hs", hs, "--pan", pan, "--out", out]
+        assert main(argv) == 1
+        message = "error: ratio must be at least 2 for fusion runs\n"
+        assert capsys.readouterr().err == message
+        assert calls == []
+        assert not os.path.exists(out + ".hdr") and not os.path.exists(out + ".dat")
+        assert main(["bench", "--output-dir", out, "--set", "ratio=1"]) == 1
+        assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("method", method_names())
     def test_fuse_negative_seed_returns_one_before_any_method(self, tmp_path, capsys, method):
         # The seed goes through `RunConfig`'s rule, as `bench`'s does.
         hs, pan = tiny_pair(tmp_path)

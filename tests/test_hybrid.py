@@ -5,7 +5,7 @@ from hspansharp.fusion.cs import pca_transform
 from hspansharp.fusion.hybrid import (
     _axis_window_mean,
     default_component_count,
-    fuse_gfpca,
+    gfpca_stream,
     guided_filter_plane,
     soft_threshold,
 )
@@ -156,7 +156,7 @@ class TestFuseGfpca:
             6, 6, rng.uniform(0.1, 1.0, (3, 36)), wavelengths=(0.4, 0.5, 0.6)
         )
         pan = SpectralImage(12, 12, rng.uniform(0.1, 1.0, (1, 144)))
-        fused = fuse_gfpca(y_h, pan, 2)
+        fused = gfpca_stream(y_h, pan, 2).image()
         assert (fused.bands, fused.height, fused.width) == (3, 12, 12)
         assert fused.wavelengths == (0.4, 0.5, 0.6)
 
@@ -183,14 +183,14 @@ class TestFuseGfpca:
                 rows.append(upsample(shrunk, 2).data[0])
         scores_fused = np.vstack(rows)
         want = loadings.T @ scores_fused + means[:, np.newaxis]
-        got = fuse_gfpca(y_h, pan, 2)
+        got = gfpca_stream(y_h, pan, 2).image()
         np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
 
     def test_validation(self):
         y_h, pan = self.make_scene()
         with pytest.raises(ValueError, match="single band"):
-            fuse_gfpca(y_h, SpectralImage(12, 12, np.ones((2, 144))), 2)
+            gfpca_stream(y_h, SpectralImage(12, 12, np.ones((2, 144))), 2).image()
         with pytest.raises(ValueError, match="single band"):
-            fuse_gfpca(y_h, SpectralImage(12, 12, np.ones((3, 144))), 2)
+            gfpca_stream(y_h, SpectralImage(12, 12, np.ones((3, 144))), 2).image()
         with pytest.raises(ValueError):
-            fuse_gfpca(y_h, SpectralImage(11, 12, np.ones((1, 132))), 2)
+            gfpca_stream(y_h, SpectralImage(11, 12, np.ones((1, 132))), 2).image()

@@ -117,6 +117,12 @@ class TestSpectralImage:
         with pytest.raises(ValueError):
             SpectralImage(1, 2, np.zeros((2, 2)), wavelengths=(0.4,))
 
+    @pytest.mark.parametrize("wavelengths", [(0.5, np.nan, 0.7), (0.5, 0.6, np.inf)])
+    def test_non_finite_wavelengths_refused(self, wavelengths):
+        # A NaN compares false, so it passed the strictly-increasing test.
+        with pytest.raises(ValueError, match="wavelengths must be finite"):
+            SpectralImage(1, 2, np.zeros((3, 2)), wavelengths=wavelengths)
+
     def test_with_data_preserves_geometry_and_wavelengths(self):
         img = SpectralImage(1, 2, np.zeros((2, 2)), wavelengths=(0.4, 0.5))
         out = img.with_data(np.ones((2, 2)))

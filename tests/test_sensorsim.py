@@ -1,4 +1,5 @@
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from hspansharp.fusion.bayes import (
 )
 from hspansharp.fusion.cnmf import cnmf_solve, vca
 from hspansharp.fusion.cs import fuse_gs, fuse_gsa, fuse_pca
-from hspansharp.fusion.hybrid import _axis_window_mean, fuse_gfpca
+from hspansharp.fusion.hybrid import _axis_window_mean, gfpca_stream
 from hspansharp.fusion.mra import box_lowpass, fuse_mtf_glp, fuse_mtf_glp_hpm, fuse_sfim
 from hspansharp.harness.cli import main
 from hspansharp.harness.config import RunConfig
@@ -106,6 +107,20 @@ class TestSensorModel:
             SensorModel(4, BlurKernel.impulse(), resp, hs_noise_std=[0.1, -1.0, 0.1, 0.1])
         with pytest.raises(ValueError, match="nonnegative"):
             SensorModel(4, BlurKernel.impulse(), resp, pan_noise_std=-0.1)
+
+    def test_noise_std_rule_has_one_home(self):
+        # The Y_H stds, the PAN std and `add_gaussian_noise`'s stds are
+        # refused by one check, so the message is written once.
+        message = "noise standard deviations must be nonnegative"
+        homes = [
+            where
+            for where, tree in src_trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value == message
+        ]
+        assert homes == ["sensorsim.py"]
+        with pytest.raises(ValueError, match=message):
+            add_gaussian_noise(SpectralImage(1, 1, np.zeros((1, 1))), -0.1, seed=0)
 
     def test_unknown_noise_is_zero_per_band(self):
         m = SensorModel(4, BlurKernel.impulse(), np.full((2, 5), 0.2))
@@ -218,7 +233,7 @@ RATIO_TAKERS = {
     "fuse_gs": lambda r: fuse_gs(_Y_H, _PAN, r),
     "fuse_gsa": lambda r: fuse_gsa(_Y_H, _PAN, r, kernel_from_mtf(2)),
     "fuse_pca": lambda r: fuse_pca(_Y_H, _PAN, r),
-    "fuse_gfpca": lambda r: fuse_gfpca(_Y_H, _PAN, r),
+    "fuse_gfpca": lambda r: gfpca_stream(_Y_H, _PAN, r).image(),
 }
 
 
@@ -528,6 +543,33 @@ class TestBlur:
                 assert exported is not None, where
                 assert len(exported) == len(set(exported)), where
                 assert set(exported) == public, where
+
+    def test_each_public_name_is_used(self):
+        # A name in a module's `__all__` is loaded somewhere in `src` outside
+        # its own top-level definition (an import counts), or named by the
+        # acceptance criteria or the benchmark: no public name serves only
+        # its unit tests.
+        exported, loaded = {}, set()
+        for where, tree in src_trees():
+            for top in tree.body:
+                if "__all__" in [getattr(t, "id", None) for t in getattr(top, "targets", ())]:
+                    exported.update(dict.fromkeys(ast.literal_eval(top.value), where))
+                    continue
+                here = set()
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                        here.add(node.id)
+                    elif isinstance(node, ast.Attribute):
+                        here.add(node.attr)
+                    elif isinstance(node, ast.alias):
+                        here.add(node.asname or node.name)
+                loaded |= here - {getattr(top, "name", None)}
+        root = Path(__file__).resolve().parents[1]
+        outside = [root / "tests" / "test_acceptance.py", *(root / "perfbench").rglob("*.py")]
+        named = {word for path in outside for word in re.findall(r"\w+", path.read_text())}
+        unused = {name: where for name, where in exported.items()
+                  if name not in loaded and name not in named}
+        assert unused == {}
 
 
 def axis_pairs(family):
