@@ -4,12 +4,15 @@ spectral response.
 
 The unknown image is modeled as X = H U with H an orthonormal spectral
 basis learned from the hyperspectral data, so optimization runs over the
-low-dimensional coefficient rows U. HySure's ADMM holds its splitting and
-its scaled dual as two stacked arrays, and runs on one loop under either of
-two boundary models, each a small spatial basis: the cyclic one (real FFTs,
-`hysure_solve`'s default) or the reflect one that `sensorsim.degrade` blurs
-with (the orthonormal DCT-II of each axis and the banded blur), under which
-`hysure_stream`, and so the registry, fuses.
+low-dimensional coefficient rows U. HySure's ADMM holds the blurred part of
+its splitting and that part's scaled dual at the Y_H sites only (off them
+its prox is the identity), and the difference part and its dual as two
+stacked arrays. It runs on one loop under either of two boundary models,
+each a small spatial basis: a transform pair, the blur's eigenvalues and two
+maps between the transform and the sites. The cyclic one (real FFTs) is
+`hysure_solve`'s default; the reflect one that `sensorsim.degrade` blurs
+with (the orthonormal DCT-II of each axis) is the one `hysure_stream`, and
+so the registry, fuses under.
 
 `estimate_sensor` recovers the spectral response and the blur taps from the
 observed pair by alternating two nonnegative least-squares steps, both
@@ -288,9 +291,13 @@ def _differences(planes: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     return np.subtract(rolled, planes, out=out)
 
 
-def _differences_adjoint(pair: np.ndarray) -> np.ndarray:
-    """(D_h^T, D_v^T) applied to the two stacks of `pair`: x[i - 1] - x[i]."""
-    return np.stack([np.roll(pair[0], 1, axis=-1), np.roll(pair[1], 1, axis=-2)]) - pair
+def _differences_adjoint(pair: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """D^T pair = D_h^T pair[0] + D_v^T pair[1] for the periodic differences,
+    each adjoint reading x[i - 1] - x[i], as a fresh array or written into
+    `out`."""
+    out = np.subtract(np.roll(pair[0], 1, axis=-1), pair[0], out=out)
+    out += np.roll(pair[1], 1, axis=-2) - pair[1]
+    return out
 
 
 def _neumann_differences(planes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -306,21 +313,25 @@ def _neumann_differences(planes: np.ndarray, out: np.ndarray | None = None) -> n
     return pair
 
 
-def _neumann_differences_adjoint(pair: np.ndarray) -> np.ndarray:
-    """The adjoints of `_neumann_differences` applied to the two stacks of
-    `pair`: y[i - 1] - y[i], each term present where its index is a
-    difference the pair holds (the last sample of a line is none)."""
-    out = np.zeros_like(pair)
-    out[0][..., 1:] = pair[0][..., :-1]
-    out[0][..., :-1] -= pair[0][..., :-1]
-    out[1][..., 1:, :] = pair[1][..., :-1, :]
-    out[1][..., :-1, :] -= pair[1][..., :-1, :]
+def _neumann_differences_adjoint(pair: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """D^T pair = D_h^T pair[0] + D_v^T pair[1] for `_neumann_differences`:
+    y[i - 1] - y[i] along each axis, each term present where its index is a
+    difference the pair holds (the last sample of a line is none). As a
+    fresh array or written into `out`, with no temporaries."""
+    out = np.empty(pair.shape[1:]) if out is None else out
+    np.negative(pair[0][..., :-1], out=out[..., :-1])
+    out[..., -1] = 0.0
+    out[..., 1:] += pair[0][..., :-1]
+    out[..., :-1, :] -= pair[1][..., :-1, :]
+    out[..., 1:, :] += pair[1][..., :-1, :]
     return out
 
 
-def _joint_norms(pair: np.ndarray) -> np.ndarray:
-    """Per-pixel norm of the differences `pair` jointly over its planes."""
-    return np.sqrt((pair[0] ** 2 + pair[1] ** 2).sum(axis=0))
+def _joint_norms(pair: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-pixel norm of the differences `pair` (2 x planes x height x width)
+    jointly over both stacks and all planes, as a fresh array or written
+    into `out`."""
+    return np.sqrt(np.einsum("kpij,kpij->ij", pair, pair, out=out), out=out)
 
 
 def vtv(img: SpectralImage) -> float:
@@ -379,20 +390,25 @@ class HysureResult:
 
 @dataclass(frozen=True)
 class _SpatialBasis:
-    """HySure's boundary model: a transform of the coefficient planes in
-    which B^T B + D_h^T D_h + D_v^T D_v is diagonal, with its eigenvalues
-    `psi` (one per coefficient of a transformed plane), and the difference
-    pair D = (D_h, D_v) with its adjoint.
+    """HySure's boundary model: a transform T of the coefficient planes in
+    which both B^T B and D_h^T D_h + D_v^T D_v are diagonal, with the
+    eigenvalues |beta|^2 of B^T B (`blur_gram`) and `psi` of their sum (one
+    per coefficient of a transformed plane), the two maps between the
+    transform and the Y_H sites through the blur, and the difference pair
+    D = (D_h, D_v) with its adjoint.
 
-    `rhs(s, b, mu)` is the transform of s + mu B^T b, `inverse` takes a
-    transformed stack back to planes, `blurred(u, u_hat, out)` writes B U
-    into `out` from U and its transform (None when it is not at hand), and
-    `differences(u, out)` writes D U into `out`."""
+    `forward(planes, out=None)` is T and `inverse(coeffs, out)` its inverse;
+    `to_sites(coeffs)` reads S B U, the blurred planes at the sites, from
+    the transform of U, and `from_sites(values, out)` writes the transform
+    of B^T S^T values. `differences(planes, out)` writes D U, stacked as
+    (D_h U, D_v U), and `differences_adjoint(pair, out)` writes D^T pair."""
 
+    blur_gram: np.ndarray
     psi: np.ndarray
-    rhs: Callable
+    forward: Callable
     inverse: Callable
-    blurred: Callable
+    to_sites: Callable
+    from_sites: Callable
     differences: Callable
     differences_adjoint: Callable
 
@@ -408,29 +424,44 @@ def _cyclic_kernel_rfft(taps: np.ndarray, height: int, width: int) -> np.ndarray
     return np.fft.rfft2(grid)
 
 
-def _cyclic_basis(taps: np.ndarray, height: int, width: int) -> _SpatialBasis:
+def _cyclic_basis(taps: np.ndarray, height: int, width: int, ratio: int) -> _SpatialBasis:
     """Cyclic boundaries: the real half spectrum (rfft2/irfft2) diagonalizes
-    the cyclic blur and the periodic `_differences`. B^T is a multiply by
-    the conjugate spectrum, so the blurred splitting is transformed alone,
-    and B U comes from U's spectrum."""
+    the cyclic blur, beta being its spectrum, and the periodic
+    `_differences`. The site maps run on the whole grid: S B U is the
+    inverse transform of beta U-hat kept at the sites, and the transform of
+    B^T S^T values that of the values scattered onto a zero grid, times the
+    conjugate of beta."""
     fb = _cyclic_kernel_rfft(taps, height, width)
     fb_conj = np.conj(fb)
     mh = np.exp(2j * np.pi * np.fft.rfftfreq(width))[np.newaxis, :] - 1.0
     mv = np.exp(2j * np.pi * np.fft.fftfreq(height))[:, np.newaxis] - 1.0
-    psi = np.abs(fb) ** 2 + np.abs(mh) ** 2 + np.abs(mv) ** 2
+    blur_gram = np.abs(fb) ** 2
+    psi = blur_gram + np.abs(mh) ** 2 + np.abs(mv) ** 2
+    phase = default_phase(ratio)
+    sites = (Ellipsis, slice(phase, None, ratio), slice(phase, None, ratio))
 
-    def rhs(s, b, mu):
-        rhs_hat = np.fft.rfft2(s)
-        rhs_hat += mu * fb_conj * np.fft.rfft2(b)
-        return rhs_hat
+    def forward(planes, out=None):
+        return np.fft.rfft2(planes, out=out)
 
-    def inverse(u_hat):
-        return np.fft.irfft2(u_hat, s=(height, width))
+    def inverse(coeffs, out):
+        # irfft2 leaves an `out` argument unwritten, so its result is copied.
+        out[...] = np.fft.irfft2(coeffs, s=(height, width))
+        return out
 
-    def blurred(u, u_hat, out):
-        out[...] = inverse((np.fft.rfft2(u) if u_hat is None else u_hat) * fb)
+    def to_sites(coeffs):
+        return np.fft.irfft2(coeffs * fb, s=(height, width))[sites]
 
-    return _SpatialBasis(psi, rhs, inverse, blurred, _differences, _differences_adjoint)
+    def from_sites(values, out):
+        grid = np.zeros(values.shape[:-2] + (height, width))
+        grid[sites] = values
+        out = np.fft.rfft2(grid, out=out)
+        out *= fb_conj
+        return out
+
+    return _SpatialBasis(
+        blur_gram, psi, forward, inverse, to_sites, from_sites,
+        _differences, _differences_adjoint,
+    )
 
 
 def _dct_matrix(n: int) -> np.ndarray:
@@ -443,34 +474,33 @@ def _dct_matrix(n: int) -> np.ndarray:
     return matrix
 
 
-def _reflect_basis(taps: np.ndarray, height: int, width: int) -> _SpatialBasis:
+def _reflect_basis(taps: np.ndarray, height: int, width: int, ratio: int) -> _SpatialBasis:
     """Reflect boundaries, the model `sensorsim.degrade` blurs with: B is
     the blur of `degrade_axis(n, taps, 1)` on both axes, symmetric for
-    symmetric taps, and the orthonormal DCT-II of each axis diagonalizes it
-    (Ng, Chan and Tang 1999) and the `_neumann_differences`, whose D^T D
-    has the eigenvalues 2 - 2 cos(pi k / n). B U is the banded product.
-    Every product is planned once here."""
+    symmetric taps, and the orthonormal DCT-II C of each axis diagonalizes it
+    (Ng, Chan and Tang 1999), beta being the outer product of the two axes'
+    eigenvalues, and the `_neumann_differences`, whose D^T D has the
+    eigenvalues 2 - 2 cos(pi k / n). As C B^T = diag(b) C on an axis with
+    eigenvalues b, the site maps are products with each axis's site columns
+    of C, row k scaled by b_k: one Y_H-sized side each. Every product is
+    planned once here."""
     ch, cw = _dct_matrix(height), _dct_matrix(width)
-    bh, bw = degrade_axis(height, taps, 1), degrade_axis(width, taps, 1)
-    blur_h = ((ch @ bh) * ch).sum(axis=1)
-    blur_w = ((cw @ bw) * cw).sum(axis=1)
+    blur_h = ((ch @ degrade_axis(height, taps, 1)) * ch).sum(axis=1)
+    blur_w = ((cw @ degrade_axis(width, taps, 1)) * cw).sum(axis=1)
     diff_h = 2.0 - 2.0 * np.cos(np.pi * np.arange(width) / width)
     diff_v = 2.0 - 2.0 * np.cos(np.pi * np.arange(height) / height)
-    psi = np.outer(blur_h, blur_w) ** 2 + diff_h[np.newaxis, :] + diff_v[:, np.newaxis]
-    to_dct = separable_product(ch, cw)
-    blur = separable_product(bh, bw)
-
-    def rhs(s, b, mu):
-        total = blur(b)
-        total *= mu
-        total += s
-        return to_dct(total)
-
+    blur_gram = np.outer(blur_h, blur_w) ** 2
+    psi = blur_gram + diff_h[np.newaxis, :] + diff_v[:, np.newaxis]
+    phase = default_phase(ratio)
+    site_h = ch[:, phase::ratio] * blur_h[:, np.newaxis]
+    site_w = cw[:, phase::ratio] * blur_w[:, np.newaxis]
     return _SpatialBasis(
+        blur_gram,
         psi,
-        rhs,
+        separable_product(ch, cw),
         separable_product(ch.T, cw.T),
-        lambda u, u_hat, out: blur(u, out),
+        separable_product(site_h.T, site_w.T),
+        separable_product(site_h, site_w),
         _neumann_differences,
         _neumann_differences_adjoint,
     )
@@ -492,108 +522,132 @@ def hysure_solve(
         0.5 ||Y_H - H U B S||^2 + (lambda_m / 2) ||P - R H U||^2
         + lambda_phi VTV(U)
 
-    with the decimation S handled by a site mask, and the blur B and the
-    differences of VTV under the `boundary` model: "cyclic" (the default),
-    diagonalized by the real half spectrum, or "reflect", the model
-    `sensorsim.degrade` blurs with, diagonalized by the DCT-II (see
-    `_cyclic_basis` and `_reflect_basis`). The splitting V of
-    A U = (B U, D_h U, D_v U) and the scaled dual D are each one stacked
-    array. A rising objective (which reads A U, not V) doubles the penalty,
-    halves D so the multipliers are unchanged, and retries the U step alone;
-    an accepted step sets V to the prox of A U - D and D to D - (A U - V),
-    in place.
+    with the blur B and the differences of VTV under the `boundary` model:
+    "cyclic" (the default), diagonalized by the real half spectrum, or
+    "reflect", the model `sensorsim.degrade` blurs with, diagonalized by the
+    DCT-II (see `_cyclic_basis` and `_reflect_basis`). U is split as
+    V = (S B U, D_h U, D_v U) with a scaled dual D of each part. Off the
+    decimation sites S the prox of the blurred part is the identity, so
+    there it would equal B U with a zero dual after every step: the blurred
+    part and its dual are held at the sites only, Y_H-sized, and the
+    differences part and its dual as two stacked arrays. A rising objective
+    (which reads S B U and D U, not V) doubles the penalty, halves the duals
+    so the multipliers are unchanged, and retries the U step alone; an
+    accepted step sets V to the prox of the parts less their duals and each
+    dual to itself less the primal residual, in place.
 
-    Each U step transforms the right-hand side, divides by the eigenvalues,
-    and takes the solution back to U and B U. Under cyclic boundaries that
-    is four real FFTs (two forward, as B^T is a multiply on the blurred
-    splitting's spectrum, and two inverse from the one solved spectrum);
-    under reflect ones, a forward and an inverse DCT and one banded blur.
+    Each U step divides the transform of its right-hand side
+
+        T(lambda_m (R H)^T P + mu D^T (V_D + D_D))
+        + mu |beta|^2 T(U_prev) + mu T(B^T S^T E),
+
+    E = V_B + D_B - S B U_prev at the sites, by lambda_m (R H)^T R H +
+    mu psi, which is diagonal as the loop runs on the coefficients rotated
+    into that p x p matrix's eigenvectors: one division per coefficient,
+    by a denominator formed once per penalty value. The blur enters only
+    through |beta|^2 and the basis's two site maps, and S B U is read from
+    the solved transform. Per step that is one forward and one inverse
+    whole-grid transform plus the site maps: products with one Y_H-sized
+    side under reflect boundaries, two more real FFTs under cyclic ones.
     """
     if boundary not in _BOUNDARIES:
         raise ValueError(f"boundary must be one of {sorted(_BOUNDARIES)}, got {boundary!r}")
     ratio = check_model_pair(y_h, pan, model)
     h, w = pan.height, pan.width
     p = basis.p
-    H = basis.H
-    phase = default_phase(ratio)
     mu = params.admm_mu
     lam_m, lam_phi = params.lambda_m, params.lambda_phi
-    spatial = _BOUNDARIES[boundary](model.blur.taps, h, w)
+    spatial = _BOUNDARIES[boundary](model.blur.taps, h, w, ratio)
 
-    rh = model.spectral_response @ H
+    rh = model.spectral_response @ basis.H
     evals, evecs = np.linalg.eigh(lam_m * (rh.T @ rh))
-    evals = np.maximum(evals, 0.0)
+    evals = np.maximum(evals, 0.0)[:, np.newaxis, np.newaxis]
+    hq, rq = basis.H @ evecs, rh @ evecs
+    hty = hq.T @ y_h.data
+    # ||Y_H - H Z||^2 = ||Y_H - H H^T Y_H||^2 + ||H^T Y_H - Z||^2, so the
+    # data term is read on p planes of sites, past its constant floor.
+    floor = float(((y_h.data - hq @ hty) ** 2).sum())
+    hty = hty.reshape(p, y_h.height, y_h.width)
+    pan_term = lam_m * (rq.T @ pan.data).reshape(p, h, w)
+    norms = np.empty((h, w))
 
-    sites = (slice(None), slice(phase, None, ratio), slice(phase, None, ratio))
-    hty = (H.T @ y_h.data).reshape(p, y_h.height, y_h.width)
-    pan_term = lam_m * (rh.T @ pan.data).reshape(p, h, w)
-
-    def objective(u, au):
-        resid_h = y_h.data - H @ au[0][sites].reshape(p, -1)
-        resid_m = pan.data - rh @ u.reshape(p, -1)
+    def objective(u, blurred, pair):
+        resid_m = pan.data - rq @ u.reshape(p, -1)
         return (
-            0.5 * float((resid_h**2).sum())
+            0.5 * (floor + float(((hty - blurred) ** 2).sum()))
             + 0.5 * lam_m * float((resid_m**2).sum())
-            + lam_phi * float(_joint_norms(au[1:]).sum())
+            + lam_phi * float(_joint_norms(pair, norms).sum())
         )
 
-    def forward(u, u_hat, out):
-        """A U, stacked into `out`, from U and its transform."""
-        spatial.blurred(u, u_hat, out[0])
-        spatial.differences(u, out[1:])
-
-    def solve():
-        """The transform of the U minimizing the augmented Lagrangian."""
-        adj = spatial.differences_adjoint(v[1:] + d[1:])
-        rhs_hat = spatial.rhs(pan_term + mu * adj[0] + mu * adj[1], v[0] + d[0], mu)
-        z = evecs.T @ rhs_hat.reshape(p, -1)
-        z /= evals[:, np.newaxis] + mu * spatial.psi.reshape(1, -1)
-        return (evecs @ z).reshape((p,) + spatial.psi.shape)
-
-    def u_step():
-        """That U, with A U written into `au`."""
-        u_hat = solve()
-        u = spatial.inverse(u_hat)
-        forward(u, u_hat, au)
-        return u
-
-    u = _interpolated_coefficients(y_h, basis, ratio).reshape(p, h, w)
-    v = np.empty((3, p, h, w))
-    forward(u, None, v)
-    d = np.zeros_like(v)
-    au = np.empty_like(v)
-    trace = [objective(u, v)]
+    u = (evecs.T @ _interpolated_coefficients(y_h, basis, ratio)).reshape(p, h, w)
+    u_hat = spatial.forward(u)
+    blurred = spatial.to_sites(u_hat)
+    gram_hat = u_hat * spatial.blur_gram  # the transform of B^T B U
+    pair = spatial.differences(u)  # D U, then the primal residual D U - V_D
+    v_b, d_b = blurred.copy(), np.zeros_like(blurred)
+    v_d, d_d = pair.copy(), np.zeros_like(pair)
+    u_next, planes = np.empty_like(u), np.empty_like(u)
+    rhs, coupling, den = u_hat, np.empty_like(u_hat), np.empty(u_hat.shape)
+    np.multiply(spatial.psi, mu, out=den)
+    den += evals
+    trace = [objective(u, blurred, pair)]
     converged = False
     iterations = 0
     escalations = 0
 
     for iterations in range(1, params.max_iters + 1):
         while True:
-            u_next = u_step()
-            value = objective(u_next, au)
+            # The U step: u_next, its transform times |beta|^2 in `rhs`,
+            # its blurred sites and its differences.
+            np.add(v_d, d_d, out=pair)
+            spatial.differences_adjoint(pair, planes)
+            planes *= mu
+            planes += pan_term
+            spatial.forward(planes, rhs)
+            spatial.from_sites(v_b + d_b - blurred, coupling)
+            coupling += gram_hat
+            coupling *= mu
+            rhs += coupling
+            rhs /= den
+            spatial.inverse(rhs, u_next)
+            blurred_next = spatial.to_sites(rhs)
+            rhs *= spatial.blur_gram
+            spatial.differences(u_next, pair)
+            value = objective(u_next, blurred_next, pair)
             if value <= trace[-1] * (1.0 + 1e-9) or escalations >= 30:
                 break
             mu *= 2.0
-            d /= 2.0
+            np.multiply(spatial.psi, mu, out=den)
+            den += evals
+            d_b /= 2.0
+            d_d /= 2.0
             escalations += 1
 
-        np.subtract(au, d, out=v)
-        v[0][sites] = (hty + mu * v[0][sites]) / (1.0 + mu)
-        norms = _joint_norms(v[1:])
-        shrink = np.maximum(0.0, 1.0 - (lam_phi / mu) / np.where(norms > 0, norms, 1.0))
-        v[1:] *= np.where(norms > 0, shrink, 0.0)
-        au -= v
-        d -= au
+        v_b = (hty + mu * (blurred_next - d_b)) / (1.0 + mu)
+        d_b -= blurred_next - v_b
+        np.subtract(pair, d_d, out=v_d)
+        if lam_phi > 0:
+            # The shrink 1 - t / max(norm, t) of each pixel's joint vector.
+            t = lam_phi / mu
+            np.maximum(_joint_norms(v_d, norms), t, out=norms)
+            np.divide(t, norms, out=norms)
+            np.subtract(1.0, norms, out=norms)
+            v_d *= norms
+        pair -= v_d
+        d_d -= pair
 
         trace.append(value)
-        change = np.linalg.norm(u_next - u) / max(np.linalg.norm(u), 1e-30)
-        u = u_next
+        np.subtract(u_next, u, out=planes)
+        change = np.linalg.norm(planes) / max(np.linalg.norm(u), 1e-30)
+        u, u_next = u_next, u
+        gram_hat, rhs = rhs, gram_hat
+        blurred = blurred_next
         if change < params.tol:
             converged = True
             break
 
     return HysureResult(
-        U=u.reshape(p, -1),
+        U=evecs @ u.reshape(p, -1),
         objective_trace=np.array(trace),
         iterations=iterations,
         converged=converged,

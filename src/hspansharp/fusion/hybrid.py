@@ -82,9 +82,27 @@ def soft_threshold(values: np.ndarray, tau: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
 
+def _select_median(work: np.ndarray) -> float:
+    """`np.median` of the 1-d array `work`, to the bit, by one selection
+    that reorders `work` in place: the upper middle value from one
+    partition and, for an even length, the largest value below it, the
+    two averaged as `np.median` averages them."""
+    half = work.size // 2
+    work.partition(half)
+    upper = work[half]
+    if work.size % 2:
+        return float(upper)
+    return float((work[:half].max() + upper) / 2)
+
+
 def _mad_sigma(values: np.ndarray) -> float:
-    med = np.median(values)
-    return 1.4826 * float(np.median(np.abs(values - med)))
+    """1.4826 times the median absolute deviation of `values`, both medians
+    selected in one working copy."""
+    work = values.copy()
+    med = _select_median(work)
+    np.subtract(values, med, out=work)
+    np.abs(work, out=work)
+    return 1.4826 * _select_median(work)
 
 
 def default_component_count(variances: np.ndarray) -> int:

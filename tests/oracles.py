@@ -389,11 +389,142 @@ def oracle_hysure_loop(
     tol: float,
     max_iters: int,
 ):
-    """HySure's ADMM loop with three named splittings (the blurred image and
-    the two periodic difference fields), three scaled duals, and a rollback:
-    each step returns its whole state, and a step whose objective rises is
-    discarded, the penalty doubled, the duals halved and the whole step
-    retried. `u0` (p x height x width) is the initial coefficient field and
+    """HySure's ADMM loop in the site form, with named splittings and duals
+    and a rollback: the blurred splitting `v_b` and its dual `d_b` hold the
+    Y_H sites only, the two periodic difference fields and their duals are
+    whole planes, each step returns its whole state, and a step whose
+    objective rises is discarded, the penalty doubled, the duals halved and
+    the whole step retried. The coefficients are rotated into the
+    eigenvectors of lambda_m (R H)^T R H, so the U step divides each
+    coefficient of the half spectrum once, and the data term is read at the
+    sites, as ||H^T Y_H - S B U||^2 past the constant ||Y_H - H H^T Y_H||^2
+    (H orthonormal). The U step's right-hand side takes the
+    blur as |fb|^2 times the previous U's spectrum plus conj(fb) times the
+    spectrum of the site misfit E = v_b + d_b - S B U_prev scattered onto a
+    zero grid. `u0` (p x height x width) is the initial coefficient field
+    and `fb` the half spectrum (rfft2) of the cyclic blur. Returns U (p x
+    pixels), the objective trace, the iterations, whether the relative
+    change of U fell below `tol`, and the number of penalty doublings."""
+    p, h, w = u0.shape
+    mu = admm_mu
+
+    def diff(cube, axis, adjoint=False):
+        return np.roll(cube, 1 if adjoint else -1, axis=axis) - cube
+
+    def joint_norms(dh, dv):
+        pair = np.stack([dh, dv])
+        return np.sqrt(np.einsum("kpij,kpij->ij", pair, pair))
+
+    sites = (slice(None), slice(phase, None, ratio), slice(phase, None, ratio))
+
+    def at_sites(spectrum):
+        return np.fft.irfft2(spectrum * fb, s=(h, w))[sites]
+
+    fb_conj = np.conj(fb)
+    mh = np.exp(2j * np.pi * np.fft.rfftfreq(w))[np.newaxis, :] - 1.0
+    mv = np.exp(2j * np.pi * np.fft.fftfreq(h))[:, np.newaxis] - 1.0
+    fb_gram = np.abs(fb) ** 2
+    psi = fb_gram + np.abs(mh) ** 2 + np.abs(mv) ** 2
+
+    rh = response @ basis
+    evals, evecs = np.linalg.eigh(lambda_m * (rh.T @ rh))
+    evals = np.maximum(evals, 0.0)[:, np.newaxis, np.newaxis]
+    h_rot, r_rot = basis @ evecs, rh @ evecs
+    proj = h_rot.T @ data_h
+    outside = float(((data_h - h_rot @ proj) ** 2).sum())
+    hty = proj.reshape(p, h // ratio, w // ratio)
+    pan_term = lambda_m * (r_rot.T @ data_p).reshape(p, h, w)
+
+    def objective(u, ub, uh, uv):
+        resid_m = data_p - r_rot @ u.reshape(p, -1)
+        return (
+            0.5 * (outside + float(((hty - ub) ** 2).sum()))
+            + 0.5 * lambda_m * float((resid_m**2).sum())
+            + lambda_phi * float(joint_norms(uh, uv).sum())
+        )
+
+    u = (evecs.T @ u0.reshape(p, -1)).reshape(p, h, w)
+    u_spec = np.fft.rfft2(u)
+    ub = at_sites(u_spec)
+    gram = u_spec * fb_gram
+    v_b, v_h, v_v = ub.copy(), diff(u, 2), diff(u, 1)
+    d_b, d_h, d_v = np.zeros_like(v_b), np.zeros_like(v_h), np.zeros_like(v_v)
+    trace = [objective(u, ub, v_h, v_v)]
+    converged = False
+    iterations = 0
+    escalations = 0
+
+    def iterate(ub, gram, v_b, v_h, v_v, d_b, d_h, d_v, mu):
+        s = diff(v_h + d_h, 2, adjoint=True) + diff(v_v + d_v, 1, adjoint=True)
+        s = s * mu + pan_term
+        grid = np.zeros((p, h, w))
+        grid[sites] = v_b + d_b - ub
+        coupling = (np.fft.rfft2(grid) * fb_conj + gram) * mu
+        u_spec = (np.fft.rfft2(s) + coupling) / (psi * mu + evals)
+        u = np.fft.irfft2(u_spec, s=(h, w))
+        ub = at_sites(u_spec)
+        uh, uv = diff(u, 2), diff(u, 1)
+
+        v_b = (hty + mu * (ub - d_b)) / (1.0 + mu)
+        nu_h, nu_v = uh - d_h, uv - d_v
+        if lambda_phi > 0:
+            t = lambda_phi / mu
+            factor = 1.0 - t / np.maximum(joint_norms(nu_h, nu_v), t)
+            v_h, v_v = nu_h * factor, nu_v * factor
+        else:
+            v_h, v_v = nu_h, nu_v
+
+        value = objective(u, ub, uh, uv)
+        state = (
+            u, ub, u_spec * fb_gram, v_b, v_h, v_v,
+            d_b - (ub - v_b), d_h - (uh - v_h), d_v - (uv - v_v),
+        )
+        return state, value
+
+    for iterations in range(1, max_iters + 1):
+        while True:
+            state, value = iterate(ub, gram, v_b, v_h, v_v, d_b, d_h, d_v, mu)
+            if value <= trace[-1] * (1.0 + 1e-9) or escalations >= 30:
+                break
+            mu *= 2.0
+            d_b /= 2.0
+            d_h /= 2.0
+            d_v /= 2.0
+            escalations += 1
+        u_prev = u
+        u, ub, gram, v_b, v_h, v_v, d_b, d_h, d_v = state
+
+        trace.append(value)
+        change = np.linalg.norm(u - u_prev) / max(np.linalg.norm(u_prev), 1e-30)
+        if change < tol:
+            converged = True
+            break
+
+    return evecs @ u.reshape(p, -1), np.array(trace), iterations, converged, escalations
+
+
+def oracle_hysure_full_grid_loop(
+    data_h: np.ndarray,
+    data_p: np.ndarray,
+    basis: np.ndarray,
+    response: np.ndarray,
+    u0: np.ndarray,
+    fb: np.ndarray,
+    ratio: int,
+    phase: int,
+    lambda_m: float,
+    lambda_phi: float,
+    admm_mu: float,
+    tol: float,
+    max_iters: int,
+):
+    """The loop of `oracle_hysure_loop` in the whole-grid form: three named
+    splittings on the whole grid (the blurred image, off the sites the
+    identity's prox of B U, and the two periodic difference fields), three
+    scaled duals, the unrotated coefficients, a right-hand side that blurs
+    the splitting by conj(fb), and a rollback: each step returns its whole
+    state, and a step whose objective rises is discarded, the penalty
+    doubled, the duals halved and the whole step retried. `u0` (p x height x width) is the initial coefficient field and
     `fb` the half spectrum (rfft2) of the cyclic blur. Returns U (p x
     pixels), the objective trace, the iterations, whether the relative
     change of U fell below `tol`, and the number of penalty doublings."""

@@ -44,6 +44,7 @@ from hspansharp.fusion.bayes import (
 from oracles import (
     oracle_bayes_naive_system,
     oracle_blur_downsample,
+    oracle_hysure_full_grid_loop,
     oracle_hysure_loop,
     oracle_vtv,
 )
@@ -649,27 +650,36 @@ def ratio_one_hysure_case():
     return y_h, pan, basis, model, params
 
 
-class TestHysureLoopOracle:
-    @pytest.mark.parametrize(
-        "case, stops, escalates",
-        [
-            (lambda: wald_hysure_case(0, None), "early", True),
-            (lambda: noisy_hysure_case(), "early", False),
-            (ratio_one_hysure_case, "budget", True),
-            (lambda: wald_hysure_case(0, 30.0, max_iters=20), "budget", True),
-        ],
-        ids=["wald-escalates", "tol-1e-4", "ratio-1", "whole-budget"],
+LOOP_CASES = pytest.mark.parametrize(
+    "case, stops, escalates",
+    [
+        (lambda: wald_hysure_case(0, None), "early", True),
+        (lambda: noisy_hysure_case(), "early", False),
+        (ratio_one_hysure_case, "budget", True),
+        (lambda: wald_hysure_case(0, 30.0, max_iters=20), "budget", True),
+    ],
+    ids=["wald-escalates", "tol-1e-4", "ratio-1", "whole-budget"],
+)
+
+
+def run_loop_oracle(oracle, y_h, pan, basis, model, params):
+    ratio, (h, w) = model.ratio, (pan.height, pan.width)
+    u0 = bayes._interpolated_coefficients(y_h, basis, ratio).reshape(basis.p, h, w)
+    return oracle(
+        y_h.data, pan.data, basis.H, model.spectral_response, u0,
+        bayes._cyclic_kernel_rfft(model.blur.taps, h, w), ratio,
+        default_phase(ratio), params.lambda_m, params.lambda_phi,
+        params.admm_mu, params.tol, params.max_iters,
     )
+
+
+class TestHysureLoopOracle:
+    @LOOP_CASES
     def test_bit_identical_to_rollback_loop(self, case, stops, escalates):
         y_h, pan, basis, model, params = case()
         result = hysure_solve(y_h, pan, basis, model, params)
-        ratio, (h, w) = model.ratio, (pan.height, pan.width)
-        u0 = bayes._interpolated_coefficients(y_h, basis, ratio).reshape(basis.p, h, w)
-        U, trace, iterations, converged, escalations = oracle_hysure_loop(
-            y_h.data, pan.data, basis.H, model.spectral_response, u0,
-            bayes._cyclic_kernel_rfft(model.blur.taps, h, w), ratio,
-            default_phase(ratio), params.lambda_m, params.lambda_phi,
-            params.admm_mu, params.tol, params.max_iters,
+        U, trace, iterations, converged, escalations = run_loop_oracle(
+            oracle_hysure_loop, y_h, pan, basis, model, params
         )
         np.testing.assert_array_equal(result.U, U)
         np.testing.assert_array_equal(result.objective_trace, trace)
@@ -678,6 +688,18 @@ class TestHysureLoopOracle:
         assert converged == (stops == "early")
         assert (iterations == params.max_iters) == (stops == "budget")
         assert (escalations > 0) == escalates
+
+    @LOOP_CASES
+    def test_site_form_is_the_full_grid_loop(self, case, stops, escalates):
+        # Holding the blurred splitting at the sites only, in the rotated
+        # coefficients, changes the rounding and nothing else: the same
+        # path through the loop, to within 1e-10.
+        y_h, pan, basis, model, params = case()
+        site = run_loop_oracle(oracle_hysure_loop, y_h, pan, basis, model, params)
+        grid = run_loop_oracle(oracle_hysure_full_grid_loop, y_h, pan, basis, model, params)
+        np.testing.assert_allclose(site[0], grid[0], rtol=0, atol=1e-10 * np.abs(grid[0]).max())
+        np.testing.assert_allclose(site[1], grid[1], rtol=1e-10, atol=0)
+        assert site[2:] == grid[2:]
 
 
 def neumann_difference_matrix(n):
@@ -723,8 +745,7 @@ class TestReflectBasis:
         np.testing.assert_allclose(got[0], planes @ dh.T, rtol=0, atol=1e-14)
         np.testing.assert_allclose(got[1], dv @ planes, rtol=0, atol=1e-14)
         adj = bayes._neumann_differences_adjoint(pair)
-        np.testing.assert_allclose(adj[0], pair[0] @ dh, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(adj[1], dv.T @ pair[1], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(adj, pair[0] @ dh + dv.T @ pair[1], rtol=0, atol=1e-14)
 
 
 class TestHysureReflect:
@@ -785,6 +806,86 @@ class TestHysureReflect:
         )
         d = 1.0 / config.ratio
         assert ergas(fused, truth, d) < ergas(cyclic_img, truth, d)
+
+
+def circulant_site_rows(n, taps, ratio):
+    """Dense S B of one axis under the cyclic boundary: the blur row of
+    sample i reads x[(i + t) % n] with weight taps[t + radius], kept at the
+    decimation sites."""
+    radius = taps.size // 2
+    blur = np.zeros((n, n))
+    rows = np.arange(n)
+    for t in range(-radius, radius + 1):
+        np.add.at(blur, (rows, (rows + t) % n), taps[t + radius])
+    return blur[default_phase(ratio)::ratio]
+
+
+def site_rows(boundary, n, taps, ratio):
+    """Dense S B of one axis under `boundary`."""
+    if boundary == "reflect":
+        return degrade_axis(n, taps, ratio)
+    return circulant_site_rows(n, taps, ratio)
+
+
+class TestHysureSites:
+    # At ratio 1 every pixel is a site, so only these checks can catch a
+    # wrong scatter onto, or restriction to, the decimation sites.
+    @pytest.mark.parametrize("boundary", ["cyclic", "reflect"])
+    @pytest.mark.parametrize("ratio, h, w", [(2, 10, 16), (3, 12, 15), (4, 20, 12)])
+    def test_site_maps_are_the_dense_operators(self, boundary, ratio, h, w):
+        rng = np.random.default_rng(ratio)
+        taps = kernel_from_mtf(ratio, 0.3).taps
+        spatial = bayes._BOUNDARIES[boundary](taps, h, w, ratio)
+        rows_h, rows_w = site_rows(boundary, h, taps, ratio), site_rows(boundary, w, taps, ratio)
+        planes = rng.normal(size=(2, h, w))
+        values = rng.normal(size=(2, h // ratio, w // ratio))
+        np.testing.assert_allclose(
+            spatial.to_sites(spatial.forward(planes)), rows_h @ planes @ rows_w.T,
+            rtol=0, atol=1e-13,
+        )
+        adjoint = spatial.from_sites(values, np.empty_like(spatial.forward(planes)))
+        np.testing.assert_allclose(
+            adjoint, spatial.forward(rows_h.T @ values @ rows_w), rtol=0, atol=1e-13
+        )
+
+    @pytest.mark.parametrize("boundary", ["cyclic", "reflect"])
+    @pytest.mark.parametrize("ratio, size", [(2, 16), (4, 20)])
+    def test_matches_dense_normal_equations(self, boundary, ratio, size):
+        # With lambda_phi = 0 the minimizer of
+        # 0.5 ||Y - H U B S||^2 + 0.5 lambda_m ||P - R H U||^2 solves
+        # U G^T G + lambda_m (R H)^T R H U = H^T Y G + lambda_m (R H)^T P,
+        # G = S B on the flattened grid. A two-band P makes R H full rank,
+        # so the minimizer is unique although most pixels are no site.
+        rng = np.random.default_rng(40 + ratio)
+        bands, p, n = 6, 2, size * size
+        basis = random_basis(bands, p, 41 + ratio)
+        kernel = kernel_from_mtf(ratio, 0.3)
+        response = rng.uniform(0.1, 1.0, (2, bands))
+        response /= response.sum(axis=1, keepdims=True)
+        model = SensorModel(ratio, kernel, response)
+        axis = site_rows(boundary, size, kernel.taps, ratio)
+        g = np.kron(axis, axis)
+        u_true = rng.uniform(0.2, 1.0, (p, n))
+        low = size // ratio
+        y_h = SpectralImage(
+            low, low, basis.H @ u_true @ g.T + 0.01 * rng.normal(size=(bands, low * low))
+        )
+        pan = SpectralImage(
+            size, size, response @ basis.H @ u_true + 0.01 * rng.normal(size=(2, n))
+        )
+        rh = response @ basis.H
+        system = np.kron(rh.T @ rh, np.eye(n)) + np.kron(np.eye(p), g.T @ g)
+        rhs = basis.H.T @ y_h.data @ g + rh.T @ pan.data
+        u_opt = np.linalg.solve(system, rhs.ravel()).reshape(p, n)
+        params = HySureParams(
+            lambda_m=1.0, lambda_phi=0.0, admm_mu=0.01, tol=0.0, max_iters=1500
+        )
+        result = hysure_solve(y_h, pan, basis, model, params, boundary=boundary)
+        rel = np.linalg.norm(result.U - u_opt) / np.linalg.norm(u_opt)
+        trace = result.objective_trace
+        worst_rise = float((np.diff(trace) / np.abs(trace[:-1])).max())
+        assert rel <= 1e-8
+        assert worst_rise <= 1e-7
 
 
 class TestEstimateSensor:

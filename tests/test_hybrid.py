@@ -4,6 +4,8 @@ import pytest
 from hspansharp.fusion.cs import pca_transform
 from hspansharp.fusion.hybrid import (
     _axis_window_mean,
+    _mad_sigma,
+    _select_median,
     default_component_count,
     gfpca_stream,
     guided_filter_plane,
@@ -124,6 +126,32 @@ class TestSoftThreshold:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             soft_threshold(np.ones(3), -0.1)
+
+
+class TestSelectMedian:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.random.default_rng(5).normal(size=1001),
+            np.random.default_rng(6).normal(size=1000),
+            np.random.default_rng(7).integers(0, 4, size=999).astype(np.float64),
+            np.random.default_rng(8).integers(0, 4, size=1000).astype(np.float64),
+            np.array([0.1, 0.2]),
+            np.array([2.5]),
+        ],
+        ids=["odd", "even", "tied-odd", "tied-even", "two", "one"],
+    )
+    def test_bit_identical_to_np_median(self, values):
+        want = np.median(values)
+        assert _select_median(values.copy()) == want
+        dev = np.abs(values - want)
+        assert _mad_sigma(values) == 1.4826 * float(np.median(dev))
+
+    def test_mad_leaves_its_input(self):
+        values = np.random.default_rng(9).normal(size=500)
+        kept = values.copy()
+        _mad_sigma(values)
+        np.testing.assert_array_equal(values, kept)
 
 
 class TestDefaultComponentCount:

@@ -61,10 +61,12 @@ STREAM_BUDGET = 0.5
 # fields, the data term and the prior mean in the spatial eigenbasis, each p
 # planes on the PAN grid (its prior mean is the interpolated projection
 # H^T Y_H, so no interpolated cube is formed);
-# HySure's ADMM holds U, the stacked splitting V, the scaled dual D and one
-# buffer for the stacked A U (three coefficient fields each), with the U
-# step's transforms and the objective's residuals beside them.
-STATE_BUDGET = {"BayesNaive": 0.6, "HySure": 1.08}
+# HySure's ADMM holds the difference splitting, its scaled dual and one
+# buffer for D U (two coefficient fields each), U and the next U, the U
+# step's spatial right-hand side, its transform, the transform of B^T B U,
+# the site coupling, the one denominator and the PAN term (one field each);
+# the blurred splitting, its dual and the data term hold only the Y_H sites.
+STATE_BUDGET = {"BayesNaive": 0.6, "HySure": 0.86}
 CONFIG = RunConfig(height=160, width=160, bands=60, ratio=4).validate()
 
 
