@@ -8,11 +8,10 @@ low-dimensional coefficient rows U. HySure's ADMM holds the blurred part of
 its splitting and that part's scaled dual at the Y_H sites only (off them
 its prox is the identity), and the difference part and its dual as two
 stacked arrays. It runs on one loop under either of two boundary models,
-each a small spatial basis: a transform pair, the blur's eigenvalues and two
-maps between the transform and the sites. The cyclic one (real FFTs) is
-`hysure_solve`'s default; the reflect one that `sensorsim.degrade` blurs
-with (the orthonormal DCT-II of each axis) is the one `hysure_stream`, and
-so the registry, fuses under.
+each a real orthonormal basis per axis that diagonalizes the model's blur
+and differences: the Fourier basis for the cyclic one, `hysure_solve`'s
+default, and the DCT-II for the reflect one that `sensorsim.degrade` blurs
+with, which `hysure_stream`, and so the registry, fuses under.
 
 `estimate_sensor` recovers the spectral response and the blur taps from the
 observed pair by alternating two nonnegative least-squares steps, both
@@ -156,6 +155,8 @@ class BayesNaivePriors:
         sigma = np.asarray(self.sigma, dtype=np.float64).copy()
         if mu.ndim != 2 or sigma.shape != (mu.shape[0], mu.shape[0]):
             raise ValueError("prior dims disagree")
+        if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
+            raise ValueError("prior mean and covariance must be finite")
         if not np.allclose(sigma, sigma.T, rtol=0, atol=1e-10):
             raise ValueError("prior covariance must be symmetric")
         if np.linalg.eigvalsh(sigma)[0] <= 0:
@@ -351,6 +352,9 @@ class HySureParams:
     max_iters: int = 200
 
     def __post_init__(self):
+        weights = (self.lambda_m, self.lambda_phi, self.admm_mu, self.tol)
+        if not np.isfinite(weights).all():
+            raise ValueError("lambda_m, lambda_phi, admm_mu and tol must be finite")
         if self.lambda_m <= 0 or self.admm_mu <= 0:
             raise ValueError("lambda_m and admm_mu must be positive")
         if self.lambda_phi < 0 or self.tol < 0:
@@ -391,7 +395,8 @@ class HysureResult:
 @dataclass(frozen=True)
 class _SpatialBasis:
     """HySure's boundary model: a transform T of the coefficient planes in
-    which both B^T B and D_h^T D_h + D_v^T D_v are diagonal, with the
+    which both B^T B and D_h^T D_h + D_v^T D_v are diagonal, a real
+    orthonormal basis Q of each axis applied as Q_h U Q_w^T, with the
     eigenvalues |beta|^2 of B^T B (`blur_gram`) and `psi` of their sum (one
     per coefficient of a transformed plane), the two maps between the
     transform and the Y_H sites through the blur, and the difference pair
@@ -413,100 +418,77 @@ class _SpatialBasis:
     differences_adjoint: Callable
 
 
-def _cyclic_kernel_rfft(taps: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Half spectrum (rfft2, height x (width // 2 + 1)) of the cyclic blur."""
-    radius = taps.size // 2
-    kern2 = np.outer(taps, taps)
-    grid = np.zeros((height, width))
-    rows = np.arange(-radius, radius + 1) % height
-    cols = np.arange(-radius, radius + 1) % width
-    np.add.at(grid, (rows[:, np.newaxis], cols[np.newaxis, :]), kern2)
-    return np.fft.rfft2(grid)
+def _cyclic_axis(n: int, taps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cyclic boundaries on an n-sample line: the real orthonormal Fourier
+    basis, the circulant blur and the eigenvalues 2 - 2 cos(2 pi k / n) of
+    the periodic `_differences`' D^T D. Row 0 of the basis is constant, rows
+    2k - 1 and 2k read sqrt(2 / n) cos and sin(2 pi k j / n), and when n is
+    even the last row alternates, (-1)^j / sqrt(n); row i has frequency
+    k = (i + 1) // 2. Row i of the blur reads sample (i + t) mod n with the
+    tap at offset t, wrapping as often as the taps outrun the line. For
+    symmetric taps it is a symmetric circulant, which the basis
+    diagonalizes, a cos and sin row sharing one eigenvalue."""
+    i = np.arange(n)
+    k = (i + 1) // 2
+    angle = (2.0 * np.pi / n) * (np.outer(k, i) % n)
+    sine = ((i % 2 == 0) & (k > 0))[:, np.newaxis]
+    basis = np.where(sine, np.sin(angle), np.cos(angle))
+    basis *= np.sqrt(np.where((k == 0) | (2 * k == n), 1.0, 2.0) / n)[:, np.newaxis]
+    offsets = np.arange(taps.size) - taps.size // 2
+    blur = np.zeros((n, n))
+    np.add.at(blur, (i[:, np.newaxis], (i[:, np.newaxis] + offsets) % n), taps)
+    return basis, blur, 2.0 - 2.0 * np.cos(2.0 * np.pi * k / n)
 
 
-def _cyclic_basis(taps: np.ndarray, height: int, width: int, ratio: int) -> _SpatialBasis:
-    """Cyclic boundaries: the real half spectrum (rfft2/irfft2) diagonalizes
-    the cyclic blur, beta being its spectrum, and the periodic
-    `_differences`. The site maps run on the whole grid: S B U is the
-    inverse transform of beta U-hat kept at the sites, and the transform of
-    B^T S^T values that of the values scattered onto a zero grid, times the
-    conjugate of beta."""
-    fb = _cyclic_kernel_rfft(taps, height, width)
-    fb_conj = np.conj(fb)
-    mh = np.exp(2j * np.pi * np.fft.rfftfreq(width))[np.newaxis, :] - 1.0
-    mv = np.exp(2j * np.pi * np.fft.fftfreq(height))[:, np.newaxis] - 1.0
-    blur_gram = np.abs(fb) ** 2
-    psi = blur_gram + np.abs(mh) ** 2 + np.abs(mv) ** 2
-    phase = default_phase(ratio)
-    sites = (Ellipsis, slice(phase, None, ratio), slice(phase, None, ratio))
-
-    def forward(planes, out=None):
-        return np.fft.rfft2(planes, out=out)
-
-    def inverse(coeffs, out):
-        # irfft2 leaves an `out` argument unwritten, so its result is copied.
-        out[...] = np.fft.irfft2(coeffs, s=(height, width))
-        return out
-
-    def to_sites(coeffs):
-        return np.fft.irfft2(coeffs * fb, s=(height, width))[sites]
-
-    def from_sites(values, out):
-        grid = np.zeros(values.shape[:-2] + (height, width))
-        grid[sites] = values
-        out = np.fft.rfft2(grid, out=out)
-        out *= fb_conj
-        return out
-
-    return _SpatialBasis(
-        blur_gram, psi, forward, inverse, to_sites, from_sites,
-        _differences, _differences_adjoint,
-    )
-
-
-def _dct_matrix(n: int) -> np.ndarray:
-    """The orthonormal DCT-II matrix of an n-sample line: row k holds
-    sqrt(2 / n) cos(pi k (2 j + 1) / (2 n)), row 0 scaled by 1 / sqrt(2)."""
+def _reflect_axis(n: int, taps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reflect boundaries on an n-sample line, the model `sensorsim.degrade`
+    blurs with: the orthonormal DCT-II (row k holds sqrt(2 / n)
+    cos(pi k (2 j + 1) / (2 n)), row 0 scaled by 1 / sqrt(2)), the blur
+    `degrade_axis(n, taps, 1)`, which it diagonalizes for symmetric taps
+    (Ng, Chan and Tang 1999), and the eigenvalues 2 - 2 cos(pi k / n) of
+    the `_neumann_differences`' D^T D."""
     k = np.arange(n)[:, np.newaxis]
     j = np.arange(n)[np.newaxis, :]
-    matrix = np.sqrt(2.0 / n) * np.cos(np.pi * k * (2 * j + 1) / (2 * n))
-    matrix[0] /= np.sqrt(2.0)
-    return matrix
+    basis = np.sqrt(2.0 / n) * np.cos(np.pi * k * (2 * j + 1) / (2 * n))
+    basis[0] /= np.sqrt(2.0)
+    return basis, degrade_axis(n, taps, 1), 2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)
 
 
-def _reflect_basis(taps: np.ndarray, height: int, width: int, ratio: int) -> _SpatialBasis:
-    """Reflect boundaries, the model `sensorsim.degrade` blurs with: B is
-    the blur of `degrade_axis(n, taps, 1)` on both axes, symmetric for
-    symmetric taps, and the orthonormal DCT-II C of each axis diagonalizes it
-    (Ng, Chan and Tang 1999), beta being the outer product of the two axes'
-    eigenvalues, and the `_neumann_differences`, whose D^T D has the
-    eigenvalues 2 - 2 cos(pi k / n). As C B^T = diag(b) C on an axis with
-    eigenvalues b, the site maps are products with each axis's site columns
-    of C, row k scaled by b_k: one Y_H-sized side each. Every product is
-    planned once here."""
-    ch, cw = _dct_matrix(height), _dct_matrix(width)
-    blur_h = ((ch @ degrade_axis(height, taps, 1)) * ch).sum(axis=1)
-    blur_w = ((cw @ degrade_axis(width, taps, 1)) * cw).sum(axis=1)
-    diff_h = 2.0 - 2.0 * np.cos(np.pi * np.arange(width) / width)
-    diff_v = 2.0 - 2.0 * np.cos(np.pi * np.arange(height) / height)
-    blur_gram = np.outer(blur_h, blur_w) ** 2
+# Each boundary model: its per-axis factory (n, taps) -> (basis, blur,
+# difference eigenvalues) and its difference pair.
+_BOUNDARIES = {
+    "cyclic": (_cyclic_axis, _differences, _differences_adjoint),
+    "reflect": (_reflect_axis, _neumann_differences, _neumann_differences_adjoint),
+}
+
+
+def _spatial_basis(
+    boundary: str, taps: np.ndarray, height: int, width: int, ratio: int
+) -> _SpatialBasis:
+    """The `_SpatialBasis` of a `boundary` model from its per-axis factory.
+    The blur eigenvalues b of an axis are the diagonal of Q B Q^T, beta
+    being the outer product of the two axes'. As Q B^T = diag(b) Q, the
+    site maps are products with each axis's site columns of Q, row k scaled
+    by b_k: one Y_H-sized side each. Every product is planned once here."""
+    factory, differences, differences_adjoint = _BOUNDARIES[boundary]
+    (qh, blur_h, diff_v), (qw, blur_w, diff_h) = factory(height, taps), factory(width, taps)
+    beta_h = ((qh @ blur_h) * qh).sum(axis=1)
+    beta_w = ((qw @ blur_w) * qw).sum(axis=1)
+    blur_gram = np.outer(beta_h, beta_w) ** 2
     psi = blur_gram + diff_h[np.newaxis, :] + diff_v[:, np.newaxis]
     phase = default_phase(ratio)
-    site_h = ch[:, phase::ratio] * blur_h[:, np.newaxis]
-    site_w = cw[:, phase::ratio] * blur_w[:, np.newaxis]
+    site_h = qh[:, phase::ratio] * beta_h[:, np.newaxis]
+    site_w = qw[:, phase::ratio] * beta_w[:, np.newaxis]
     return _SpatialBasis(
         blur_gram,
         psi,
-        separable_product(ch, cw),
-        separable_product(ch.T, cw.T),
+        separable_product(qh, qw),
+        separable_product(qh.T, qw.T),
         separable_product(site_h.T, site_w.T),
         separable_product(site_h, site_w),
-        _neumann_differences,
-        _neumann_differences_adjoint,
+        differences,
+        differences_adjoint,
     )
-
-
-_BOUNDARIES = {"cyclic": _cyclic_basis, "reflect": _reflect_basis}
 
 
 def hysure_solve(
@@ -523,9 +505,10 @@ def hysure_solve(
         + lambda_phi VTV(U)
 
     with the blur B and the differences of VTV under the `boundary` model:
-    "cyclic" (the default), diagonalized by the real half spectrum, or
-    "reflect", the model `sensorsim.degrade` blurs with, diagonalized by the
-    DCT-II (see `_cyclic_basis` and `_reflect_basis`). U is split as
+    "cyclic" (the default), diagonalized by the real Fourier basis of each
+    axis, or "reflect", the model `sensorsim.degrade` blurs with,
+    diagonalized by the DCT-II of each axis (see `_cyclic_axis`,
+    `_reflect_axis` and `_spatial_basis`). U is split as
     V = (S B U, D_h U, D_v U) with a scaled dual D of each part. Off the
     decimation sites S the prox of the blurred part is the identity, so
     there it would equal B U with a zero dual after every step: the blurred
@@ -547,8 +530,8 @@ def hysure_solve(
     by a denominator formed once per penalty value. The blur enters only
     through |beta|^2 and the basis's two site maps, and S B U is read from
     the solved transform. Per step that is one forward and one inverse
-    whole-grid transform plus the site maps: products with one Y_H-sized
-    side under reflect boundaries, two more real FFTs under cyclic ones.
+    whole-grid transform plus the two site maps, products with one
+    Y_H-sized side, all of them per-axis matrix products under either model.
     """
     if boundary not in _BOUNDARIES:
         raise ValueError(f"boundary must be one of {sorted(_BOUNDARIES)}, got {boundary!r}")
@@ -557,7 +540,7 @@ def hysure_solve(
     p = basis.p
     mu = params.admm_mu
     lam_m, lam_phi = params.lambda_m, params.lambda_phi
-    spatial = _BOUNDARIES[boundary](model.blur.taps, h, w, ratio)
+    spatial = _spatial_basis(boundary, model.blur.taps, h, w, ratio)
 
     rh = model.spectral_response @ basis.H
     evals, evecs = np.linalg.eigh(lam_m * (rh.T @ rh))
@@ -587,7 +570,7 @@ def hysure_solve(
     v_b, d_b = blurred.copy(), np.zeros_like(blurred)
     v_d, d_d = pair.copy(), np.zeros_like(pair)
     u_next, planes = np.empty_like(u), np.empty_like(u)
-    rhs, coupling, den = u_hat, np.empty_like(u_hat), np.empty(u_hat.shape)
+    rhs, coupling, den = u_hat, np.empty_like(u_hat), np.empty_like(u_hat)
     np.multiply(spatial.psi, mu, out=den)
     den += evals
     trace = [objective(u, blurred, pair)]

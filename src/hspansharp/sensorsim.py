@@ -146,9 +146,10 @@ class SensorModel:
 
 
 def _check_noise_stds(stds) -> None:
-    """Refuse a negative noise standard deviation among `stds`."""
-    if (np.asarray(stds) < 0).any():
-        raise ValueError("noise standard deviations must be nonnegative")
+    """Refuse a negative or non-finite noise standard deviation among `stds`."""
+    stds = np.asarray(stds, dtype=np.float64)
+    if not (np.isfinite(stds) & (stds >= 0)).all():
+        raise ValueError("noise standard deviations must be finite and nonnegative")
 
 
 def check_ratio(ratio) -> int:

@@ -2,12 +2,16 @@
 
 Everything here is written with explicit scalar loops and no shared code
 with the package, so agreement is meaningful evidence of correctness.
-Slow on purpose; keep inputs tiny.
+Slow on purpose; keep inputs tiny. The one exception is
+`oracle_hysure_loop`, which applies its per-axis products with
+`sensorsim.separable` so that it can pin the solver bit for bit.
 """
 
 import math
 
 import numpy as np
+
+from hspansharp.sensorsim import separable
 
 
 def mirror_index(i: int, n: int) -> int:
@@ -374,13 +378,50 @@ def oracle_cnmf_loops(
     return spectra, abund_low, abund_high, hs_traces, pan_traces
 
 
+def periodic_differences(u: np.ndarray):
+    """The periodic forward differences x[i + 1] - x[i] of a stack of
+    planes along the width and the height."""
+    return np.roll(u, -1, axis=-1) - u, np.roll(u, -1, axis=-2) - u
+
+
+def periodic_differences_adjoint(dh: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """D_h^T dh + D_v^T dv for `periodic_differences`: x[i - 1] - x[i]."""
+    return (np.roll(dh, 1, axis=-1) - dh) + (np.roll(dv, 1, axis=-2) - dv)
+
+
+def _zero_padded(x: np.ndarray, axis: int, front: bool) -> np.ndarray:
+    """x with one zero sample put in front of, or after, its samples along
+    `axis`."""
+    zero = np.zeros_like(np.take(x, [0], axis=axis))
+    return np.concatenate([zero, x] if front else [x, zero], axis=axis)
+
+
+def neumann_differences(u: np.ndarray):
+    """The forward differences along the width and the height of a stack of
+    planes, the last one of each line zero (the reflect extension's)."""
+    return (
+        _zero_padded(np.diff(u, axis=-1), -1, front=False),
+        _zero_padded(np.diff(u, axis=-2), -2, front=False),
+    )
+
+
+def neumann_differences_adjoint(dh: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """D_h^T dh + D_v^T dv for `neumann_differences`: y[i - 1] - y[i], each
+    term present where its index is a difference (the last sample of a line
+    is none)."""
+    dh, dv = dh[..., :-1], dv[..., :-1, :]
+    across = _zero_padded(dh, -1, front=True) - _zero_padded(dh, -1, front=False)
+    return (across - _zero_padded(dv, -2, front=False)) + _zero_padded(dv, -2, front=True)
+
+
 def oracle_hysure_loop(
     data_h: np.ndarray,
     data_p: np.ndarray,
     basis: np.ndarray,
     response: np.ndarray,
     u0: np.ndarray,
-    fb: np.ndarray,
+    axes,
+    differences,
     ratio: int,
     phase: int,
     lambda_m: float,
@@ -391,40 +432,49 @@ def oracle_hysure_loop(
 ):
     """HySure's ADMM loop in the site form, with named splittings and duals
     and a rollback: the blurred splitting `v_b` and its dual `d_b` hold the
-    Y_H sites only, the two periodic difference fields and their duals are
-    whole planes, each step returns its whole state, and a step whose
-    objective rises is discarded, the penalty doubled, the duals halved and
-    the whole step retried. The coefficients are rotated into the
-    eigenvectors of lambda_m (R H)^T R H, so the U step divides each
-    coefficient of the half spectrum once, and the data term is read at the
+    Y_H sites only, the two difference fields and their duals are whole
+    planes, each step returns its whole state, and a step whose objective
+    rises is discarded, the penalty doubled, the duals halved and the whole
+    step retried. The coefficients are rotated into the eigenvectors of
+    lambda_m (R H)^T R H, so the U step divides each coefficient of the
+    per-axis transform Q_h U Q_w^T once, and the data term is read at the
     sites, as ||H^T Y_H - S B U||^2 past the constant ||Y_H - H H^T Y_H||^2
-    (H orthonormal). The U step's right-hand side takes the
-    blur as |fb|^2 times the previous U's spectrum plus conj(fb) times the
-    spectrum of the site misfit E = v_b + d_b - S B U_prev scattered onto a
-    zero grid. `u0` (p x height x width) is the initial coefficient field
-    and `fb` the half spectrum (rfft2) of the cyclic blur. Returns U (p x
-    pixels), the objective trace, the iterations, whether the relative
-    change of U fell below `tol`, and the number of penalty doublings."""
+    (H orthonormal).
+
+    `axes` holds, for the height and then the width, an orthonormal basis
+    Q, the blur's eigenvalues b in it (Q B Q^T = diag(b)) and the
+    eigenvalues of the axis differences' D^T D in it; `differences` is the
+    pair (differences, adjoint) of the boundary model, each taking and
+    giving the width and height fields separately. As B Q^T = Q^T diag(b),
+    S B U is the product with each axis's site columns of Q scaled by b,
+    and the transform of B^T S^T E the product with their transposes. The
+    products go through `sensorsim.separable`, so that the loop's rounding
+    is the package's. The U step's right-hand side takes the blur as b_h^2
+    b_w^2 times the previous U's transform plus the transform of B^T S^T E,
+    E = v_b + d_b - S B U_prev. `u0` (p x height x width) is the initial
+    coefficient field. Returns U (p x pixels), the objective trace, the
+    iterations, whether the relative change of U fell below `tol`, and the
+    number of penalty doublings."""
     p, h, w = u0.shape
     mu = admm_mu
-
-    def diff(cube, axis, adjoint=False):
-        return np.roll(cube, 1 if adjoint else -1, axis=axis) - cube
+    diff, diff_adjoint = differences
+    (qh, beta_h, eig_v), (qw, beta_w, eig_h) = axes
 
     def joint_norms(dh, dv):
         pair = np.stack([dh, dv])
         return np.sqrt(np.einsum("kpij,kpij->ij", pair, pair))
 
-    sites = (slice(None), slice(phase, None, ratio), slice(phase, None, ratio))
+    site_h = qh[:, phase::ratio] * beta_h[:, np.newaxis]
+    site_w = qw[:, phase::ratio] * beta_w[:, np.newaxis]
 
-    def at_sites(spectrum):
-        return np.fft.irfft2(spectrum * fb, s=(h, w))[sites]
+    def forward(planes):
+        return separable(qh, planes, qw)
 
-    fb_conj = np.conj(fb)
-    mh = np.exp(2j * np.pi * np.fft.rfftfreq(w))[np.newaxis, :] - 1.0
-    mv = np.exp(2j * np.pi * np.fft.fftfreq(h))[:, np.newaxis] - 1.0
-    fb_gram = np.abs(fb) ** 2
-    psi = fb_gram + np.abs(mh) ** 2 + np.abs(mv) ** 2
+    def at_sites(coeffs):
+        return separable(site_h.T, coeffs, site_w.T)
+
+    gram_b = np.outer(beta_h, beta_w) ** 2
+    psi = gram_b + eig_h[np.newaxis, :] + eig_v[:, np.newaxis]
 
     rh = response @ basis
     evals, evecs = np.linalg.eigh(lambda_m * (rh.T @ rh))
@@ -444,10 +494,11 @@ def oracle_hysure_loop(
         )
 
     u = (evecs.T @ u0.reshape(p, -1)).reshape(p, h, w)
-    u_spec = np.fft.rfft2(u)
-    ub = at_sites(u_spec)
-    gram = u_spec * fb_gram
-    v_b, v_h, v_v = ub.copy(), diff(u, 2), diff(u, 1)
+    u_coeffs = forward(u)
+    ub = at_sites(u_coeffs)
+    gram = u_coeffs * gram_b
+    v_b = ub.copy()
+    v_h, v_v = diff(u)
     d_b, d_h, d_v = np.zeros_like(v_b), np.zeros_like(v_h), np.zeros_like(v_v)
     trace = [objective(u, ub, v_h, v_v)]
     converged = False
@@ -455,15 +506,13 @@ def oracle_hysure_loop(
     escalations = 0
 
     def iterate(ub, gram, v_b, v_h, v_v, d_b, d_h, d_v, mu):
-        s = diff(v_h + d_h, 2, adjoint=True) + diff(v_v + d_v, 1, adjoint=True)
+        s = diff_adjoint(v_h + d_h, v_v + d_v)
         s = s * mu + pan_term
-        grid = np.zeros((p, h, w))
-        grid[sites] = v_b + d_b - ub
-        coupling = (np.fft.rfft2(grid) * fb_conj + gram) * mu
-        u_spec = (np.fft.rfft2(s) + coupling) / (psi * mu + evals)
-        u = np.fft.irfft2(u_spec, s=(h, w))
-        ub = at_sites(u_spec)
-        uh, uv = diff(u, 2), diff(u, 1)
+        coupling = (separable(site_h, v_b + d_b - ub, site_w) + gram) * mu
+        u_coeffs = (forward(s) + coupling) / (psi * mu + evals)
+        u = separable(qh.T, u_coeffs, qw.T)
+        ub = at_sites(u_coeffs)
+        uh, uv = diff(u)
 
         v_b = (hty + mu * (ub - d_b)) / (1.0 + mu)
         nu_h, nu_v = uh - d_h, uv - d_v
@@ -476,7 +525,7 @@ def oracle_hysure_loop(
 
         value = objective(u, ub, uh, uv)
         state = (
-            u, ub, u_spec * fb_gram, v_b, v_h, v_v,
+            u, ub, u_coeffs * gram_b, v_b, v_h, v_v,
             d_b - (ub - v_b), d_h - (uh - v_h), d_v - (uv - v_v),
         )
         return state, value
@@ -503,13 +552,25 @@ def oracle_hysure_loop(
     return evecs @ u.reshape(p, -1), np.array(trace), iterations, converged, escalations
 
 
+def cyclic_kernel_rfft(taps: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Half spectrum (rfft2, height x (width // 2 + 1)) of the cyclic blur
+    whose taps wrap around a height x width grid."""
+    radius = taps.size // 2
+    kern2 = np.outer(taps, taps)
+    grid = np.zeros((height, width))
+    rows = np.arange(-radius, radius + 1) % height
+    cols = np.arange(-radius, radius + 1) % width
+    np.add.at(grid, (rows[:, np.newaxis], cols[np.newaxis, :]), kern2)
+    return np.fft.rfft2(grid)
+
+
 def oracle_hysure_full_grid_loop(
     data_h: np.ndarray,
     data_p: np.ndarray,
     basis: np.ndarray,
     response: np.ndarray,
     u0: np.ndarray,
-    fb: np.ndarray,
+    taps: np.ndarray,
     ratio: int,
     phase: int,
     lambda_m: float,
@@ -524,12 +585,15 @@ def oracle_hysure_full_grid_loop(
     scaled duals, the unrotated coefficients, a right-hand side that blurs
     the splitting by conj(fb), and a rollback: each step returns its whole
     state, and a step whose objective rises is discarded, the penalty
-    doubled, the duals halved and the whole step retried. `u0` (p x height x width) is the initial coefficient field and
-    `fb` the half spectrum (rfft2) of the cyclic blur. Returns U (p x
-    pixels), the objective trace, the iterations, whether the relative
-    change of U fell below `tol`, and the number of penalty doublings."""
+    doubled, the duals halved and the whole step retried. The blur is
+    cyclic, its half spectrum fb (`cyclic_kernel_rfft`) that of the `taps`
+    wrapped around the grid, and the differences periodic. `u0` (p x height
+    x width) is the initial coefficient field. Returns U (p x pixels), the
+    objective trace, the iterations, whether the relative change of U fell
+    below `tol`, and the number of penalty doublings."""
     p, h, w = u0.shape
     mu = admm_mu
+    fb = cyclic_kernel_rfft(taps, h, w)
 
     def diff(cube, axis, adjoint=False):
         return np.roll(cube, 1 if adjoint else -1, axis=axis) - cube

@@ -42,11 +42,15 @@ from hspansharp.fusion.bayes import (
 )
 
 from oracles import (
+    neumann_differences,
+    neumann_differences_adjoint,
     oracle_bayes_naive_system,
     oracle_blur_downsample,
     oracle_hysure_full_grid_loop,
     oracle_hysure_loop,
     oracle_vtv,
+    periodic_differences,
+    periodic_differences_adjoint,
 )
 
 
@@ -261,6 +265,17 @@ class TestBayesNaivePriors:
     def test_not_positive_definite_rejected(self):
         sigma = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
+            BayesNaivePriors(np.zeros((2, 9)), sigma)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        mu = np.zeros((2, 9))
+        mu[1, 4] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            BayesNaivePriors(mu, np.eye(2))
+        sigma = np.eye(2)
+        sigma[0, 0] = bad
+        with pytest.raises(ValueError, match="must be finite"):
             BayesNaivePriors(np.zeros((2, 9)), sigma)
 
     def test_default_priors(self):
@@ -510,6 +525,9 @@ class TestHySureParams:
             {"admm_mu": 0.0},
             {"tol": -1e-3},
             {"max_iters": 0},
+            # A NaN tol would otherwise run the whole budget unconverged.
+            *({field: bad} for bad in (np.nan, np.inf)
+              for field in ("lambda_m", "lambda_phi", "admm_mu", "tol")),
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -662,13 +680,36 @@ LOOP_CASES = pytest.mark.parametrize(
 )
 
 
-def run_loop_oracle(oracle, y_h, pan, basis, model, params):
+DIFFERENCE_PAIRS = {
+    "cyclic": (periodic_differences, periodic_differences_adjoint),
+    "reflect": (neumann_differences, neumann_differences_adjoint),
+}
+
+
+def run_loop_oracle(y_h, pan, basis, model, params, boundary="cyclic"):
+    """`oracle_hysure_loop` on the per-axis bases of the `boundary` model,
+    with the blur's eigenvalues formed as the solver forms them, so that
+    the two agree bit for bit."""
     ratio, (h, w) = model.ratio, (pan.height, pan.width)
     u0 = bayes._interpolated_coefficients(y_h, basis, ratio).reshape(basis.p, h, w)
-    return oracle(
-        y_h.data, pan.data, basis.H, model.spectral_response, u0,
-        bayes._cyclic_kernel_rfft(model.blur.taps, h, w), ratio,
-        default_phase(ratio), params.lambda_m, params.lambda_phi,
+    factory = bayes._BOUNDARIES[boundary][0]
+    axes = []
+    for n in (h, w):
+        q, blur, eig = factory(n, model.blur.taps)
+        axes.append((q, ((q @ blur) * q).sum(axis=1), eig))
+    return oracle_hysure_loop(
+        y_h.data, pan.data, basis.H, model.spectral_response, u0, axes,
+        DIFFERENCE_PAIRS[boundary], ratio, default_phase(ratio),
+        params.lambda_m, params.lambda_phi, params.admm_mu, params.tol, params.max_iters,
+    )
+
+
+def run_full_grid_oracle(y_h, pan, basis, model, params):
+    ratio, (h, w) = model.ratio, (pan.height, pan.width)
+    u0 = bayes._interpolated_coefficients(y_h, basis, ratio).reshape(basis.p, h, w)
+    return oracle_hysure_full_grid_loop(
+        y_h.data, pan.data, basis.H, model.spectral_response, u0, model.blur.taps,
+        ratio, default_phase(ratio), params.lambda_m, params.lambda_phi,
         params.admm_mu, params.tol, params.max_iters,
     )
 
@@ -679,7 +720,7 @@ class TestHysureLoopOracle:
         y_h, pan, basis, model, params = case()
         result = hysure_solve(y_h, pan, basis, model, params)
         U, trace, iterations, converged, escalations = run_loop_oracle(
-            oracle_hysure_loop, y_h, pan, basis, model, params
+            y_h, pan, basis, model, params
         )
         np.testing.assert_array_equal(result.U, U)
         np.testing.assert_array_equal(result.objective_trace, trace)
@@ -690,13 +731,26 @@ class TestHysureLoopOracle:
         assert (escalations > 0) == escalates
 
     @LOOP_CASES
+    def test_reflect_bit_identical_to_rollback_loop(self, case, stops, escalates):
+        # The registry's boundary model, on the same loop.
+        y_h, pan, basis, model, params = case()
+        result = hysure_solve(y_h, pan, basis, model, params, boundary="reflect")
+        U, trace, iterations, converged, _ = run_loop_oracle(
+            y_h, pan, basis, model, params, boundary="reflect"
+        )
+        np.testing.assert_array_equal(result.U, U)
+        np.testing.assert_array_equal(result.objective_trace, trace)
+        assert (result.iterations, result.converged) == (iterations, converged)
+
+    @LOOP_CASES
     def test_site_form_is_the_full_grid_loop(self, case, stops, escalates):
         # Holding the blurred splitting at the sites only, in the rotated
-        # coefficients, changes the rounding and nothing else: the same
-        # path through the loop, to within 1e-10.
+        # coefficients of the real per-axis Fourier basis, changes the
+        # rounding and nothing else: the same path through the loop as the
+        # whole-grid FFT form, to within 1e-10.
         y_h, pan, basis, model, params = case()
-        site = run_loop_oracle(oracle_hysure_loop, y_h, pan, basis, model, params)
-        grid = run_loop_oracle(oracle_hysure_full_grid_loop, y_h, pan, basis, model, params)
+        site = run_loop_oracle(y_h, pan, basis, model, params)
+        grid = run_full_grid_oracle(y_h, pan, basis, model, params)
         np.testing.assert_allclose(site[0], grid[0], rtol=0, atol=1e-10 * np.abs(grid[0]).max())
         np.testing.assert_allclose(site[1], grid[1], rtol=1e-10, atol=0)
         assert site[2:] == grid[2:]
@@ -708,11 +762,78 @@ def neumann_difference_matrix(n):
     return np.vstack([np.diff(np.eye(n), axis=0), np.zeros((1, n))])
 
 
+def periodic_difference_matrix(n):
+    """Dense D of one axis under the cyclic boundary: row i reads
+    x[(i + 1) % n] - x[i]."""
+    return np.eye(n)[(np.arange(n) + 1) % n] - np.eye(n)
+
+
+def dense_circulant(n, taps):
+    """Row i reads x[(i + t) % n] with weight taps[t + radius]."""
+    radius = taps.size // 2
+    mat = np.zeros((n, n))
+    for i in range(n):
+        for t in range(-radius, radius + 1):
+            mat[i, (i + t) % n] += taps[t + radius]
+    return mat
+
+
+def frequency_planes(n):
+    """Orthonormal bases (as rows) of the real planes that the columns of
+    np.fft.rfft(np.eye(n)) span, one per frequency k: the real and the
+    imaginary part of column k, the latter zero at k = 0 and k = n / 2."""
+    spectrum = np.fft.rfft(np.eye(n))
+    planes = []
+    for k in range(spectrum.shape[1]):
+        parts = np.stack([spectrum[:, k].real, spectrum[:, k].imag], axis=1)
+        left, sing, _ = np.linalg.svd(parts, full_matrices=False)
+        planes.append(left[:, sing > 1e-9].T)
+    return planes
+
+
+class TestCyclicBasis:
+    # Support 9: the lines below it wrap the taps around, more than once
+    # below 5.
+    TAPS = kernel_from_mtf(2, 0.3).taps
+    SIZES = pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 16, 17])
+
+    @SIZES
+    def test_orthonormal(self, n):
+        q, _, _ = bayes._cyclic_axis(n, self.TAPS)
+        np.testing.assert_allclose(q @ q.T, np.eye(n), rtol=0, atol=1e-13)
+
+    @SIZES
+    def test_spans_the_rfft_frequency_planes(self, n):
+        # Each row lies in one frequency's plane, which it fills with the
+        # plane's other rows, and the frequency of row i is (i + 1) // 2.
+        q, _, _ = bayes._cyclic_axis(n, self.TAPS)
+        for k, plane in enumerate(frequency_planes(n)):
+            rows = q[(np.arange(n) + 1) // 2 == k]
+            assert rows.shape[0] == plane.shape[0], k
+            np.testing.assert_allclose(
+                rows.T @ rows, plane.T @ plane, rtol=0, atol=1e-12, err_msg=str(k)
+            )
+
+    @SIZES
+    def test_diagonalizes_the_blur_and_the_periodic_gram(self, n):
+        q, blur, eigen = bayes._cyclic_axis(n, self.TAPS)
+        np.testing.assert_allclose(blur, dense_circulant(n, self.TAPS), rtol=0, atol=1e-15)
+        k = (np.arange(n) + 1) // 2
+        radius = self.TAPS.size // 2
+        offsets = np.arange(-radius, radius + 1)
+        blur_eigen = (self.TAPS * np.cos(2 * np.pi * np.outer(k, offsets) / n)).sum(axis=1)
+        np.testing.assert_allclose(q @ blur @ q.T, np.diag(blur_eigen), rtol=0, atol=1e-13)
+        d = periodic_difference_matrix(n)
+        np.testing.assert_array_equal(eigen, 2.0 - 2.0 * np.cos(2 * np.pi * k / n))
+        np.testing.assert_allclose(q @ d.T @ d @ q.T, np.diag(eigen), rtol=0, atol=1e-13)
+
+
 class TestReflectBasis:
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 25, 100])
     def test_dct_matrix_matches_scipy(self, n):
         want = scipy.fft.dct(np.eye(n), norm="ortho", axis=0)
-        np.testing.assert_allclose(bayes._dct_matrix(n), want, rtol=0, atol=1e-13)
+        q, _, _ = bayes._reflect_axis(n, np.array([1.0]))
+        np.testing.assert_allclose(q, want, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("ratio", [2, 3, 4, 5, 6])
     def test_dct_diagonalizes_the_reflect_blur(self, ratio):
@@ -721,17 +842,19 @@ class TestReflectBasis:
         taps = kernel_from_mtf(ratio).taps
         radius = taps.size // 2
         for n in [*range(1, 2 * radius + 4), 100]:
-            c = bayes._dct_matrix(n)
-            blur = c @ degrade_axis(n, taps, 1) @ c.T
+            c, blur, _ = bayes._reflect_axis(n, taps)
+            np.testing.assert_array_equal(blur, degrade_axis(n, taps, 1))
+            blur = c @ blur @ c.T
             off = blur - np.diag(np.diag(blur))
             assert np.abs(off).max() <= 1e-13, n
 
     @pytest.mark.parametrize("n", [1, 2, 5, 16, 100])
     def test_neumann_gram_eigenvalues(self, n):
         d = neumann_difference_matrix(n)
-        c = bayes._dct_matrix(n)
+        c, _, eigen = bayes._reflect_axis(n, np.array([1.0]))
         gram = c @ d.T @ d @ c.T
-        eigen = 2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)
+        want = 2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)
+        np.testing.assert_array_equal(eigen, want)
         np.testing.assert_allclose(np.diag(gram), eigen, rtol=0, atol=1e-13)
         assert np.abs(gram - np.diag(np.diag(gram))).max() <= 1e-13
 
@@ -835,7 +958,7 @@ class TestHysureSites:
     def test_site_maps_are_the_dense_operators(self, boundary, ratio, h, w):
         rng = np.random.default_rng(ratio)
         taps = kernel_from_mtf(ratio, 0.3).taps
-        spatial = bayes._BOUNDARIES[boundary](taps, h, w, ratio)
+        spatial = bayes._spatial_basis(boundary, taps, h, w, ratio)
         rows_h, rows_w = site_rows(boundary, h, taps, ratio), site_rows(boundary, w, taps, ratio)
         planes = rng.normal(size=(2, h, w))
         values = rng.normal(size=(2, h // ratio, w // ratio))

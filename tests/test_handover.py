@@ -156,19 +156,20 @@ def test_periodic_differences_have_one_home():
     }
 
 
-def test_fft_stays_in_the_cyclic_basis():
-    # Only HySure's cyclic boundary model transforms by FFT; the reflect
-    # model and everything else work on per-axis matrices.
+def test_no_module_names_fft_or_complex_numbers():
+    # Both of HySure's boundary models, like everything else, work on real
+    # per-axis matrices: no module names an FFT, and none writes an
+    # imaginary literal or names a complex type.
     transforming = set()
     for where, tree in package_modules():
-        for node in tree.body:
-            named = {getattr(n, "attr", None) or getattr(n, "name", None) for n in ast.walk(node)}
-            if any(isinstance(name, str) and "fft" in name.split(".") for name in named):
-                transforming.add((where, getattr(node, "name", None)))
-    assert transforming == {
-        ("fusion/bayes.py", "_cyclic_kernel_rfft"),
-        ("fusion/bayes.py", "_cyclic_basis"),
-    }
+        for node in ast.walk(tree):
+            name = getattr(node, "attr", None) or getattr(node, "id", None)
+            name = name or getattr(node, "name", None)
+            if isinstance(name, str) and ("fft" in name.split(".") or "complex" in name):
+                transforming.add((where, name))
+            if isinstance(node, ast.Constant) and isinstance(node.value, complex):
+                transforming.add((where, repr(node.value)))
+    assert transforming == set()
 
 
 def test_only_envi_writes_binary_files():

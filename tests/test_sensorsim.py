@@ -108,10 +108,20 @@ class TestSensorModel:
         with pytest.raises(ValueError, match="nonnegative"):
             SensorModel(4, BlurKernel.impulse(), resp, pan_noise_std=-0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_noise_std_must_be_finite(self, bad):
+        resp = np.full((1, 4), 0.25)
+        with pytest.raises(ValueError, match="finite"):
+            SensorModel(4, BlurKernel.impulse(), resp, hs_noise_std=[0.1, bad, 0.1, 0.1])
+        with pytest.raises(ValueError, match="finite"):
+            SensorModel(4, BlurKernel.impulse(), resp, pan_noise_std=bad)
+        with pytest.raises(ValueError, match="finite"):
+            add_gaussian_noise(SpectralImage(1, 2, np.zeros((1, 2))), bad, seed=0)
+
     def test_noise_std_rule_has_one_home(self):
         # The Y_H stds, the PAN std and `add_gaussian_noise`'s stds are
         # refused by one check, so the message is written once.
-        message = "noise standard deviations must be nonnegative"
+        message = "noise standard deviations must be finite and nonnegative"
         homes = [
             where
             for where, tree in src_trees()
