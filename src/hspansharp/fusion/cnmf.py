@@ -43,7 +43,8 @@ _DELTA = 10.0
 
 @dataclass(frozen=True)
 class Endmembers:
-    """Spectra (bands x p) and abundances (p x pixels), both nonnegative."""
+    """Spectra (bands x p) and abundances (p x pixels), both finite and
+    nonnegative."""
 
     spectra: np.ndarray
     abundances: np.ndarray
@@ -53,6 +54,8 @@ class Endmembers:
         U = np.asarray(self.abundances, dtype=np.float64).copy()
         if H.ndim != 2 or U.ndim != 2 or H.shape[1] != U.shape[0]:
             raise ValueError("spectra and abundances disagree in endmember count")
+        if not (np.isfinite(H).all() and np.isfinite(U).all()):
+            raise ValueError("endmember factors must be finite")
         if (H < 0).any() or (U < 0).any():
             raise ValueError("endmember factors must be nonnegative")
         H.flags.writeable = False

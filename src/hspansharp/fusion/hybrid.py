@@ -76,8 +76,8 @@ def guided_filter_plane(
 
 def soft_threshold(values: np.ndarray, tau: float) -> np.ndarray:
     """sign(v) max(|v| - tau, 0) elementwise."""
-    if tau < 0:
-        raise ValueError("threshold must be nonnegative")
+    if not tau >= 0:
+        raise ValueError(f"threshold must be nonnegative, got {tau!r}")
     v = np.asarray(values, dtype=np.float64)
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 

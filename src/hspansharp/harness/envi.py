@@ -58,15 +58,22 @@ def _parse_header(text: str, path: str) -> dict:
     return fields
 
 
-def _require_int(fields: dict, key: str, path: str) -> int:
+def _number(text: str, key: str, path: str, kind=int):
+    """`text` as a `kind`, or an error that names the header and the key."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "integer" if kind is int else "numeric"
+        raise ValueError(f"{path}: header key {key!r} has non-{noun} value {text!r}") from None
+
+
+def _require_int(fields: dict, key: str, path: str, least: int | None = None) -> int:
     if key not in fields:
         raise ValueError(f"{path}: header is missing required key {key!r}")
-    try:
-        return int(fields[key])
-    except ValueError:
-        raise ValueError(
-            f"{path}: header key {key!r} has non-integer value {fields[key]!r}"
-        ) from None
+    value = _number(fields[key], key, path)
+    if least is not None and value < least:
+        raise ValueError(f"{path}: header key {key!r} must be at least {least}, got {value}")
+    return value
 
 
 def load_raster(path: str) -> SpectralImage:
@@ -76,9 +83,9 @@ def load_raster(path: str) -> SpectralImage:
     with open(hdr_path, "r", encoding="ascii") as fh:
         fields = _parse_header(fh.read(), hdr_path)
 
-    samples = _require_int(fields, "samples", hdr_path)
-    lines = _require_int(fields, "lines", hdr_path)
-    bands = _require_int(fields, "bands", hdr_path)
+    samples = _require_int(fields, "samples", hdr_path, least=1)
+    lines = _require_int(fields, "lines", hdr_path, least=1)
+    bands = _require_int(fields, "bands", hdr_path, least=1)
     dtype_code = _require_int(fields, "data type", hdr_path)
     byte_order = _require_int(fields, "byte order", hdr_path)
     if "interleave" not in fields:
@@ -96,9 +103,7 @@ def load_raster(path: str) -> SpectralImage:
 
     offset = 0
     if "header offset" in fields:
-        offset = _require_int(fields, "header offset", hdr_path)
-        if offset < 0:
-            raise ValueError(f"{hdr_path}: negative 'header offset' {offset}")
+        offset = _require_int(fields, "header offset", hdr_path, least=0)
 
     dtype = _DTYPE_CODES[dtype_code]
     expected = bands * lines * samples
@@ -118,7 +123,7 @@ def load_raster(path: str) -> SpectralImage:
             raise ValueError(
                 f"{hdr_path}: 'wavelength' lists {len(values)} values for {bands} bands"
             )
-        wavelengths = [float(v) for v in values]
+        wavelengths = [_number(v, "wavelength", hdr_path, float) for v in values]
 
     # A float64 payload is adopted as read; float32 is widened once.
     data = raw.astype(np.float64, copy=False).reshape(bands, lines * samples)

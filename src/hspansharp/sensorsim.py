@@ -86,6 +86,8 @@ class BlurKernel:
         taps.flags.writeable = False
         if taps.size % 2 != 1:
             raise ValueError(f"kernel needs an odd tap count, got {taps.size}")
+        if not np.isfinite(taps).all():
+            raise ValueError("kernel taps must be finite")
         if (taps < 0).any():
             raise ValueError("kernel taps must be nonnegative")
         if not np.allclose(taps, taps[::-1], rtol=0, atol=1e-12):

@@ -150,6 +150,11 @@ class TestEndmembers:
             Endmembers(np.ones((3, 2)), np.ones((3, 5)))
         with pytest.raises(ValueError):
             Endmembers(-np.ones((3, 2)), np.ones((2, 5)))
+        # A NaN compares false with 0, so a sign test alone takes it.
+        with pytest.raises(ValueError, match="finite"):
+            Endmembers(np.full((2, 1), np.nan), np.ones((1, 3)))
+        with pytest.raises(ValueError, match="finite"):
+            Endmembers(np.ones((2, 1)), np.full((1, 3), np.inf))
 
     def test_arrays_readonly(self):
         e = Endmembers(np.ones((3, 2)), np.ones((2, 5)))

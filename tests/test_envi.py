@@ -1,6 +1,7 @@
 """Raster header/payload I/O."""
 
 import os
+import re
 import struct
 import tracemalloc
 
@@ -373,6 +374,15 @@ class TestErrorPaths:
         with pytest.raises(ValueError, match=want):
             load_raster(hdr)
 
+    @pytest.mark.parametrize("key, value", [("samples", 0), ("lines", -3), ("bands", -1)])
+    def test_non_positive_dims_refused_from_the_header(self, tmp_path, key, value):
+        (hdr, _), _ = self.write_pair(tmp_path)
+        text = re.sub(rf"^{key} = \d+$", f"{key} = {value}", open(hdr).read(), flags=re.M)
+        open(hdr, "w").write(text)
+        want = f"^{re.escape(hdr)}: header key '{key}' must be at least 1, got {value}$"
+        with pytest.raises(ValueError, match=want):
+            load_raster(hdr)
+
     def test_zero_bands_rejected(self, tmp_path, capsys):
         # Loaded as a (0, N) image, it made `fuse` fail later with a message
         # about the spectral response.
@@ -380,14 +390,15 @@ class TestErrorPaths:
         text = open(hdr).read().replace("bands = 3", "bands = 0")
         open(hdr, "w").write(text)
         open(dat, "wb").close()
-        with pytest.raises(ValueError, match="image must have at least one band"):
+        message = "header key 'bands' must be at least 1, got 0"
+        with pytest.raises(ValueError, match=message):
             load_raster(hdr)
         pan = SpectralImage(8, 10, np.random.default_rng(2).uniform(0.1, 1.0, (1, 80)))
         save_raster(str(tmp_path / "pan"), pan)
         argv = ["fuse", "--method", "GSA", "--hs", hdr, "--pan", str(tmp_path / "pan"),
                 "--out", str(tmp_path / "out")]
         assert main(argv) == 1
-        assert "image must have at least one band" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not any(name.startswith("out") for name in os.listdir(tmp_path))
 
     def with_offset(self, tmp_path, offset, cut=0):
@@ -430,6 +441,13 @@ class TestErrorPaths:
         (hdr, _), _ = self.write_pair(tmp_path)
         open(hdr, "a").write("wavelength = { 0.4, 0.5 }\n")
         with pytest.raises(ValueError, match="wavelength"):
+            load_raster(hdr)
+
+    def test_non_numeric_wavelength_names_the_header(self, tmp_path):
+        (hdr, _), _ = self.write_pair(tmp_path)
+        open(hdr, "a").write("wavelength = { 0.4, abc, 0.6 }\n")
+        want = f"^{re.escape(hdr)}: header key 'wavelength' has non-numeric value 'abc'$"
+        with pytest.raises(ValueError, match=want):
             load_raster(hdr)
 
     @pytest.mark.parametrize("listed", ["nan, 0.5, 0.6", "0.4, 0.5, inf"])

@@ -1,12 +1,8 @@
 """The handover of fresh arrays to `SpectralImage`: outputs that are adopted
 without a copy must still be read-only, must share no memory with their
-inputs, and must still be checked for non-finite samples. Fusion methods
-hand over only through `imgcore.BandStream`, and rasters are written only
-by `envi.save_raster`."""
+inputs, and must still be checked for non-finite samples."""
 
-import ast
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,98 +89,6 @@ def test_nan_in_working_cube_still_raises(context, monkeypatch, fuse):
     monkeypatch.setattr(cs, "upsample_bands", poisoned)
     with pytest.raises(ValueError, match="non-finite"):
         fuse(context.y_h, context.pan)
-
-
-def package_modules():
-    """(path relative to the package, parsed module) of every module of
-    `hspansharp`."""
-    package = Path(__file__).resolve().parents[1] / "src" / "hspansharp"
-    return [
-        (path.relative_to(package).as_posix(), ast.parse(path.read_text()))
-        for path in sorted(package.rglob("*.py"))
-    ]
-
-
-def test_no_fusion_module_adopts_an_array():
-    # Each method forms its image as a `BandStream`; `BandStream.image` is
-    # the one place a fused image is adopted.
-    adopting = {
-        where
-        for where, tree in package_modules()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr == "_adopt"
-    }
-    assert adopting and not any(where.startswith("fusion/") for where in adopting)
-
-
-def test_fusion_calls_the_spatial_operators_on_arrays():
-    # The methods interpolate and degrade arrays (`resample.interpolate`,
-    # `sensorsim.degrade`); the image forms serve the commands and the
-    # criteria, and no method wraps a scratch array in an image to call them.
-    image_forms = {"upsample", "blur_downsample"}
-    named = set()
-    for where, tree in package_modules():
-        if not where.startswith("fusion/"):
-            continue
-        for node in ast.walk(tree):
-            if isinstance(node, ast.alias):
-                name = node.name.rsplit(".", 1)[-1]
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            else:
-                continue
-            if name in image_forms:
-                named.add((where, name))
-    assert named == set()
-
-
-def test_periodic_differences_have_one_home():
-    # HySure's periodic boundary lives in bayes' difference helpers: the
-    # solver, `vtv` and `default_hysure_params` call them, and no other code
-    # shifts an array cyclically.
-    rolling = set()
-    for where, tree in package_modules():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            named = {getattr(n, "attr", None) or getattr(n, "id", None) for n in ast.walk(node)}
-            if "roll" in named:
-                rolling.add((where, node.name))
-    assert rolling == {
-        ("fusion/bayes.py", "_differences"),
-        ("fusion/bayes.py", "_differences_adjoint"),
-    }
-
-
-def test_no_module_names_fft_or_complex_numbers():
-    # Both of HySure's boundary models, like everything else, work on real
-    # per-axis matrices: no module names an FFT, and none writes an
-    # imaginary literal or names a complex type.
-    transforming = set()
-    for where, tree in package_modules():
-        for node in ast.walk(tree):
-            name = getattr(node, "attr", None) or getattr(node, "id", None)
-            name = name or getattr(node, "name", None)
-            if isinstance(name, str) and ("fft" in name.split(".") or "complex" in name):
-                transforming.add((where, name))
-            if isinstance(node, ast.Constant) and isinstance(node.value, complex):
-                transforming.add((where, repr(node.value)))
-    assert transforming == set()
-
-
-def test_only_envi_writes_binary_files():
-    # `save_raster` is the one writer of images and of streamed blocks.
-    writers = set()
-    for where, tree in package_modules():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and node.attr == "tofile":
-                writers.add(where)
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
-                modes = [a.value for a in node.args[1:2] if isinstance(a, ast.Constant)]
-                modes += [k.value.value for k in node.keywords if k.arg == "mode"]
-                if any("b" in m and ("w" in m or "a" in m) for m in modes):
-                    writers.add(where)
-    assert writers == {"harness/envi.py"}
 
 
 class TestAdopt:

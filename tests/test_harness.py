@@ -1,13 +1,11 @@
 """Synthetic scenes, run configuration, the benchmark loop, report
 artifacts, and the command line."""
 
-import ast
 import json
 import os
 import subprocess
 import sys
 from dataclasses import fields, replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -436,29 +434,6 @@ class TestRunMethod:
         rng = DynamicRange.spanning(y_h.data)
         assert got == fuse(y_h, pan, config.ratio, 0.45, rng)
         assert got != fuse(y_h, pan, config.ratio, 0.3, rng)
-
-    def test_registry_reads_no_gain(self):
-        # Every registry entry takes its blur from `ctx.model`, so none can
-        # fuse under a blur other than the model's.
-        path = Path(__file__).resolve().parents[1] / "src" / "hspansharp" / "harness"
-        tree = ast.parse((path / "registry.py").read_text())
-        reads = [
-            ast.unparse(node)
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == "gnyq"
-        ]
-        assert reads == []
-
-    def test_only_bench_builds_a_method_context(self):
-        package = Path(__file__).resolve().parents[1] / "src" / "hspansharp"
-        builders = set()
-        for path in package.rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Call):
-                    func = node.func
-                    if getattr(func, "id", getattr(func, "attr", None)) == "MethodContext":
-                        builders.add(path.relative_to(package).as_posix())
-        assert builders == {"harness/bench.py"}
 
 
 class TestRunWald:

@@ -124,8 +124,11 @@ class TestSoftThreshold:
         assert (out * v >= 0).all()
 
     def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
             soft_threshold(np.ones(3), -0.1)
+        # A NaN threshold compares false with 0.
+        with pytest.raises(ValueError, match="threshold must be nonnegative, got nan"):
+            soft_threshold(np.ones(3), np.nan)
 
 
 class TestSelectMedian:

@@ -1,6 +1,3 @@
-import ast
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -138,18 +135,3 @@ class TestSpectralImage:
         assert a != SpectralImage(a.width, a.height, a.data)
         assert a != "not an image"
 
-
-def test_fusion_sets_no_block_size_of_its_own():
-    # Bands per block come only from `BandStream.block_bands`: no module
-    # under `fusion/` binds a block or chunk size at module level.
-    fusion = Path(__file__).resolve().parents[1] / "src" / "hspansharp" / "fusion"
-    sizes = [
-        (path.name, target.id)
-        for path in sorted(fusion.glob("*.py"))
-        for node in ast.parse(path.read_text()).body
-        if isinstance(node, (ast.Assign, ast.AnnAssign))
-        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
-        if isinstance(target, ast.Name)
-        and any(word in target.id.upper() for word in ("BLOCK", "CHUNK"))
-    ]
-    assert sizes == []

@@ -1,5 +1,3 @@
-import ast
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -72,6 +70,12 @@ class TestBlurKernel:
         with pytest.raises(ValueError):
             BlurKernel([-0.1, 1.2, -0.1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        # Checked before the symmetry test, which a NaN tap also fails.
+        with pytest.raises(ValueError, match="^kernel taps must be finite$"):
+            BlurKernel([0.25, bad, 0.25])
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             BlurKernel([0.2, 0.5, 0.3])
@@ -122,13 +126,6 @@ class TestSensorModel:
         # The Y_H stds, the PAN std and `add_gaussian_noise`'s stds are
         # refused by one check, so the message is written once.
         message = "noise standard deviations must be finite and nonnegative"
-        homes = [
-            where
-            for where, tree in src_trees()
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Constant) and node.value == message
-        ]
-        assert homes == ["sensorsim.py"]
         with pytest.raises(ValueError, match=message):
             add_gaussian_noise(SpectralImage(1, 1, np.zeros((1, 1))), -0.1, seed=0)
 
@@ -165,63 +162,6 @@ class TestAssumedModel:
         assert GNYQ == 0.3
         assert kernel_from_mtf(4) == kernel_from_mtf(4, GNYQ)
 
-    def test_only_sensorsim_decides_the_model(self):
-        # No other module builds a SensorModel or picks the PAN response,
-        # and none asks whether the noise stds are empty: there is one per
-        # band, zeros when unknown.
-        package = Path(__file__).resolve().parents[1] / "src" / "hspansharp"
-        callers = set()
-        for path in package.rglob("*.py"):
-            where = path.relative_to(package).as_posix()
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-                    if node.func.id in ("SensorModel", "default_pan_response"):
-                        callers.add(where)
-                if isinstance(node, ast.Attribute) and node.attr == "size":
-                    inner = node.value
-                    assert not (
-                        isinstance(inner, ast.Attribute) and inner.attr == "hs_noise_std"
-                    ), where
-        assert callers == {"sensorsim.py"}
-
-    def test_default_gain_has_one_home(self):
-        # Every default of a `gnyq` parameter, field or option reads GNYQ,
-        # and 0.3 is written once, as its value. (scene.py draws bump
-        # amplitudes from [0.3, 1), which is no gain.)
-        package = Path(__file__).resolve().parents[1] / "src" / "hspansharp"
-        literals, defaults = [], []
-        for path in package.rglob("*.py"):
-            where = path.relative_to(package).as_posix()
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Constant) and node.value == 0.3:
-                    literals.append(where)
-                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    args = node.args.posonlyargs + node.args.args
-                    pairs = zip(args[len(args) - len(node.args.defaults):], node.args.defaults)
-                    pairs = [*pairs, *zip(node.args.kwonlyargs, node.args.kw_defaults)]
-                    defaults += [(where, d) for a, d in pairs if a.arg == "gnyq" and d]
-                elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                    if getattr(node.target, "id", "") == "gnyq":
-                        defaults.append((where, node.value))
-                elif isinstance(node, ast.Call) and any(
-                    isinstance(a, ast.Constant) and a.value == "--gnyq" for a in node.args
-                ):
-                    defaults += [(where, k.value) for k in node.keywords if k.arg == "default"]
-        assert sorted(literals) == ["harness/scene.py", "sensorsim.py"]
-        # kernel_from_mtf, RunConfig and the degrade and fuse options.
-        assert len(defaults) == 4
-        for where, value in defaults:
-            assert isinstance(value, ast.Name) and value.id == "GNYQ", where
-
-
-def src_trees(subpackage=""):
-    """(path relative to the package, parsed module) of every module of
-    `hspansharp` under `subpackage`."""
-    package = Path(__file__).resolve().parents[1] / "src" / "hspansharp"
-    return [
-        (path.relative_to(package).as_posix(), ast.parse(path.read_text()))
-        for path in sorted((package / subpackage).rglob("*.py"))
-    ]
 
 
 # Every public entry point that takes a resolution ratio, as a call of the
@@ -279,35 +219,6 @@ class TestCheckRatio:
         model = SensorModel(np.int64(2), BlurKernel.impulse(), np.full((1, 3), 1 / 3))
         assert type(model.ratio) is int and model.ratio == 2
 
-    def test_message_has_one_home(self):
-        homes = {
-            where
-            for where, tree in src_trees()
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Constant) and isinstance(node.value, str)
-            and "ratio must be a positive integer" in node.value
-        }
-        assert homes == {"sensorsim.py"}
-
-    def test_no_ratio_is_cast_to_int(self):
-        casts = [
-            (where, ast.unparse(node))
-            for where, tree in src_trees()
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "int"
-            and node.args and ast.unparse(node.args[0]).endswith("ratio")
-        ]
-        assert casts == []
-
-    def test_fusion_names_no_interpolation_kernel(self):
-        # Every method interpolates with `interpolate`'s default, bicubic.
-        named = [
-            where
-            for where, tree in src_trees("fusion")
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Constant) and node.value == "bicubic"
-        ]
-        assert named == []
 
 
 # Every entry point that takes a size, count, budget or seed other than a
@@ -369,17 +280,6 @@ class TestModelPair:
             f"spectral response is {shape}, not 1x3 (PAN bands x Y_H bands)"
         )
 
-    def test_message_has_one_home(self):
-        homes = {
-            where
-            for where, tree in src_trees()
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Constant) and isinstance(node.value, str)
-            and "spectral response is" in node.value
-        }
-        assert homes == {"sensorsim.py"}
-
-
 class TestIntegerRule:
     """Sizes, counts, budgets and seeds follow `imgcore.is_integer`: a float
     or a bool is refused with a message that names it, never truncated."""
@@ -405,28 +305,6 @@ class TestIntegerRule:
         # the prior mean, each without an error.
         with pytest.raises(ValueError, match=f"got {value}$"):
             INTEGER_TAKERS[taker](value)
-
-    def test_no_name_is_cast_to_int(self):
-        casts = [
-            (where, ast.unparse(node))
-            for where, tree in src_trees()
-            if where in ("imgcore.py", "sensorsim.py") or where.startswith("fusion/")
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "int"
-            and node.args and isinstance(node.args[0], (ast.Name, ast.Attribute))
-        ]
-        assert casts == []
-
-    def test_bool_is_told_apart_only_in_imgcore(self):
-        homes = [
-            where
-            for where, tree in src_trees()
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "isinstance"
-            and any(getattr(n, "id", "") == "bool" for n in ast.walk(node.args[-1]))
-        ]
-        assert homes == ["imgcore.py"]
-
 
 class TestKernelFromMtf:
     @pytest.mark.parametrize("ratio", [2, 3, 4, 5, 6])
@@ -486,34 +364,6 @@ class TestBlur:
             want = convolve1d(np.eye(n), taps, axis=0, mode="reflect")
             np.testing.assert_allclose(degrade_axis(n, taps, 1), want, rtol=0, atol=1e-15)
 
-    def test_no_module_imports_scipy(self):
-        # The package runs on numpy alone; scipy serves only as a test oracle.
-        package = Path(__file__).resolve().parents[1] / "src" / "hspansharp"
-        importers = set()
-        for path in package.rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Import):
-                    names = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom) and node.module:
-                    names = [node.module]
-                else:
-                    continue
-                if any(n == "scipy" or n.startswith("scipy.") for n in names):
-                    importers.add(path.relative_to(package).as_posix())
-        assert importers == set()
-
-    def test_pair_message_has_one_home(self):
-        # The PAN/Y_H grid rule is written once, in `sensorsim.check_pair`.
-        package = Path(__file__).resolve().parents[1] / "src" / "hspansharp"
-        homes = {
-            path.relative_to(package).as_posix()
-            for path in package.rglob("*.py")
-            for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.Constant) and isinstance(node.value, str)
-            and "PAN dims" in node.value
-        }
-        assert homes == {"sensorsim.py"}
-
     def test_cli_import_loads_no_scipy(self):
         src = Path(__file__).resolve().parents[1] / "src"
         code = (
@@ -527,59 +377,6 @@ class TestBlur:
         )
         assert out.stdout.strip() == "[]"
 
-    def test_each_public_name_has_one_module(self):
-        # A module's `__all__` lists exactly its public top-level functions,
-        # classes and constants, and a package binds no public name, so each
-        # name is imported from the one module that defines it.
-        package = Path(__file__).resolve().parents[1] / "src" / "hspansharp"
-        for path in sorted(package.rglob("*.py")):
-            where = path.relative_to(package).as_posix()
-            bound, imported, exported = set(), set(), None
-            for node in ast.parse(path.read_text()).body:
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                    bound.add(node.name)
-                elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                    imported.update((a.asname or a.name).split(".")[0] for a in node.names)
-                elif isinstance(node, ast.Assign):
-                    for target in node.targets:
-                        if target.id == "__all__":
-                            exported = ast.literal_eval(node.value)
-                        bound.add(target.id)
-            public = {n for n in bound if not n.startswith("_")}
-            if path.name == "__init__.py":
-                assert exported is None, where
-                assert not {n for n in bound | imported if not n.startswith("_")}, where
-            elif path.name != "__main__.py":
-                assert exported is not None, where
-                assert len(exported) == len(set(exported)), where
-                assert set(exported) == public, where
-
-    def test_each_public_name_is_used(self):
-        # A name in a module's `__all__` is loaded somewhere in `src` outside
-        # its own top-level definition (an import counts), or named by the
-        # acceptance criteria or the benchmark: no public name serves only
-        # its unit tests.
-        exported, loaded = {}, set()
-        for where, tree in src_trees():
-            for top in tree.body:
-                if "__all__" in [getattr(t, "id", None) for t in getattr(top, "targets", ())]:
-                    exported.update(dict.fromkeys(ast.literal_eval(top.value), where))
-                    continue
-                here = set()
-                for node in ast.walk(top):
-                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                        here.add(node.id)
-                    elif isinstance(node, ast.Attribute):
-                        here.add(node.attr)
-                    elif isinstance(node, ast.alias):
-                        here.add(node.asname or node.name)
-                loaded |= here - {getattr(top, "name", None)}
-        root = Path(__file__).resolve().parents[1]
-        outside = [root / "tests" / "test_acceptance.py", *(root / "perfbench").rglob("*.py")]
-        named = {word for path in outside for word in re.findall(r"\w+", path.read_text())}
-        unused = {name: where for name, where in exported.items()
-                  if name not in loaded and name not in named}
-        assert unused == {}
 
 
 def axis_pairs(family):
