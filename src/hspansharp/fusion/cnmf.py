@@ -39,6 +39,8 @@ _EPS = 1e-12
 # Entry of the stacked sum-to-one penalty row: the larger, the closer each
 # abundance column sums to one.
 _DELTA = 10.0
+# Steps each loop runs between two stopping tests (`_run_windows`).
+_WINDOW = 20
 
 
 @dataclass(frozen=True)
@@ -66,10 +68,16 @@ class Endmembers:
 
 @dataclass(frozen=True)
 class CnmfResult:
+    """The factors, the low-resolution abundances and, per outer iteration,
+    each loop's traced objectives and the number of steps it took. A trace
+    holds the objectives the loop formed, not one per step (`_run_windows`)."""
+
     endmembers: Endmembers
     abundances_low: np.ndarray
     hs_objectives: tuple
     pan_objectives: tuple
+    hs_steps: tuple
+    pan_steps: tuple
 
 
 def vca(y: np.ndarray, p: int, seed: int = 0) -> np.ndarray:
@@ -130,10 +138,13 @@ def nmf_update_spectra(
     return spectra * (data @ abundances.T) / (spectra @ (abundances @ abundances.T) + _EPS)
 
 
-def _abundance_step(abundances: np.ndarray, hty: np.ndarray, hth: np.ndarray) -> np.ndarray:
+def _abundance_step(
+    abundances: np.ndarray, hty: np.ndarray, hth: np.ndarray, denom: np.ndarray | None = None
+) -> np.ndarray:
     """Multiplicative abundance step U <- U (H^T Y) / (H^T H U + eps) from the
-    products H^T Y and H^T H, written over `abundances` and returned."""
-    denom = hth @ abundances
+    products H^T Y and H^T H, written over `abundances` and returned. The
+    denominator is formed in `denom` when one is given."""
+    denom = np.matmul(hth, abundances, out=denom)
     denom += _EPS
     abundances *= hty
     abundances /= denom
@@ -209,6 +220,50 @@ def _objective(
     return float(resid.sum())
 
 
+def _settled(before: float, after: float, tol: float) -> bool:
+    """The relative-change stopping test of one step."""
+    return abs(before - after) <= tol * max(before, _EPS)
+
+
+def _run_windows(step, objective, state: tuple, budget: int, tol: float) -> tuple:
+    """Run up to `budget` calls of `step`, which updates the arrays of
+    `state` in place, and stop at a settled step; return the traced
+    objectives and the number of steps taken.
+
+    The steps run in windows of `_WINDOW`, and `objective` is formed only
+    after a window's last two steps, to test its last step. When that step
+    is settled, the window is replayed from a checkpoint of `state`, one
+    tested step at a time, up to its first settled step. So the loop stops
+    where the per-step rule would, unless a settled step is followed in its
+    window by a last step that is not: the loop then runs on. The trace
+    holds the objective at step 0, at each window's end and at each
+    replayed step."""
+    trace = [objective()]
+    saved = tuple(np.empty_like(a) for a in state)
+    taken = 0
+    while taken < budget:
+        size = min(_WINDOW, budget - taken)
+        for keep, a in zip(saved, state):
+            np.copyto(keep, a)
+        for _ in range(size - 1):
+            step()
+        before = objective() if size > 1 else trace[-1]
+        step()
+        after = objective()
+        if not _settled(before, after, tol):
+            trace.append(after)
+            taken += size
+            continue
+        for keep, a in zip(saved, state):
+            np.copyto(a, keep)
+        for k in range(1, size + 1):
+            step()
+            trace.append(objective())
+            if _settled(trace[-2], trace[-1], tol):
+                return trace, taken + k
+    return trace, taken
+
+
 def cnmf_solve(
     y_h: SpectralImage,
     pan: SpectralImage,
@@ -221,8 +276,15 @@ def cnmf_solve(
 ) -> CnmfResult:
     """Run the coupled factorization and return factors plus objective traces.
 
-    Traced objectives include the sum-to-one penalty row, which is the
-    quantity the multiplicative updates provably never increase.
+    Each outer iteration runs an HS loop (abundances and spectra against
+    Y_H) and a PAN loop (abundances against the PAN) of at most
+    `inner_iters` steps each. A loop stops at a step whose objective changed
+    by at most `tol` of its previous value, tested once per window of
+    `_WINDOW` steps (`_run_windows`). `hs_steps` and `pan_steps` count each
+    loop's steps; its trace holds the objective at step 0, at each window's
+    end and at each replayed step. Traced objectives include the sum-to-one
+    penalty row, which is the quantity the multiplicative updates provably
+    never increase.
     """
     for budget in (outer_iters, inner_iters):
         if not (is_integer(budget) and budget >= 1):
@@ -247,43 +309,55 @@ def cnmf_solve(
     y_resid = np.empty_like(y_aug)
     p_resid = np.empty_like(p_aug)
     abund_high = None
-    hs_traces, pan_traces = [], []
+    hs_traces, pan_traces, hs_steps, pan_steps = [], [], [], []
 
     for outer in range(outer_iters):
         if outer > 0:
             planes = abund_high.reshape(-1, pan.height, pan.width)
             low = degrade(planes, model.blur.taps, ratio)
             abund_low = np.maximum(low.reshape(planes.shape[0], -1), 0.0)
-        trace = [_objective(h_aug, abund_low, y_aug, y_resid)]
-        for _ in range(inner_iters):
-            abund_low = _abundance_step(abund_low, h_aug.T @ y_aug, h_aug.T @ h_aug)
+
+        def hs_step():
+            _abundance_step(abund_low, h_aug.T @ y_aug, h_aug.T @ h_aug)
             spectra[...] = nmf_update_spectra(spectra, abund_low, data_h)
-            trace.append(_objective(h_aug, abund_low, y_aug, y_resid))
-            if abs(trace[-2] - trace[-1]) <= tol * max(trace[-2], _EPS):
-                break
+
+        trace, taken = _run_windows(
+            hs_step,
+            lambda: _objective(h_aug, abund_low, y_aug, y_resid),
+            (abund_low, spectra),
+            inner_iters,
+            tol,
+        )
         hs_traces.append(np.array(trace))
+        hs_steps.append(taken)
 
         if abund_high is None:
             planes = abund_low.reshape(-1, y_h.height, y_h.width)
             abund_high = interpolate(planes, ratio, "bilinear").reshape(p, -1)
             np.maximum(abund_high, 0.0, out=abund_high)
         # The PAN loop updates only the abundances, so H^T Y and H^T H of the
-        # stacked PAN spectra are formed once per loop.
+        # stacked PAN spectra are formed once per loop, and each step forms
+        # H^T H U in one reused buffer.
         hp_aug = _augment(response @ spectra)
         hty, hth = hp_aug.T @ p_aug, hp_aug.T @ hp_aug
-        trace = [_objective(hp_aug, abund_high, p_aug, p_resid)]
-        for _ in range(inner_iters):
-            abund_high = _abundance_step(abund_high, hty, hth)
-            trace.append(_objective(hp_aug, abund_high, p_aug, p_resid))
-            if abs(trace[-2] - trace[-1]) <= tol * max(trace[-2], _EPS):
-                break
+        denom = np.empty_like(abund_high)
+        trace, taken = _run_windows(
+            lambda: _abundance_step(abund_high, hty, hth, denom),
+            lambda: _objective(hp_aug, abund_high, p_aug, p_resid),
+            (abund_high,),
+            inner_iters,
+            tol,
+        )
         pan_traces.append(np.array(trace))
+        pan_steps.append(taken)
 
     return CnmfResult(
         endmembers=Endmembers(spectra, abund_high),
         abundances_low=abund_low,
         hs_objectives=tuple(hs_traces),
         pan_objectives=tuple(pan_traces),
+        hs_steps=tuple(hs_steps),
+        pan_steps=tuple(pan_steps),
     )
 
 

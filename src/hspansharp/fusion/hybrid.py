@@ -51,7 +51,10 @@ def guided_filter_plane(
 ) -> np.ndarray:
     """He-style guided filter with border-clipped (2d + 1)^2 windows over the
     last two axes; leading axes of `inp` and `guide` broadcast, so a
-    (p, H, W) stack against one (H, W) guide filters every plane."""
+    (p, H, W) stack against one (H, W) guide filters every plane. The
+    regularizer `eps` must be finite and nonnegative."""
+    if not 0.0 <= eps < np.inf:
+        raise ValueError(f"guided filter eps must be finite and nonnegative, got {eps!r}")
     rows, cols = (_axis_window_mean(n, d) for n in inp.shape[-2:])
     mean = separable_product(rows, cols)
 

@@ -128,6 +128,8 @@ class SensorModel:
     def __post_init__(self):
         object.__setattr__(self, "ratio", check_ratio(self.ratio))
         resp = np.atleast_2d(np.asarray(self.spectral_response, dtype=np.float64))
+        if not np.isfinite(resp).all():
+            raise ValueError("spectral response weights must be finite")
         if (resp < 0).any():
             raise ValueError("spectral response weights must be nonnegative")
         if not np.allclose(resp.sum(axis=1), 1.0, rtol=0, atol=1e-8):

@@ -4,10 +4,12 @@ from scipy.optimize import nnls
 
 from hspansharp.fusion.cnmf import (
     _DELTA,
+    _WINDOW,
     CnmfResult,
     Endmembers,
     _abundance_step,
     _augment,
+    _run_windows,
     cnmf_solve,
     cnmf_stream,
     nmf_update_spectra,
@@ -167,8 +169,8 @@ class TestCnmfSolve:
         _, y_h, pan, model = low_rank_scene()
         result = cnmf_solve(y_h, pan, model, p=3, outer_iters=2, inner_iters=40)
         assert isinstance(result, CnmfResult)
-        assert len(result.hs_objectives) == 2
-        assert len(result.pan_objectives) == 2
+        assert len(result.hs_objectives) == len(result.hs_steps) == 2
+        assert len(result.pan_objectives) == len(result.pan_steps) == 2
         for trace in result.hs_objectives + result.pan_objectives:
             assert (np.diff(trace) <= 1e-9 * np.maximum(trace[:-1], 1e-12)).all()
         assert (result.endmembers.spectra >= 0).all()
@@ -254,32 +256,122 @@ def loop_oracle_run(y_h, pan, model, p, outer_iters, inner_iters, seed, delta, t
     )
 
 
+class Scripted:
+    """A step that counts itself in a one-entry state array and an objective
+    read from a script by that count: halved at each step, and moved by a
+    hundredth of the test's tolerance at the steps in `settled`, so every
+    value is distinct. Both record how often they ran."""
+
+    def __init__(self, budget, settled=()):
+        values = [1.0]
+        for k in range(1, budget + 1):
+            values.append(values[-1] * (1 - 1e-8 if k in settled else 0.5))
+        self.values = values
+        self.state = np.zeros(1)
+        self.steps = self.objectives = 0
+
+    def step(self):
+        self.state += 1
+        self.steps += 1
+
+    def objective(self):
+        self.objectives += 1
+        return self.values[int(self.state[0])]
+
+    def run(self, budget, tol=1e-6):
+        trace, taken = _run_windows(self.step, self.objective, (self.state,), budget, tol)
+        assert self.state[0] == taken
+        return [self.values.index(v) for v in trace], taken
+
+
+class TestRunWindows:
+    # Traces are given as the steps whose objective they hold.
+    def test_stop_at_step_one(self):
+        # A loop that starts at its fixed point: every step is settled.
+        loop = Scripted(60, settled=range(1, 61))
+        assert loop.run(60) == ([0, 1], 1)
+        # One window forward, tested after its last two steps, then a
+        # replay of its first step.
+        assert (loop.steps, loop.objectives) == (_WINDOW + 1, 4)
+
+    def test_stop_at_a_window_end(self):
+        loop = Scripted(60, settled={2 * _WINDOW})
+        steps, taken = loop.run(60)
+        assert taken == 2 * _WINDOW
+        assert steps == [0, _WINDOW] + list(range(_WINDOW + 1, 2 * _WINDOW + 1))
+
+    def test_final_window_of_one_step(self):
+        budget = 2 * _WINDOW + 1
+        assert Scripted(budget).run(budget) == ([0, _WINDOW, 2 * _WINDOW, budget], budget)
+        loop = Scripted(budget, settled={budget})
+        assert loop.run(budget) == ([0, _WINDOW, 2 * _WINDOW, budget], budget)
+        # The one-step window is tested against its start's objective.
+        assert loop.objectives == 1 + 2 * 2 + 1 + 1
+
+    def test_zero_tol_runs_the_whole_budget(self):
+        budget = 2 * _WINDOW + 5
+        loop = Scripted(budget)
+        assert loop.run(budget, tol=0.0) == ([0, _WINDOW, 2 * _WINDOW, budget], budget)
+        assert (loop.steps, loop.objectives) == (budget, 1 + 3 * 2)
+
+    def test_settled_step_before_an_unsettled_window_end_runs_on(self):
+        # The per-step rule would stop at step 5; the window rule tests only
+        # the window's last step, which is not settled, and runs on.
+        assert Scripted(60, settled={5}).run(60) == ([0, _WINDOW, 2 * _WINDOW, 60], 60)
+        # Once the window's last step settles too, its replay stops at 5.
+        assert Scripted(60, settled={5, _WINDOW}).run(60) == ([0, 1, 2, 3, 4, 5], 5)
+
+
+def traced_steps(steps, budget, length):
+    """The steps at which a loop under the window rule traced its `length`
+    objectives, having taken `steps` of `budget`: step 0 and each window's
+    end, or, when it stopped, the window ends before the window it stopped
+    in and each replayed step of that window."""
+    start = (steps - 1) // _WINDOW * _WINDOW
+    stopped = list(range(0, start + 1, _WINDOW)) + list(range(start + 1, steps + 1))
+    ran = list(range(0, budget, _WINDOW)) + [budget]
+    return ran if steps == budget and length == len(ran) else stopped
+
+
 class TestCnmfLoopOracle:
     @pytest.mark.parametrize(
-        "scene, p, tol",
+        "scene, tol, budget, hs_first",
         [
-            (low_rank_scene, 3, 0.0),
-            (bilinear_patch_scene, 3, 0.0),
-            (low_rank_scene, 3, 1e-4),  # both loops stop early
+            pytest.param(low_rank_scene, 0.0, 60, 60, id="low_rank_scene-3-0.0"),
+            pytest.param(bilinear_patch_scene, 0.0, 60, 60, id="bilinear_patch_scene-3-0.0"),
+            # Both loops stop early.
+            pytest.param(low_rank_scene, 1e-4, 60, 14, id="low_rank_scene-3-0.0001"),
+            # A last window of 7 steps.
+            pytest.param(low_rank_scene, 0.0, 47, 47, id="budget-47"),
+            # A stop in the second window, at its 8th step.
+            pytest.param(low_rank_scene, 3.1e-5, 60, 28, id="stop-at-28"),
         ],
     )
-    def test_bit_identical_to_published_loops(self, scene, p, tol):
+    def test_bit_identical_to_published_loops(self, scene, tol, budget, hs_first):
+        # The window rule forms fewer objectives than the published per-step
+        # rule, but on these scenes it stops at the same steps, so the
+        # factors agree bit for bit and each traced objective is the
+        # oracle's at the step it was formed.
         _, y_h, pan, model = scene()
-        result = cnmf_solve(y_h, pan, model, p, 2, 60, 5, tol)
+        result = cnmf_solve(y_h, pan, model, 3, 2, budget, 5, tol)
         spectra, abund_low, abund_high, hs, pan_traces = loop_oracle_run(
-            y_h, pan, model, p, 2, 60, 5, _DELTA, tol
+            y_h, pan, model, 3, 2, budget, 5, _DELTA, tol
         )
         np.testing.assert_array_equal(
             result.endmembers.spectra @ result.endmembers.abundances,
             spectra @ abund_high,
         )
         np.testing.assert_array_equal(result.abundances_low, abund_low)
-        assert len(result.hs_objectives) == len(hs) == 2
-        assert len(result.pan_objectives) == len(pan_traces) == 2
-        for got, want in zip(
-            result.hs_objectives + result.pan_objectives, hs + pan_traces
+        assert result.hs_steps[0] == hs_first
+        assert result.hs_steps == tuple(len(t) - 1 for t in hs)
+        assert result.pan_steps == tuple(len(t) - 1 for t in pan_traces)
+        for got, steps, want in zip(
+            result.hs_objectives + result.pan_objectives,
+            result.hs_steps + result.pan_steps,
+            hs + pan_traces,
         ):
-            np.testing.assert_array_equal(got, want)
+            marks = traced_steps(steps, budget, len(got))
+            np.testing.assert_array_equal(got, want[marks])
 
     def test_update_leaves_its_input_alone(self):
         # The spectra step returns a new array and writes none of its inputs.

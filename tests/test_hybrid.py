@@ -85,6 +85,13 @@ class TestGuidedFilterPlane:
         want = loop_window_mean(loop_window_mean(inp, 1), 1)
         np.testing.assert_allclose(out, want, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -1.0])
+    def test_eps_must_be_finite_and_nonnegative(self, eps):
+        # Each would otherwise zero the gain and return the box mean.
+        plane = random_plane(6, 6, seed=4)
+        with pytest.raises(ValueError, match="eps must be finite and nonnegative"):
+            guided_filter_plane(plane, plane, 1, eps)
+
     def test_huge_eps_approaches_double_box_mean(self):
         inp = random_plane(6, 6, seed=6)
         guide = random_plane(6, 6, seed=7)

@@ -105,6 +105,12 @@ class TestSensorModel:
         with pytest.raises(ValueError):
             SensorModel(4, BlurKernel.impulse(), row)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_response_must_be_finite(self, bad):
+        # Refused as non-finite, not as a row that misses its unit sum.
+        with pytest.raises(ValueError, match="weights must be finite"):
+            SensorModel(2, BlurKernel.impulse(), np.array([[bad, 0.5]]))
+
     def test_noise_std_must_be_nonnegative(self):
         resp = np.full((1, 4), 0.25)
         with pytest.raises(ValueError, match="nonnegative"):
