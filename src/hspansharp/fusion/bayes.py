@@ -47,7 +47,6 @@ __all__ = [
     "HySureParams",
     "SensorEstimate",
     "learn_subspace",
-    "default_subspace_dim",
     "negative_log_posterior",
     "default_bayes_priors",
     "BayesNaiveResult",
@@ -87,31 +86,32 @@ class SubspaceBasis:
         return self.H.shape[1]
 
 
-def learn_subspace(y_h: SpectralImage, p: int) -> SubspaceBasis:
+def learn_subspace(y_h: SpectralImage, p: int | None = None) -> SubspaceBasis:
     """Top-p left singular vectors of Y_H, sign-fixed so each column's
-    largest-magnitude entry is positive."""
-    if not (is_integer(p) and 1 <= p <= y_h.bands):
+    largest-magnitude entry is positive. Without `p`, the same SVD picks p:
+    the energy knee of its squared singular values (`_ENERGY`, `_MAX_DIM`)."""
+    if not (p is None or is_integer(p) and 1 <= p <= y_h.bands):
         raise ValueError(f"subspace dim {p!r} out of range for {y_h.bands} bands")
-    left, _, _ = np.linalg.svd(y_h.data, full_matrices=False)
+    left, sing, _ = np.linalg.svd(y_h.data, full_matrices=False)
+    if p is None:
+        p = energy_knee(sing**2, _ENERGY, _MAX_DIM)
     return SubspaceBasis(signed_axes(left[:, :p]))
-
-
-def default_subspace_dim(y_h: SpectralImage) -> int:
-    """Singular-energy knee: smallest p capturing `_ENERGY` of the squared
-    singular values, at most `_MAX_DIM`."""
-    sing = np.linalg.svd(y_h.data, compute_uv=False)
-    return energy_knee(sing**2, _ENERGY, _MAX_DIM)
 
 
 # ---------------------------------------------------------------------------
 # Naive Gaussian-prior solver on the Wald operator `sensorsim.degrade`.
 
 
-def _noise_weights(model: SensorModel) -> tuple[np.ndarray, float]:
-    """Inverse noise weights; a zero (unknown) std falls back to unit weight."""
+def _noise_weights(
+    model: SensorModel, y_h: SpectralImage, pan: SpectralImage
+) -> tuple[np.ndarray, float]:
+    """Inverse noise weights; a zero (unknown) std falls back to unit weight,
+    and a positive one counts as at least 1e-6 of its image's RMS, so that a
+    near-noiseless pair keeps the solve's pencil definite."""
+    rms_h, rms_m = (float(np.sqrt((img.data**2).mean())) for img in (y_h, pan))
     stds = model.hs_noise_std
-    wh = np.where(stds > 0, 1.0 / np.where(stds > 0, stds, 1.0), 1.0)
-    wm = 1.0 / model.pan_noise_std if model.pan_noise_std > 0 else 1.0
+    wh = 1.0 / np.where(stds > 0, np.maximum(stds, 1e-6 * rms_h), 1.0)
+    wm = 1.0 / max(model.pan_noise_std, 1e-6 * rms_m) if model.pan_noise_std > 0 else 1.0
     return wh, wm
 
 
@@ -135,7 +135,7 @@ def negative_log_posterior(
 ) -> float:
     """0.5||L_H^-1/2 (Y_H - HUBS)||^2 + 0.5||L_M^-1/2 (Y_M - RHU)||^2, with
     unit weights where a noise std is zero."""
-    wh, wm = _noise_weights(model)
+    wh, wm = _noise_weights(model, y_h, y_m)
     resid_h, resid_m = _residuals(np.asarray(U, dtype=np.float64), basis, y_h, y_m, model)
     resid_h *= wh[:, np.newaxis]
     resid_m *= wm
@@ -243,7 +243,7 @@ def bayes_naive_solve(
         planes = field.reshape(p, pan.height, pan.width)
         return separable(qh.T, planes, qw.T).reshape(p, n)
 
-    wh, wm = _noise_weights(model)
+    wh, wm = _noise_weights(model, y_h, pan)
     hw2 = (H * wh[:, np.newaxis] ** 2).T
     rh = (model.spectral_response @ H) * wm
     m_hs = hw2 @ H

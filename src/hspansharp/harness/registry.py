@@ -4,7 +4,9 @@ Every method is exposed as a callable taking a `MethodContext`. It forms
 the method's image as an `imgcore.BandStream` and returns the whole image,
 or, when the context has a `sink`, hands the stream to the sink and returns
 what the sink returns. The registry preserves a fixed presentation order
-so reports are stable.
+so reports are stable. CNMF's default endmember count, BayesNaive and
+HySure take the subspace `bayes.learn_subspace(y_h, subspace_dim)`, which
+picks its own dimension when `subspace_dim` is None.
 """
 
 from __future__ import annotations
@@ -14,12 +16,7 @@ from typing import Callable
 
 from ..imgcore import BandStream, DynamicRange, SpectralImage, is_integer
 from ..sensorsim import SensorModel
-from ..fusion.bayes import (
-    bayes_naive_stream,
-    default_subspace_dim,
-    hysure_stream,
-    learn_subspace,
-)
+from ..fusion.bayes import bayes_naive_stream, hysure_stream, learn_subspace
 from ..fusion.cnmf import cnmf_stream
 from ..fusion.cs import gs_stream, gsa_stream, pca_stream
 from ..fusion.hybrid import gfpca_stream
@@ -38,7 +35,8 @@ __all__ = [
 @dataclass(frozen=True)
 class MethodContext:
     """Everything a fusion method may draw on; `bench.run_method` builds it.
-    No method reads `gnyq`: the blur is `model.blur`. `sink`, when set,
+    No method reads `gnyq`: the blur is `model.blur`. A `subspace_dim` of
+    None leaves the dimension to `bayes.learn_subspace`. `sink`, when set,
     takes the method's `BandStream` in place of the whole image
     (`envi.save_raster` writes it block by block)."""
 
@@ -55,11 +53,6 @@ class MethodContext:
     @property
     def ratio(self) -> int:
         return self.model.ratio
-
-    def dim(self) -> int:
-        if self.subspace_dim is not None:
-            return self.subspace_dim
-        return default_subspace_dim(self.y_h)
 
 
 def _emit(ctx: MethodContext, stream: BandStream):
@@ -99,11 +92,13 @@ def _run_gfpca(ctx: MethodContext):
 def _run_cnmf(ctx: MethodContext):
     p = resolve_params("CNMF", ctx.params)
     endmembers = p["endmembers"]
+    if endmembers is None:
+        endmembers = max(learn_subspace(ctx.y_h, ctx.subspace_dim).p, 2)
     stream = cnmf_stream(
         ctx.y_h,
         ctx.pan,
         ctx.model,
-        max(ctx.dim(), 2) if endmembers is None else endmembers,
+        endmembers,
         outer_iters=p["outer_iters"],
         inner_iters=p["inner_iters"],
         seed=ctx.seed,
@@ -112,7 +107,7 @@ def _run_cnmf(ctx: MethodContext):
 
 
 def _run_bayes_naive(ctx: MethodContext):
-    basis = learn_subspace(ctx.y_h, ctx.dim())
+    basis = learn_subspace(ctx.y_h, ctx.subspace_dim)
     stream = bayes_naive_stream(
         ctx.y_h,
         ctx.pan,
@@ -124,7 +119,7 @@ def _run_bayes_naive(ctx: MethodContext):
 
 
 def _run_hysure(ctx: MethodContext):
-    basis = learn_subspace(ctx.y_h, ctx.dim())
+    basis = learn_subspace(ctx.y_h, ctx.subspace_dim)
     return _emit(ctx, hysure_stream(ctx.y_h, ctx.pan, basis, ctx.model, rng=ctx.range))
 
 

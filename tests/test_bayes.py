@@ -32,7 +32,6 @@ from hspansharp.fusion.bayes import (
     bayes_naive_stream,
     default_bayes_priors,
     default_hysure_params,
-    default_subspace_dim,
     estimate_sensor,
     hysure_solve,
     hysure_stream,
@@ -141,18 +140,36 @@ class TestDefaultSubspaceDim:
         rng = np.random.default_rng(6)
         h0, _ = np.linalg.qr(rng.normal(size=(9, 3)))
         y = SpectralImage(8, 8, h0 @ rng.uniform(1.0, 2.0, (3, 64)))
-        assert default_subspace_dim(y) == 3
+        assert learn_subspace(y).p == 3
 
     def test_cap_applies(self):
         # Noise spreads its energy over all 20 directions.
         rng = np.random.default_rng(7)
         y = SpectralImage(10, 10, rng.normal(size=(20, 100)))
-        assert default_subspace_dim(y) == 10
+        assert learn_subspace(y).p == 10
 
     def test_never_exceeds_bands(self):
         rng = np.random.default_rng(8)
         y = SpectralImage(10, 10, rng.normal(size=(3, 100)))
-        assert default_subspace_dim(y) == 3
+        assert learn_subspace(y).p == 3
+
+    @pytest.mark.parametrize(
+        "sing, knee",
+        [([10.0, 3.0, 1.0, 0.1, 0.01], 3), ([10.0, 0.6, 0.5, 0.4, 0.1], 4)],
+    )
+    def test_knee_of_given_spectrum(self, sing, knee):
+        # Y = Q diag(sing) V^T: the knee is the smallest p whose squared
+        # singular values reach 0.999 of their sum, and the basis spans the
+        # first p columns of Q.
+        rng = np.random.default_rng(9)
+        q, _ = np.linalg.qr(rng.normal(size=(6, 5)))
+        v, _ = np.linalg.qr(rng.normal(size=(64, 5)))
+        y = SpectralImage(8, 8, q @ np.diag(sing) @ v.T)
+        energy = np.cumsum(np.square(sing)) / np.square(sing).sum()
+        assert energy[knee - 2] < 0.999 <= energy[knee - 1]
+        basis = learn_subspace(y)
+        assert basis.p == knee
+        assert np.abs(basis.H @ (basis.H.T @ q[:, :knee]) - q[:, :knee]).max() <= 1e-10
 
 
 class TestWaldOperatorAdjoint:
@@ -231,6 +248,18 @@ class TestNegativeLogPosterior:
         expected = self.oracle_value(
             u, y_h, pan, model, basis, 1.0 / hs_std, 1.0 / 0.05
         )
+        assert abs(value - expected) <= 1e-12 * max(abs(expected), 1.0)
+
+    def test_tiny_stds_are_floored(self):
+        # A positive std below 1e-6 of its image's RMS weighs as that floor,
+        # and a zero std keeps unit weight.
+        hs_std = np.array([1e-12, 0.2, 0.0, 1e-9, 0.5])
+        u, y_h, pan, model, basis = self.setup_instance(hs_std, 1e-15)
+        floor_h = 1e-6 * np.sqrt((y_h.data**2).mean())
+        floor_m = 1e-6 * np.sqrt((pan.data**2).mean())
+        wh = np.array([1.0 / floor_h, 1.0 / 0.2, 1.0, 1.0 / floor_h, 1.0 / 0.5])
+        value = negative_log_posterior(u, y_h, pan, model, basis)
+        expected = self.oracle_value(u, y_h, pan, model, basis, wh, 1.0 / floor_m)
         assert abs(value - expected) <= 1e-12 * max(abs(expected), 1.0)
 
     def test_zero_residual_in_subspace(self):
@@ -412,7 +441,7 @@ class TestBayesNaiveSolve:
         # coefficients as scipy's generalized eigh, through every sigma round.
         config = RunConfig(height=12 * ratio, width=12 * ratio, seed=ratio, ratio=ratio)
         y_h, pan, model = wald_inputs(reference_scene(config), config)
-        basis = learn_subspace(y_h, default_subspace_dim(y_h))
+        basis = learn_subspace(y_h)
         got = bayes_naive_solve(y_h, pan, model, basis).U
         monkeypatch.setattr(bayes, "_generalized_eigh", scipy.linalg.eigh)
         want = bayes_naive_solve(y_h, pan, model, basis).U
@@ -652,7 +681,7 @@ def wald_hysure_case(seed, snr_db, **changes):
     parameters `hysure_stream` would use, `changes` applied to them."""
     config = RunConfig(seed=seed, snr_db=snr_db).validate()
     y_h, pan, model = wald_inputs(reference_scene(config), config)
-    basis = learn_subspace(y_h, default_subspace_dim(y_h))
+    basis = learn_subspace(y_h)
     params = default_hysure_params(y_h, pan, basis, model)
     return y_h, pan, basis, model, replace(params, **changes)
 
@@ -920,7 +949,7 @@ class TestHysureReflect:
         y_h, pan, model = wald_inputs(truth, config)
         fused = run_method(config, "HySure", y_h, pan, model, config.seed)
 
-        basis = learn_subspace(y_h, default_subspace_dim(y_h))
+        basis = learn_subspace(y_h)
         params = default_hysure_params(y_h, pan, basis, model)
         cyclic = hysure_solve(y_h, pan, basis, model, params)
         bounds = DynamicRange.spanning(y_h.data)

@@ -322,6 +322,21 @@ class TestRegistry:
             run_method(config, name, y_h, short, model, 0)
 
 
+    @pytest.mark.parametrize("name", method_names())
+    def test_constant_band_fuses(self, name):
+        # A reference with one zero-variance band still fuses to a finite
+        # image of the reference's shape.
+        config = small_config()
+        truth = reference_scene(config)
+        data = truth.data.copy()
+        data[4] = data[4].mean()
+        truth = SpectralImage(truth.height, truth.width, data, truth.wavelengths)
+        y_h, pan, model = wald_inputs(truth, config)
+        fused = run_method(config, name, y_h, pan, model, 0)
+        assert fused.data.shape == truth.data.shape
+        assert np.isfinite(fused.data).all()
+
+
 class TestPercentileSpectrum:
     def make_instance(self):
         values = np.array([[4.0, 1.0, 3.0, 2.0]])
@@ -453,6 +468,13 @@ class TestRunWald:
         b = run_wald(config)
         for ra, rb in zip(a.results, b.results):
             assert np.array_equal(ra.fused.data, rb.fused.data)
+
+    def test_bayes_naive_fuses_near_noiseless_pair(self):
+        # At 200 dB the noise weights are floored at 1e-6 of each image's
+        # RMS, so the solve's pencil stays positive definite.
+        (result,) = run_wald(small_config(methods=("BayesNaive",), snr_db=200.0)).results
+        assert result.error is None
+        assert np.isfinite(result.report.scalars()["ERGAS"])
 
     def test_failure_is_isolated(self):
         config = small_config(

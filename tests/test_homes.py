@@ -197,6 +197,9 @@ RULES = [
          homes=(("harness/bench.py", "run_method"),)),
     Rule("method-seed", named("SeedSequence"), homes=(("harness/bench.py", "_method_seed"),)),
     Rule("energy-knee", named("cumsum"), homes=(("fusion/cs.py", "energy_knee"),)),
+    # One SVD of Y_H picks and spans the subspace; VCA's is of max(Y_H, 0),
+    # another matrix.
+    Rule("svd", named("svd"), homes=((BAYES, "learn_subspace"), ("fusion/cnmf.py", "vca"))),
 ]
 
 
